@@ -8,15 +8,32 @@ import sys
 
 from .dataset import load_csv, load_csv_with_labels
 from .errors import MmlbnError
-from .evaluation import cross_validate, evaluate_split
+from .evaluation import EvalSummary, cross_validate, evaluate_split
 from .graph import DagStructure
 from .sampler import PosteriorReport, SamplerConfig
 from .sampler import run_sampler
 from .scoring import ModelPolicy, NetworkScorer
 
 
-def _add_common_flags(parser):
-    parser.add_argument("--data", required=True, help="training data CSV")
+def _add_data_flags(parser):
+    """Flags of every subcommand: the data, how to read it, the priors, the output."""
+    parser.add_argument("--data", required=True, help="data CSV")
+    parser.add_argument(
+        "--missing-policy",
+        choices=["extra-category", "reject"],
+        default="extra-category",
+        help="'?' cells become an extra state of their variable (extra-category, "
+        "the default) or are an error (reject)",
+    )
+    parser.add_argument("--sigma", type=float, default=3.0)
+    parser.add_argument(
+        "--arc-prior", type=float, default=0.5, help="prior probability of an arc slot"
+    )
+    parser.add_argument("--out", help="report path (default: stdout)")
+
+
+def _add_sampler_flags(parser):
+    _add_data_flags(parser)
     parser.add_argument(
         "--model",
         choices=["tbn", "fon", "dual"],
@@ -26,18 +43,8 @@ def _add_common_flags(parser):
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--iterations", type=int, default=200000)
     parser.add_argument("--burn-in", type=int, default=10000)
-    parser.add_argument("--sigma", type=float, default=3.0)
-    parser.add_argument(
-        "--arc-prior", type=float, default=0.5, help="prior probability of an arc slot"
-    )
     parser.add_argument("--max-parents", type=int, default=10)
     parser.add_argument("--top-k", type=int, default=10)
-    parser.add_argument(
-        "--missing-policy",
-        choices=["extra-category", "reject"],
-        default="extra-category",
-    )
-    parser.add_argument("--out", help="report path (default: stdout)")
 
 
 def _build_parser():
@@ -48,10 +55,10 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     learn = sub.add_parser("learn", help="sample structures and report classes")
-    _add_common_flags(learn)
+    _add_sampler_flags(learn)
 
     evaluate = sub.add_parser("eval", help="held-out predictive evaluation")
-    _add_common_flags(evaluate)
+    _add_sampler_flags(evaluate)
     evaluate.add_argument("--test", help="held-out test CSV (skips splitting)")
     evaluate.add_argument("--repeats", type=int, default=10)
     evaluate.add_argument(
@@ -59,16 +66,8 @@ def _build_parser():
     )
 
     score = sub.add_parser("score", help="score a fixed structure under each policy")
-    score.add_argument("--data", required=True)
+    _add_data_flags(score)
     score.add_argument("--structure", required=True, help="arc list file or 'empty'")
-    score.add_argument("--sigma", type=float, default=3.0)
-    score.add_argument("--arc-prior", type=float, default=0.5)
-    score.add_argument(
-        "--missing-policy",
-        choices=["extra-category", "reject"],
-        default="extra-category",
-    )
-    score.add_argument("--out", help="report path (default: stdout)")
     return parser
 
 
@@ -110,12 +109,12 @@ def _arcs_as_strings(dag: DagStructure) -> list[str]:
     return [f"{u}->{v}" for u, v in dag.arcs()]
 
 
-def _classes_payload(report: PosteriorReport, scorer: NetworkScorer) -> list[dict]:
+def _classes_payload(report: PosteriorReport, policy: ModelPolicy) -> list[dict]:
     payload = []
     for record, weight in zip(report.classes, report.weights()):
         per_node = []
         for child, parents in enumerate(record.best_network.parent_sets):
-            score = scorer.node_score(child, parents)
+            score = report.cache.stored(child, parents, policy)
             per_node.append(
                 {"model": score.chosen_model, "params": score.parameter_count}
             )
@@ -177,8 +176,7 @@ def _run_learn(args) -> dict:
     ds = load_csv(args.data, args.missing_policy)
     config = _sampler_config(args)
     report = run_sampler(ds, config)
-    scorer = NetworkScorer(ds, config.policy, config.p, config.sigma)
-    classes = _classes_payload(report, scorer)
+    classes = _classes_payload(report, config.policy)
     return {
         "config": _config_echo(args, "learn"),
         "dataset": {
@@ -201,16 +199,7 @@ def _run_eval(args) -> dict:
     config = _sampler_config(args)
     if args.test:
         test = load_csv_with_labels(args.test, ds.variables)
-        metrics = evaluate_split(ds, test, config)
-        summary = {
-            "repeats": [metrics.to_dict()],
-            "means": {
-                "message_length": metrics.message_length,
-                "test_nll": metrics.test_nll,
-                "arcs": metrics.arc_count,
-                "parameters": metrics.parameter_count,
-            },
-        }
+        summary = EvalSummary((evaluate_split(ds, test, config),)).to_dict()
     else:
         summary = cross_validate(ds, args.repeats, config, args.fraction).to_dict()
     return {

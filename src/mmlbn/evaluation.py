@@ -2,59 +2,34 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import logsumexp
 
-from .cpt_full import full_cpt_message_length
+from .cpt_full import full_cpt_predictive
 from .dataset import DiscreteDataset, counts_for, split_train_test
-from .fom import DEFAULT_SIGMA, FomParams, fit_fom_map, fom_probability
+from .fom import DEFAULT_SIGMA, FomParams
 from .graph import DagStructure
 from .sampler import PosteriorReport, SamplerConfig, run_sampler
-from .scoring import ModelPolicy, node_length
-from .dataset import config_index
+from .scoring import ModelPolicy, NetworkScorer, ScoreCache
 
+# Not called here: the benchmark's tracer (bench/spans.py) wraps these by
+# their name in this module, so they stay importable from it.
+from .fom import fit_fom_map  # noqa: F401
+from .scoring import node_length  # noqa: F401
 
-class _FullNode:
-    """Posterior-mean table lookup; unseen configurations are uniform."""
-
-    def __init__(self, counts):
-        self.r_y = counts.child_arity
-        self._log_uniform = -math.log(self.r_y)
-        self._rows = {}
-        totals = counts.config_totals
-        for digits, row, total in zip(counts.config_digits, counts.counts, totals):
-            probs = (row + 1.0) / (total + self.r_y)
-            self._rows[tuple(int(d) for d in digits)] = np.log(probs)
-
-    def log_prob(self, value: int, parent_values: tuple) -> float:
-        row = self._rows.get(parent_values)
-        if row is None:
-            return self._log_uniform
-        return float(row[value])
-
-
-class _LogitNode:
-    """First-order model probabilities, memoised per configuration."""
-
-    def __init__(self, params: FomParams):
-        self.params = params
-        self._memo = {}
-
-    def log_prob(self, value: int, parent_values: tuple) -> float:
-        row = self._memo.get(parent_values)
-        if row is None:
-            index = config_index(parent_values, self.params.parent_arities)
-            row = np.log(fom_probability(self.params, index))
-            self._memo[parent_values] = row
-        return float(row[value])
+_BLOCK_ROWS = 2048
 
 
 @dataclass(frozen=True, eq=False)
 class FittedNetwork:
-    """A structure with one fitted conditional model per node."""
+    """A structure with one fitted conditional model per node.
+
+    A node is either a full table of log probabilities, shaped (parent
+    arities..., child arity) so that parent and child values index it
+    directly, or the FomParams of a first-order logit model.
+    """
 
     dag: DagStructure
     nodes: tuple
@@ -67,49 +42,76 @@ def fit_network(
     train: DiscreteDataset,
     policy: ModelPolicy,
     sigma: float = DEFAULT_SIGMA,
+    cache: ScoreCache | None = None,
 ) -> FittedNetwork:
-    """Fit each node with the model the policy's node score would choose."""
+    """Fit each node with the model the policy's node score chose.
+
+    Node scores, logit fits included, come from `cache` when it holds the
+    scores of `train` under `sigma` (a sampler run's cache); the result is the
+    same either way.
+    """
     if dag.m != train.n_variables:
         raise ValueError("structure and dataset disagree on variable count")
+    if cache is not None and not cache.holds(train, sigma):
+        cache = None
+    scorer = NetworkScorer(train, policy, sigma=sigma, cache=cache)
     nodes = []
     chosen = []
     parameters = 0
     for child, parents in enumerate(dag.parent_sets):
-        counts = counts_for(train, child, parents)
-        score = node_length(counts, policy, len(parents), sigma)
+        score = scorer.node_score(child, parents)
         chosen.append(score.chosen_model)
         parameters += score.parameter_count
         if score.chosen_model == "full":
-            nodes.append(_FullNode(counts))
+            counts = counts_for(train, child, parents)
+            # Unseen configurations keep the uniform row full_cpt_predictive gives.
+            table = np.log(full_cpt_predictive(counts))
+            nodes.append(table.reshape(counts.parent_arities + (counts.child_arity,)))
         else:
-            nodes.append(_LogitNode(fit_fom_map(counts, sigma)))
+            nodes.append(score.fom_params)
     return FittedNetwork(dag, tuple(nodes), tuple(chosen), parameters)
+
+
+def _log_probs(network: FittedNetwork, rows: np.ndarray) -> np.ndarray:
+    """Log joint probability of each complete case (row), in nits."""
+    total = np.zeros(rows.shape[0])
+    for child, parents in enumerate(network.dag.parent_sets):
+        node, values = network.nodes[child], rows[:, child]
+        if isinstance(node, FomParams):
+            logits = np.tile(node.a, (rows.shape[0], 1))
+            for block, parent in zip(node.blocks, parents):
+                logits += block[:, rows[:, parent]].T
+            total += logits[np.arange(len(rows)), values] - logsumexp(logits, axis=1)
+        else:
+            total += node[tuple(rows[:, p] for p in parents) + (values,)]
+    return total
 
 
 def case_log_prob(network: FittedNetwork, case) -> float:
     """Log joint probability of one complete case, in nits."""
-    case = np.asarray(case)
-    total = 0.0
-    for child, parents in enumerate(network.dag.parent_sets):
-        parent_values = tuple(int(case[p]) for p in parents)
-        total += network.nodes[child].log_prob(int(case[child]), parent_values)
-    return total
+    return float(_log_probs(network, np.asarray(case)[None, :])[0])
 
 
-def _normalised_weights(report: PosteriorReport) -> np.ndarray:
+def _fit_classes(report: PosteriorReport, train, policy, sigma):
+    """Renormalised visit weights and each class's fitted best network."""
     visits = np.array([c.visits for c in report.classes], dtype=float)
     if visits.size == 0 or visits.sum() <= 0:
         raise ValueError("report holds no visited classes")
-    return visits / visits.sum()
+    networks = [
+        fit_network(record.best_network, train, policy, sigma, report.cache)
+        for record in report.classes
+    ]
+    return visits / visits.sum(), networks
 
 
-def _mixture_nll(networks, log_weights, test: DiscreteDataset) -> float:
+def _mixture_nll(networks, weights, test: DiscreteDataset) -> float:
+    log_weights = np.log(weights)[:, None]
     total = 0.0
-    scores = np.empty(len(networks))
-    for case in test.rows:
-        for c, network in enumerate(networks):
-            scores[c] = case_log_prob(network, case)
-        total -= float(logsumexp(log_weights + scores))
+    # Blocks of rows bound the working arrays whatever the test set's size.
+    for start in range(0, test.n_cases, _BLOCK_ROWS):
+        rows = test.rows[start : start + _BLOCK_ROWS]
+        scores = np.array([_log_probs(network, rows) for network in networks])
+        total -= float(logsumexp(scores + log_weights, axis=0).sum())
     return total
 
 
@@ -125,12 +127,8 @@ def model_averaged_test_nll(
     Each reported class's best network is fitted on the training data and the
     classes are mixed by their renormalised visit weights, case by case.
     """
-    weights = _normalised_weights(report)
-    networks = [
-        fit_network(record.best_network, train, policy, sigma)
-        for record in report.classes
-    ]
-    return _mixture_nll(networks, np.log(weights), test)
+    weights, networks = _fit_classes(report, train, policy, sigma)
+    return _mixture_nll(networks, weights, test)
 
 
 @dataclass(frozen=True)
@@ -197,29 +195,16 @@ def evaluate_split(
 ) -> RepeatMetrics:
     """Run the sampler on the training part and score the test part."""
     report = run_sampler(train, config)
-    weights = _normalised_weights(report)
-    networks = [
-        fit_network(record.best_network, train, config.policy, config.sigma)
-        for record in report.classes
-    ]
-    message_length = float(
-        np.dot(weights, [record.best_length for record in report.classes])
-    )
-    arc_count = float(
-        np.dot(weights, [record.best_network.arc_count for record in report.classes])
-    )
-    parameter_count = float(
-        np.dot(weights, [network.parameter_count for network in networks])
-    )
-    nll = _mixture_nll(networks, np.log(weights), test)
+    weights, networks = _fit_classes(report, train, config.policy, config.sigma)
+    classes = report.classes
     return RepeatMetrics(
         seed=config.seed,
         train_cases=train.n_cases,
         test_cases=test.n_cases,
-        message_length=message_length,
-        test_nll=nll,
-        arc_count=arc_count,
-        parameter_count=parameter_count,
+        message_length=float(np.dot(weights, [c.best_length for c in classes])),
+        test_nll=_mixture_nll(networks, weights, test),
+        arc_count=float(np.dot(weights, [c.best_network.arc_count for c in classes])),
+        parameter_count=float(np.dot(weights, [n.parameter_count for n in networks])),
     )
 
 

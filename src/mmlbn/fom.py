@@ -167,6 +167,16 @@ def fom_probability(params: FomParams, parent_config: int) -> np.ndarray:
     return weights / weights.sum()
 
 
+def _prior_log_norm(child_arity: int, parent_arities) -> float:
+    """Log of the factor the constrained Gaussian prior's density carries for
+    restricting an isotropic Gaussian to the constraint subspace."""
+    log_r_y = math.log(child_arity)
+    norm = 0.5 * log_r_y
+    for r_i in parent_arities:
+        norm += 0.5 * ((r_i - 1) * log_r_y + (child_arity - 1) * math.log(r_i))
+    return norm
+
+
 def fom_log_prior(params: FomParams, sigma: float = DEFAULT_SIGMA) -> float:
     """Log density of the constrained Gaussian prior at the parameters.
 
@@ -178,13 +188,9 @@ def fom_log_prior(params: FomParams, sigma: float = DEFAULT_SIGMA) -> float:
         raise ValueError("sigma must be positive")
     if params.constraint_residual() > _CONSTRAINT_TOL:
         raise ValueError("parameters violate the sum-to-zero constraints")
-    r_y = params.child_arity
-    d = free_dimension(r_y, params.parent_arities)
-    norm = 0.5 * math.log(r_y)
-    for r_i in params.parent_arities:
-        norm += 0.5 * ((r_i - 1) * math.log(r_y) + (r_y - 1) * math.log(r_i))
+    d = free_dimension(params.child_arity, params.parent_arities)
     return (
-        norm
+        _prior_log_norm(params.child_arity, params.parent_arities)
         - d * (0.5 * _LOG_2PI + math.log(sigma))
         - params.sum_of_squares() / (2.0 * sigma * sigma)
     )
@@ -389,7 +395,7 @@ def fisher_log_det(
     probs = objective._probabilities_flat(params.flatten())
     sign, logdet = np.linalg.slogdet(objective.information_free(probs))
     if sign <= 0:
-        raise ValueError("information matrix is not positive definite")
+        raise ConvergenceError("information matrix is not positive definite")
     return float(logdet)
 
 
@@ -408,17 +414,13 @@ def fom_message_length(
     objective = FomObjective(counts, sigma)
     u, probs = objective.fit()
     d = objective.dim
-    r_y = counts.child_arity
-    prior_norm = 0.5 * math.log(r_y)
-    for r_i in counts.parent_arities:
-        prior_norm += 0.5 * ((r_i - 1) * math.log(r_y) + (r_y - 1) * math.log(r_i))
     quad = float(u @ u) / (2.0 * sigma * sigma)
     sign, logdet = np.linalg.slogdet(objective.information_free(probs))
     if sign <= 0:
-        raise ValueError("information matrix is not positive definite")
+        raise ConvergenceError("information matrix is not positive definite")
     length = (
         d * (0.5 * _LOG_2PI + math.log(sigma))
-        - prior_norm
+        - _prior_log_norm(counts.child_arity, counts.parent_arities)
         + quad
         + 0.5 * float(logdet)
         + objective.negative_log_likelihood(probs)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import CycleError, NoArcError, ParentCapError
 from .graph import ArcMove, DagStructure, apply_move, cpdag_key
-from .scoring import ModelPolicy, NetworkScorer
+from .scoring import ModelPolicy, NetworkScorer, ScoreCache
 
 
 @dataclass
@@ -75,6 +75,8 @@ class ClassRecord:
 class PosteriorReport:
     classes: tuple[ClassRecord, ...]
     total_samples: int
+    # The chain's node scores, so that readers of the report score nothing again.
+    cache: ScoreCache | None = field(default=None, compare=False, repr=False)
 
     def weights(self) -> tuple[float, ...]:
         return tuple(c.visits / self.total_samples for c in self.classes)
@@ -192,4 +194,4 @@ def run_sampler(ds, config: SamplerConfig) -> PosteriorReport:
         ClassRecord(key, visits, network, length)
         for key, (visits, network, length) in ordered
     )
-    return PosteriorReport(classes, config.iterations - config.burn_in)
+    return PosteriorReport(classes, config.iterations - config.burn_in, scorer.cache)

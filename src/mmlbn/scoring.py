@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import enum
 import math
-import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .cpt_full import full_cpt_message_length
 from .dataset import DiscreteDataset, counts_for
-from .errors import MmlbnError, ParameterCapError
-from .fom import DEFAULT_SIGMA, fom_message_length
+from .errors import ConvergenceError, MmlbnError, ParameterCapError
+from .fom import DEFAULT_SIGMA, FomParams, fom_message_length
 from .graph import DagStructure
 from .graph import structure_log_prior as _structure_log_prior
 
@@ -35,20 +34,21 @@ class NodeScore:
     length: float  # nits; may be any real number
     chosen_model: str  # "full" or "fom"
     parameter_count: int
+    # The fitted logit model of a "fom" node, kept so that nothing fits it again.
+    fom_params: FomParams | None = field(default=None, compare=False, repr=False)
 
 
 class ScoreCache:
     """Shared map from (child, parents, policy) to node scores.
 
-    Reads vastly outnumber writes; the dict operations are individually
-    atomic under the interpreter lock and a plain lock guards insertion, so
-    a value observed by any reader is always a completed computation.
-    Scoring errors are cached too and re-raised on later lookups.
+    Scoring errors are cached too and re-raised on later lookups. `source`
+    is the (dataset, sigma) of the first NetworkScorer that used the cache:
+    the keys name neither, so a reader on other data must not trust it.
     """
 
     def __init__(self):
         self._entries: dict = {}
-        self._lock = threading.Lock()
+        self.source = None
         self.hits = 0
         self.misses = 0
 
@@ -63,10 +63,20 @@ class ScoreCache:
                 entry = compute()
             except MmlbnError as err:
                 entry = err
-            with self._lock:
-                entry = self._entries.setdefault(key, entry)
+            self._entries[key] = entry
         else:
             self.hits += 1
+        if isinstance(entry, MmlbnError):
+            raise entry
+        return entry
+
+    def holds(self, ds: DiscreteDataset, sigma: float) -> bool:
+        """Whether the cached scores were computed on this dataset and sigma."""
+        return self.source is not None and self.source[0] is ds and self.source[1] == sigma
+
+    def stored(self, child: int, parents: tuple, policy: ModelPolicy) -> NodeScore:
+        """The score of a node already scored under the policy (KeyError if none)."""
+        entry = self._entries[(child, tuple(parents), policy)]
         if isinstance(entry, MmlbnError):
             raise entry
         return entry
@@ -86,7 +96,7 @@ def node_length(
         return NodeScore(score.message_length, "full", score.free_params)
     if policy is ModelPolicy.FON:
         score = fom_message_length(counts, sigma)
-        return NodeScore(score.message_length, "fom", score.free_dim)
+        return NodeScore(score.message_length, "fom", score.free_dim, score.map_params)
     if policy is not ModelPolicy.DUAL:
         raise ValueError(f"unknown policy {policy!r}")
     if parent_count <= 1:
@@ -96,10 +106,17 @@ def node_length(
         full = full_cpt_message_length(counts)
     except ParameterCapError:
         full = None
-    fom = fom_message_length(counts, sigma)
-    if full is not None and full.message_length <= fom.message_length:
+    try:
+        fom = fom_message_length(counts, sigma)
+    except ConvergenceError:
+        if full is None:
+            raise
+        fom = None
+    if full is not None and (fom is None or full.message_length <= fom.message_length):
         return NodeScore(full.message_length + MODEL_CHOICE_NITS, "full", full.free_params)
-    return NodeScore(fom.message_length + MODEL_CHOICE_NITS, "fom", fom.free_dim)
+    return NodeScore(
+        fom.message_length + MODEL_CHOICE_NITS, "fom", fom.free_dim, fom.map_params
+    )
 
 
 class NetworkScorer:
@@ -120,6 +137,8 @@ class NetworkScorer:
         self.p = p
         self.sigma = sigma
         self.cache = cache if cache is not None else ScoreCache()
+        if self.cache.source is None:
+            self.cache.source = (ds, sigma)
 
     def node_score(self, child: int, parents: tuple) -> NodeScore:
         parents = tuple(parents)

@@ -275,6 +275,17 @@ class TestFailureModes:
         assert ds.variables[0].arity == 3
         assert "?" in ds.variables[0].labels
 
+    def test_learn_defaults_to_extra_category(self, tmp_path):
+        path = tmp_path / "gaps.csv"
+        rows = ["a,b"] + ["x,1", "?,2", "y,1", "x,2"] * 10
+        path.write_text("\n".join(rows) + "\n")
+        report = run_json(
+            ["learn", "--data", str(path), "--iterations", "200", "--burn-in", "20"],
+            tmp_path / "gaps.json",
+        )
+        assert report["config"]["missing_policy"] == "extra-category"
+        assert report["dataset"]["variables"][0] == {"name": "a", "arity": 3}
+
     def test_bad_flag_value(self, train_csv, capsys):
         code = main(
             [

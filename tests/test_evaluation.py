@@ -1,5 +1,6 @@
 """Fitted networks, posterior mixtures, and split evaluation."""
 
+import dataclasses
 import itertools
 import math
 
@@ -13,10 +14,14 @@ from mmlbn import (
     PosteriorReport,
     SamplerConfig,
     case_log_prob,
+    config_index,
+    counts_for,
     cpdag_key,
     cross_validate,
     evaluate_split,
+    fit_fom_map,
     fit_network,
+    fom_probability,
     model_averaged_test_nll,
     run_sampler,
     split_train_test,
@@ -71,6 +76,26 @@ class TestFittedNetwork:
         # parent value 1 never occurs in training
         gap = case_log_prob(network, (1, 0)) - case_log_prob(network, (1, 1))
         assert gap == pytest.approx(0.0, abs=1e-12)
+
+    def test_logit_nodes_predict_with_the_map_fit(self):
+        rng = np.random.default_rng(76)
+        rows = np.column_stack(
+            [rng.integers(0, r, size=120) for r in (3, 2, 3)]
+        )
+        # parent configuration (2, 1) of node 2 never occurs in training
+        rows = rows[~((rows[:, 0] == 2) & (rows[:, 1] == 1))]
+        train = make_dataset(rows.T, arities=[3, 2, 3])
+        dag = DagStructure(3, ((), (0,), (0, 1)))
+        network = fit_network(dag, train, ModelPolicy.FON)
+        assert network.chosen_models == ("fom", "fom", "fom")
+        fits = [fit_fom_map(counts_for(train, v, dag.parent_sets[v])) for v in range(3)]
+        for case in itertools.product(range(3), range(2), range(3)):
+            expected = 0.0
+            for v, params in enumerate(fits):
+                parent_values = [case[p] for p in dag.parent_sets[v]]
+                config = config_index(parent_values, params.parent_arities)
+                expected += math.log(fom_probability(params, config)[case[v]])
+            assert case_log_prob(network, case) == pytest.approx(expected, abs=1e-10)
 
     def test_chosen_models_follow_policy(self):
         ds = dependent_pair(61)
@@ -148,6 +173,43 @@ class TestMixture:
             model_averaged_test_nll(
                 PosteriorReport((), 0), train, train, ModelPolicy.DUAL
             )
+
+
+class TestSamplerCacheReuse:
+    def three_variables(self, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.integers(0, 3, size=300)
+        z = rng.integers(0, 2, size=300)
+        y = np.where(rng.random(300) < 0.8, (x + z) % 3, rng.integers(0, 3, size=300))
+        return make_dataset([x, z, y], arities=[3, 2, 3])
+
+    def test_scores_and_fits_nothing_again(self):
+        train, test = split_train_test(self.three_variables(77), 0.2, 3)
+        config = SamplerConfig(
+            iterations=400, burn_in=50, seed=11, policy=ModelPolicy.FON
+        )
+        report = run_sampler(train, config)
+        misses = report.cache.misses
+        nll = model_averaged_test_nll(report, train, test, config.policy, config.sigma)
+        assert report.cache.misses == misses
+        fresh = dataclasses.replace(report, cache=None)
+        assert fresh == report
+        assert nll == model_averaged_test_nll(
+            fresh, train, test, config.policy, config.sigma
+        )
+
+    def test_cache_of_other_data_is_not_read(self):
+        ds = self.three_variables(78)
+        train, test = split_train_test(ds, 0.2, 4)
+        other, _ = split_train_test(ds, 0.2, 5)
+        config = SamplerConfig(
+            iterations=300, burn_in=50, seed=12, policy=ModelPolicy.FON
+        )
+        report = run_sampler(other, config)
+        fresh = dataclasses.replace(report, cache=None)
+        assert model_averaged_test_nll(
+            report, train, test, config.policy
+        ) == model_averaged_test_nll(fresh, train, test, config.policy)
 
 
 class TestEvaluateSplit:

@@ -7,8 +7,10 @@ import pytest
 
 from mmlbn import (
     ContingencyCounts,
+    ConvergenceError,
     FomObjective,
     FomParams,
+    config_index,
     fisher_log_det,
     fit_fom_map,
     fom_log_prior,
@@ -294,6 +296,12 @@ class TestFisherLogDet:
         d = free_dimension(3, (2,))
         assert gap == pytest.approx(d * math.log(2), abs=1e-3)
 
+    def test_not_positive_definite_is_convergence_error(self, monkeypatch):
+        counts = random_counts(np.random.default_rng(36), 2, (2,))
+        monkeypatch.setattr(np.linalg, "slogdet", lambda matrix: (-1.0, 0.0))
+        with pytest.raises(ConvergenceError):
+            fisher_log_det(FomParams.zero(2, (2,)), counts, SIGMA)
+
     def test_shape_mismatch(self):
         counts = ContingencyCounts.from_dense(2, (), np.array([[1, 1]]))
         with pytest.raises(ValueError):
@@ -353,3 +361,24 @@ class TestMessageLength:
         np.testing.assert_allclose(
             score.map_params.flatten(), direct.flatten(), atol=1e-10
         )
+
+    def test_length_is_prior_fisher_likelihood_and_quantisation(self):
+        rng = np.random.default_rng(45)
+        for _ in range(20):
+            r_y = int(rng.integers(2, 5))
+            arities = tuple(int(rng.integers(2, 4)) for _ in range(rng.integers(0, 3)))
+            counts = random_counts(rng, r_y, arities, max_count=12)
+            score = fom_message_length(counts, SIGMA)
+            params = score.map_params
+            nll = -sum(
+                float(row @ np.log(fom_probability(params, config_index(digits, arities))))
+                for digits, row in zip(counts.config_digits, counts.counts)
+            )
+            d = free_dimension(r_y, arities)
+            expected = (
+                -fom_log_prior(params, SIGMA)
+                + 0.5 * fisher_log_det(params, counts, SIGMA)
+                + nll
+                + 0.5 * d * (1.0 - math.log(12.0))
+            )
+            assert score.message_length == pytest.approx(expected, rel=1e-10)

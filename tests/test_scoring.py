@@ -17,7 +17,7 @@ from mmlbn import (
     network_message_length,
     node_length,
 )
-from mmlbn.errors import ParameterCapError
+from mmlbn.errors import ConvergenceError, ParameterCapError
 from helpers import make_dataset
 
 LOG2 = math.log(2.0)
@@ -182,3 +182,23 @@ class TestScoreCache:
         fon = NetworkScorer(ds, ModelPolicy.FON, cache=cache).node_score(2, (0, 1))
         assert tbn.chosen_model == "full" and fon.chosen_model == "fom"
         assert tbn.length != fon.length
+
+
+class TestLogitFailureStaysLocal:
+    @pytest.mark.parametrize("failure", ["newton", "information"])
+    def test_fon_voids_the_node_and_dual_keeps_the_table(self, monkeypatch, failure):
+        rng = np.random.default_rng(60)
+        ds = random_dataset(rng, 60, (2, 3, 2))
+        parents = (0, 1)
+        table = full_cpt_message_length(counts_for(ds, 2, parents)).message_length
+        if failure == "newton":
+            monkeypatch.setattr("mmlbn.fom.MAX_NEWTON_ITERS", 0)
+        else:
+            monkeypatch.setattr(np.linalg, "slogdet", lambda matrix: (-1.0, 0.0))
+        with pytest.raises(ConvergenceError):
+            fom_message_length(counts_for(ds, 2, parents))
+        fon = NetworkScorer(ds, ModelPolicy.FON)
+        assert fon.node_length_or_inf(2, parents) == math.inf
+        dual = NetworkScorer(ds, ModelPolicy.DUAL)
+        assert dual.node_length_or_inf(2, parents) == table + LOG2
+        assert dual.node_score(2, parents).chosen_model == "full"
