@@ -234,6 +234,15 @@ def config_digits(index, parent_arities) -> tuple[int, ...]:
     return tuple(digits)
 
 
+def _rows_strictly_increase(digits: np.ndarray) -> bool:
+    """True when each row is lexicographically above the one before it."""
+    if digits.shape[1] == 0:  # every row is the one empty configuration
+        return False
+    step = np.diff(digits, axis=0)
+    first = np.argmax(step != 0, axis=1)
+    return bool((step[np.arange(step.shape[0]), first] > 0).all())
+
+
 @dataclass(frozen=True, eq=False)
 class ContingencyCounts:
     """Child-value counts per observed parent configuration.
@@ -262,10 +271,10 @@ class ContingencyCounts:
             col = digits[:, j]
             if col.size and (col.min() < 0 or col.max() >= r):
                 raise ValueError(f"parent digit out of range for arity {r}")
-        if digits.shape[0] > 1:
-            uniq = np.unique(digits, axis=0)
-            if uniq.shape[0] != digits.shape[0]:
-                raise ValueError("duplicate parent configurations")
+        if digits.shape[0] > 1 and not _rows_strictly_increase(digits):
+            raise ValueError(
+                "parent configurations must be distinct and sorted lexicographically"
+            )
         digits.flags.writeable = False
         counts.flags.writeable = False
         object.__setattr__(self, "config_digits", digits)

@@ -5,6 +5,13 @@ extensions (total orders consistent with the arcs), normalised by m!, times
 an independent Bernoulli factor per possible arc slot. Summed over all DAGs
 on m nodes this is exactly 1: conditioned on a total order, the arc slots
 are independent coin flips.
+
+Linear extensions are counted exactly, as Python integers. Weakly connected
+components are counted apart and their orders interleaved by a multinomial
+factor. Within a component a dynamic program walks the reachable prefix
+sets (node sets some topological order places first), one node per level,
+so it touches only sets an order can actually reach rather than all 2^k
+subsets.
 """
 
 from __future__ import annotations
@@ -14,16 +21,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Literal
 
-import numpy as np
-
 from .errors import CapacityError, CycleError, NoArcError, ParentCapError
 
 MAX_NODES = 24
-
-# Counts up to 18! stay exactly representable in float64, so the vectorised
-# subset dynamic program is exact there; larger graphs fall back to big-int
-# arithmetic.
-_FLOAT_DP_LIMIT = 18
 
 
 @dataclass(frozen=True)
@@ -49,24 +49,7 @@ class DagStructure:
                 raise CycleError(f"node {v} lists itself as a parent")
             normalised.append(tuple(sorted(parents)))
         object.__setattr__(self, "parent_sets", tuple(normalised))
-        self._check_acyclic()
-
-    def _check_acyclic(self):
-        remaining = [len(p) for p in self.parent_sets]
-        children = [[] for _ in range(self.m)]
-        for v, parents in enumerate(self.parent_sets):
-            for u in parents:
-                children[u].append(v)
-        frontier = [v for v in range(self.m) if remaining[v] == 0]
-        seen = 0
-        while frontier:
-            u = frontier.pop()
-            seen += 1
-            for w in children[u]:
-                remaining[w] -= 1
-                if remaining[w] == 0:
-                    frontier.append(w)
-        if seen != self.m:
+        if len(self.topological_order()) != self.m:
             raise CycleError("parent sets describe a directed cycle")
 
     @classmethod
@@ -112,15 +95,14 @@ class DagStructure:
         for v, parents in enumerate(self.parent_sets):
             for u in parents:
                 children[u].append(v)
-        frontier = sorted(v for v in range(self.m) if remaining[v] == 0)
-        order = []
-        while frontier:
-            u = frontier.pop(0)
-            order.append(u)
+        # Kahn's algorithm; the order list doubles as its FIFO queue, and on a
+        # cycle it stops short of m nodes.
+        order = [v for v in range(self.m) if remaining[v] == 0]
+        for u in order:
             for w in children[u]:
                 remaining[w] -= 1
                 if remaining[w] == 0:
-                    frontier.append(w)
+                    order.append(w)
         return order
 
 
@@ -193,46 +175,24 @@ def apply_move(dag: DagStructure, move: ArcMove, max_parents: int) -> DagStructu
     return DagStructure(dag.m, tuple(sets))
 
 
-@lru_cache(maxsize=32)
-def _masks_by_popcount(m: int):
-    masks = np.arange(1 << m, dtype=np.int64)
-    pc = np.zeros(1 << m, dtype=np.int8)
-    for b in range(m):
-        pc += ((masks >> b) & 1).astype(np.int8)
-    return tuple(masks[pc == c] for c in range(m + 1))
+def _extensions_in_component(pmasks) -> int:
+    """Count topological orders of one component over its prefix sets.
 
-
-def _extensions_dp_float(m: int, pmasks) -> int:
-    """Subset DP over prefix sets, vectorised; exact for m <= 18."""
-    f = np.zeros(1 << m)
-    f[0] = 1.0
-    levels = _masks_by_popcount(m)
-    bits = [1 << v for v in range(m)]
-    for level in range(m):
-        lv = levels[level]
-        for v in range(m):
-            sel = lv[((lv & pmasks[v]) == pmasks[v]) & ((lv & bits[v]) == 0)]
-            if sel.size:
-                f[sel | bits[v]] += f[sel]
-    return int(round(f[-1]))
-
-
-def _extensions_dp_int(m: int, pmasks) -> int:
-    """Same DP in exact big-int arithmetic (slow, rarely needed)."""
-    size = 1 << m
-    f = [0] * size
-    f[0] = 1
-    for s in range(size):
-        fs = f[s]
-        if not fs:
-            continue
-        for v in range(m):
-            bit = 1 << v
-            if s & bit:
-                continue
-            if (s & pmasks[v]) == pmasks[v]:
-                f[s | bit] += fs
-    return f[size - 1]
+    ways maps each reachable prefix set (bit mask) to the number of orders
+    that place exactly those nodes first; level t holds the sets of size t.
+    """
+    nodes = [(1 << v, need) for v, need in enumerate(pmasks)]
+    ways = {0: 1}
+    for _ in nodes:
+        grown: dict[int, int] = {}
+        for placed, count in ways.items():
+            for bit, need in nodes:
+                if not placed & bit and placed & need == need:
+                    key = placed | bit
+                    grown[key] = grown.get(key, 0) + count
+        ways = grown
+    (count,) = ways.values()
+    return count
 
 
 def _weak_components(m: int, pmasks) -> list[list[int]]:
@@ -276,11 +236,7 @@ def _count_extensions_cached(m: int, pmasks) -> int:
                 if mask >> u & 1:
                     sm |= 1 << idx
             sub.append(sm)
-        if k <= _FLOAT_DP_LIMIT:
-            count = _extensions_dp_float(k, tuple(sub))
-        else:
-            count = _extensions_dp_int(k, tuple(sub))
-        total *= math.comb(placed + k, k) * count
+        total *= math.comb(placed + k, k) * _extensions_in_component(sub)
         placed += k
     return total
 
@@ -288,7 +244,10 @@ def _count_extensions_cached(m: int, pmasks) -> int:
 def count_linear_extensions(dag: DagStructure) -> int:
     """Number of total orders consistent with every arc (exact integer)."""
     if dag.m > MAX_NODES:
-        raise CapacityError(f"linear extension counting capped at {MAX_NODES} nodes")
+        raise CapacityError(
+            f"the structure prior handles at most {MAX_NODES} variables; "
+            f"this network has {dag.m}"
+        )
     if dag.m == 0:
         return 1
     return _count_extensions_cached(dag.m, dag.parent_masks())

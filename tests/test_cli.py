@@ -300,3 +300,17 @@ class TestFailureModes:
         )
         assert code == 1
         assert "burn_in" in capsys.readouterr().err
+
+    def test_too_many_variables(self, tmp_path, capsys):
+        path = tmp_path / "wide.csv"
+        header = ",".join(f"x{i}" for i in range(25))
+        rows = [",".join(str((r + i) % 2) for i in range(25)) for r in range(6)]
+        path.write_text("\n".join([header] + rows) + "\n")
+        code = main(
+            ["learn", "--data", str(path), "--iterations", "20", "--burn-in", "2"]
+        )
+        assert code == 1
+        assert (
+            "the structure prior handles at most 24 variables; this network has 25"
+            in capsys.readouterr().err
+        )

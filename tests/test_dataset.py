@@ -255,6 +255,21 @@ class TestCounts:
         with pytest.raises(ValueError):
             ContingencyCounts(2, (2,), np.array([[3]]), np.array([[1, 0]]))
 
+    def test_rows_must_be_sorted(self):
+        # distinct rows out of lexicographic order are refused
+        with pytest.raises(ValueError, match="sorted"):
+            ContingencyCounts(
+                2, (2, 3), np.array([[0, 2], [0, 1]]), np.array([[1, 0], [0, 1]])
+            )
+        with pytest.raises(ValueError):
+            ContingencyCounts(
+                2, (2, 3), np.array([[1, 0], [0, 2]]), np.array([[1, 0], [0, 1]])
+            )
+        sorted_rows = ContingencyCounts(
+            2, (2, 3), np.array([[0, 2], [1, 0]]), np.array([[1, 0], [0, 1]])
+        )
+        assert sorted_rows.n_observed == 2
+
 
 class TestDatasetContainer:
     def test_rows_read_only(self):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mmlbn import (
     ArcMove,
@@ -14,8 +16,17 @@ from mmlbn import (
     structure_log_prior,
 )
 from mmlbn.errors import CapacityError, CycleError, NoArcError, ParentCapError
-from mmlbn.graph import _extensions_dp_int
 from helpers import brute_force_extensions, enumerate_dags
+
+
+@st.composite
+def dags(draw, max_nodes=7):
+    """A DAG on up to max_nodes nodes: a random order, then a coin per slot."""
+    m = draw(st.integers(0, max_nodes))
+    order = draw(st.permutations(range(m)))
+    slots = [(order[a], order[b]) for a in range(m) for b in range(a + 1, m)]
+    keep = draw(st.lists(st.booleans(), min_size=len(slots), max_size=len(slots)))
+    return DagStructure.from_arcs(m, [arc for arc, k in zip(slots, keep) if k])
 
 
 def random_dag(rng, m, arc_prob=0.4):
@@ -143,9 +154,16 @@ class TestLinearExtensions:
         rng = np.random.default_rng(2)
         for _ in range(20):
             dag = random_dag(rng, 7, arc_prob=0.3)
-            assert _extensions_dp_int(7, dag.parent_masks()) == brute_force_extensions(
-                dag
-            )
+            assert count_linear_extensions(dag) == brute_force_extensions(dag)
+
+    def test_exact_beyond_float_precision(self):
+        # K_{12,12}: every left node precedes every right node, so the count
+        # is 12! * 12! ~ 2.3e17, above 2^53 where float64 loses integers.
+        arcs = [(u, 12 + v) for u in range(12) for v in range(12)]
+        dag = DagStructure.from_arcs(24, arcs)
+        expected = math.factorial(12) ** 2
+        assert expected > 2**53
+        assert count_linear_extensions(dag) == expected
 
     def test_disconnected_multinomial(self):
         # two independent chains of lengths 2 and 3: C(5,2) interleavings
@@ -153,8 +171,35 @@ class TestLinearExtensions:
         assert count_linear_extensions(dag) == math.comb(5, 2)
 
     def test_node_cap(self):
-        with pytest.raises(CapacityError):
+        message = "at most 24 variables; this network has 25"
+        with pytest.raises(CapacityError, match=message):
             count_linear_extensions(DagStructure.empty(25))
+
+    @settings(deadline=None)
+    @given(dags())
+    def test_property_matches_brute_force(self, dag):
+        assert count_linear_extensions(dag) == brute_force_extensions(dag)
+
+    @settings(deadline=None)
+    @given(st.data())
+    def test_property_relabelling_invariant(self, data):
+        dag = data.draw(dags(max_nodes=10))
+        label = data.draw(st.permutations(range(dag.m)))
+        relabelled = DagStructure.from_arcs(
+            dag.m, [(label[u], label[v]) for u, v in dag.arcs()]
+        )
+        assert count_linear_extensions(relabelled) == count_linear_extensions(dag)
+
+    @settings(deadline=None)
+    @given(dags(max_nodes=8), dags(max_nodes=8))
+    def test_property_disjoint_union(self, a, b):
+        m = a.m + b.m
+        union = DagStructure.from_arcs(
+            m, a.arcs() + [(a.m + u, a.m + v) for u, v in b.arcs()]
+        )
+        assert count_linear_extensions(union) == (
+            math.comb(m, a.m) * count_linear_extensions(a) * count_linear_extensions(b)
+        )
 
 
 class TestStructurePrior:
