@@ -339,7 +339,14 @@ class ContingencyCounts:
 
 
 def counts_for(ds: DiscreteDataset, child: int, parents) -> ContingencyCounts:
-    """Tally child values against each observed parent configuration."""
+    """Tally child values against each observed parent configuration.
+
+    Each case gets one int64 key: its configuration's mixed-radix index with
+    the first parent most significant, so ascending keys are exactly the
+    lexicographic row order ContingencyCounts requires. Before the running
+    radix product would reach 2**62, the key so far is replaced by its rank
+    among the distinct keys; ranks keep the order, so wide arities stay exact.
+    """
     parents = tuple(int(p) for p in parents)
     m = ds.n_variables
     if not 0 <= child < m:
@@ -352,14 +359,18 @@ def counts_for(ds: DiscreteDataset, child: int, parents) -> ContingencyCounts:
         raise ValueError("child cannot be its own parent")
     r_y = ds.arity(child)
     parent_arities = tuple(ds.arity(p) for p in parents)
-    n = ds.n_cases
-    if parents:
-        block = ds.rows[:, list(parents)]
-        uniq, inverse = np.unique(block, axis=0, return_inverse=True)
-    else:
-        uniq = np.zeros((1 if n else 0, 0), dtype=np.int32)
-        inverse = np.zeros(n, dtype=np.int64)
-    counts = np.zeros((uniq.shape[0], r_y), dtype=np.int64)
-    if n:
-        np.add.at(counts, (inverse.ravel(), ds.rows[:, child]), 1)
-    return ContingencyCounts(r_y, parent_arities, uniq.astype(np.int32), counts)
+    rows = ds.rows
+    key = np.zeros(ds.n_cases, dtype=np.int64)
+    radix = 1  # keys lie in [0, radix)
+    for p, r in zip(parents, parent_arities):
+        if radix * r >= 1 << 62:
+            distinct, key = np.unique(key, return_inverse=True)
+            radix = len(distinct)
+        key = key * r + rows[:, p]
+        radix *= r
+    distinct, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    counts = np.bincount(
+        inverse * r_y + rows[:, child], minlength=len(distinct) * r_y
+    ).reshape(len(distinct), r_y)
+    digits = rows[first][:, list(parents)]
+    return ContingencyCounts(r_y, parent_arities, digits, counts)

@@ -248,26 +248,30 @@ class FomObjective:
     def _gradient_flat(self, probs: np.ndarray) -> np.ndarray:
         residual = self._totals[:, None] * probs - self._counts
         grad = np.zeros(self.total_dim)
+        child_values = np.arange(self.r_y)
         for r_i, dig, off in zip(self._ext_arities, self._ext_digits, self._ext_offsets):
-            acc = np.empty((self.r_y, r_i))
-            for k in range(self.r_y):
-                acc[k] = np.bincount(dig, weights=residual[:, k], minlength=r_i)
-            grad[off : off + self.r_y * r_i] = acc.ravel()
+            # entry (k, w) of the block sums residual[:, k] over configurations
+            # with digit w, at raw offset off + k*r_i + w
+            idx = dig[:, None] + child_values * r_i
+            grad[off : off + self.r_y * r_i] = np.bincount(
+                idx.ravel(), weights=residual.ravel(), minlength=self.r_y * r_i
+            )
         return grad
 
     def information_flat(self, probs: np.ndarray) -> np.ndarray:
         """Expected information of the raw parameters at given probabilities.
 
         Block (i, j) of the matrix groups the per-configuration multinomial
-        weight matrices by the pair of parent digits; bincount does the
-        grouping in one pass per child-value pair.
+        weight matrices by the pair of parent digits; one bincount over
+        (child-value pair, digit pair) cells does the grouping.
         """
         r_y = self.r_y
         weights = -probs[:, :, None] * probs[:, None, :]
         diag = np.arange(r_y)
         weights[:, diag, diag] += probs
         weights *= self._totals[:, None, None]
-        flat_w = weights.reshape(-1, r_y * r_y)
+        flat_w = weights.ravel()
+        value_pairs = np.arange(r_y * r_y)
         matrix = np.zeros((self.total_dim, self.total_dim))
         n_ext = len(self._ext_arities)
         for i in range(n_ext):
@@ -282,10 +286,12 @@ class FomObjective:
                     self._ext_digits[j],
                     self._ext_offsets[j],
                 )
-                idx = dig_i.astype(np.int64) * r_j + dig_j
-                acc = np.empty((r_y * r_y, r_i * r_j))
-                for t in range(r_y * r_y):
-                    acc[t] = np.bincount(idx, weights=flat_w[:, t], minlength=r_i * r_j)
+                cells = r_i * r_j
+                cell = dig_i.astype(np.int64) * r_j + dig_j
+                idx = cell[:, None] + value_pairs * cells
+                acc = np.bincount(
+                    idx.ravel(), weights=flat_w, minlength=r_y * r_y * cells
+                ).reshape(r_y * r_y, cells)
                 # entry (k, w), (l, w2) of the block sits at raw offsets
                 # off_i + k*r_i + w, off_j + l*r_j + w2
                 block = (

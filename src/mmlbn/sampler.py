@@ -134,9 +134,10 @@ def clean_network(dag: DagStructure, scorer: NetworkScorer) -> DagStructure:
     Nodes are visited in ascending index order and each node's original
     parents in ascending order; every removal is applied before the next
     parent is tested, and each parent is tested exactly once. Scoring
-    errors during a test count as removals.
+    errors during a test count as removals. The structure prior of the
+    current network is computed once and carried forward with each removal.
     """
-    current = dag
+    current, current_prior = dag, None
     for node in range(dag.m):
         for parent in dag.parent_sets[node]:
             kept = current.parent_sets[node]
@@ -145,12 +146,14 @@ def clean_network(dag: DagStructure, scorer: NetworkScorer) -> DagStructure:
             without_len = scorer.node_length_or_inf(node, reduced)
             candidate = current.with_parents(node, reduced)
             if math.isinf(with_len) or math.isinf(without_len):
-                current = candidate
+                current, current_prior = candidate, None
                 continue
-            prior_delta = scorer.structure_log_prior(candidate) - scorer.structure_log_prior(current)
-            total_delta = (without_len - with_len) - prior_delta
+            if current_prior is None:
+                current_prior = scorer.structure_log_prior(current)
+            candidate_prior = scorer.structure_log_prior(candidate)
+            total_delta = (without_len - with_len) - (candidate_prior - current_prior)
             if total_delta <= 0:
-                current = candidate
+                current, current_prior = candidate, candidate_prior
     return current
 
 

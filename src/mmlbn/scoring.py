@@ -43,7 +43,8 @@ class ScoreCache:
 
     Scoring errors are cached too and re-raised on later lookups. `source`
     is the (dataset, sigma) of the first NetworkScorer that used the cache:
-    the keys name neither, so a reader on other data must not trust it.
+    the keys name neither, so a NetworkScorer on other data or another sigma
+    refuses the cache.
     """
 
     def __init__(self):
@@ -139,6 +140,8 @@ class NetworkScorer:
         self.cache = cache if cache is not None else ScoreCache()
         if self.cache.source is None:
             self.cache.source = (ds, sigma)
+        elif not self.cache.holds(ds, sigma):
+            raise ValueError("the score cache holds scores of another dataset or sigma")
 
     def node_score(self, child: int, parents: tuple) -> NodeScore:
         parents = tuple(parents)

@@ -1,9 +1,12 @@
 """Loading, splitting and counting."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mmlbn import (
     ContingencyCounts,
@@ -269,6 +272,77 @@ class TestCounts:
             2, (2, 3), np.array([[0, 2], [1, 0]]), np.array([[1, 0], [0, 1]])
         )
         assert sorted_rows.n_observed == 2
+
+
+@st.composite
+def count_problems(draw, max_variables=5, max_cases=40):
+    """A small random dataset with a child and an ordered parent tuple."""
+    m = draw(st.integers(1, max_variables))
+    arities = draw(st.lists(st.integers(2, 4), min_size=m, max_size=m))
+    n = draw(st.integers(0, max_cases))
+    columns = [
+        draw(st.lists(st.integers(0, r - 1), min_size=n, max_size=n)) for r in arities
+    ]
+    ds = make_dataset(columns, arities=arities)
+    child = draw(st.integers(0, m - 1))
+    others = draw(st.permutations([v for v in range(m) if v != child]))
+    parents = tuple(others[: draw(st.integers(0, len(others)))])
+    return ds, child, parents
+
+
+def tally(ds, child, parents):
+    """Observed configurations in lexicographic order and their child counts,
+    tallied case by case."""
+    seen = Counter(
+        (tuple(int(row[p]) for p in parents), int(row[child])) for row in ds.rows
+    )
+    configs = sorted({config for config, _ in seen})
+    table = [[seen[(config, k)] for k in range(ds.arity(child))] for config in configs]
+    return [list(config) for config in configs], table
+
+
+class TestCountsProperties:
+    @given(count_problems())
+    def test_matches_case_by_case_tally(self, problem):
+        ds, child, parents = problem
+        for tested in (parents, ()):
+            counts = counts_for(ds, child, tested)
+            configs, table = tally(ds, child, tested)
+            assert counts.config_digits.tolist() == configs
+            assert counts.counts.tolist() == table
+
+    @given(st.data())
+    def test_row_permutation_invariant(self, data):
+        ds, child, parents = data.draw(count_problems())
+        perm = data.draw(st.permutations(range(ds.n_cases)))
+        before = counts_for(ds, child, parents)
+        after = counts_for(ds.subset(np.array(perm, dtype=np.int64)), child, parents)
+        assert np.array_equal(before.config_digits, after.config_digits)
+        assert np.array_equal(before.counts, after.counts)
+
+    def test_wide_arities_rerank_and_stay_exact(self, monkeypatch):
+        # nine parents of arity 300: the mixed-radix product 300^9 passes
+        # 2^62, so the key must be re-ranked part way through
+        arities = [3] + [300] * 9
+        assert math.prod(arities[1:]) >= 1 << 62
+        rng = np.random.default_rng(12)
+        distinct = np.stack([rng.integers(0, r, 60) for r in arities], axis=1)
+        rows = distinct[rng.integers(0, 60, 400)]
+        ds = make_dataset(rows.T, arities=arities)
+        calls = []
+        unique = np.unique
+
+        def counting_unique(*args, **kwargs):
+            calls.append(None)
+            return unique(*args, **kwargs)
+
+        monkeypatch.setattr(np, "unique", counting_unique)
+        parents = tuple(range(1, 10))
+        counts = counts_for(ds, 0, parents)
+        assert len(calls) >= 2  # at least one re-rank before the final tally
+        configs, table = tally(ds, 0, parents)
+        assert counts.config_digits.tolist() == configs
+        assert counts.counts.tolist() == table
 
 
 class TestDatasetContainer:

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mmlbn import (
     ContingencyCounts,
@@ -224,6 +226,50 @@ class TestObjectiveAndFit:
         )
         refit = np.vstack([fom_probability(fitted, cfg) for cfg in range(4)])
         assert np.abs(refit - probs).max() < 0.05
+
+
+def one_hot_design(r_y, arities, digits):
+    """(r_y, raw dim) matrix mapping raw parameters to the logits of one
+    configuration: row k picks a_k and entry (k, w_i) of every block."""
+    design = np.zeros((r_y, r_y * (1 + sum(arities))))
+    for k in range(r_y):
+        design[k, k] = 1.0
+        base = r_y
+        for r_i, w in zip(arities, digits):
+            design[k, base + k * r_i + int(w)] = 1.0
+            base += r_y * r_i
+    return design
+
+
+class TestAssemblyMatchesDefinition:
+    """Gradient and information summed configuration by configuration, in
+    the order the counts list them, equal the grouped sums bit for bit."""
+
+    @given(
+        st.integers(2, 4),
+        st.lists(st.integers(2, 4), min_size=1, max_size=3),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_gradient_and_information(self, r_y, arities, seed):
+        rng = np.random.default_rng(seed)
+        counts = random_counts(rng, r_y, arities, max_count=5)
+        objective = FomObjective(counts, SIGMA)
+        probs = objective._probabilities_flat(
+            objective.basis @ rng.normal(0, 0.8, objective.dim)
+        )
+        total = r_y * (1 + sum(arities))
+        gradient = np.zeros(total)
+        information = np.zeros((total, total))
+        for digits, row, p in zip(counts.config_digits, counts.counts, probs):
+            design = one_hot_design(r_y, arities, digits)
+            n_cfg = float(row.sum())
+            gradient += design.T @ (n_cfg * p - row)
+            weight = -np.outer(p, p)
+            weight[np.diag_indices(r_y)] += p
+            weight *= n_cfg
+            information += design.T @ weight @ design
+        assert np.array_equal(objective._gradient_flat(probs), gradient)
+        assert np.array_equal(objective.information_flat(probs), information)
 
 
 class TestFisherLogDet:

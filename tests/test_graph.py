@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from mmlbn import (
@@ -175,12 +175,10 @@ class TestLinearExtensions:
         with pytest.raises(CapacityError, match=message):
             count_linear_extensions(DagStructure.empty(25))
 
-    @settings(deadline=None)
     @given(dags())
     def test_property_matches_brute_force(self, dag):
         assert count_linear_extensions(dag) == brute_force_extensions(dag)
 
-    @settings(deadline=None)
     @given(st.data())
     def test_property_relabelling_invariant(self, data):
         dag = data.draw(dags(max_nodes=10))
@@ -190,7 +188,6 @@ class TestLinearExtensions:
         )
         assert count_linear_extensions(relabelled) == count_linear_extensions(dag)
 
-    @settings(deadline=None)
     @given(dags(max_nodes=8), dags(max_nodes=8))
     def test_property_disjoint_union(self, a, b):
         m = a.m + b.m

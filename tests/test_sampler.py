@@ -167,6 +167,54 @@ class TestCleaning:
         once = clean_network(dag, scorer)
         assert clean_network(once, scorer) == once
 
+    def test_prior_once_per_network_and_same_result(self):
+        rng = np.random.default_rng(19)
+        rows = sample_network(
+            rng,
+            300,
+            [2, 3, 2, 2],
+            [(), (0,), (1,), (0, 2)],
+            [
+                [[0.5, 0.5]],
+                [[0.7, 0.2, 0.1], [0.1, 0.2, 0.7]],
+                [[0.8, 0.2], [0.5, 0.5], [0.2, 0.8]],
+                [[0.9, 0.1], [0.6, 0.4], [0.4, 0.6], [0.1, 0.9]],
+            ],
+        )
+        ds = make_dataset(rows.T, arities=[2, 3, 2, 2])
+        scorer = NetworkScorer(ds, ModelPolicy.DUAL)
+        dag = DagStructure(4, ((), (0,), (0, 1), (0, 1, 2)))
+
+        # the rule written out, with both priors recomputed at every test
+        expected = dag
+        for node in range(dag.m):
+            for parent in dag.parent_sets[node]:
+                kept = expected.parent_sets[node]
+                reduced = tuple(u for u in kept if u != parent)
+                candidate = expected.with_parents(node, reduced)
+                delta = (
+                    scorer.node_length_or_inf(node, reduced)
+                    - scorer.node_length_or_inf(node, kept)
+                ) - (
+                    scorer.structure_log_prior(candidate)
+                    - scorer.structure_log_prior(expected)
+                )
+                if delta <= 0:
+                    expected = candidate
+
+        priced = []
+        prior = scorer.structure_log_prior
+
+        def counted_prior(network):
+            priced.append(network)
+            return prior(network)
+
+        scorer.structure_log_prior = counted_prior
+        assert clean_network(dag, scorer) == expected
+        # the start network, then one candidate per arc tested
+        assert len(priced) == 1 + dag.arc_count
+        assert len(set(priced)) == len(priced)
+
     def test_parents_tested_ascending_and_sequentially(self):
         table = {(0, 1): 10.0, (1,): 9.0, (0,): 8.0, (): 9.5}
         scorer = _FakeScorer(2, table)

@@ -153,6 +153,32 @@ class TestScoreCache:
         NetworkScorer(ds, ModelPolicy.TBN, cache=cache).node_score(0, (1,))
         assert cache.hits == 1
 
+    def test_cache_of_another_dataset_refused(self):
+        rng = np.random.default_rng(61)
+        ds = random_dataset(rng, 40, (2, 2))
+        other = random_dataset(rng, 40, (2, 2))
+        cache = ScoreCache()
+        NetworkScorer(ds, ModelPolicy.TBN, cache=cache).node_score(0, (1,))
+        with pytest.raises(ValueError, match="another dataset"):
+            NetworkScorer(other, ModelPolicy.TBN, cache=cache)
+        with pytest.raises(ValueError, match="another dataset"):
+            network_message_length(
+                DagStructure(2, ((1,), ())), other, ModelPolicy.TBN, cache=cache
+            )
+
+    def test_cache_of_another_sigma_refused(self):
+        rng = np.random.default_rng(62)
+        ds = random_dataset(rng, 40, (2, 2, 2))
+        cache = ScoreCache()
+        NetworkScorer(ds, ModelPolicy.FON, sigma=3.0, cache=cache).node_score(2, (0, 1))
+        with pytest.raises(ValueError, match="or sigma"):
+            NetworkScorer(ds, ModelPolicy.FON, sigma=2.0, cache=cache)
+        with pytest.raises(ValueError, match="or sigma"):
+            network_message_length(
+                DagStructure(3, ((), (), (0, 1))), ds, ModelPolicy.FON, sigma=2.0,
+                cache=cache,
+            )
+
     def test_errors_cached_and_reraised(self):
         calls = []
 
