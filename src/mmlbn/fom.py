@@ -5,8 +5,31 @@ softmax over k of a_k + sum_i b_i[k, w_i]. Rows and columns of every effect
 block sum to zero, as do the offsets a_k; those constraints pin down the
 redundant softmax gauge, leaving (r_y - 1) * (1 + sum_i (r_i - 1)) free
 dimensions. Fitting maximises the posterior under an isotropic Gaussian over
-all raw entries, working in an orthonormal basis of the constraint subspace
-so the constraints hold exactly by construction.
+all raw entries.
+
+Contrast basis. Each arity r has a fixed Helmert matrix Q_r, r x (r - 1)
+with orthonormal columns orthogonal to the ones vector. The constrained
+parameters are exactly a = Q_y alpha and b_i = Q_y B_i Q_{r_i}^T, so the free
+coordinates form a D x (r_y - 1) matrix theta = [alpha^T; B_1^T; ...; B_q^T]
+with D = 1 + sum_i (r_i - 1). Configuration c has the design row
+x_c = [1, Q_{r_1}[w_1], ..., Q_{r_q}[w_q]]; with the rows stacked into X, the
+logits of all observed configurations are X theta Q_y^T and the gradient of
+the negative log likelihood is X^T (residual Q_y). The map from theta to the
+raw parameters (``constraint_basis``) is orthonormal, so the Gaussian
+quadratic term is |theta|^2 / (2 sigma^2) and the constraints hold by
+construction.
+
+Kronecker information. The expected information of theta (read row by row)
+is sum_c n_c (x_c x_c^T) kron W_c with W_c = Q_y^T (diag p_c - p_c p_c^T) Q_y.
+Its (k, l) child-contrast slot is the Gram matrix X^T diag(n_c W_c[k, l]) X,
+so a Newton step costs one dense product per contrast pair k <= l.
+
+No length depends on this choice of basis: any other orthonormal basis of
+the constraint subspace is this one times an orthogonal matrix R. Under
+u -> R u the quadratic term, the likelihood and the gradient norm are
+unchanged, Newton steps map onto Newton steps, and the information becomes
+R^T I R with the same determinant, so the fit and the code length agree up
+to rounding.
 
 The stated code length follows the usual quantised two-part construction:
 negative log prior plus half the log determinant of the (ridged) expected
@@ -21,7 +44,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, null_space
+from scipy.linalg import block_diag
 
 from .dataset import ContingencyCounts, config_digits
 from .errors import ConvergenceError
@@ -43,44 +66,39 @@ def free_dimension(child_arity: int, parent_arities) -> int:
     return (child_arity - 1) * (1 + sum(r - 1 for r in arities))
 
 
-def _total_dim(child_arity: int, parent_arities) -> int:
-    return child_arity * (1 + sum(parent_arities))
+@lru_cache(maxsize=64)
+def contrast_matrix(arity: int) -> np.ndarray:
+    """Helmert contrasts: an (arity, arity - 1) matrix with orthonormal columns
+    that are all orthogonal to the vector of ones.
 
-
-def _constraint_matrix(child_arity: int, parent_arities) -> np.ndarray:
-    """Rows spanning the sum-to-zero constraints on the raw parameters.
-
-    Raw layout: a occupies [0, r_y); block i occupies a contiguous span with
-    entry (k, w) at offset k * r_i + w.
+    Column j weighs the first j + 1 levels equally against level j + 1.
     """
-    r_y = child_arity
-    total = _total_dim(r_y, parent_arities)
-    rows = [np.zeros(total)]
-    rows[0][:r_y] = 1.0
-    base = r_y
-    for r_i in parent_arities:
-        for w in range(r_i):
-            row = np.zeros(total)
-            row[base + w : base + r_y * r_i : r_i] = 1.0  # sum over k
-            rows.append(row)
-        for k in range(r_y):
-            row = np.zeros(total)
-            row[base + k * r_i : base + (k + 1) * r_i] = 1.0  # sum over w
-            rows.append(row)
-        base += r_y * r_i
-    return np.vstack(rows)
+    q = np.zeros((arity, arity - 1))
+    for j in range(arity - 1):
+        q[: j + 1, j] = 1.0 / math.sqrt((j + 1) * (j + 2))
+        q[j + 1, j] = -(j + 1) / math.sqrt((j + 1) * (j + 2))
+    q.flags.writeable = False
+    return q
 
 
 @lru_cache(maxsize=512)
 def constraint_basis(child_arity: int, parent_arities: tuple) -> np.ndarray:
-    """Orthonormal basis of the constraint subspace, columns as directions."""
-    basis = null_space(_constraint_matrix(child_arity, parent_arities))
-    expected = free_dimension(child_arity, parent_arities)
-    if basis.shape[1] != expected:
-        raise RuntimeError(
-            f"constraint null space has dimension {basis.shape[1]}, "
-            f"expected {expected}"
-        )
+    """Orthonormal basis of the constraint subspace, columns as directions.
+
+    Block diagonal: ``Q_y`` for the offsets and ``kron(Q_y, Q_{r_i})`` for
+    effect block i, with each block's columns ordered parent contrast major
+    so that the weights of the basis are ``FomObjective``'s theta matrix
+    read row by row.
+    """
+    r_y = child_arity
+    q_y = contrast_matrix(r_y)
+    parts = [q_y]
+    for r_i in parent_arities:
+        q_i = contrast_matrix(r_i)
+        # kron column l * (r_i - 1) + m becomes column m * (r_y - 1) + l
+        block = np.kron(q_y, q_i).reshape(r_y * r_i, r_y - 1, r_i - 1)
+        parts.append(block.transpose(0, 2, 1).reshape(r_y * r_i, -1))
+    basis = block_diag(*parts)
     basis.flags.writeable = False
     return basis
 
@@ -199,9 +217,13 @@ def fom_log_prior(params: FomParams, sigma: float = DEFAULT_SIGMA) -> float:
 class FomObjective:
     """Negative log posterior of one node's counts, in free coordinates.
 
-    Free coordinates are weights of the orthonormal constraint-subspace
-    basis; because the basis is orthonormal, the Gaussian quadratic term is
-    just |u|^2 / (2 sigma^2) and constraint satisfaction is automatic.
+    The free coordinates u are the (D, r_y - 1) matrix theta read row by row:
+    row 0 holds the offset contrasts and the next r_i - 1 rows the effect
+    contrasts of parent i. Observed configuration c has the design row
+    x_c = [1, Q_{r_1}[w_1], ..., Q_{r_q}[w_q]], and its logits are
+    x_c @ theta @ Q_y.T. Because u maps to the raw parameters through the
+    orthonormal ``constraint_basis``, the Gaussian quadratic term is just
+    |u|^2 / (2 sigma^2) and constraint satisfaction is automatic.
     """
 
     def __init__(self, counts: ContingencyCounts, sigma: float = DEFAULT_SIGMA):
@@ -213,106 +235,65 @@ class FomObjective:
         self.arities = counts.parent_arities
         self.basis = constraint_basis(self.r_y, self.arities)
         self.dim = self.basis.shape[1]
-        self.total_dim = self.basis.shape[0]
         self._counts = counts.counts.astype(float)
         self._totals = counts.config_totals.astype(float)
         digits = counts.config_digits
-        # Treat the offset vector as an effect block of arity 1 so that the
-        # information matrix assembly can run one uniform double loop.
-        n_obs = digits.shape[0]
-        self._ext_arities = (1,) + self.arities
-        self._ext_digits = [np.zeros(n_obs, dtype=np.int32)] + [
-            digits[:, i] for i in range(len(self.arities))
-        ]
-        offsets = []
-        base = 0
-        for r_i in self._ext_arities:
-            offsets.append(base)
-            base += self.r_y * r_i
-        self._ext_offsets = offsets
+        self._q_y = contrast_matrix(self.r_y)
+        self._design = np.hstack(
+            [np.ones((digits.shape[0], 1))]
+            + [contrast_matrix(r_i)[digits[:, i]] for i, r_i in enumerate(self.arities)]
+        )
+        # Child contrast pairs k <= l and the products of their columns, so
+        # that p_c @ products gives (Q_y^T diag p_c Q_y)[k, l] for every pair.
+        self._pairs = np.triu_indices(self.r_y - 1)
+        k, l = self._pairs
+        self._pair_products = self._q_y[:, k] * self._q_y[:, l]
 
-    # -- raw-parameter helpers -------------------------------------------
-
-    def _probabilities_flat(self, flat: np.ndarray) -> np.ndarray:
+    def probabilities(self, u: np.ndarray) -> np.ndarray:
         """Softmax child distributions at each observed configuration."""
-        n_obs = self._counts.shape[0]
-        logits = np.zeros((n_obs, self.r_y))
-        for r_i, dig, off in zip(self._ext_arities, self._ext_digits, self._ext_offsets):
-            block = flat[off : off + self.r_y * r_i].reshape(self.r_y, r_i)
-            logits += block[:, dig].T
+        logits = self._design @ u.reshape(-1, self.r_y - 1) @ self._q_y.T
         logits -= logits.max(axis=1, keepdims=True)
         np.exp(logits, out=logits)
         logits /= logits.sum(axis=1, keepdims=True)
         return logits
 
-    def _gradient_flat(self, probs: np.ndarray) -> np.ndarray:
+    def _likelihood_gradient(self, probs: np.ndarray) -> np.ndarray:
         residual = self._totals[:, None] * probs - self._counts
-        grad = np.zeros(self.total_dim)
-        child_values = np.arange(self.r_y)
-        for r_i, dig, off in zip(self._ext_arities, self._ext_digits, self._ext_offsets):
-            # entry (k, w) of the block sums residual[:, k] over configurations
-            # with digit w, at raw offset off + k*r_i + w
-            idx = dig[:, None] + child_values * r_i
-            grad[off : off + self.r_y * r_i] = np.bincount(
-                idx.ravel(), weights=residual.ravel(), minlength=self.r_y * r_i
-            )
-        return grad
+        return (self._design.T @ (residual @ self._q_y)).ravel()
 
-    def information_flat(self, probs: np.ndarray) -> np.ndarray:
-        """Expected information of the raw parameters at given probabilities.
+    def information_free(self, probs: np.ndarray) -> np.ndarray:
+        """Ridged expected information in free coordinates.
 
-        Block (i, j) of the matrix groups the per-configuration multinomial
-        weight matrices by the pair of parent digits; one bincount over
-        (child-value pair, digit pair) cells does the grouping.
+        The information is sum_c n_c (x_c x_c^T) kron W_c with
+        W_c = Q_y^T (diag p_c - p_c p_c^T) Q_y; entry (k, l) of every W_c
+        weighs one Gram matrix of the design, which fills the (k, l) and
+        (l, k) child-contrast slots of the matrix.
         """
-        r_y = self.r_y
-        weights = -probs[:, :, None] * probs[:, None, :]
-        diag = np.arange(r_y)
-        weights[:, diag, diag] += probs
-        weights *= self._totals[:, None, None]
-        flat_w = weights.ravel()
-        value_pairs = np.arange(r_y * r_y)
-        matrix = np.zeros((self.total_dim, self.total_dim))
-        n_ext = len(self._ext_arities)
-        for i in range(n_ext):
-            r_i, dig_i, off_i = (
-                self._ext_arities[i],
-                self._ext_digits[i],
-                self._ext_offsets[i],
-            )
-            for j in range(i, n_ext):
-                r_j, dig_j, off_j = (
-                    self._ext_arities[j],
-                    self._ext_digits[j],
-                    self._ext_offsets[j],
-                )
-                cells = r_i * r_j
-                cell = dig_i.astype(np.int64) * r_j + dig_j
-                idx = cell[:, None] + value_pairs * cells
-                acc = np.bincount(
-                    idx.ravel(), weights=flat_w, minlength=r_y * r_y * cells
-                ).reshape(r_y * r_y, cells)
-                # entry (k, w), (l, w2) of the block sits at raw offsets
-                # off_i + k*r_i + w, off_j + l*r_j + w2
-                block = (
-                    acc.reshape(r_y, r_y, r_i, r_j)
-                    .transpose(0, 2, 1, 3)
-                    .reshape(r_y * r_i, r_y * r_j)
-                )
-                matrix[off_i : off_i + r_y * r_i, off_j : off_j + r_y * r_j] += block
-                if i != j:
-                    matrix[
-                        off_j : off_j + r_y * r_j, off_i : off_i + r_y * r_i
-                    ] += block.T
+        k, l = self._pairs
+        projected = probs @ self._q_y
+        weights = probs @ self._pair_products - projected[:, k] * projected[:, l]
+        weights *= self._totals[:, None]
+        d, r = self._design.shape[1], self.r_y - 1
+        matrix = np.empty((d, r, d, r))
+        for pair, (row, col) in enumerate(zip(k, l)):
+            gram = self._design.T @ (self._design * weights[:, pair, None])
+            matrix[:, row, :, col] = gram
+            matrix[:, col, :, row] = gram
+        matrix = matrix.reshape(d * r, d * r)
+        matrix.flat[:: d * r + 1] += 1.0 / self.sigma**2
         return matrix
-
-    # -- free-coordinate interface ---------------------------------------
 
     def params(self, u: np.ndarray) -> FomParams:
         return FomParams.from_flat(self.r_y, self.arities, self.basis @ u)
 
     def free_coordinates(self, params: FomParams) -> np.ndarray:
-        return self.basis.T @ params.flatten()
+        """Free coordinates of the constrained parameters with the same
+        probabilities: the row means of each effect block move into the
+        offsets, and the contrasts drop every other softmax gauge shift."""
+        theta = [self._q_y.T @ (params.a + sum(b.mean(axis=1) for b in params.blocks))]
+        for r_i, block in zip(self.arities, params.blocks):
+            theta.append((self._q_y.T @ block @ contrast_matrix(r_i)).T)
+        return np.concatenate([np.ravel(row) for row in theta])
 
     def negative_log_likelihood(self, probs: np.ndarray) -> float:
         if self._counts.size == 0:
@@ -320,34 +301,22 @@ class FomObjective:
         return -float(np.sum(self._counts * np.log(probs)))
 
     def value(self, u: np.ndarray) -> float:
-        probs = self._probabilities_flat(self.basis @ u)
         quad = float(u @ u) / (2.0 * self.sigma**2)
-        return self.negative_log_likelihood(probs) + quad
+        return self.negative_log_likelihood(self.probabilities(u)) + quad
 
     def gradient(self, u: np.ndarray) -> np.ndarray:
-        probs = self._probabilities_flat(self.basis @ u)
-        return self.basis.T @ self._gradient_flat(probs) + u / self.sigma**2
-
-    def information_free(self, probs: np.ndarray) -> np.ndarray:
-        """Ridged expected information in free coordinates."""
-        inner = self.basis.T @ self.information_flat(probs) @ self.basis
-        inner[np.diag_indices_from(inner)] += 1.0 / self.sigma**2
-        return inner
+        return self._likelihood_gradient(self.probabilities(u)) + u / self.sigma**2
 
     def fit(self):
         """Newton iteration from zero; returns (u, probabilities at u)."""
         u = np.zeros(self.dim)
-        probs = self._probabilities_flat(self.basis @ u)
+        probs = self.probabilities(u)
         value = self.negative_log_likelihood(probs)
         for _ in range(MAX_NEWTON_ITERS):
-            grad = self.basis.T @ self._gradient_flat(probs) + u / self.sigma**2
+            grad = self._likelihood_gradient(probs) + u / self.sigma**2
             if np.linalg.norm(grad) <= GRADIENT_TOL:
                 return u, probs
-            matrix = self.information_free(probs)
-            try:
-                step = cho_solve(cho_factor(matrix), -grad)
-            except np.linalg.LinAlgError:
-                step = np.linalg.solve(matrix, -grad)
+            step = np.linalg.solve(self.information_free(probs), -grad)
             # Slack at the rounding noise floor: near the optimum the true
             # decrease of a full step drops below evaluation noise, and a
             # strictly monotone test would stall with the gradient still
@@ -356,7 +325,7 @@ class FomObjective:
             scale = 1.0
             while scale >= 1e-12:
                 candidate = u + scale * step
-                cand_probs = self._probabilities_flat(self.basis @ candidate)
+                cand_probs = self.probabilities(candidate)
                 cand_value = self.negative_log_likelihood(cand_probs) + float(
                     candidate @ candidate
                 ) / (2.0 * self.sigma**2)
@@ -368,7 +337,7 @@ class FomObjective:
                     "line search failed to find a decrease", self.params(u)
                 )
             u, probs, value = candidate, cand_probs, cand_value
-        grad = self.basis.T @ self._gradient_flat(probs) + u / self.sigma**2
+        grad = self._likelihood_gradient(probs) + u / self.sigma**2
         if np.linalg.norm(grad) <= GRADIENT_TOL:
             return u, probs
         raise ConvergenceError(
@@ -398,7 +367,7 @@ def fisher_log_det(
         counts.parent_arities,
     ):
         raise ValueError("parameter shape does not match the counts")
-    probs = objective._probabilities_flat(params.flatten())
+    probs = objective.probabilities(objective.free_coordinates(params))
     sign, logdet = np.linalg.slogdet(objective.information_free(probs))
     if sign <= 0:
         raise ConvergenceError("information matrix is not positive definite")

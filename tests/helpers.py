@@ -87,8 +87,14 @@ def dirichlet_multinomial_log_marginal(table):
 # -- first-order model oracles --------------------------------------------
 
 
-def constraint_rank_dimension(r_y, parent_arities):
-    """Free dimension as total size minus numeric rank of the constraints."""
+def constraint_matrix(r_y, parent_arities):
+    """Rows spanning the sum-to-zero constraints on the raw parameters.
+
+    Raw layout: the offsets occupy [0, r_y); effect block i follows as one
+    contiguous span with entry (k, w) at offset k * r_i + w. One row sums the
+    offsets, and each block has one row per column (sum over k) and one per
+    row (sum over w).
+    """
     total = r_y * (1 + sum(parent_arities))
     rows = [np.zeros(total)]
     rows[0][:r_y] = 1.0
@@ -104,8 +110,13 @@ def constraint_rank_dimension(r_y, parent_arities):
             row[base + k * r_i : base + (k + 1) * r_i] = 1.0
             rows.append(row)
         base += r_y * r_i
-    matrix = np.vstack(rows)
-    return total - np.linalg.matrix_rank(matrix)
+    return np.vstack(rows)
+
+
+def constraint_rank_dimension(r_y, parent_arities):
+    """Free dimension as total size minus numeric rank of the constraints."""
+    matrix = constraint_matrix(r_y, parent_arities)
+    return matrix.shape[1] - np.linalg.matrix_rank(matrix)
 
 
 def dense_information_matrix(params, counts):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.linalg import null_space
 
 from mmlbn import (
     ContingencyCounts,
@@ -20,15 +21,18 @@ from mmlbn import (
     fom_probability,
     free_dimension,
 )
-from helpers import constraint_rank_dimension, dense_information_matrix
+from mmlbn.fom import constraint_basis
+from helpers import (
+    constraint_matrix,
+    constraint_rank_dimension,
+    dense_information_matrix,
+)
 
 SIGMA = 3.0
 
 
 def random_params(rng, r_y, arities, scale=0.8):
     """Constraint-satisfying parameters from random free coordinates."""
-    from mmlbn.fom import constraint_basis
-
     basis = constraint_basis(r_y, tuple(arities))
     u = rng.normal(0, scale, basis.shape[1])
     return FomParams.from_flat(r_y, tuple(arities), basis @ u)
@@ -242,8 +246,8 @@ def one_hot_design(r_y, arities, digits):
 
 
 class TestAssemblyMatchesDefinition:
-    """Gradient and information summed configuration by configuration, in
-    the order the counts list them, equal the grouped sums bit for bit."""
+    """Gradient and information in free coordinates equal the raw sums over
+    one-hot configuration designs, projected on the constraint basis."""
 
     @given(
         st.integers(2, 4),
@@ -254,13 +258,16 @@ class TestAssemblyMatchesDefinition:
         rng = np.random.default_rng(seed)
         counts = random_counts(rng, r_y, arities, max_count=5)
         objective = FomObjective(counts, SIGMA)
-        probs = objective._probabilities_flat(
-            objective.basis @ rng.normal(0, 0.8, objective.dim)
-        )
+        u = rng.normal(0, 0.8, objective.dim)
+        params = objective.params(u)
+        basis = constraint_basis(r_y, tuple(arities))
         total = r_y * (1 + sum(arities))
         gradient = np.zeros(total)
         information = np.zeros((total, total))
-        for digits, row, p in zip(counts.config_digits, counts.counts, probs):
+        probs = []
+        for digits, row in zip(counts.config_digits, counts.counts):
+            p = fom_probability(params, config_index(digits, arities))
+            probs.append(p)
             design = one_hot_design(r_y, arities, digits)
             n_cfg = float(row.sum())
             gradient += design.T @ (n_cfg * p - row)
@@ -268,8 +275,39 @@ class TestAssemblyMatchesDefinition:
             weight[np.diag_indices(r_y)] += p
             weight *= n_cfg
             information += design.T @ weight @ design
-        assert np.array_equal(objective._gradient_flat(probs), gradient)
-        assert np.array_equal(objective.information_flat(probs), information)
+        expected_gradient = basis.T @ gradient + u / SIGMA**2
+        expected_information = (
+            basis.T @ information @ basis + np.eye(objective.dim) / SIGMA**2
+        )
+        # rtol 1e-12 of each entry, with entries that cancel to rounding
+        # noise measured against the largest entry
+        for actual, expected in (
+            (objective.gradient(u), expected_gradient),
+            (
+                objective.information_free(np.reshape(probs, (-1, r_y))),
+                expected_information,
+            ),
+        ):
+            np.testing.assert_allclose(
+                actual, expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max()
+            )
+
+
+class TestConstraintBasis:
+    def test_orthonormal_basis_of_the_constraint_subspace(self):
+        for r_y in (2, 3, 4, 5):
+            for arities in ((), (2,), (3, 4), (2, 5, 3), (4, 2, 2, 3)):
+                basis = constraint_basis(r_y, arities)
+                assert basis.shape == (
+                    r_y * (1 + sum(arities)),
+                    free_dimension(r_y, arities),
+                )
+                np.testing.assert_allclose(
+                    basis.T @ basis, np.eye(basis.shape[1]), rtol=0, atol=1e-14
+                )
+                np.testing.assert_allclose(
+                    constraint_matrix(r_y, arities) @ basis, 0.0, rtol=0, atol=1e-14
+                )
 
 
 class TestFisherLogDet:
@@ -292,11 +330,7 @@ class TestFisherLogDet:
             value = fisher_log_det(params, counts, SIGMA)
             dense = dense_information_matrix(params, counts)
             # an unrelated orthonormal basis of the same constraint subspace
-            from mmlbn.fom import _constraint_matrix
-            from scipy.linalg import null_space
-
-            matrix = _constraint_matrix(r_y, arities)
-            basis = null_space(matrix[::-1])
+            basis = null_space(constraint_matrix(r_y, arities)[::-1])
             rotation = np.linalg.qr(
                 rng.normal(size=(basis.shape[1], basis.shape[1]))
             )[0]
@@ -347,6 +381,36 @@ class TestFisherLogDet:
         monkeypatch.setattr(np.linalg, "slogdet", lambda matrix: (-1.0, 0.0))
         with pytest.raises(ConvergenceError):
             fisher_log_det(FomParams.zero(2, (2,)), counts, SIGMA)
+
+    def test_parameters_off_the_constraint_subspace(self):
+        # raw parameters that break the sum-to-zero constraints give the same
+        # probabilities as their free coordinates, and so the same log det as
+        # the constrained parameters with those probabilities
+        rng = np.random.default_rng(46)
+        for _ in range(20):
+            r_y = int(rng.integers(2, 5))
+            arities = tuple(
+                int(rng.integers(2, 5)) for _ in range(int(rng.integers(0, 4)))
+            )
+            raw = FomParams(
+                r_y,
+                arities,
+                rng.normal(size=r_y),
+                tuple(rng.normal(size=(r_y, r)) for r in arities),
+            )
+            counts = random_counts(rng, r_y, arities, max_count=6)
+            objective = FomObjective(counts, SIGMA)
+            u = objective.free_coordinates(raw)
+            expected = [
+                fom_probability(raw, config_index(digits, arities))
+                for digits in counts.config_digits
+            ]
+            np.testing.assert_allclose(
+                objective.probabilities(u), np.reshape(expected, (-1, r_y)), atol=1e-14
+            )
+            assert fisher_log_det(raw, counts, SIGMA) == pytest.approx(
+                fisher_log_det(objective.params(u), counts, SIGMA), rel=1e-12
+            )
 
     def test_shape_mismatch(self):
         counts = ContingencyCounts.from_dense(2, (), np.array([[1, 1]]))

@@ -20,9 +20,10 @@ from helpers import brute_force_extensions, enumerate_dags
 
 
 @st.composite
-def dags(draw, max_nodes=7):
-    """A DAG on up to max_nodes nodes: a random order, then a coin per slot."""
-    m = draw(st.integers(0, max_nodes))
+def dags(draw, min_nodes=0, max_nodes=7):
+    """A DAG on min_nodes to max_nodes nodes: a random order, then a coin per
+    slot."""
+    m = draw(st.integers(min_nodes, max_nodes))
     order = draw(st.permutations(range(m)))
     slots = [(order[a], order[b]) for a in range(m) for b in range(a + 1, m)]
     keep = draw(st.lists(st.booleans(), min_size=len(slots), max_size=len(slots)))
@@ -128,6 +129,58 @@ class TestApplyMove:
             except (CycleError, ParentCapError):
                 continue
             assert twice == dag
+
+
+def is_acyclic(m, arcs):
+    """No directed cycle: the adjacency matrix is nilpotent."""
+    adjacency = np.zeros((m, m), dtype=np.int64)
+    for u, v in arcs:
+        adjacency[u, v] = 1
+    return not np.linalg.matrix_power(adjacency, m).any()
+
+
+@st.composite
+def moves_on_dags(draw):
+    """A DAG on 2-7 nodes, a parent cap it meets, and a move on two of its
+    nodes."""
+    dag = draw(dags(min_nodes=2))
+    widest = max(len(parents) for parents in dag.parent_sets)
+    max_parents = draw(st.integers(widest, dag.m))
+    i, j = draw(st.permutations(range(dag.m)))[:2]
+    return dag, ArcMove(draw(st.sampled_from(("toggle", "reverse"))), i, j), max_parents
+
+
+class TestApplyMoveProperties:
+    """apply_move against the arc set the move describes, checked by brute
+    force: it raises exactly when that set breaks a rule, and the error
+    names the first rule broken (missing arc, then parent cap, then cycle)."""
+
+    @given(moves_on_dags())
+    def test_matches_brute_force(self, case):
+        dag, move, max_parents = case
+        i, j = move.from_node, move.to_node
+        arcs = set(dag.arcs())
+        expected_error = None
+        if move.kind == "toggle" and (i, j) in arcs:
+            arcs.discard((i, j))
+        elif move.kind == "reverse" and (j, i) not in arcs:
+            expected_error = NoArcError
+        else:
+            if move.kind == "reverse":
+                arcs.discard((j, i))
+            arcs.add((i, j))
+            if sum(v == j for _, v in arcs) > max_parents:
+                expected_error = ParentCapError
+            elif not is_acyclic(dag.m, arcs):
+                expected_error = CycleError
+        if expected_error is not None:
+            with pytest.raises(expected_error):
+                apply_move(dag, move, max_parents)
+            return
+        result = apply_move(dag, move, max_parents)
+        assert set(result.arcs()) == arcs
+        assert is_acyclic(result.m, result.arcs())
+        assert max(len(parents) for parents in result.parent_sets) <= max_parents
 
 
 class TestLinearExtensions:

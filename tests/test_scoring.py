@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mmlbn import (
     ContingencyCounts,
@@ -85,6 +87,44 @@ class TestNodeLength:
         fom = fom_message_length(counts).message_length
         assert dual.length == fom + LOG2
         assert dual.chosen_model == "fom"
+
+
+class TestRelabellingInvariance:
+    """Node lengths under every policy do not depend on how the child's or a
+    parent's categories are coded, nor on the order the parents are listed."""
+
+    @given(
+        st.integers(2, 4),
+        st.lists(st.integers(2, 4), min_size=1, max_size=3),
+        st.integers(5, 200),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_category_codes_and_parent_order(self, r_y, arities, n, seed):
+        rng = np.random.default_rng(seed)
+        parents = [rng.integers(0, r, size=n) for r in arities]
+        noise = rng.integers(0, r_y, size=n) * (rng.random(n) < 0.4)
+        child = (sum(parents) + noise) % r_y
+        all_arities = [r_y, *arities]
+        ds = make_dataset([child, *parents], arities=all_arities)
+        parent_ids = tuple(range(1, len(arities) + 1))
+        recoded_child = make_dataset(
+            [rng.permutation(r_y)[child], *parents], arities=all_arities
+        )
+        recoded_parents = make_dataset(
+            [child, *(rng.permutation(r)[col] for r, col in zip(arities, parents))],
+            arities=all_arities,
+        )
+        reordered = tuple(int(v) for v in rng.permutation(parent_ids))
+        variants = (
+            counts_for(recoded_child, 0, parent_ids),
+            counts_for(recoded_parents, 0, parent_ids),
+            counts_for(ds, 0, reordered),
+        )
+        for policy in ModelPolicy:
+            base = node_length(counts_for(ds, 0, parent_ids), policy).length
+            for counts in variants:
+                length = node_length(counts, policy).length
+                assert length == pytest.approx(base, rel=1e-9)
 
 
 class TestNetworkLength:
