@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .dataset import load_csv, load_csv_with_labels
@@ -209,6 +210,12 @@ def _run_eval(args) -> dict:
     }
 
 
+def _raise_first_node_error(scorer: NetworkScorer, dag: DagStructure) -> None:
+    """Re-raise the cached error of the first node the scorer could not code."""
+    for child, parents in enumerate(dag.parent_sets):
+        scorer.node_score(child, parents)
+
+
 def _run_score(args) -> dict:
     ds = load_csv(args.data, args.missing_policy)
     if args.structure == "empty":
@@ -222,10 +229,13 @@ def _run_score(args) -> dict:
     for policy in ModelPolicy:
         scorer = NetworkScorer(ds, policy, args.arc_prior, args.sigma)
         try:
-            lengths[policy.value] = scorer.total_length(dag)
+            length = scorer.total_length(dag)
+            if math.isinf(length):
+                _raise_first_node_error(scorer, dag)
         except MmlbnError as err:
-            lengths[policy.value] = None
+            length = None
             errors[policy.value] = str(err)
+        lengths[policy.value] = length
     report = {
         "config": _config_echo(args, "score"),
         "structure": {"arcs": _arcs_as_strings(dag)},

@@ -343,9 +343,13 @@ def counts_for(ds: DiscreteDataset, child: int, parents) -> ContingencyCounts:
 
     Each case gets one int64 key: its configuration's mixed-radix index with
     the first parent most significant, so ascending keys are exactly the
-    lexicographic row order ContingencyCounts requires. Before the running
-    radix product would reach 2**62, the key so far is replaced by its rank
-    among the distinct keys; ranks keep the order, so wide arities stay exact.
+    lexicographic row order ContingencyCounts requires. One bincount tallies
+    the cases into the dense (radix, r_y) table of every possible key, and
+    the rows with cases are the observed configurations, in order; each
+    one's digits are read from any case that has it. Before the running
+    radix would pass the number of cases, the key so far is replaced by its
+    rank among the distinct keys; ranks keep the order, so the table never
+    has more than n * (largest parent arity) rows and wide arities stay exact.
     """
     parents = tuple(int(p) for p in parents)
     m = ds.n_variables
@@ -360,17 +364,19 @@ def counts_for(ds: DiscreteDataset, child: int, parents) -> ContingencyCounts:
     r_y = ds.arity(child)
     parent_arities = tuple(ds.arity(p) for p in parents)
     rows = ds.rows
-    key = np.zeros(ds.n_cases, dtype=np.int64)
+    n = ds.n_cases
+    key = np.zeros(n, dtype=np.int64)
     radix = 1  # keys lie in [0, radix)
     for p, r in zip(parents, parent_arities):
-        if radix * r >= 1 << 62:
+        if radix * r > n:
             distinct, key = np.unique(key, return_inverse=True)
             radix = len(distinct)
         key = key * r + rows[:, p]
         radix *= r
-    distinct, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-    counts = np.bincount(
-        inverse * r_y + rows[:, child], minlength=len(distinct) * r_y
-    ).reshape(len(distinct), r_y)
-    digits = rows[first][:, list(parents)]
-    return ContingencyCounts(r_y, parent_arities, digits, counts)
+    table = np.bincount(key * r_y + rows[:, child], minlength=radix * r_y)
+    table = table.reshape(radix, r_y)
+    observed = np.flatnonzero(table.any(axis=1))
+    case = np.empty(radix, dtype=np.intp)
+    case[key] = np.arange(n)
+    digits = rows[case[observed]][:, list(parents)]
+    return ContingencyCounts(r_y, parent_arities, digits, table[observed])

@@ -13,16 +13,20 @@ parameters are exactly a = Q_y alpha and b_i = Q_y B_i Q_{r_i}^T, so the free
 coordinates form a D x (r_y - 1) matrix theta = [alpha^T; B_1^T; ...; B_q^T]
 with D = 1 + sum_i (r_i - 1). Configuration c has the design row
 x_c = [1, Q_{r_1}[w_1], ..., Q_{r_q}[w_q]]; with the rows stacked into X, the
-logits of all observed configurations are X theta Q_y^T and the gradient of
-the negative log likelihood is X^T (residual Q_y). The map from theta to the
-raw parameters (``constraint_basis``) is orthonormal, so the Gaussian
-quadratic term is |theta|^2 / (2 sigma^2) and the constraints hold by
-construction.
+logits of all observed configurations are X (theta Q_y^T) and the gradient
+of the negative log likelihood is X^T (residual Q_y). The map from theta to
+the raw parameters is orthonormal (``constraint_basis`` writes it out as a
+matrix; the fit applies it block by block and never builds it), so the
+Gaussian quadratic term is |theta|^2 / (2 sigma^2) and the constraints hold
+by construction.
 
 Kronecker information. The expected information of theta (read row by row)
 is sum_c n_c (x_c x_c^T) kron W_c with W_c = Q_y^T (diag p_c - p_c p_c^T) Q_y.
 Its (k, l) child-contrast slot is the Gram matrix X^T diag(n_c W_c[k, l]) X,
-so a Newton step costs one dense product per contrast pair k <= l.
+so assembling it costs one dense product per contrast pair k <= l. The
+ridge makes it positive definite, so each Newton step is one LAPACK Cholesky
+solve, and the log determinant the code length needs is read off the
+diagonal of its Cholesky factor.
 
 No length depends on this choice of basis: any other orthonormal basis of
 the constraint subspace is this one times an orthogonal matrix R. Under
@@ -45,6 +49,7 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import block_diag
+from scipy.linalg.lapack import dposv, dpotrf
 
 from .dataset import ContingencyCounts, config_digits
 from .errors import ConvergenceError
@@ -185,6 +190,15 @@ def fom_probability(params: FomParams, parent_config: int) -> np.ndarray:
     return weights / weights.sum()
 
 
+def _log_det(matrix: np.ndarray) -> float:
+    """Log determinant of a symmetric positive definite matrix, from its
+    Cholesky factor; the matrix is overwritten."""
+    factor, info = dpotrf(matrix, overwrite_a=1)
+    if info != 0:
+        raise ConvergenceError("information matrix is not positive definite")
+    return 2.0 * float(np.log(factor.diagonal()).sum())
+
+
 def _prior_log_norm(child_arity: int, parent_arities) -> float:
     """Log of the factor the constrained Gaussian prior's density carries for
     restricting an isotropic Gaussian to the constraint subspace."""
@@ -221,9 +235,9 @@ class FomObjective:
     row 0 holds the offset contrasts and the next r_i - 1 rows the effect
     contrasts of parent i. Observed configuration c has the design row
     x_c = [1, Q_{r_1}[w_1], ..., Q_{r_q}[w_q]], and its logits are
-    x_c @ theta @ Q_y.T. Because u maps to the raw parameters through the
-    orthonormal ``constraint_basis``, the Gaussian quadratic term is just
-    |u|^2 / (2 sigma^2) and constraint satisfaction is automatic.
+    x_c @ theta @ Q_y.T. Because u maps to the raw parameters orthonormally
+    (a = Q_y alpha, b_i = Q_y B_i Q_{r_i}^T), the Gaussian quadratic term is
+    just |u|^2 / (2 sigma^2) and constraint satisfaction is automatic.
     """
 
     def __init__(self, counts: ContingencyCounts, sigma: float = DEFAULT_SIGMA):
@@ -233,8 +247,7 @@ class FomObjective:
         self.sigma = sigma
         self.r_y = counts.child_arity
         self.arities = counts.parent_arities
-        self.basis = constraint_basis(self.r_y, self.arities)
-        self.dim = self.basis.shape[1]
+        self.dim = free_dimension(self.r_y, self.arities)
         self._counts = counts.counts.astype(float)
         self._totals = counts.config_totals.astype(float)
         digits = counts.config_digits
@@ -251,7 +264,7 @@ class FomObjective:
 
     def probabilities(self, u: np.ndarray) -> np.ndarray:
         """Softmax child distributions at each observed configuration."""
-        logits = self._design @ u.reshape(-1, self.r_y - 1) @ self._q_y.T
+        logits = self._design @ (u.reshape(-1, self.r_y - 1) @ self._q_y.T)
         logits -= logits.max(axis=1, keepdims=True)
         np.exp(logits, out=logits)
         logits /= logits.sum(axis=1, keepdims=True)
@@ -284,7 +297,16 @@ class FomObjective:
         return matrix
 
     def params(self, u: np.ndarray) -> FomParams:
-        return FomParams.from_flat(self.r_y, self.arities, self.basis @ u)
+        """Raw parameters of free coordinates u: a = Q_y alpha and
+        b_i = Q_y B_i Q_{r_i}^T, with B_i^T the rows of theta for parent i."""
+        theta = u.reshape(-1, self.r_y - 1)
+        blocks = []
+        start = 1
+        for r_i in self.arities:
+            effects = theta[start : start + r_i - 1]
+            blocks.append(self._q_y @ effects.T @ contrast_matrix(r_i).T)
+            start += r_i - 1
+        return FomParams(self.r_y, self.arities, self._q_y @ theta[0], tuple(blocks))
 
     def free_coordinates(self, params: FomParams) -> np.ndarray:
         """Free coordinates of the constrained parameters with the same
@@ -314,9 +336,15 @@ class FomObjective:
         value = self.negative_log_likelihood(probs)
         for _ in range(MAX_NEWTON_ITERS):
             grad = self._likelihood_gradient(probs) + u / self.sigma**2
-            if np.linalg.norm(grad) <= GRADIENT_TOL:
+            if math.sqrt(float(grad @ grad)) <= GRADIENT_TOL:
                 return u, probs
-            step = np.linalg.solve(self.information_free(probs), -grad)
+            _, step, info = dposv(
+                self.information_free(probs), -grad, overwrite_a=1, overwrite_b=1
+            )
+            if info != 0:
+                raise ConvergenceError(
+                    "information matrix is not positive definite", self.params(u)
+                )
             # Slack at the rounding noise floor: near the optimum the true
             # decrease of a full step drops below evaluation noise, and a
             # strictly monotone test would stall with the gradient still
@@ -338,7 +366,7 @@ class FomObjective:
                 )
             u, probs, value = candidate, cand_probs, cand_value
         grad = self._likelihood_gradient(probs) + u / self.sigma**2
-        if np.linalg.norm(grad) <= GRADIENT_TOL:
+        if math.sqrt(float(grad @ grad)) <= GRADIENT_TOL:
             return u, probs
         raise ConvergenceError(
             f"no convergence after {MAX_NEWTON_ITERS} Newton iterations",
@@ -368,10 +396,7 @@ def fisher_log_det(
     ):
         raise ValueError("parameter shape does not match the counts")
     probs = objective.probabilities(objective.free_coordinates(params))
-    sign, logdet = np.linalg.slogdet(objective.information_free(probs))
-    if sign <= 0:
-        raise ConvergenceError("information matrix is not positive definite")
-    return float(logdet)
+    return _log_det(objective.information_free(probs))
 
 
 @dataclass(frozen=True, eq=False)
@@ -390,15 +415,13 @@ def fom_message_length(
     u, probs = objective.fit()
     d = objective.dim
     quad = float(u @ u) / (2.0 * sigma * sigma)
-    sign, logdet = np.linalg.slogdet(objective.information_free(probs))
-    if sign <= 0:
-        raise ConvergenceError("information matrix is not positive definite")
+    logdet = _log_det(objective.information_free(probs))
     length = (
         d * (0.5 * _LOG_2PI + math.log(sigma))
         - _prior_log_norm(counts.child_arity, counts.parent_arities)
         + quad
-        + 0.5 * float(logdet)
+        + 0.5 * logdet
         + objective.negative_log_likelihood(probs)
         + 0.5 * d * (1.0 - _LOG_12)
     )
-    return FomScore(length, d, objective.params(u), float(logdet))
+    return FomScore(length, d, objective.params(u), logdet)

@@ -16,6 +16,7 @@ subsets.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -51,6 +52,16 @@ class DagStructure:
         object.__setattr__(self, "parent_sets", tuple(normalised))
         if len(self.topological_order()) != self.m:
             raise CycleError("parent sets describe a directed cycle")
+
+    @classmethod
+    def _trusted(cls, m: int, parent_sets) -> "DagStructure":
+        """A DAG from parent sets already known to be sorted tuples of
+        in-range ints that form no cycle: the result of an edit that checked
+        its own rules. Skips __post_init__."""
+        dag = object.__new__(cls)
+        object.__setattr__(dag, "m", m)
+        object.__setattr__(dag, "parent_sets", parent_sets)
+        return dag
 
     @classmethod
     def empty(cls, m: int) -> "DagStructure":
@@ -147,32 +158,43 @@ def _has_path(dag: DagStructure, src: int, dst: int, skip_arc=None) -> bool:
 
 
 def apply_move(dag: DagStructure, move: ArcMove, max_parents: int) -> DagStructure:
-    """Apply an edit, enforcing acyclicity and the parent cap."""
+    """Apply an edit, enforcing acyclicity and the parent cap.
+
+    The edit's own tests are the only checks its result needs, so the result
+    is built without DagStructure's validation.
+    """
     i, j = move.from_node, move.to_node
     if not (0 <= i < dag.m and 0 <= j < dag.m):
         raise ValueError("move endpoints out of range")
+    sets = list(dag.parent_sets)
     if move.kind == "toggle":
         if dag.has_arc(i, j):
-            reduced = tuple(u for u in dag.parent_sets[j] if u != i)
-            return dag.with_parents(j, reduced)
-        if len(dag.parent_sets[j]) + 1 > max_parents:
+            sets[j] = tuple(u for u in sets[j] if u != i)
+            return DagStructure._trusted(dag.m, tuple(sets))
+        if len(sets[j]) + 1 > max_parents:
             raise ParentCapError(
                 f"node {j} would exceed the parent cap of {max_parents}"
             )
         if _has_path(dag, j, i):
             raise CycleError(f"adding {i}->{j} would create a cycle")
-        return dag.with_parents(j, dag.parent_sets[j] + (i,))
+        sets[j] = _with_parent(sets[j], i)
+        return DagStructure._trusted(dag.m, tuple(sets))
     # reverse: j -> i becomes i -> j
     if not dag.has_arc(j, i):
         raise NoArcError(f"no arc {j}->{i} to reverse")
-    if len(dag.parent_sets[j]) + 1 > max_parents:
+    if len(sets[j]) + 1 > max_parents:
         raise ParentCapError(f"node {j} would exceed the parent cap of {max_parents}")
     if _has_path(dag, j, i, skip_arc=(j, i)):
         raise CycleError(f"reversing {j}->{i} would create a cycle")
-    sets = list(dag.parent_sets)
     sets[i] = tuple(u for u in sets[i] if u != j)
-    sets[j] = tuple(sets[j]) + (i,)
-    return DagStructure(dag.m, tuple(sets))
+    sets[j] = _with_parent(sets[j], i)
+    return DagStructure._trusted(dag.m, tuple(sets))
+
+
+def _with_parent(parents: tuple[int, ...], new: int) -> tuple[int, ...]:
+    """A sorted parent tuple with one more parent, inserted in order."""
+    at = bisect.bisect(parents, new)
+    return parents[:at] + (int(new),) + parents[at:]
 
 
 def _extensions_in_component(pmasks) -> int:

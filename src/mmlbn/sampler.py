@@ -144,7 +144,10 @@ def clean_network(dag: DagStructure, scorer: NetworkScorer) -> DagStructure:
             reduced = tuple(u for u in kept if u != parent)
             with_len = scorer.node_length_or_inf(node, kept)
             without_len = scorer.node_length_or_inf(node, reduced)
-            candidate = current.with_parents(node, reduced)
+            sets = list(current.parent_sets)
+            sets[node] = reduced
+            # removing an arc keeps the parents sorted and makes no cycle
+            candidate = DagStructure._trusted(current.m, tuple(sets))
             if math.isinf(with_len) or math.isinf(without_len):
                 current, current_prior = candidate, None
                 continue
@@ -178,7 +181,7 @@ def run_sampler(ds, config: SamplerConfig) -> PosteriorReport:
             entry = (
                 cpdag_key(cleaned),
                 cleaned,
-                scorer.total_length_or_inf(cleaned),
+                scorer.total_length(cleaned),
             )
             clean_memo[memo_key] = entry
         class_key, cleaned, clean_length = entry

@@ -166,13 +166,10 @@ class NetworkScorer:
         return _structure_log_prior(dag, self.p)
 
     def total_length(self, dag: DagStructure) -> float:
-        """Network code length; raises on any node scoring error."""
-        total = -self.structure_log_prior(dag)
-        for child, parents in enumerate(dag.parent_sets):
-            total += self.node_score(child, parents).length
-        return total
+        """Network code length in nits; inf when some node cannot be scored.
 
-    def total_length_or_inf(self, dag: DagStructure) -> float:
+        The structure prior's errors (more variables than it handles) raise.
+        """
         total = -self.structure_log_prior(dag)
         for child, parents in enumerate(dag.parent_sets):
             length = self.node_length_or_inf(child, parents)
@@ -190,7 +187,8 @@ def network_message_length(
     sigma: float = DEFAULT_SIGMA,
     cache: ScoreCache | None = None,
 ) -> float:
-    """Structure cost plus the sum of node code lengths, in nits."""
+    """Structure cost plus the sum of node code lengths, in nits; inf when
+    some node cannot be scored under the policy."""
     if dag.m != ds.n_variables:
         raise ValueError("structure and dataset disagree on variable count")
     return NetworkScorer(ds, policy, p, sigma, cache).total_length(dag)

@@ -143,6 +143,32 @@ class TestScore:
                 expected, abs=1e-9
             )
 
+    def test_node_the_table_cannot_code(self, tmp_path):
+        # 17 binary parents pass the full table's parameter cap: tbn reports
+        # the node's error, and dual codes the node with the logit model
+        rng = np.random.default_rng(82)
+        rows = rng.integers(0, 2, size=(25, 18))
+        lines = [",".join(f"x{i}" for i in range(18))]
+        lines += [",".join(f"v{int(v)}" for v in row) for row in rows]
+        data = tmp_path / "wide.csv"
+        data.write_text("\n".join(lines) + "\n")
+        structure = tmp_path / "star.txt"
+        structure.write_text("".join(f"{i}->0\n" for i in range(1, 18)))
+        report = run_json(
+            ["score", "--data", str(data), "--structure", str(structure)],
+            tmp_path / "score.json",
+        )
+        assert report["lengths"]["tbn"] is None
+        assert "parameters" in report["errors"]["tbn"]
+        assert set(report["errors"]) == {"tbn"}
+        ds = load_csv(str(data))
+        dag = DagStructure.from_arcs(18, [(i, 0) for i in range(1, 18)])
+        for policy in (ModelPolicy.FON, ModelPolicy.DUAL):
+            expected = network_message_length(dag, ds, policy)
+            assert report["lengths"][policy.value] == pytest.approx(
+                expected, rel=1e-12
+            )
+
     def test_empty_keyword(self, train_csv, tmp_path):
         structure = tmp_path / "structure.txt"
         structure.write_text("empty\n")

@@ -344,6 +344,36 @@ class TestCountsProperties:
         assert counts.config_digits.tolist() == configs
         assert counts.counts.tolist() == table
 
+    def test_radix_passing_the_case_count_reranks(self, monkeypatch):
+        # six parents of arity 10 on 200 cases: 10^6 configurations is far
+        # below 2^62 but above the case count, so the key is re-ranked and
+        # the dense tally stays within n * 10 * r_y cells
+        arities = [3] + [10] * 6
+        rng = np.random.default_rng(13)
+        rows = np.stack([rng.integers(0, r, 200) for r in arities], axis=1)
+        ds = make_dataset(rows.T, arities=arities)
+        unique_calls, tally_lengths = [], []
+        unique, bincount = np.unique, np.bincount
+
+        def counting_unique(*args, **kwargs):
+            unique_calls.append(None)
+            return unique(*args, **kwargs)
+
+        def measured_bincount(*args, **kwargs):
+            table = bincount(*args, **kwargs)
+            tally_lengths.append(len(table))
+            return table
+
+        monkeypatch.setattr(np, "unique", counting_unique)
+        monkeypatch.setattr(np, "bincount", measured_bincount)
+        parents = tuple(range(1, 7))
+        counts = counts_for(ds, 0, parents)
+        assert len(unique_calls) >= 1
+        assert tally_lengths and max(tally_lengths) <= 200 * 10 * 3
+        configs, table = tally(ds, 0, parents)
+        assert counts.config_digits.tolist() == configs
+        assert counts.counts.tolist() == table
+
 
 class TestDatasetContainer:
     def test_rows_read_only(self):

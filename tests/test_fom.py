@@ -309,6 +309,19 @@ class TestConstraintBasis:
                     constraint_matrix(r_y, arities) @ basis, 0.0, rtol=0, atol=1e-14
                 )
 
+    def test_params_apply_the_basis(self):
+        # FomObjective.params maps theta block by block; the dense basis is
+        # the reference
+        rng = np.random.default_rng(47)
+        for r_y in (2, 3, 5):
+            for arities in ((), (2,), (3, 4), (2, 5, 3)):
+                objective = FomObjective(random_counts(rng, r_y, arities), SIGMA)
+                u = rng.normal(0, 1.0, objective.dim)
+                expected = constraint_basis(r_y, arities) @ u
+                np.testing.assert_allclose(
+                    objective.params(u).flatten(), expected, rtol=0, atol=1e-14
+                )
+
 
 class TestFisherLogDet:
     def test_single_free_dimension_closed_form(self):
@@ -378,9 +391,19 @@ class TestFisherLogDet:
 
     def test_not_positive_definite_is_convergence_error(self, monkeypatch):
         counts = random_counts(np.random.default_rng(36), 2, (2,))
-        monkeypatch.setattr(np.linalg, "slogdet", lambda matrix: (-1.0, 0.0))
+        monkeypatch.setattr("mmlbn.fom.dpotrf", lambda matrix, **kw: (matrix, 1))
         with pytest.raises(ConvergenceError):
             fisher_log_det(FomParams.zero(2, (2,)), counts, SIGMA)
+
+    def test_newton_step_on_a_failed_factorisation(self, monkeypatch):
+        # LAPACK reports a leading minor that is not positive definite
+        counts = random_counts(np.random.default_rng(37), 3, (2, 3))
+        monkeypatch.setattr(
+            "mmlbn.fom.dposv", lambda matrix, rhs, **kw: (matrix, rhs, 2)
+        )
+        with pytest.raises(ConvergenceError) as caught:
+            fom_message_length(counts, SIGMA)
+        assert caught.value.best_params is not None
 
     def test_parameters_off_the_constraint_subspace(self):
         # raw parameters that break the sum-to-zero constraints give the same

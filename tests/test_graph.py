@@ -10,13 +10,21 @@ from hypothesis import strategies as st
 from mmlbn import (
     ArcMove,
     DagStructure,
+    ModelPolicy,
+    NetworkScorer,
     apply_move,
+    clean_network,
     count_linear_extensions,
     cpdag_key,
     structure_log_prior,
 )
 from mmlbn.errors import CapacityError, CycleError, NoArcError, ParentCapError
-from helpers import brute_force_extensions, enumerate_dags
+from helpers import (
+    brute_force_extensions,
+    enumerate_dags,
+    equivalent_by_definition,
+    make_dataset,
+)
 
 
 @st.composite
@@ -150,10 +158,32 @@ def moves_on_dags(draw):
     return dag, ArcMove(draw(st.sampled_from(("toggle", "reverse"))), i, j), max_parents
 
 
+def assert_equals_checked_rebuild(dag, max_parents):
+    """The DAG is what the checked constructor makes of its parent sets
+    (sorted tuples, acyclic) and meets the parent cap."""
+    assert dag == DagStructure(dag.m, dag.parent_sets)
+    assert all(type(u) is int for parents in dag.parent_sets for u in parents)
+    assert max(map(len, dag.parent_sets), default=0) <= max_parents
+
+
+def parity_data(dag, seed, n_cases=60):
+    """Binary cases in which each node is the parity of its parents, flipped
+    with probability 0.3, so that some arcs pay for themselves and some do
+    not."""
+    rng = np.random.default_rng(seed)
+    rows = np.zeros((n_cases, dag.m), dtype=np.int64)
+    for v in dag.topological_order():
+        flip = rng.random(n_cases) < (0.3 if dag.parent_sets[v] else 0.5)
+        rows[:, v] = (rows[:, list(dag.parent_sets[v])].sum(axis=1) + flip) % 2
+    return make_dataset(rows.T, arities=[2] * dag.m)
+
+
 class TestApplyMoveProperties:
     """apply_move against the arc set the move describes, checked by brute
     force: it raises exactly when that set breaks a rule, and the error
-    names the first rule broken (missing arc, then parent cap, then cycle)."""
+    names the first rule broken (missing arc, then parent cap, then cycle).
+    Edits build their results without DagStructure's validation, so every
+    result must equal its rebuild through the checked constructor."""
 
     @given(moves_on_dags())
     def test_matches_brute_force(self, case):
@@ -181,6 +211,18 @@ class TestApplyMoveProperties:
         assert set(result.arcs()) == arcs
         assert is_acyclic(result.m, result.arcs())
         assert max(len(parents) for parents in result.parent_sets) <= max_parents
+        assert_equals_checked_rebuild(result, max_parents)
+
+    @given(
+        dags(min_nodes=1, max_nodes=6),
+        st.sampled_from([ModelPolicy.TBN, ModelPolicy.DUAL]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_cleaned_network_equals_checked_rebuild(self, dag, policy, seed):
+        scorer = NetworkScorer(parity_data(dag, seed), policy)
+        cleaned = clean_network(dag, scorer)
+        assert set(cleaned.arcs()) <= set(dag.arcs())
+        assert_equals_checked_rebuild(cleaned, max(map(len, dag.parent_sets)))
 
 
 class TestLinearExtensions:
@@ -296,6 +338,21 @@ class TestCpdagKey:
         a = DagStructure.from_arcs(3, [(0, 1), (0, 2), (1, 2)])
         b = DagStructure.from_arcs(3, [(2, 1), (2, 0), (1, 0)])
         assert cpdag_key(a) == cpdag_key(b)
+
+    @given(dags())
+    def test_covered_arc_reversal_keeps_the_key(self, dag):
+        # Chickering (1995): reversing a covered arc u -> v, one where the
+        # parents of v are those of u plus u, gives an equivalent DAG
+        key = cpdag_key(dag)
+        for u, v in dag.arcs():
+            if set(dag.parent_sets[v]) != set(dag.parent_sets[u]) | {u}:
+                continue
+            sets = list(dag.parent_sets)
+            sets[v] = tuple(w for w in sets[v] if w != u)
+            sets[u] = sets[u] + (v,)
+            reversed_dag = DagStructure(dag.m, tuple(sets))
+            assert equivalent_by_definition(reversed_dag, dag)
+            assert cpdag_key(reversed_dag) == key
 
     def test_skeleton_separates(self):
         assert cpdag_key(DagStructure.empty(2)) != cpdag_key(
