@@ -26,9 +26,12 @@ def _add_data_flags(parser):
         help="'?' cells become an extra state of their variable (extra-category, "
         "the default) or are an error (reject)",
     )
-    parser.add_argument("--sigma", type=float, default=3.0)
+    parser.add_argument("--sigma", type=float, default=SamplerConfig.sigma)
     parser.add_argument(
-        "--arc-prior", type=float, default=0.5, help="prior probability of an arc slot"
+        "--arc-prior",
+        type=float,
+        default=SamplerConfig.p,
+        help="prior probability of an arc slot",
     )
     parser.add_argument("--out", help="report path (default: stdout)")
 
@@ -38,14 +41,14 @@ def _add_sampler_flags(parser):
     parser.add_argument(
         "--model",
         choices=["tbn", "fon", "dual"],
-        default="dual",
-        help="node model policy (default dual)",
+        default=SamplerConfig.policy.value,
+        help=f"node model policy (default {SamplerConfig.policy.value})",
     )
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--iterations", type=int, default=200000)
-    parser.add_argument("--burn-in", type=int, default=10000)
-    parser.add_argument("--max-parents", type=int, default=10)
-    parser.add_argument("--top-k", type=int, default=10)
+    parser.add_argument("--seed", type=int, default=SamplerConfig.seed)
+    parser.add_argument("--iterations", type=int, default=SamplerConfig.iterations)
+    parser.add_argument("--burn-in", type=int, default=SamplerConfig.burn_in)
+    parser.add_argument("--max-parents", type=int, default=SamplerConfig.max_parents)
+    parser.add_argument("--top-k", type=int, default=SamplerConfig.top_k)
 
 
 def _build_parser():
@@ -132,19 +135,27 @@ def _classes_payload(report: PosteriorReport, policy: ModelPolicy) -> list[dict]
 
 
 def parse_structure_file(path, m: int, names=()) -> DagStructure:
-    """Read one arc per line as 'i->j' or 'name->name'; 'empty' means no arcs."""
-    index = {name: i for i, name in enumerate(names)}
+    """Read one arc per line as 'i->j' or 'name->name'; 'empty' means no arcs.
+
+    A name shared by several columns is ambiguous and must be given by index.
+    """
+    index = {}
+    for i, name in enumerate(names):
+        index[name] = None if name in index else i  # None: ambiguous
 
     def resolve(token, lineno):
         token = token.strip()
         try:
             node = int(token)
         except ValueError:
-            if token in index:
-                return index[token]
-            raise ValueError(
-                f"{path}:{lineno}: unknown variable {token!r}"
-            ) from None
+            if token not in index:
+                raise ValueError(f"{path}:{lineno}: unknown variable {token!r}") from None
+            if index[token] is None:
+                raise ValueError(
+                    f"{path}:{lineno}: variable name {token!r} names more than one "
+                    "column; use column indices instead"
+                ) from None
+            return index[token]
         if not 0 <= node < m:
             raise ValueError(f"{path}:{lineno}: node index out of range")
         return node

@@ -101,14 +101,39 @@ def load_csv(path, missing_policy: str = "extra-category") -> DiscreteDataset:
     """
     if missing_policy not in ("extra-category", "reject"):
         raise ValueError(f"unknown missing policy {missing_policy!r}")
+    return _read_csv(path, None, missing_policy == "reject")
+
+
+def load_csv_with_labels(path, variables: tuple[VariableMeta, ...]) -> DiscreteDataset:
+    """Read a file using an existing dataset's label-to-code mapping.
+
+    Used to align a held-out test file with its training data. Tokens that
+    the training data never produced are rejected.
+    """
+    return _read_csv(path, variables, False)
+
+
+def _read_csv(path, variables, reject_missing: bool) -> DiscreteDataset:
+    """Code a CSV file one record at a time through one dict per column.
+
+    Without `variables` a new token gets the next code of its column; with
+    them the dicts hold the given labels and a token outside them raises.
+    Line numbers in errors count CSV records, the header being record 1.
+    """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
-            header = [h.strip() for h in next(reader)]
+            names = [h.strip() for h in next(reader)]
         except StopIteration:
             raise DataFormatError(f"{path}: empty file") from None
-        m = len(header)
-        codes: list[dict[str, int]] = [{} for _ in range(m)]
+        m = len(names)
+        if variables is None:
+            codes: list[dict[str, int]] = [{} for _ in range(m)]
+        elif m != len(variables):
+            raise DataFormatError(f"{path}: {m} columns, expected {len(variables)}")
+        else:
+            names = [v.name for v in variables]
+            codes = [{label: k for k, label in enumerate(v.labels)} for v in variables]
         data = []
         for lineno, row in enumerate(reader, start=2):
             if len(row) != m:
@@ -118,63 +143,32 @@ def load_csv(path, missing_policy: str = "extra-category") -> DiscreteDataset:
             encoded = []
             for i, token in enumerate(row):
                 token = token.strip()
-                if token == MISSING_TOKEN and missing_policy == "reject":
+                if reject_missing and token == MISSING_TOKEN:
                     raise MissingValueError(
-                        f"{path}:{lineno}: missing value in column {header[i]!r}"
+                        f"{path}:{lineno}: missing value in column {names[i]!r}"
                     )
-                table = codes[i]
-                code = table.setdefault(token, len(table))
-                encoded.append(code)
-            data.append(encoded)
-    if not data:
-        raise DataFormatError(f"{path}: no data rows")
-    variables = []
-    for i, name in enumerate(header):
-        labels = tuple(codes[i])  # dict preserves first-appearance order
-        if len(labels) < 2:
-            raise DegenerateVariableError(
-                f"{path}: column {name!r} has a single distinct value"
-            )
-        variables.append(VariableMeta(name, len(labels), labels))
-    return DiscreteDataset(tuple(variables), np.array(data, dtype=np.int32))
-
-
-def load_csv_with_labels(path, variables: tuple[VariableMeta, ...]) -> DiscreteDataset:
-    """Read a file using an existing dataset's label-to-code mapping.
-
-    Used to align a held-out test file with its training data. Tokens that
-    the training data never produced are rejected.
-    """
-    lookup = [{label: k for k, label in enumerate(v.labels)} for v in variables]
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise DataFormatError(f"{path}: empty file") from None
-        if len(header) != len(variables):
-            raise DataFormatError(
-                f"{path}: {len(header)} columns, expected {len(variables)}"
-            )
-        data = []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(variables):
-                raise DataFormatError(
-                    f"{path}:{lineno}: expected {len(variables)} fields, found {len(row)}"
-                )
-            encoded = []
-            for i, token in enumerate(row):
-                token = token.strip()
                 try:
-                    encoded.append(lookup[i][token])
+                    encoded.append(codes[i][token])
                 except KeyError:
-                    raise DataFormatError(
-                        f"{path}:{lineno}: unknown value {token!r} in column "
-                        f"{variables[i].name!r}"
-                    ) from None
+                    if variables is not None:
+                        raise DataFormatError(
+                            f"{path}:{lineno}: unknown value {token!r} in column "
+                            f"{names[i]!r}"
+                        ) from None
+                    encoded.append(codes[i].setdefault(token, len(codes[i])))
             data.append(encoded)
     if not data:
         raise DataFormatError(f"{path}: no data rows")
+    if variables is None:
+        for name, table in zip(names, codes):
+            if len(table) < 2:
+                raise DegenerateVariableError(
+                    f"{path}: column {name!r} has a single distinct value"
+                )
+        variables = tuple(
+            VariableMeta(name, len(table), tuple(table))  # first-appearance order
+            for name, table in zip(names, codes)
+        )
     return DiscreteDataset(variables, np.array(data, dtype=np.int32))
 
 
@@ -195,16 +189,6 @@ def split_train_test(ds: DiscreteDataset, test_fraction: float, seed: int):
     test_idx = np.sort(perm[:n_test])
     train_idx = np.sort(perm[n_test:])
     return ds.subset(train_idx), ds.subset(test_idx)
-
-
-def config_strides(parent_arities) -> tuple[int, ...]:
-    """Mixed-radix strides with the first parent most significant."""
-    arities = tuple(parent_arities)
-    q = len(arities)
-    strides = [1] * q
-    for i in range(q - 2, -1, -1):
-        strides[i] = strides[i + 1] * arities[i + 1]
-    return tuple(strides)
 
 
 def config_index(digits, parent_arities) -> int:
@@ -302,22 +286,16 @@ class ContingencyCounts:
     def n_cases(self) -> int:
         return int(self.counts.sum())
 
-    def config_indices(self) -> np.ndarray:
-        """Mixed-radix indices of the observed configurations."""
-        if self.n_configs >= 1 << 62:
-            raise CapacityError("configuration space too large to index")
-        strides = np.array(config_strides(self.parent_arities), dtype=np.int64)
-        if self.n_parents == 0:
-            return np.zeros(self.n_observed, dtype=np.int64)
-        return self.config_digits.astype(np.int64) @ strides
-
     def dense(self) -> np.ndarray:
         """Full (n_configs, child_arity) table, zeros for unseen configs."""
         cells = self.n_configs * self.child_arity
         if cells > MAX_DENSE_CELLS:
             raise CapacityError(f"dense table would need {cells} cells")
+        index = np.zeros(self.n_observed, dtype=np.int64)  # first parent most significant
+        for digit, r in zip(self.config_digits.T, self.parent_arities):
+            index = index * r + digit
         table = np.zeros((self.n_configs, self.child_arity), dtype=np.int64)
-        table[self.config_indices()] = self.counts
+        table[index] = self.counts
         return table
 
     @classmethod

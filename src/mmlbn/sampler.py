@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CycleError, NoArcError, ParentCapError
+from .fom import DEFAULT_SIGMA
 from .graph import ArcMove, DagStructure, apply_move, cpdag_key
 from .scoring import ModelPolicy, NetworkScorer, ScoreCache
 
@@ -28,7 +29,7 @@ class SamplerConfig:
     seed: int = 0
     policy: ModelPolicy = ModelPolicy.DUAL
     p: float = 0.5
-    sigma: float = 3.0
+    sigma: float = DEFAULT_SIGMA
     max_parents: int = 10
     top_k: int = 10
 

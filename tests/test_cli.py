@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from mmlbn import ModelPolicy, load_csv, network_message_length
-from mmlbn.cli import main, parse_structure_file
+from mmlbn.cli import _build_parser, _sampler_config, main, parse_structure_file
 from mmlbn.graph import DagStructure
+from mmlbn.sampler import SamplerConfig
 
 
 @pytest.fixture
@@ -204,6 +205,26 @@ class TestScore:
         with pytest.raises(ValueError):
             parse_structure_file(str(out_of_range), 2)
 
+    def test_ambiguous_name_needs_an_index(self, tmp_path, capsys):
+        data = tmp_path / "dup.csv"
+        rows = ["a,a,b"] + [f"{i % 2},{i // 2 % 2},{i % 3}" for i in range(12)]
+        data.write_text("\n".join(rows) + "\n")
+        named = tmp_path / "named.txt"
+        named.write_text("a->b\n")
+        code = main(["score", "--data", str(data), "--structure", str(named)])
+        assert code == 1
+        assert (
+            f"{named}:1: variable name 'a' names more than one column; "
+            "use column indices instead" in capsys.readouterr().err
+        )
+        indexed = tmp_path / "indexed.txt"
+        indexed.write_text("0->2\n")
+        report = run_json(
+            ["score", "--data", str(data), "--structure", str(indexed)],
+            tmp_path / "score.json",
+        )
+        assert report["structure"]["arcs"] == ["0->2"]
+
     def test_cyclic_structure_fails(self, train_csv, tmp_path, capsys):
         structure = tmp_path / "cycle.txt"
         structure.write_text("0->1\n1->0\n")
@@ -311,6 +332,10 @@ class TestFailureModes:
         )
         assert report["config"]["missing_policy"] == "extra-category"
         assert report["dataset"]["variables"][0] == {"name": "a", "arity": 3}
+
+    def test_flag_defaults_are_the_config_defaults(self):
+        args = _build_parser().parse_args(["learn", "--data", "x.csv"])
+        assert _sampler_config(args) == SamplerConfig()
 
     def test_bad_flag_value(self, train_csv, capsys):
         code = main(

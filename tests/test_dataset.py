@@ -1,6 +1,9 @@
 """Loading, splitting and counting."""
 
+import csv
 import math
+import os
+import tempfile
 from collections import Counter
 
 import numpy as np
@@ -51,9 +54,16 @@ class TestLoadCsv:
         assert ds.arity(0) == 3
 
     def test_missing_rejected(self, tmp_path):
-        path = write(tmp_path, "a,b\nx,1\n?,2\n")
-        with pytest.raises(MissingValueError):
-            load_csv(path, missing_policy="reject")
+        # the first bad record wins, and its columns are checked left to right
+        for text, where in [
+            ("a,b\nx,1\n?,2\n", "3: missing value in column 'a'"),
+            ("a,b\nx,?\n?,1\n", "2: missing value in column 'b'"),
+            ("a,b\nx,1\n?,?\n", "3: missing value in column 'a'"),
+        ]:
+            path = write(tmp_path, text)
+            with pytest.raises(MissingValueError) as err:
+                load_csv(path, missing_policy="reject")
+            assert str(err.value) == f"{path}:{where}"
 
     def test_unknown_policy(self, tmp_path):
         path = write(tmp_path, "a,b\nx,1\ny,2\n")
@@ -61,9 +71,16 @@ class TestLoadCsv:
             load_csv(path, missing_policy="drop")
 
     def test_ragged_row(self, tmp_path):
-        path = write(tmp_path, "a,b\nx,1\ny\n")
-        with pytest.raises(DataFormatError):
-            load_csv(path)
+        # a ragged record beats a later "?" and a "?" on the same record
+        for text, policy, where in [
+            ("a,b\nx,1\ny\n", "extra-category", "3: expected 2 fields, found 1"),
+            ("a,b\nx,1\ny\n?,2\n", "reject", "3: expected 2 fields, found 1"),
+            ("a,b\nx,1\n?,2,3\n", "reject", "3: expected 2 fields, found 3"),
+        ]:
+            path = write(tmp_path, text)
+            with pytest.raises(DataFormatError) as err:
+                load_csv(path, missing_policy=policy)
+            assert str(err.value) == f"{path}:{where}"
 
     def test_single_valued_column(self, tmp_path):
         path = write(tmp_path, "a,b\nx,1\nx,2\n")
@@ -95,11 +112,19 @@ class TestLoadWithLabels:
         assert test.rows[:, 1].tolist() == [1, 0]
 
     def test_unknown_token(self, tmp_path):
+        # the first bad record wins, a ragged record beats a bad token on it,
+        # and columns are checked left to right
         train = load_csv(write(tmp_path, "a,b\nx,1\ny,2\n", "train.csv"))
-        with pytest.raises(DataFormatError):
-            load_csv_with_labels(
-                write(tmp_path, "a,b\nq,1\n", "test.csv"), train.variables
-            )
+        for text, where in [
+            ("a,b\nq,1\n", "2: unknown value 'q' in column 'a'"),
+            ("a,b\nx,1\nq,1\ny\n", "3: unknown value 'q' in column 'a'"),
+            ("a,b\nq,1,2\n", "2: expected 2 fields, found 3"),
+            ("a,b\nq,r\n", "2: unknown value 'q' in column 'a'"),
+        ]:
+            path = write(tmp_path, text, "test.csv")
+            with pytest.raises(DataFormatError) as err:
+                load_csv_with_labels(path, train.variables)
+            assert str(err.value) == f"{path}:{where}"
 
     def test_column_count_mismatch(self, tmp_path):
         train = load_csv(write(tmp_path, "a,b\nx,1\ny,2\n", "train.csv"))
@@ -107,6 +132,40 @@ class TestLoadWithLabels:
             load_csv_with_labels(
                 write(tmp_path, "a\nx\ny\n", "test.csv"), train.variables
             )
+
+
+# Padded, empty and "?" tokens, and tokens that csv.writer must quote.
+CSV_TOKENS = ["x", " x ", "y", "?", " ? ", "", "  ", "a,b", 'say "hi"', "z"]
+
+
+@st.composite
+def token_tables(draw):
+    m = draw(st.integers(1, 3))
+    row = st.lists(st.sampled_from(CSV_TOKENS), min_size=m, max_size=m)
+    return draw(st.lists(row, min_size=1, max_size=8))
+
+
+class TestReaderProperty:
+    @given(token_tables())
+    def test_codes_follow_first_appearance(self, table):
+        labels = [list(dict.fromkeys(t.strip() for t in col)) for col in zip(*table)]
+        expected = [[labels[i].index(t.strip()) for i, t in enumerate(r)] for r in table]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "data.csv")
+            with open(path, "w", newline="", encoding="utf-8") as fh:
+                writer = csv.writer(fh)
+                writer.writerow([f" c{i} " for i in range(len(labels))])
+                writer.writerows(table)
+            if min(len(col) for col in labels) < 2:
+                with pytest.raises(DegenerateVariableError):
+                    load_csv(path)
+                return
+            ds = load_csv(path)
+            again = load_csv_with_labels(path, ds.variables)
+        assert [v.name for v in ds.variables] == [f"c{i}" for i in range(len(labels))]
+        assert [list(v.labels) for v in ds.variables] == labels
+        assert ds.rows.tolist() == expected
+        assert again.rows.tolist() == expected
 
 
 class TestSplit:
@@ -187,6 +246,8 @@ class TestCounts:
         assert counts.n_parents == 0
         assert counts.n_configs == 1
         assert counts.dense().tolist() == [[1, 3, 1]]
+        empty = ContingencyCounts(3, (), np.zeros((0, 0)), np.zeros((0, 3)))
+        assert empty.dense().tolist() == [[0, 0, 0]]
 
     def test_two_parent_ordering(self):
         # parents (a, b) with arities (2, 3): configuration index is a*3 + b
