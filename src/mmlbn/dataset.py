@@ -107,8 +107,9 @@ def load_csv(path, missing_policy: str = "extra-category") -> DiscreteDataset:
 def load_csv_with_labels(path, variables: tuple[VariableMeta, ...]) -> DiscreteDataset:
     """Read a file using an existing dataset's label-to-code mapping.
 
-    Used to align a held-out test file with its training data. Tokens that
-    the training data never produced are rejected.
+    Used to align a held-out test file with its training data. The header
+    must name the training columns in the same order, and tokens that the
+    training data never produced are rejected.
     """
     return _read_csv(path, variables, False)
 
@@ -117,7 +118,8 @@ def _read_csv(path, variables, reject_missing: bool) -> DiscreteDataset:
     """Code a CSV file one record at a time through one dict per column.
 
     Without `variables` a new token gets the next code of its column; with
-    them the dicts hold the given labels and a token outside them raises.
+    them the header must repeat their names, the dicts hold their labels and
+    a token outside them raises.
     Line numbers in errors count CSV records, the header being record 1.
     """
     with open(path, newline="", encoding="utf-8") as fh:
@@ -132,7 +134,11 @@ def _read_csv(path, variables, reject_missing: bool) -> DiscreteDataset:
         elif m != len(variables):
             raise DataFormatError(f"{path}: {m} columns, expected {len(variables)}")
         else:
-            names = [v.name for v in variables]
+            for k, (name, v) in enumerate(zip(names, variables), start=1):
+                if name != v.name:
+                    raise DataFormatError(
+                        f"{path}: column {k} is named {name!r}, expected {v.name!r}"
+                    )
             codes = [{label: k for k, label in enumerate(v.labels)} for v in variables]
         data = []
         for lineno, row in enumerate(reader, start=2):

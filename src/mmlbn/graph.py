@@ -1,5 +1,11 @@
 """Directed acyclic structures, edit moves, and the structure prior.
 
+A DAG is stored as sorted parent tuples. Every graph walk reads them as bit
+masks, one per node, and takes one kind of step: `_closure` gathers every
+node reachable from a start set through a table of neighbour masks. Over
+parent masks that gives a node's ancestors, which is the cycle test of an
+edit; over undirected neighbour masks it gives a weakly connected component.
+
 The prior over structures weights each DAG by its number of linear
 extensions (total orders consistent with the arcs), normalised by m!, times
 an independent Bernoulli factor per possible arc slot. Summed over all DAGs
@@ -11,7 +17,8 @@ components are counted apart and their orders interleaved by a multinomial
 factor. Within a component a dynamic program walks the reachable prefix
 sets (node sets some topological order places first), one node per level,
 so it touches only sets an order can actually reach rather than all 2^k
-subsets.
+subsets. It only tests set membership, so each component keeps its nodes'
+own bits.
 """
 
 from __future__ import annotations
@@ -86,15 +93,6 @@ class DagStructure:
     def has_arc(self, u: int, v: int) -> bool:
         return u in self.parent_sets[v]
 
-    def parent_masks(self) -> tuple[int, ...]:
-        masks = []
-        for parents in self.parent_sets:
-            mask = 0
-            for u in parents:
-                mask |= 1 << u
-            masks.append(mask)
-        return tuple(masks)
-
     def with_parents(self, node: int, parents) -> "DagStructure":
         sets = list(self.parent_sets)
         sets[node] = tuple(parents)
@@ -136,27 +134,6 @@ class ArcMove:
             raise ValueError("move endpoints must differ")
 
 
-def _has_path(dag: DagStructure, src: int, dst: int, skip_arc=None) -> bool:
-    """Directed reachability src -> dst, optionally ignoring one arc."""
-    children = [[] for _ in range(dag.m)]
-    for v, parents in enumerate(dag.parent_sets):
-        for u in parents:
-            if skip_arc is not None and (u, v) == skip_arc:
-                continue
-            children[u].append(v)
-    stack = [src]
-    visited = {src}
-    while stack:
-        u = stack.pop()
-        if u == dst:
-            return True
-        for w in children[u]:
-            if w not in visited:
-                visited.add(w)
-                stack.append(w)
-    return False
-
-
 def apply_move(dag: DagStructure, move: ArcMove, max_parents: int) -> DagStructure:
     """Apply an edit, enforcing acyclicity and the parent cap.
 
@@ -167,26 +144,22 @@ def apply_move(dag: DagStructure, move: ArcMove, max_parents: int) -> DagStructu
     if not (0 <= i < dag.m and 0 <= j < dag.m):
         raise ValueError("move endpoints out of range")
     sets = list(dag.parent_sets)
-    if move.kind == "toggle":
-        if dag.has_arc(i, j):
-            sets[j] = tuple(u for u in sets[j] if u != i)
-            return DagStructure._trusted(dag.m, tuple(sets))
-        if len(sets[j]) + 1 > max_parents:
-            raise ParentCapError(
-                f"node {j} would exceed the parent cap of {max_parents}"
-            )
-        if _has_path(dag, j, i):
-            raise CycleError(f"adding {i}->{j} would create a cycle")
-        sets[j] = _with_parent(sets[j], i)
+    if move.kind == "reverse":
+        # j -> i becomes i -> j: drop j from i's parents, then add i -> j
+        if j not in sets[i]:
+            raise NoArcError(f"no arc {j}->{i} to reverse")
+        sets[i] = tuple(u for u in sets[i] if u != j)
+        edit = f"reversing {j}->{i}"
+    elif i in sets[j]:
+        sets[j] = tuple(u for u in sets[j] if u != i)
         return DagStructure._trusted(dag.m, tuple(sets))
-    # reverse: j -> i becomes i -> j
-    if not dag.has_arc(j, i):
-        raise NoArcError(f"no arc {j}->{i} to reverse")
+    else:
+        edit = f"adding {i}->{j}"
     if len(sets[j]) + 1 > max_parents:
         raise ParentCapError(f"node {j} would exceed the parent cap of {max_parents}")
-    if _has_path(dag, j, i, skip_arc=(j, i)):
-        raise CycleError(f"reversing {j}->{i} would create a cycle")
-    sets[i] = tuple(u for u in sets[i] if u != j)
+    # i -> j closes a cycle iff j is already an ancestor of i
+    if _closure(_parent_masks(sets), 1 << i) >> j & 1:
+        raise CycleError(f"{edit} would create a cycle")
     sets[j] = _with_parent(sets[j], i)
     return DagStructure._trusted(dag.m, tuple(sets))
 
@@ -197,13 +170,37 @@ def _with_parent(parents: tuple[int, ...], new: int) -> tuple[int, ...]:
     return parents[:at] + (int(new),) + parents[at:]
 
 
-def _extensions_in_component(pmasks) -> int:
+def _parent_masks(parent_sets) -> list[int]:
+    """Bit mask of each node's parents."""
+    masks = []
+    for parents in parent_sets:
+        mask = 0
+        for u in parents:
+            mask |= 1 << u
+        masks.append(mask)
+    return masks
+
+
+def _closure(links, start_mask: int) -> int:
+    """Mask of every node reachable from start_mask, links[v] being the mask
+    of the nodes one step from v."""
+    reached = frontier = start_mask
+    while frontier:
+        low = frontier & -frontier
+        frontier ^= low
+        new = links[low.bit_length() - 1] & ~reached
+        reached |= new
+        frontier |= new
+    return reached
+
+
+def _extensions_in_component(nodes) -> int:
     """Count topological orders of one component over its prefix sets.
 
-    ways maps each reachable prefix set (bit mask) to the number of orders
-    that place exactly those nodes first; level t holds the sets of size t.
+    nodes holds a (bit, parent mask) pair per node. ways maps each reachable
+    prefix set (bit mask) to the number of orders that place exactly those
+    nodes first; level t holds the sets of size t.
     """
-    nodes = [(1 << v, need) for v, need in enumerate(pmasks)]
     ways = {0: 1}
     for _ in nodes:
         grown: dict[int, int] = {}
@@ -217,48 +214,23 @@ def _extensions_in_component(pmasks) -> int:
     return count
 
 
-def _weak_components(m: int, pmasks) -> list[list[int]]:
-    parent = list(range(m))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for v in range(m):
-        mask = pmasks[v]
-        u = 0
-        while mask:
-            if mask & 1:
-                ra, rb = find(u), find(v)
-                if ra != rb:
-                    parent[ra] = rb
-            mask >>= 1
-            u += 1
-    groups: dict[int, list[int]] = {}
-    for v in range(m):
-        groups.setdefault(find(v), []).append(v)
-    return list(groups.values())
-
-
 @lru_cache(maxsize=1 << 16)
-def _count_extensions_cached(m: int, pmasks) -> int:
+def _count_extensions(parent_sets) -> int:
     # Weakly connected components order independently; interleavings of the
     # component orders contribute a multinomial factor.
-    total = 1
-    placed = 0
-    for comp in _weak_components(m, pmasks):
-        k = len(comp)
-        rank = {node: idx for idx, node in enumerate(comp)}
-        sub = []
-        for node in comp:
-            mask, sm = pmasks[node], 0
-            for u, idx in rank.items():
-                if mask >> u & 1:
-                    sm |= 1 << idx
-            sub.append(sm)
-        total *= math.comb(placed + k, k) * _extensions_in_component(sub)
+    pmasks = _parent_masks(parent_sets)
+    neighbours = list(pmasks)
+    for v, parents in enumerate(parent_sets):
+        for u in parents:
+            neighbours[u] |= 1 << v
+    total, placed = 1, 0
+    left = (1 << len(pmasks)) - 1
+    while left:
+        comp = _closure(neighbours, left & -left)
+        left &= ~comp
+        nodes = [(1 << v, need) for v, need in enumerate(pmasks) if comp >> v & 1]
+        k = len(nodes)
+        total *= math.comb(placed + k, k) * _extensions_in_component(nodes)
         placed += k
     return total
 
@@ -270,9 +242,7 @@ def count_linear_extensions(dag: DagStructure) -> int:
             f"the structure prior handles at most {MAX_NODES} variables; "
             f"this network has {dag.m}"
         )
-    if dag.m == 0:
-        return 1
-    return _count_extensions_cached(dag.m, dag.parent_masks())
+    return _count_extensions(dag.parent_sets)
 
 
 def structure_log_prior(dag: DagStructure, p: float) -> float:

@@ -86,12 +86,9 @@ class ScoreCache:
 def node_length(
     counts,
     policy: ModelPolicy,
-    parent_count: int | None = None,
     sigma: float = DEFAULT_SIGMA,
 ) -> NodeScore:
     """Code length of one node's counts under a model policy."""
-    if parent_count is None:
-        parent_count = counts.n_parents
     if policy is ModelPolicy.TBN:
         score = full_cpt_message_length(counts)
         return NodeScore(score.message_length, "full", score.free_params)
@@ -100,7 +97,7 @@ def node_length(
         return NodeScore(score.message_length, "fom", score.free_dim, score.map_params)
     if policy is not ModelPolicy.DUAL:
         raise ValueError(f"unknown policy {policy!r}")
-    if parent_count <= 1:
+    if counts.n_parents <= 1:
         score = full_cpt_message_length(counts)
         return NodeScore(score.message_length, "full", score.free_params)
     try:
@@ -149,10 +146,7 @@ class NetworkScorer:
         return self.cache.get_or_compute(
             key,
             lambda: node_length(
-                counts_for(self.ds, child, parents),
-                self.policy,
-                len(parents),
-                self.sigma,
+                counts_for(self.ds, child, parents), self.policy, self.sigma
             ),
         )
 

@@ -298,6 +298,13 @@ class TestEval:
         assert code == 1
         assert "surprise" in capsys.readouterr().err
 
+    def test_swapped_test_header_fails(self, train_csv, tmp_path, capsys):
+        swapped = tmp_path / "swapped_test.csv"
+        swapped.write_text("b,a\nv0,v1\n")
+        code = main(["eval", "--data", str(train_csv), "--test", str(swapped)])
+        assert code == 1
+        assert "column 1 is named 'b', expected 'a'" in capsys.readouterr().err
+
 
 class TestFailureModes:
     def test_missing_data_file(self, tmp_path, capsys):

@@ -126,6 +126,20 @@ class TestLoadWithLabels:
                 load_csv_with_labels(path, train.variables)
             assert str(err.value) == f"{path}:{where}"
 
+    def test_header_names_checked(self, tmp_path):
+        # swapped columns that share labels would otherwise load silently
+        train = load_csv(write(tmp_path, "a,b\nyes,no\nno,yes\n", "train.csv"))
+        path = write(tmp_path, "b,a\nyes,no\n", "test.csv")
+        with pytest.raises(DataFormatError) as err:
+            load_csv_with_labels(path, train.variables)
+        assert str(err.value) == f"{path}: column 1 is named 'b', expected 'a'"
+        path = write(tmp_path, " a ,c\nyes,no\n", "test.csv")
+        with pytest.raises(DataFormatError) as err:
+            load_csv_with_labels(path, train.variables)
+        assert str(err.value) == f"{path}: column 2 is named 'c', expected 'b'"
+        padded = write(tmp_path, " a , b \nyes,yes\n", "test.csv")
+        assert load_csv_with_labels(padded, train.variables).rows.tolist() == [[0, 1]]
+
     def test_column_count_mismatch(self, tmp_path):
         train = load_csv(write(tmp_path, "a,b\nx,1\ny,2\n", "train.csv"))
         with pytest.raises(DataFormatError):

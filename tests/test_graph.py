@@ -233,6 +233,11 @@ class TestLinearExtensions:
         collider = DagStructure.from_arcs(3, [(0, 1), (2, 1)])
         assert count_linear_extensions(collider) == 2
         assert count_linear_extensions(DagStructure.empty(1)) == 1
+        # no nodes: no components, one (empty) order, log prior 0
+        assert count_linear_extensions(DagStructure.empty(0)) == 1
+        assert structure_log_prior(DagStructure.empty(0), 0.3) == 0.0
+        # 24 single-node components, right at the node cap
+        assert count_linear_extensions(DagStructure.empty(24)) == math.factorial(24)
 
     def test_all_small_graphs(self):
         for m in range(1, 4):
