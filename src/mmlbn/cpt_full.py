@@ -5,6 +5,10 @@ quantisation penalty of (1/2) log(pi e / 6) per free parameter, plus the
 negative log of the marginal likelihood of the counts under a uniform prior
 over each configuration's child distribution. Configurations with no cases
 contribute nothing, so only observed configurations need to be touched.
+
+Every log-gamma argument of that likelihood is a positive integer, so each
+is a lookup in one table of log k! (``math.lgamma(k + 1)``) that grows to
+the largest argument seen so far.
 """
 
 from __future__ import annotations
@@ -13,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .dataset import ContingencyCounts
 from .errors import ParameterCapError
@@ -21,6 +24,18 @@ from .errors import ParameterCapError
 PARAMETER_CAP = 65000
 
 _PENALTY_PER_PARAM = 0.5 * math.log(math.pi * math.e / 6.0)
+
+_log_factorial_table = np.zeros(1)  # log k! at index k
+
+
+def _log_factorials(top: int) -> np.ndarray:
+    """The table of log k!, extended to cover k = 0 .. top if it is shorter."""
+    global _log_factorial_table
+    table = _log_factorial_table
+    if top >= len(table):
+        grown = [math.lgamma(k + 1) for k in range(len(table), top + 1)]
+        table = _log_factorial_table = np.concatenate([table, grown])
+    return table
 
 
 @dataclass(frozen=True)
@@ -37,11 +52,13 @@ def full_cpt_message_length(counts: ContingencyCounts) -> FullCptScore:
         raise ParameterCapError(
             f"full table needs {free} free parameters (cap {PARAMETER_CAP})"
         )
-    totals = counts.config_totals
+    # Gamma(total + r_y) = (total + r_y - 1)!, and no count exceeds its total.
+    shifted = counts.config_totals + (r_y - 1)
+    table = _log_factorials(int(shifted.max(initial=0)))
     length = free * _PENALTY_PER_PARAM
-    length += float(np.sum(gammaln(totals + r_y)))
-    length -= counts.n_observed * float(gammaln(r_y))
-    length -= float(np.sum(gammaln(counts.counts + 1)))
+    length += float(table[shifted].sum())
+    length -= counts.n_observed * math.lgamma(r_y)
+    length -= float(table[counts.counts].sum())
     return FullCptScore(length, int(free))
 
 

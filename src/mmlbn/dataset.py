@@ -140,13 +140,13 @@ def _read_csv(path, variables, reject_missing: bool) -> DiscreteDataset:
                         f"{path}: column {k} is named {name!r}, expected {v.name!r}"
                     )
             codes = [{label: k for k, label in enumerate(v.labels)} for v in variables]
-        data = []
+        data: list[int] = []  # every code, record after record
+        lineno = 1  # the header
         for lineno, row in enumerate(reader, start=2):
             if len(row) != m:
                 raise DataFormatError(
                     f"{path}:{lineno}: expected {m} fields, found {len(row)}"
                 )
-            encoded = []
             for i, token in enumerate(row):
                 token = token.strip()
                 if reject_missing and token == MISSING_TOKEN:
@@ -154,16 +154,16 @@ def _read_csv(path, variables, reject_missing: bool) -> DiscreteDataset:
                         f"{path}:{lineno}: missing value in column {names[i]!r}"
                     )
                 try:
-                    encoded.append(codes[i][token])
+                    data.append(codes[i][token])
                 except KeyError:
                     if variables is not None:
                         raise DataFormatError(
                             f"{path}:{lineno}: unknown value {token!r} in column "
                             f"{names[i]!r}"
                         ) from None
-                    encoded.append(codes[i].setdefault(token, len(codes[i])))
-            data.append(encoded)
-    if not data:
+                    data.append(codes[i].setdefault(token, len(codes[i])))
+    n_records = lineno - 1
+    if not n_records:
         raise DataFormatError(f"{path}: no data rows")
     if variables is None:
         for name, table in zip(names, codes):
@@ -175,7 +175,8 @@ def _read_csv(path, variables, reject_missing: bool) -> DiscreteDataset:
             VariableMeta(name, len(table), tuple(table))  # first-appearance order
             for name, table in zip(names, codes)
         )
-    return DiscreteDataset(variables, np.array(data, dtype=np.int32))
+    rows = np.array(data, dtype=np.int32).reshape(n_records, m)
+    return DiscreteDataset(variables, rows)
 
 
 def split_train_test(ds: DiscreteDataset, test_fraction: float, seed: int):

@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .cpt_full import full_cpt_predictive
 from .dataset import DiscreteDataset, counts_for, split_train_test
@@ -20,6 +19,15 @@ from .fom import fit_fom_map  # noqa: F401
 from .scoring import node_length  # noqa: F401
 
 _BLOCK_ROWS = 2048
+
+
+def _logsumexp(values: np.ndarray, axis: int) -> np.ndarray:
+    """log(sum(exp(values))) along an axis of finite values, each line
+    shifted by its maximum so that no exponential overflows."""
+    peak = values.max(axis=axis, keepdims=True)
+    shifted = values - peak
+    np.exp(shifted, out=shifted)
+    return np.log(shifted.sum(axis=axis)) + peak.squeeze(axis)
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,7 +89,7 @@ def _log_probs(network: FittedNetwork, rows: np.ndarray) -> np.ndarray:
             logits = np.tile(node.a, (rows.shape[0], 1))
             for block, parent in zip(node.blocks, parents):
                 logits += block[:, rows[:, parent]].T
-            total += logits[np.arange(len(rows)), values] - logsumexp(logits, axis=1)
+            total += logits[np.arange(len(rows)), values] - _logsumexp(logits, 1)
         else:
             total += node[tuple(rows[:, p] for p in parents) + (values,)]
     return total
@@ -111,7 +119,7 @@ def _mixture_nll(networks, weights, test: DiscreteDataset) -> float:
     for start in range(0, test.n_cases, _BLOCK_ROWS):
         rows = test.rows[start : start + _BLOCK_ROWS]
         scores = np.array([_log_probs(network, rows) for network in networks])
-        total -= float(logsumexp(scores + log_weights, axis=0).sum())
+        total -= float(_logsumexp(scores + log_weights, 0).sum())
     return total
 
 

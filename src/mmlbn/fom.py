@@ -24,9 +24,10 @@ Kronecker information. The expected information of theta (read row by row)
 is sum_c n_c (x_c x_c^T) kron W_c with W_c = Q_y^T (diag p_c - p_c p_c^T) Q_y.
 Its (k, l) child-contrast slot is the Gram matrix X^T diag(n_c W_c[k, l]) X,
 so assembling it costs one dense product per contrast pair k <= l. The
-ridge makes it positive definite, so each Newton step is one LAPACK Cholesky
-solve, and the log determinant the code length needs is read off the
-diagonal of its Cholesky factor.
+ridge makes it positive definite. Each Newton step checks that with a numpy
+Cholesky factorisation, whose failure is a ConvergenceError, and then takes
+the step from a numpy solve; the log determinant the code length needs is
+read off the diagonal of the same kind of factor.
 
 No length depends on this choice of basis: any other orthonormal basis of
 the constraint subspace is this one times an orthogonal matrix R. Under
@@ -48,8 +49,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import block_diag
-from scipy.linalg.lapack import dposv, dpotrf
 
 from .dataset import ContingencyCounts, config_digits
 from .errors import ConvergenceError
@@ -103,7 +102,13 @@ def constraint_basis(child_arity: int, parent_arities: tuple) -> np.ndarray:
         # kron column l * (r_i - 1) + m becomes column m * (r_y - 1) + l
         block = np.kron(q_y, q_i).reshape(r_y * r_i, r_y - 1, r_i - 1)
         parts.append(block.transpose(0, 2, 1).reshape(r_y * r_i, -1))
-    basis = block_diag(*parts)
+    shape = (sum(part.shape[0] for part in parts), sum(part.shape[1] for part in parts))
+    basis = np.zeros(shape)
+    row = col = 0
+    for part in parts:
+        n_rows, n_cols = part.shape
+        basis[row : row + n_rows, col : col + n_cols] = part
+        row, col = row + n_rows, col + n_cols
     basis.flags.writeable = False
     return basis
 
@@ -190,11 +195,20 @@ def fom_probability(params: FomParams, parent_config: int) -> np.ndarray:
     return weights / weights.sum()
 
 
+def _cholesky(matrix: np.ndarray) -> np.ndarray | None:
+    """Lower Cholesky factor of a symmetric matrix, or None when the matrix
+    is not numerically positive definite."""
+    try:
+        return np.linalg.cholesky(matrix)
+    except np.linalg.LinAlgError:
+        return None
+
+
 def _log_det(matrix: np.ndarray) -> float:
     """Log determinant of a symmetric positive definite matrix, from its
-    Cholesky factor; the matrix is overwritten."""
-    factor, info = dpotrf(matrix, overwrite_a=1)
-    if info != 0:
+    Cholesky factor."""
+    factor = _cholesky(matrix)
+    if factor is None:
         raise ConvergenceError("information matrix is not positive definite")
     return 2.0 * float(np.log(factor.diagonal()).sum())
 
@@ -338,13 +352,12 @@ class FomObjective:
             grad = self._likelihood_gradient(probs) + u / self.sigma**2
             if math.sqrt(float(grad @ grad)) <= GRADIENT_TOL:
                 return u, probs
-            _, step, info = dposv(
-                self.information_free(probs), -grad, overwrite_a=1, overwrite_b=1
-            )
-            if info != 0:
+            information = self.information_free(probs)
+            if _cholesky(information) is None:
                 raise ConvergenceError(
                     "information matrix is not positive definite", self.params(u)
                 )
+            step = np.linalg.solve(information, -grad)
             # Slack at the rounding noise floor: near the optimum the true
             # decrease of a full step drops below evaluation noise, and a
             # strictly monotone test would stall with the gradient still

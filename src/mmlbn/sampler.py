@@ -15,6 +15,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+# numpy loads its random module on first use; loading it with the package
+# keeps that cost out of the first chain.
+import numpy.random  # noqa: F401
 
 from .errors import CycleError, NoArcError, ParentCapError
 from .fom import DEFAULT_SIGMA

@@ -1,12 +1,15 @@
 """End-to-end command line runs against temporary CSV files."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mmlbn
 from mmlbn import ModelPolicy, load_csv, network_message_length
 from mmlbn.cli import _build_parser, _sampler_config, main, parse_structure_file
 from mmlbn.graph import DagStructure
@@ -372,3 +375,40 @@ class TestFailureModes:
             "the structure prior handles at most 24 variables; this network has 25"
             in capsys.readouterr().err
         )
+
+
+# Blocks scipy before mmlbn is imported, then runs one command of each kind.
+_WITHOUT_SCIPY = """
+import sys
+
+sys.modules["scipy"] = None  # every scipy import now raises ImportError
+import mmlbn.cli
+
+assert "numpy.random" in sys.modules, "numpy.random is not loaded with mmlbn.cli"
+train, test, structure, out = sys.argv[1:]
+steps = ["--iterations", "200", "--burn-in", "20", "--out", out]
+commands = [
+    ["learn", "--data", train] + steps,
+    ["eval", "--data", train, "--test", test] + steps,
+    ["score", "--data", train, "--structure", structure, "--out", out],
+]
+for args in commands:
+    assert mmlbn.cli.main(args) == 0, args[0]
+"""
+
+
+class TestRuntimeDependencies:
+    def test_commands_run_without_scipy(self, train_csv, test_csv, tmp_path):
+        structure = tmp_path / "arcs.txt"
+        structure.write_text("0->1\n")
+        src = str(Path(mmlbn.__file__).resolve().parent.parent)
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+        proc = subprocess.run(
+            [sys.executable, "-c", _WITHOUT_SCIPY, str(train_csv), str(test_csv),
+             str(structure), str(tmp_path / "out.json")],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert proc.returncode == 0, proc.stderr

@@ -4,7 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from scipy.special import gammaln
 
+import mmlbn.cpt_full
 from mmlbn import ContingencyCounts, full_cpt_message_length, full_cpt_predictive
 from mmlbn.errors import ParameterCapError
 from helpers import dirichlet_multinomial_log_marginal
@@ -97,6 +101,37 @@ class TestMessageLength:
             np.zeros((0, 2), dtype=int),
         )
         assert full_cpt_message_length(under_cap).free_params == 64800
+
+
+def gammaln_length(counts):
+    """The full-table length written with scipy's log-gamma over floats."""
+    r_y = counts.child_arity
+    return (
+        (r_y - 1) * counts.n_configs * PENALTY
+        + float(np.sum(gammaln(counts.config_totals + r_y)))
+        - counts.n_observed * float(gammaln(r_y))
+        - float(np.sum(gammaln(counts.counts + 1)))
+    )
+
+
+class TestLogFactorialTable:
+    @given(st.data())
+    def test_matches_the_gammaln_formula(self, data):
+        r_y = data.draw(st.integers(2, 6))
+        arities = tuple(data.draw(st.lists(st.integers(2, 4), max_size=2)))
+        cells = math.prod(arities) * r_y
+        table = np.array(
+            data.draw(st.lists(st.integers(0, 60), min_size=cells, max_size=cells)),
+            dtype=np.int64,
+        ).reshape(-1, r_y)
+        if data.draw(st.booleans()):
+            # a total past the end of the table every earlier call grew
+            known = len(mmlbn.cpt_full._log_factorial_table)
+            cell = data.draw(st.integers(0, cells - 1))
+            table.flat[cell] += known + data.draw(st.integers(0, 300))
+        counts = ContingencyCounts.from_dense(r_y, arities, table)
+        length = full_cpt_message_length(counts).message_length
+        assert length == pytest.approx(gammaln_length(counts), rel=1e-13, abs=0)
 
 
 class TestPredictive:

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from mmlbn import (
     ClassRecord,
@@ -26,6 +27,7 @@ from mmlbn import (
     run_sampler,
     split_train_test,
 )
+from mmlbn.evaluation import _logsumexp
 from helpers import make_dataset
 
 
@@ -109,6 +111,24 @@ class TestFittedNetwork:
         ds = dependent_pair(62)
         with pytest.raises(ValueError):
             fit_network(DagStructure.empty(3), ds, ModelPolicy.TBN)
+
+
+class TestLogSumExp:
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_matches_scipy(self, axis):
+        # (rows x classes) blocks as _log_probs (axis 1) and _mixture_nll
+        # (axis 0) reduce them, with spreads wide enough to overflow exp
+        rng = np.random.default_rng(88)
+        for _ in range(60):
+            shape = (int(rng.integers(1, 2049)), int(rng.integers(1, 9)))
+            spread = float(rng.choice([0.01, 1.0, 40.0, 900.0]))
+            values = rng.normal(-50.0, spread, size=shape)
+            np.testing.assert_allclose(
+                _logsumexp(values, axis),
+                logsumexp(values, axis=axis),
+                rtol=1e-13,
+                atol=1e-12,
+            )
 
 
 class TestMixture:
