@@ -12,6 +12,13 @@ an independent Bernoulli factor per possible arc slot. Summed over all DAGs
 on m nodes this is exactly 1: conditioned on a total order, the arc slots
 are independent coin flips.
 
+Because 1 <= extensions <= m!, the arc factor alone bounds the prior: with E
+arcs the log prior lies within log m! below `log_prior_ceiling`. An added
+arc only removes orders, so it lowers the log prior by at least
+odds = log((1 - p) / p); a removed arc raises it by between odds and
+odds + log m!. The sampler settles most tests from these bounds and counts
+extensions only when they do not suffice.
+
 Linear extensions are counted exactly, as Python integers. Weakly connected
 components are counted apart and their orders interleaved by a multinomial
 factor. Within a component a dynamic program walks the reachable prefix
@@ -262,6 +269,16 @@ def structure_log_prior(dag: DagStructure, p: float) -> float:
         + e * math.log(p)
         + (pairs - e) * math.log1p(-p)
     )
+
+
+def log_prior_ceiling(m: int, arcs: int, p: float) -> float:
+    """The arc factor of structure_log_prior: E log p + (C - E) log(1 - p).
+
+    Since 1 <= extensions <= m!, every DAG on m nodes with this many arcs has
+    a log prior in [ceiling - log m!, ceiling].
+    """
+    pairs = m * (m - 1) // 2
+    return arcs * math.log(p) + (pairs - arcs) * math.log1p(-p)
 
 
 def cpdag_key(dag: DagStructure) -> bytes:

@@ -7,6 +7,15 @@ is proportional to exp(-length). The raw, uncleaned network is what the
 chain carries forward; each post-burn-in visit is separately cleaned of
 arcs that do not pay for themselves and binned by the Markov equivalence
 class of the cleaned network.
+
+The structure prior is an exact count of linear extensions, the costliest
+term of a test, so both the Metropolis test and the cleaning test are first
+tried against exact bounds on it (see graph.py): a DAG with E arcs has a log
+prior within log m! below `log_prior_ceiling(m, E, p)`, an added arc lowers
+it by at least odds = log((1 - p) / p), and a removed arc raises it by
+between odds and odds + log m!. Extensions are counted only when the node
+lengths and these bounds cannot settle the test; every decision and every
+random draw is the one the exact prior gives.
 """
 
 from __future__ import annotations
@@ -21,7 +30,7 @@ import numpy.random  # noqa: F401
 
 from .errors import CycleError, NoArcError, ParentCapError
 from .fom import DEFAULT_SIGMA
-from .graph import ArcMove, DagStructure, apply_move, cpdag_key
+from .graph import ArcMove, DagStructure, apply_move, cpdag_key, log_prior_ceiling
 from .scoring import ModelPolicy, NetworkScorer, ScoreCache
 
 
@@ -98,6 +107,18 @@ def initial_state(scorer: NetworkScorer, dag: DagStructure | None = None) -> Cha
     return ChainState(dag, lengths, log_prior, total)
 
 
+def _slack(m: int, p: float, scale: float) -> float:
+    """Rounding guard for settling a test from bounds on the prior.
+
+    A relative 1e-9 of the terms compared (scale, and the largest |log prior|
+    of any DAG on m nodes) lies far above the float error of the few sums
+    involved and far below any difference a test acts on.
+    """
+    pairs = m * (m - 1) // 2
+    floor = min(log_prior_ceiling(m, 0, p), log_prior_ceiling(m, pairs, p))
+    return 1e-9 * (1.0 + abs(scale) + math.lgamma(m + 1) - floor)
+
+
 def metropolis_step(
     state: ChainState, rng: np.random.Generator, ctx: SamplerContext
 ) -> ChainState:
@@ -105,6 +126,12 @@ def metropolis_step(
 
     Moves that would break acyclicity or the parent cap, and reversals of
     absent arcs, leave the chain where it is (and still count as a visit).
+
+    From a codable state, the ceiling of the proposal's log prior bounds
+    delta from above. When that bound is negative the uniform is drawn at
+    once, as the rule would draw it, and a uniform that rejects even against
+    the bound rejects without counting extensions. An uncodable proposal
+    (infinite length) is rejected that way too.
     """
     m = state.dag.m
     if m < 2:
@@ -121,14 +148,31 @@ def metropolis_step(
     lengths = list(state.node_lengths)
     for v in affected:
         lengths[v] = ctx.scorer.node_length_or_inf(v, new_dag.parent_sets[v])
+    node_sum = sum(lengths)
+    log_u = None
+    if not math.isinf(state.total):
+        p = ctx.scorer.p
+        ceiling = log_prior_ceiling(m, new_dag.arc_count, p)
+        if kind == "toggle" and i not in state.dag.parent_sets[j]:
+            # an added arc never adds orders
+            ceiling = min(ceiling, state.log_prior + math.log(p) - math.log1p(-p))
+        delta_hi = state.total - node_sum + ceiling
+        slack = _slack(m, p, state.total)
+        if delta_hi < -slack:
+            log_u = math.log(rng.random())
+            if log_u >= delta_hi + slack:
+                return state
     log_prior = ctx.scorer.structure_log_prior(new_dag)
     if any(math.isinf(x) for x in lengths):
         total = math.inf
     else:
-        total = -log_prior + sum(lengths)
+        total = -log_prior + node_sum
     delta = state.total - total  # positive when the proposal is better
-    if delta < 0 and math.log(rng.random()) >= delta:
-        return state
+    if delta < 0:
+        if log_u is None:
+            log_u = math.log(rng.random())
+        if log_u >= delta:
+            return state
     return ChainState(new_dag, tuple(lengths), log_prior, total)
 
 
@@ -138,11 +182,20 @@ def clean_network(dag: DagStructure, scorer: NetworkScorer) -> DagStructure:
     Nodes are visited in ascending index order and each node's original
     parents in ascending order; every removal is applied before the next
     parent is tested, and each parent is tested exactly once. Scoring
-    errors during a test count as removals. The structure prior of the
-    current network is computed once and carried forward with each removal.
+    errors during a test count as removals.
+
+    Removing an arc changes the log prior by between odds = log((1 - p) / p)
+    and odds + log m!, so a length gain (without minus with) at most odds
+    removes the arc and one above odds + log m! keeps it, with no prior
+    computed. Only a gain between the two prices the candidate exactly; the
+    current network is priced when such a test first needs it, at most once,
+    and its prior is carried forward with each removal the test makes.
     """
+    m, p = dag.m, scorer.p
+    odds = math.log1p(-p) - math.log(p)
+    log_m_factorial = math.lgamma(m + 1)
     current, current_prior = dag, None
-    for node in range(dag.m):
+    for node in range(m):
         for parent in dag.parent_sets[node]:
             kept = current.parent_sets[node]
             reduced = tuple(u for u in kept if u != parent)
@@ -155,10 +208,17 @@ def clean_network(dag: DagStructure, scorer: NetworkScorer) -> DagStructure:
             if math.isinf(with_len) or math.isinf(without_len):
                 current, current_prior = candidate, None
                 continue
+            gain = without_len - with_len
+            slack = _slack(m, p, gain)
+            if gain - odds <= -slack:
+                current, current_prior = candidate, None
+                continue
+            if gain - odds - log_m_factorial > slack:
+                continue
             if current_prior is None:
                 current_prior = scorer.structure_log_prior(current)
             candidate_prior = scorer.structure_log_prior(candidate)
-            total_delta = (without_len - with_len) - (candidate_prior - current_prior)
+            total_delta = gain - (candidate_prior - current_prior)
             if total_delta <= 0:
                 current, current_prior = candidate, candidate_prior
     return current

@@ -12,6 +12,7 @@ import itertools
 import math
 
 import numpy as np
+from hypothesis import strategies as st
 
 from mmlbn import DagStructure, DiscreteDataset, VariableMeta
 from mmlbn.errors import CycleError
@@ -146,6 +147,17 @@ def dense_information_matrix(params, counts):
 
 
 # -- graph oracles ---------------------------------------------------------
+
+
+@st.composite
+def dags(draw, min_nodes=0, max_nodes=7):
+    """A DAG on min_nodes to max_nodes nodes: a random order, then a coin per
+    slot."""
+    m = draw(st.integers(min_nodes, max_nodes))
+    order = draw(st.permutations(range(m)))
+    slots = [(order[a], order[b]) for a in range(m) for b in range(a + 1, m)]
+    keep = draw(st.lists(st.booleans(), min_size=len(slots), max_size=len(slots)))
+    return DagStructure.from_arcs(m, [arc for arc, k in zip(slots, keep) if k])
 
 
 def enumerate_dags(m):

@@ -19,23 +19,14 @@ from mmlbn import (
     structure_log_prior,
 )
 from mmlbn.errors import CapacityError, CycleError, NoArcError, ParentCapError
+from mmlbn.graph import log_prior_ceiling
 from helpers import (
     brute_force_extensions,
+    dags,
     enumerate_dags,
     equivalent_by_definition,
     make_dataset,
 )
-
-
-@st.composite
-def dags(draw, min_nodes=0, max_nodes=7):
-    """A DAG on min_nodes to max_nodes nodes: a random order, then a coin per
-    slot."""
-    m = draw(st.integers(min_nodes, max_nodes))
-    order = draw(st.permutations(range(m)))
-    slots = [(order[a], order[b]) for a in range(m) for b in range(a + 1, m)]
-    keep = draw(st.lists(st.booleans(), min_size=len(slots), max_size=len(slots)))
-    return DagStructure.from_arcs(m, [arc for arc, k in zip(slots, keep) if k])
 
 
 def random_dag(rng, m, arc_prob=0.4):
@@ -319,6 +310,28 @@ class TestStructurePrior:
             math.exp(structure_log_prior(dag, 0.4)) for dag in enumerate_dags(2)
         )
         assert total == pytest.approx(1.0, abs=1e-13)
+
+    @given(dags(), st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    def test_property_within_the_ceiling_bounds(self, dag, p):
+        ceiling = log_prior_ceiling(dag.m, dag.arc_count, p)
+        value = structure_log_prior(dag, p)
+        assert value <= ceiling
+        # equality at one extension, up to the rounding of the two sums
+        log_m_factorial = math.log(math.factorial(dag.m))
+        assert value >= ceiling - log_m_factorial - 1e-12 * (1 + abs(ceiling))
+
+    @given(dags())
+    def test_property_adding_an_arc_never_adds_orders(self, dag):
+        before = count_linear_extensions(dag)
+        for u in range(dag.m):
+            for v in range(dag.m):
+                if u == v or dag.has_arc(u, v):
+                    continue
+                try:
+                    grown = dag.with_parents(v, dag.parent_sets[v] + (u,))
+                except CycleError:
+                    continue
+                assert count_linear_extensions(grown) <= before
 
 
 class TestCpdagKey:

@@ -4,21 +4,28 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mmlbn import (
+    ArcMove,
+    ChainState,
     DagStructure,
     ModelPolicy,
     NetworkScorer,
     SamplerConfig,
     SamplerContext,
+    apply_move,
     clean_network,
     cpdag_key,
     initial_state,
     metropolis_step,
     network_message_length,
     run_sampler,
+    structure_log_prior,
 )
-from helpers import make_dataset, sample_network
+from mmlbn.errors import CycleError, NoArcError, ParentCapError
+from helpers import dags, make_dataset, sample_network
 
 
 def dependent_pair(seed=0, n=400, flip=0.05):
@@ -58,6 +65,52 @@ class TestConfigValidation:
 
     def test_defaults_pass(self):
         SamplerConfig().validate()
+
+
+def _step_by_the_rule(state, rng, ctx):
+    """metropolis_step written out with the structure prior always computed."""
+    m = state.dag.m
+    if m < 2:
+        return state
+    kind = "toggle" if rng.random() < 0.5 else "reverse"
+    pair = int(rng.integers(0, m * (m - 1)))
+    i, rem = divmod(pair, m - 1)
+    j = rem + (rem >= i)
+    try:
+        new_dag = apply_move(state.dag, ArcMove(kind, i, j), ctx.max_parents)
+    except (CycleError, ParentCapError, NoArcError):
+        return state
+    lengths = list(state.node_lengths)
+    for v in (j,) if kind == "toggle" else (i, j):
+        lengths[v] = ctx.scorer.node_length_or_inf(v, new_dag.parent_sets[v])
+    log_prior = ctx.scorer.structure_log_prior(new_dag)
+    if any(math.isinf(x) for x in lengths):
+        total = math.inf
+    else:
+        total = -log_prior + sum(lengths)
+    delta = state.total - total
+    if delta < 0 and math.log(rng.random()) >= delta:
+        return state
+    return ChainState(new_dag, tuple(lengths), log_prior, total)
+
+
+class _PartlyUncodable(NetworkScorer):
+    """The real scorer with some (child, parents) pairs uncodable; counts the
+    networks it prices."""
+
+    def __init__(self, ds, p, uncodable):
+        super().__init__(ds, ModelPolicy.DUAL, p)
+        self.uncodable = uncodable
+        self.priced = 0
+
+    def node_length_or_inf(self, child, parents):
+        if (child, tuple(parents)) in self.uncodable:
+            return math.inf
+        return super().node_length_or_inf(child, parents)
+
+    def structure_log_prior(self, dag):
+        self.priced += 1
+        return super().structure_log_prior(dag)
 
 
 class TestChainMechanics:
@@ -104,6 +157,76 @@ class TestChainMechanics:
             assert state.total == pytest.approx(expected, abs=1e-9)
         assert len(seen) > 3  # the chain actually explores
 
+    @pytest.mark.parametrize("p", [0.2, 0.5, 0.8])
+    @pytest.mark.parametrize(
+        "uncodable",
+        [frozenset(), frozenset({(0, ()), (2, (1,)), (3, (0, 2)), (1, (0, 3))})],
+        ids=["codable", "uncodable"],
+    )
+    def test_same_chain_as_the_rule_with_the_prior_always_computed(
+        self, p, uncodable
+    ):
+        rng = np.random.default_rng(21)
+        n = 120
+        a = rng.integers(0, 2, size=n)
+        b = np.where(rng.random(n) < 0.15, 1 - a, a)
+        c = (b + rng.integers(0, 2, size=n)) % 3
+        d = rng.integers(0, 2, size=n)
+        ds = make_dataset([a, b, c, d], arities=[2, 2, 3, 2])
+        fast, slow = (_PartlyUncodable(ds, p, uncodable) for _ in range(2))
+        fast_ctx, slow_ctx = SamplerContext(fast, 3), SamplerContext(slow, 3)
+        fast_state, slow_state = initial_state(fast), initial_state(slow)
+        fast_rng, slow_rng = np.random.default_rng(22), np.random.default_rng(22)
+        for _ in range(400):
+            fast_state = metropolis_step(fast_state, fast_rng, fast_ctx)
+            slow_state = _step_by_the_rule(slow_state, slow_rng, slow_ctx)
+            assert fast_state.dag == slow_state.dag
+            assert fast_state.node_lengths == slow_state.node_lengths
+            assert fast_state.log_prior == slow_state.log_prior
+            assert fast_state.total == slow_state.total
+            assert fast_rng.bit_generator.state == slow_rng.bit_generator.state
+        # the bounds settled some tests without the prior
+        assert fast.priced < slow.priced
+
+    def test_a_zero_delta_draws_no_uniform(self):
+        # Adding 0 -> 2 to 0 -> 1 -> 2 keeps the one extension, so the bound
+        # on the proposal's prior is tight up to rounding. With the node
+        # length that brings delta to its smallest value >= 0, the step
+        # accepts without drawing a uniform, as the rule does.
+        p = 0.2
+        chain = DagStructure(3, ((), (0,), (1,)))
+        closed = DagStructure(3, ((), (0,), (0, 1)))
+        chain_prior = structure_log_prior(chain, p)
+        closed_prior = structure_log_prior(closed, p)
+        state = ChainState(chain, (0.0, 2.0, 3.0), chain_prior, -chain_prior + 5.0)
+
+        def delta(length):
+            return state.total - (-closed_prior + sum((0.0, 2.0, length)))
+
+        length = 3.0 + closed_prior - chain_prior
+        while delta(length) < 0:
+            length = math.nextafter(length, -math.inf)
+        while delta(math.nextafter(length, math.inf)) >= 0:
+            length = math.nextafter(length, math.inf)
+        scorer = _PricedScorer(lambda node, parents: length, p)
+
+        class Script:
+            """Draws a toggle of the pair (0, 2), then uniforms of 0.9."""
+
+            draws = 0
+
+            def random(self):
+                self.draws += 1
+                return 0.1 if self.draws == 1 else 0.9
+
+            def integers(self, low, high):
+                return 1
+
+        script = Script()
+        step = metropolis_step(state, script, SamplerContext(scorer, 2))
+        assert step.dag == closed
+        assert script.draws == 1  # only the move kind's
+
     def test_deterministic_given_seed(self):
         ds = dependent_pair(6)
         config = SamplerConfig(iterations=400, burn_in=100, seed=11)
@@ -119,7 +242,13 @@ class TestChainMechanics:
 
 
 class _FakeScorer:
-    """Table-driven stand-in for one node's lengths; flat structure prior."""
+    """Table-driven stand-in for one node's lengths; flat structure prior.
+
+    A flat prior keeps within the bounds cleaning assumes at p = 0.5: a
+    removal changes the log prior by between odds = 0 and log m!.
+    """
+
+    p = 0.5
 
     def __init__(self, node, table):
         self.node = node
@@ -133,6 +262,45 @@ class _FakeScorer:
 
     def structure_log_prior(self, dag):
         return 0.0
+
+
+class _PricedScorer:
+    """Node lengths from lengths(node, parents), with the real structure
+    prior at p; records every network it prices."""
+
+    def __init__(self, lengths, p=0.5):
+        self.lengths = lengths
+        self.p = p
+        self.priced = []
+
+    def node_length_or_inf(self, node, parents):
+        return self.lengths(node, tuple(parents))
+
+    def structure_log_prior(self, dag):
+        self.priced.append(dag)
+        return structure_log_prior(dag, self.p)
+
+
+def _clean_by_the_rule(dag, scorer):
+    """clean_network written out, with both priors computed at every test."""
+    current = dag
+    for node in range(dag.m):
+        for parent in dag.parent_sets[node]:
+            kept = current.parent_sets[node]
+            reduced = tuple(u for u in kept if u != parent)
+            candidate = current.with_parents(node, reduced)
+            with_len = scorer.node_length_or_inf(node, kept)
+            without_len = scorer.node_length_or_inf(node, reduced)
+            if math.isinf(with_len) or math.isinf(without_len):
+                current = candidate
+                continue
+            delta = (without_len - with_len) - (
+                scorer.structure_log_prior(candidate)
+                - scorer.structure_log_prior(current)
+            )
+            if delta <= 0:
+                current = candidate
+    return current
 
 
 class TestCleaning:
@@ -185,22 +353,7 @@ class TestCleaning:
         scorer = NetworkScorer(ds, ModelPolicy.DUAL)
         dag = DagStructure(4, ((), (0,), (0, 1), (0, 1, 2)))
 
-        # the rule written out, with both priors recomputed at every test
-        expected = dag
-        for node in range(dag.m):
-            for parent in dag.parent_sets[node]:
-                kept = expected.parent_sets[node]
-                reduced = tuple(u for u in kept if u != parent)
-                candidate = expected.with_parents(node, reduced)
-                delta = (
-                    scorer.node_length_or_inf(node, reduced)
-                    - scorer.node_length_or_inf(node, kept)
-                ) - (
-                    scorer.structure_log_prior(candidate)
-                    - scorer.structure_log_prior(expected)
-                )
-                if delta <= 0:
-                    expected = candidate
+        expected = _clean_by_the_rule(dag, scorer)
 
         priced = []
         prior = scorer.structure_log_prior
@@ -211,9 +364,84 @@ class TestCleaning:
 
         scorer.structure_log_prior = counted_prior
         assert clean_network(dag, scorer) == expected
-        # the start network, then one candidate per arc tested
-        assert len(priced) == 1 + dag.arc_count
+        # at most the start network and one candidate per arc tested; tests
+        # the bounds settle price nothing
+        assert len(priced) <= 1 + dag.arc_count
         assert len(set(priced)) == len(priced)
+
+    def test_gains_inside_the_window_are_priced_exactly(self):
+        # p = 0.5 makes odds 0, so the bounds settle only gains <= 0 or
+        # > log 3!; both gains here lie between. Dropping either parent of
+        # node 2 takes its extensions from 2 to 3, a prior gain of log 1.5.
+        table = {(0, 1): 10.0, (1,): 10.5, (0,): 10.2}
+        scorer = _PricedScorer(lambda node, parents: table[parents])
+        dag = DagStructure(3, ((), (), (0, 1)))
+        cleaned = clean_network(dag, scorer)
+        # 0.5 > log 1.5 keeps parent 0; 0.2 < log 1.5 drops parent 1
+        assert cleaned == DagStructure(3, ((), (), (0,)))
+        # the start network once, then each candidate
+        assert scorer.priced == [
+            dag,
+            DagStructure(3, ((), (), (1,))),
+            DagStructure(3, ((), (), (0,))),
+        ]
+
+    def test_a_removal_by_the_bounds_prices_the_next_network_afresh(self):
+        # p = 0.5 and log 4! = 3.18. Node 3's parents 0, 1, 2 are tested
+        # with gains 1.0 (priced: kept, as dropping 0 gains log(8/6) of
+        # prior), -1.0 (removed by the bounds) and 0.5 (priced against the
+        # network without 1 -> 3: dropping 2 gains log(12/8) = 0.41, so 2 is
+        # kept, where the network before the removal would give log 2).
+        table = {(0, 1, 2): 10.0, (1, 2): 11.0, (0, 2): 9.0, (0,): 9.5}
+        scorer = _PricedScorer(lambda node, parents: table[parents])
+        dag = DagStructure(4, ((), (), (), (0, 1, 2)))
+        cleaned = clean_network(dag, scorer)
+        assert cleaned == DagStructure(4, ((), (), (), (0, 2)))
+        assert scorer.priced == [
+            dag,
+            DagStructure(4, ((), (), (), (1, 2))),
+            cleaned,
+            DagStructure(4, ((), (), (), (0,))),
+        ]
+
+    def test_a_gain_on_the_edge_of_the_window_is_priced(self):
+        # Dropping 0 -> 2 from 0 -> 1 -> 2 keeps the one extension, so the
+        # prior changes by odds up to rounding, and a gain of exactly odds
+        # sits on the window's edge: only the exact prior can settle it.
+        p = 0.2
+        odds = math.log1p(-p) - math.log(p)
+        table = {(1, (0,)): 0.0, (1, ()): 100.0, (2, (0, 1)): 0.0, (2, (1,)): odds}
+        table[2, (0,)] = 100.0
+        scorer = _PricedScorer(lambda node, parents: table[node, parents], p)
+        dag = DagStructure(3, ((), (0,), (0, 1)))
+        assert clean_network(dag, scorer) == _clean_by_the_rule(dag, scorer)
+        assert DagStructure(3, ((), (0,), (1,))) in scorer.priced
+
+    @given(st.data())
+    def test_property_matches_the_rule_with_both_priors_computed(self, data):
+        dag = data.draw(dags(min_nodes=2, max_nodes=5))
+        p = data.draw(st.sampled_from([0.2, 0.5, 0.8]))
+        odds = math.log((1 - p) / p)
+        log_m_factorial = math.log(math.factorial(dag.m))
+        # gains on both sides of each edge of the window the bounds leave
+        edge = st.sampled_from([odds, odds + log_m_factorial])
+        offset = st.sampled_from([-1e-3, -1e-7, -1e-12, 0.0, 1e-12, 1e-7, 1e-3])
+        gains = st.one_of(
+            st.tuples(edge, offset).map(sum),
+            st.floats(odds - 2, odds + log_m_factorial + 2),
+            st.just(-math.inf),
+        )
+        weights = [[-data.draw(gains) for _ in range(dag.m)] for _ in range(dag.m)]
+
+        # one weight per parent, so a test's gain is minus the tested
+        # parent's weight; an infinite weight makes the node uncodable
+        def lengths(node, parents):
+            return 50.0 + sum(weights[node][u] for u in parents)
+
+        scorer = _PricedScorer(lengths, p)
+        expected = _clean_by_the_rule(dag, _PricedScorer(lengths, p))
+        assert clean_network(dag, scorer) == expected
+        assert len(set(scorer.priced)) == len(scorer.priced)
 
     def test_parents_tested_ascending_and_sequentially(self):
         table = {(0, 1): 10.0, (1,): 9.0, (0,): 8.0, (): 9.5}
