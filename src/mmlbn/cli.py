@@ -113,12 +113,12 @@ def _arcs_as_strings(dag: DagStructure) -> list[str]:
     return [f"{u}->{v}" for u, v in dag.arcs()]
 
 
-def _classes_payload(report: PosteriorReport, policy: ModelPolicy) -> list[dict]:
+def _classes_payload(report: PosteriorReport) -> list[dict]:
     payload = []
     for record, weight in zip(report.classes, report.weights()):
         per_node = []
         for child, parents in enumerate(record.best_network.parent_sets):
-            score = report.cache.stored(child, parents, policy)
+            score = report.scorer.node_score(child, parents)
             per_node.append(
                 {"model": score.chosen_model, "params": score.parameter_count}
             )
@@ -186,9 +186,8 @@ def _write_report(report: dict, out_path) -> None:
 
 def _run_learn(args) -> dict:
     ds = load_csv(args.data, args.missing_policy)
-    config = _sampler_config(args)
-    report = run_sampler(ds, config)
-    classes = _classes_payload(report, config.policy)
+    report = run_sampler(ds, _sampler_config(args))
+    classes = _classes_payload(report)
     return {
         "config": _config_echo(args, "learn"),
         "dataset": {

@@ -8,10 +8,10 @@ import numpy as np
 
 from .cpt_full import full_cpt_predictive
 from .dataset import DiscreteDataset, counts_for, split_train_test
-from .fom import DEFAULT_SIGMA, FomParams
+from .fom import FomParams
 from .graph import DagStructure
 from .sampler import PosteriorReport, SamplerConfig, run_sampler
-from .scoring import ModelPolicy, NetworkScorer, ScoreCache
+from .scoring import NetworkScorer
 
 # Not called here: the benchmark's tracer (bench/spans.py) wraps these by
 # their name in this module, so they stay importable from it.
@@ -45,24 +45,15 @@ class FittedNetwork:
     parameter_count: int
 
 
-def fit_network(
-    dag: DagStructure,
-    train: DiscreteDataset,
-    policy: ModelPolicy,
-    sigma: float = DEFAULT_SIGMA,
-    cache: ScoreCache | None = None,
-) -> FittedNetwork:
-    """Fit each node with the model the policy's node score chose.
+def fit_network(dag: DagStructure, scorer: NetworkScorer) -> FittedNetwork:
+    """Fit each node, on the scorer's data, with the model its node score chose.
 
-    Node scores, logit fits included, come from `cache` when it holds the
-    scores of `train` under `sigma` (a sampler run's cache); the result is the
-    same either way.
+    Node scores, logit fits included, come from the scorer's cache, so a
+    sampler run's scorer (`PosteriorReport.scorer`) fits nothing again.
     """
+    train = scorer.ds
     if dag.m != train.n_variables:
         raise ValueError("structure and dataset disagree on variable count")
-    if cache is not None and not cache.holds(train, sigma):
-        cache = None
-    scorer = NetworkScorer(train, policy, sigma=sigma, cache=cache)
     nodes = []
     chosen = []
     parameters = 0
@@ -100,14 +91,15 @@ def case_log_prob(network: FittedNetwork, case) -> float:
     return float(_log_probs(network, np.asarray(case)[None, :])[0])
 
 
-def _fit_classes(report: PosteriorReport, train, policy, sigma):
+def _fit_classes(report: PosteriorReport):
     """Renormalised visit weights and each class's fitted best network."""
     visits = np.array([c.visits for c in report.classes], dtype=float)
     if visits.size == 0 or visits.sum() <= 0:
         raise ValueError("report holds no visited classes")
+    if report.scorer is None:
+        raise ValueError("report carries no scorer to fit its classes with")
     networks = [
-        fit_network(record.best_network, train, policy, sigma, report.cache)
-        for record in report.classes
+        fit_network(record.best_network, report.scorer) for record in report.classes
     ]
     return visits / visits.sum(), networks
 
@@ -123,19 +115,14 @@ def _mixture_nll(networks, weights, test: DiscreteDataset) -> float:
     return total
 
 
-def model_averaged_test_nll(
-    report: PosteriorReport,
-    train: DiscreteDataset,
-    test: DiscreteDataset,
-    policy: ModelPolicy,
-    sigma: float = DEFAULT_SIGMA,
-) -> float:
+def model_averaged_test_nll(report: PosteriorReport, test: DiscreteDataset) -> float:
     """Negative log likelihood of the test cases under the posterior mixture.
 
-    Each reported class's best network is fitted on the training data and the
-    classes are mixed by their renormalised visit weights, case by case.
+    Each reported class's best network is fitted with the report's scorer, on
+    its training data, and the classes are mixed by their renormalised visit
+    weights, case by case.
     """
-    weights, networks = _fit_classes(report, train, policy, sigma)
+    weights, networks = _fit_classes(report)
     return _mixture_nll(networks, weights, test)
 
 
@@ -203,7 +190,7 @@ def evaluate_split(
 ) -> RepeatMetrics:
     """Run the sampler on the training part and score the test part."""
     report = run_sampler(train, config)
-    weights, networks = _fit_classes(report, train, config.policy, config.sigma)
+    weights, networks = _fit_classes(report)
     classes = report.classes
     return RepeatMetrics(
         seed=config.seed,

@@ -62,6 +62,17 @@ _LOG_12 = math.log(12.0)
 _CONSTRAINT_TOL = 1e-8
 
 
+def check_sigma(sigma: float) -> None:
+    """Reject a prior spread whose square or inverse square is not a finite
+    positive float: the fit divides by sigma^2 and the length takes log sigma."""
+    square = sigma * sigma
+    if not (sigma > 0.0 and 0.0 < square < math.inf and 1.0 / square < math.inf):
+        raise ValueError(
+            "sigma must be positive, with a finite square and inverse square; "
+            f"got {sigma!r}"
+        )
+
+
 def free_dimension(child_arity: int, parent_arities) -> int:
     """Dimension of the constraint subspace."""
     arities = tuple(parent_arities)
@@ -230,8 +241,7 @@ def fom_log_prior(params: FomParams, sigma: float = DEFAULT_SIGMA) -> float:
     raw entries to the constraint subspace; the quadratic term runs over
     every raw entry, redundant ones included.
     """
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    check_sigma(sigma)
     if params.constraint_residual() > _CONSTRAINT_TOL:
         raise ValueError("parameters violate the sum-to-zero constraints")
     d = free_dimension(params.child_arity, params.parent_arities)
@@ -255,8 +265,7 @@ class FomObjective:
     """
 
     def __init__(self, counts: ContingencyCounts, sigma: float = DEFAULT_SIGMA):
-        if sigma <= 0:
-            raise ValueError("sigma must be positive")
+        check_sigma(sigma)
         self.counts = counts
         self.sigma = sigma
         self.r_y = counts.child_arity

@@ -97,14 +97,6 @@ class DagStructure:
             (u, v) for v, parents in enumerate(self.parent_sets) for u in parents
         )
 
-    def has_arc(self, u: int, v: int) -> bool:
-        return u in self.parent_sets[v]
-
-    def with_parents(self, node: int, parents) -> "DagStructure":
-        sets = list(self.parent_sets)
-        sets[node] = tuple(parents)
-        return DagStructure(self.m, tuple(sets))
-
     def topological_order(self) -> list[int]:
         remaining = [len(p) for p in self.parent_sets]
         children = [[] for _ in range(self.m)]

@@ -29,9 +29,9 @@ import numpy as np
 import numpy.random  # noqa: F401
 
 from .errors import CycleError, NoArcError, ParentCapError
-from .fom import DEFAULT_SIGMA
+from .fom import DEFAULT_SIGMA, check_sigma
 from .graph import ArcMove, DagStructure, apply_move, cpdag_key, log_prior_ceiling
-from .scoring import ModelPolicy, NetworkScorer, ScoreCache
+from .scoring import ModelPolicy, NetworkScorer
 
 
 @dataclass
@@ -52,8 +52,7 @@ class SamplerConfig:
             raise ValueError("burn_in must lie in [0, iterations)")
         if not 0.0 < self.p < 1.0:
             raise ValueError("arc prior probability must lie strictly in (0, 1)")
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
+        check_sigma(self.sigma)
         if self.max_parents < 0:
             raise ValueError("max_parents must be non-negative")
         if self.top_k < 1:
@@ -88,8 +87,9 @@ class ClassRecord:
 class PosteriorReport:
     classes: tuple[ClassRecord, ...]
     total_samples: int
-    # The chain's node scores, so that readers of the report score nothing again.
-    cache: ScoreCache | None = field(default=None, compare=False, repr=False)
+    # The chain's scoring context (data, policy, p, sigma and node scores), so
+    # that readers of the report score nothing again.
+    scorer: NetworkScorer | None = field(default=None, compare=False, repr=False)
 
     def weights(self) -> tuple[float, ...]:
         return tuple(c.visits / self.total_samples for c in self.classes)
@@ -264,4 +264,4 @@ def run_sampler(ds, config: SamplerConfig) -> PosteriorReport:
         ClassRecord(key, visits, network, length)
         for key, (visits, network, length) in ordered
     )
-    return PosteriorReport(classes, config.iterations - config.burn_in, scorer.cache)
+    return PosteriorReport(classes, config.iterations - config.burn_in, scorer)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from .cpt_full import full_cpt_message_length
 from .dataset import DiscreteDataset, counts_for
 from .errors import ConvergenceError, MmlbnError, ParameterCapError
-from .fom import DEFAULT_SIGMA, FomParams, fom_message_length
+from .fom import DEFAULT_SIGMA, FomParams, check_sigma, fom_message_length
 from .graph import DagStructure
 from .graph import structure_log_prior as _structure_log_prior
 
@@ -71,17 +71,6 @@ class ScoreCache:
             raise entry
         return entry
 
-    def holds(self, ds: DiscreteDataset, sigma: float) -> bool:
-        """Whether the cached scores were computed on this dataset and sigma."""
-        return self.source is not None and self.source[0] is ds and self.source[1] == sigma
-
-    def stored(self, child: int, parents: tuple, policy: ModelPolicy) -> NodeScore:
-        """The score of a node already scored under the policy (KeyError if none)."""
-        entry = self._entries[(child, tuple(parents), policy)]
-        if isinstance(entry, MmlbnError):
-            raise entry
-        return entry
-
 
 def node_length(
     counts,
@@ -130,6 +119,7 @@ class NetworkScorer:
     ):
         if not 0.0 < p < 1.0:
             raise ValueError("arc prior probability must lie strictly in (0, 1)")
+        check_sigma(sigma)
         self.ds = ds
         self.policy = policy
         self.p = p
@@ -137,7 +127,7 @@ class NetworkScorer:
         self.cache = cache if cache is not None else ScoreCache()
         if self.cache.source is None:
             self.cache.source = (ds, sigma)
-        elif not self.cache.holds(ds, sigma):
+        elif self.cache.source[0] is not ds or self.cache.source[1] != sigma:
             raise ValueError("the score cache holds scores of another dataset or sigma")
 
     def node_score(self, child: int, parents: tuple) -> NodeScore:

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import mmlbn
-from mmlbn import ModelPolicy, load_csv, network_message_length
+from mmlbn import ModelPolicy, NetworkScorer, load_csv, network_message_length
 from mmlbn.cli import _build_parser, _sampler_config, main, parse_structure_file
 from mmlbn.graph import DagStructure
 from mmlbn.sampler import SamplerConfig
@@ -36,6 +37,35 @@ def test_csv(tmp_path):
     path = tmp_path / "test.csv"
     path.write_text("\n".join(lines) + "\n")
     return path
+
+
+@pytest.fixture
+def triple_csv(tmp_path):
+    """Three variables, the third an additive logit of the first two; at seed 2
+    a dual chain reports both a table-only class and one with a logit node."""
+    rng = np.random.default_rng(82)
+    x = rng.integers(0, 4, size=300)
+    z = rng.integers(0, 4, size=300)
+    logits = np.stack([np.zeros(300), 0.9 * x - 1.5, 0.9 * z - 1.5], axis=1)
+    probs = np.exp(logits)
+    probs /= probs.sum(axis=1, keepdims=True)
+    y = (rng.random(300)[:, None] > probs.cumsum(axis=1)).sum(axis=1)
+    lines = ["x,z,y"] + [f"{a},{b},{c}" for a, b, c in zip(x, z, y)]
+    path = tmp_path / "triple.csv"
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def wide_csv(tmp_path):
+    """A 25-variable file, one more than the structure prior handles."""
+    path = tmp_path / "wide.csv"
+    header = ",".join(f"x{i}" for i in range(25))
+    rows = [",".join(str((r + i) % 2) for i in range(25)) for r in range(6)]
+    path.write_text("\n".join([header] + rows) + "\n")
+    return path
+
+
+WIDE_MESSAGE = "the structure prior handles at most 24 variables; this network has 25"
 
 
 def run_json(args, out_path):
@@ -73,6 +103,40 @@ class TestLearn:
         assert top["visits"] <= report["total_samples"]
         assert len(top["per_node"]) == 2
         assert report["summary"]["best_length"] <= top["best_length"]
+
+    @pytest.mark.parametrize("model", ["tbn", "fon", "dual"])
+    def test_per_node_entries_are_the_node_scores(self, triple_csv, tmp_path, model):
+        report = run_json(
+            [
+                "learn",
+                "--data",
+                str(triple_csv),
+                "--model",
+                model,
+                "--iterations",
+                "400",
+                "--burn-in",
+                "50",
+                "--seed",
+                "2",
+            ],
+            tmp_path / "report.json",
+        )
+        ds = load_csv(triple_csv)
+        scorer = NetworkScorer(ds, ModelPolicy(model))
+        models = {n["model"] for c in report["classes"] for n in c["per_node"]}
+        expected_models = {"tbn": {"full"}, "fon": {"fom"}, "dual": {"full", "fom"}}
+        assert models == expected_models[model]
+        for c in report["classes"]:
+            arcs = [tuple(int(v) for v in arc.split("->")) for arc in c["arcs"]]
+            dag = DagStructure.from_arcs(ds.n_variables, arcs)
+            expected = []
+            for child, parents in enumerate(dag.parent_sets):
+                score = scorer.node_score(child, parents)
+                expected.append(
+                    {"model": score.chosen_model, "params": score.parameter_count}
+                )
+            assert c["per_node"] == expected
 
     def test_stdout_when_no_out_flag(self, train_csv, capsys):
         code = main(
@@ -172,6 +236,15 @@ class TestScore:
             assert report["lengths"][policy.value] == pytest.approx(
                 expected, rel=1e-12
             )
+
+    def test_too_many_variables(self, tmp_path):
+        report = run_json(
+            ["score", "--data", str(wide_csv(tmp_path)), "--structure", "empty"],
+            tmp_path / "wide.json",
+        )
+        policies = ("tbn", "fon", "dual")
+        assert report["lengths"] == {policy: None for policy in policies}
+        assert report["errors"] == {policy: WIDE_MESSAGE for policy in policies}
 
     def test_empty_keyword(self, train_csv, tmp_path):
         structure = tmp_path / "structure.txt"
@@ -363,18 +436,54 @@ class TestFailureModes:
         assert "burn_in" in capsys.readouterr().err
 
     def test_too_many_variables(self, tmp_path, capsys):
-        path = tmp_path / "wide.csv"
-        header = ",".join(f"x{i}" for i in range(25))
-        rows = [",".join(str((r + i) % 2) for i in range(25)) for r in range(6)]
-        path.write_text("\n".join([header] + rows) + "\n")
+        path = wide_csv(tmp_path)
         code = main(
             ["learn", "--data", str(path), "--iterations", "20", "--burn-in", "2"]
         )
         assert code == 1
-        assert (
-            "the structure prior handles at most 24 variables; this network has 25"
-            in capsys.readouterr().err
+        assert WIDE_MESSAGE in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["learn", "score"])
+    @pytest.mark.parametrize("sigma", ["nan", "inf", "1e300", "1e-200"])
+    def test_unusable_sigma(self, train_csv, tmp_path, capsys, command, sigma):
+        out = tmp_path / "report.json"
+        if command == "learn":
+            extra = ["--iterations", "50", "--burn-in", "5"]
+        else:
+            extra = ["--structure", "empty"]
+        code = main(
+            [command, "--data", str(train_csv), f"--sigma={sigma}", "--out", str(out)]
+            + extra
         )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "sigma" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
+class TestDocs:
+    def test_readme_learn_defaults_are_the_parser_defaults(self):
+        readme = Path(__file__).resolve().parent.parent / "README.md"
+        text = readme.read_text(encoding="utf-8")
+        learn = text[text.index("### learn") : text.index("### score")]
+        flags = learn[learn.index("Useful flags:") :].split("\n\n")[0]
+        # "`--flag` (... default VALUE...)", the paragraph's lines joined
+        pattern = r"`(--[\w-]+)` \([^()]*?default ([^;,()\s]+)"
+        documented = dict(re.findall(pattern, " ".join(flags.split())))
+        names = [
+            "--iterations",
+            "--burn-in",
+            "--arc-prior",
+            "--max-parents",
+            "--sigma",
+            "--top-k",
+        ]
+        assert sorted(documented) == sorted(names)
+        args = _build_parser().parse_args(["learn", "--data", "x.csv"])
+        for name in names:
+            default = getattr(args, name[2:].replace("-", "_"))
+            assert float(documented[name]) == default, name
 
 
 # Blocks scipy before mmlbn is imported, then runs one command of each kind.

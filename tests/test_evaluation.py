@@ -12,6 +12,7 @@ from mmlbn import (
     ClassRecord,
     DagStructure,
     ModelPolicy,
+    NetworkScorer,
     PosteriorReport,
     SamplerConfig,
     case_log_prob,
@@ -40,17 +41,20 @@ def dependent_pair(seed=0, n=200, flip=0.1):
 
 
 def report_for(train, *dags):
-    """Posterior report naming the given structures, equal visit counts."""
+    """Posterior report naming the given structures, equal visit counts,
+    scored under the dual policy on train."""
     classes = tuple(
         ClassRecord(cpdag_key(dag), 10, dag, 0.0) for dag in dags
     )
-    return PosteriorReport(classes, 10 * len(dags))
+    return PosteriorReport(
+        classes, 10 * len(dags), NetworkScorer(train, ModelPolicy.DUAL)
+    )
 
 
 class TestFittedNetwork:
     def test_empty_dag_is_product_of_smoothed_marginals(self):
         ds = make_dataset([[0, 0, 1], [1, 0, 1]], arities=[2, 2])
-        network = fit_network(DagStructure.empty(2), ds, ModelPolicy.TBN)
+        network = fit_network(DagStructure.empty(2), NetworkScorer(ds, ModelPolicy.TBN))
         lp = case_log_prob(network, (0, 1))
         assert lp == pytest.approx(math.log(3 / 5) + math.log(3 / 5), abs=1e-12)
         lp = case_log_prob(network, (1, 0))
@@ -65,7 +69,7 @@ class TestFittedNetwork:
             arities=[2, 3, 2],
         )
         dag = DagStructure(3, ((), (0,), (0, 1)))
-        network = fit_network(dag, ds, policy)
+        network = fit_network(dag, NetworkScorer(ds, policy))
         total = sum(
             math.exp(case_log_prob(network, case))
             for case in itertools.product(range(2), range(3), range(2))
@@ -74,7 +78,9 @@ class TestFittedNetwork:
 
     def test_unseen_parent_configuration_is_uniform(self):
         ds = make_dataset([[0, 0, 0, 0], [0, 1, 1, 0]], arities=[2, 2])
-        network = fit_network(DagStructure(2, ((), (0,))), ds, ModelPolicy.TBN)
+        network = fit_network(
+            DagStructure(2, ((), (0,))), NetworkScorer(ds, ModelPolicy.TBN)
+        )
         # parent value 1 never occurs in training
         gap = case_log_prob(network, (1, 0)) - case_log_prob(network, (1, 1))
         assert gap == pytest.approx(0.0, abs=1e-12)
@@ -88,7 +94,7 @@ class TestFittedNetwork:
         rows = rows[~((rows[:, 0] == 2) & (rows[:, 1] == 1))]
         train = make_dataset(rows.T, arities=[3, 2, 3])
         dag = DagStructure(3, ((), (0,), (0, 1)))
-        network = fit_network(dag, train, ModelPolicy.FON)
+        network = fit_network(dag, NetworkScorer(train, ModelPolicy.FON))
         assert network.chosen_models == ("fom", "fom", "fom")
         fits = [fit_fom_map(counts_for(train, v, dag.parent_sets[v])) for v in range(3)]
         for case in itertools.product(range(3), range(2), range(3)):
@@ -102,15 +108,18 @@ class TestFittedNetwork:
     def test_chosen_models_follow_policy(self):
         ds = dependent_pair(61)
         dag = DagStructure(2, ((), (0,)))
-        assert fit_network(dag, ds, ModelPolicy.TBN).chosen_models == ("full", "full")
-        assert fit_network(dag, ds, ModelPolicy.FON).chosen_models == ("fom", "fom")
+        def chosen(policy):
+            return fit_network(dag, NetworkScorer(ds, policy)).chosen_models
+
+        assert chosen(ModelPolicy.TBN) == ("full", "full")
+        assert chosen(ModelPolicy.FON) == ("fom", "fom")
         # one parent: dual always keeps the table
-        assert fit_network(dag, ds, ModelPolicy.DUAL).chosen_models == ("full", "full")
+        assert chosen(ModelPolicy.DUAL) == ("full", "full")
 
     def test_variable_count_mismatch(self):
         ds = dependent_pair(62)
         with pytest.raises(ValueError):
-            fit_network(DagStructure.empty(3), ds, ModelPolicy.TBN)
+            fit_network(DagStructure.empty(3), NetworkScorer(ds, ModelPolicy.TBN))
 
 
 class TestLogSumExp:
@@ -146,8 +155,8 @@ class TestMixture:
         test = dependent_pair(64, n=30)
         dag = DagStructure(2, ((), (0,)))
         report = report_for(train, dag)
-        nll = model_averaged_test_nll(report, train, test, ModelPolicy.DUAL)
-        network = fit_network(dag, train, ModelPolicy.DUAL)
+        nll = model_averaged_test_nll(report, test)
+        network = fit_network(dag, NetworkScorer(train, ModelPolicy.DUAL))
         direct = -sum(case_log_prob(network, case) for case in test.rows)
         assert nll == pytest.approx(direct, abs=1e-10)
 
@@ -156,8 +165,8 @@ class TestMixture:
         test = dependent_pair(66, n=40)
         dags = [DagStructure.empty(2), DagStructure(2, ((), (0,)))]
         report = report_for(train, *dags)
-        nll = model_averaged_test_nll(report, train, test, ModelPolicy.DUAL)
-        networks = [fit_network(d, train, ModelPolicy.DUAL) for d in dags]
+        nll = model_averaged_test_nll(report, test)
+        networks = [fit_network(d, report.scorer) for d in dags]
         lps = np.array(
             [[case_log_prob(nw, case) for nw in networks] for case in test.rows]
         )
@@ -169,12 +178,14 @@ class TestMixture:
         train = dependent_pair(67)
         test = dependent_pair(68, n=25)
         dags = [DagStructure.empty(2), DagStructure(2, ((), (0,)))]
+        scorer = NetworkScorer(train, ModelPolicy.DUAL)
         small = PosteriorReport(
             (
                 ClassRecord(b"a", 3, dags[0], 0.0),
                 ClassRecord(b"b", 1, dags[1], 0.0),
             ),
             4,
+            scorer,
         )
         large = PosteriorReport(
             (
@@ -182,17 +193,25 @@ class TestMixture:
                 ClassRecord(b"b", 100, dags[1], 0.0),
             ),
             400,
+            scorer,
         )
-        a = model_averaged_test_nll(small, train, test, ModelPolicy.DUAL)
-        b = model_averaged_test_nll(large, train, test, ModelPolicy.DUAL)
+        a = model_averaged_test_nll(small, test)
+        b = model_averaged_test_nll(large, test)
         assert a == pytest.approx(b, abs=1e-12)
 
     def test_empty_report_rejected(self):
         train = dependent_pair(69)
-        with pytest.raises(ValueError):
-            model_averaged_test_nll(
-                PosteriorReport((), 0), train, train, ModelPolicy.DUAL
-            )
+        scorer = NetworkScorer(train, ModelPolicy.DUAL)
+        with pytest.raises(ValueError, match="no visited classes"):
+            model_averaged_test_nll(PosteriorReport((), 0, scorer), train)
+
+    def test_report_without_a_scorer_rejected(self):
+        train = dependent_pair(69)
+        report = dataclasses.replace(
+            report_for(train, DagStructure.empty(2)), scorer=None
+        )
+        with pytest.raises(ValueError, match="no scorer"):
+            model_averaged_test_nll(report, train)
 
 
 class TestSamplerCacheReuse:
@@ -209,14 +228,15 @@ class TestSamplerCacheReuse:
             iterations=400, burn_in=50, seed=11, policy=ModelPolicy.FON
         )
         report = run_sampler(train, config)
-        misses = report.cache.misses
-        nll = model_averaged_test_nll(report, train, test, config.policy, config.sigma)
-        assert report.cache.misses == misses
-        fresh = dataclasses.replace(report, cache=None)
-        assert fresh == report
-        assert nll == model_averaged_test_nll(
-            fresh, train, test, config.policy, config.sigma
+        misses = report.scorer.cache.misses
+        nll = model_averaged_test_nll(report, test)
+        assert report.scorer.cache.misses == misses
+        fresh = dataclasses.replace(
+            report, scorer=NetworkScorer(train, config.policy, sigma=config.sigma)
         )
+        assert fresh == report
+        assert nll == model_averaged_test_nll(fresh, test)
+        assert fresh.scorer.cache.misses > 0
 
     def test_cache_of_other_data_is_not_read(self):
         ds = self.three_variables(78)
@@ -226,10 +246,17 @@ class TestSamplerCacheReuse:
             iterations=300, burn_in=50, seed=12, policy=ModelPolicy.FON
         )
         report = run_sampler(other, config)
-        fresh = dataclasses.replace(report, cache=None)
-        assert model_averaged_test_nll(
-            report, train, test, config.policy
-        ) == model_averaged_test_nll(fresh, train, test, config.policy)
+        # given a scorer on train, the report fits on train, not from the
+        # chain's scores of other
+        retargeted = dataclasses.replace(
+            report, scorer=NetworkScorer(train, config.policy, sigma=config.sigma)
+        )
+        built = PosteriorReport(
+            report.classes, report.total_samples, NetworkScorer(train, config.policy)
+        )
+        nll = model_averaged_test_nll(retargeted, test)
+        assert nll == model_averaged_test_nll(built, test)
+        assert nll != model_averaged_test_nll(report, test)
 
 
 class TestEvaluateSplit:
@@ -252,9 +279,7 @@ class TestEvaluateSplit:
             ),
             abs=1e-12,
         )
-        expected_nll = model_averaged_test_nll(
-            report, train, test, config.policy, config.sigma
-        )
+        expected_nll = model_averaged_test_nll(report, test)
         assert metrics.test_nll == pytest.approx(expected_nll, abs=1e-9)
 
     def test_dependence_helps_prediction(self):
@@ -264,7 +289,10 @@ class TestEvaluateSplit:
         informed = evaluate_split(train, test, config)
         independent_nll = -sum(
             case_log_prob(
-                fit_network(DagStructure.empty(2), train, ModelPolicy.DUAL), case
+                fit_network(
+                    DagStructure.empty(2), NetworkScorer(train, ModelPolicy.DUAL)
+                ),
+                case,
             )
             for case in test.rows
         )

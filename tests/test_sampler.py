@@ -53,6 +53,11 @@ class TestConfigValidation:
             ("p", 0.0),
             ("p", 1.0),
             ("sigma", 0.0),
+            # the logit fit divides by sigma^2 and the length takes log sigma
+            ("sigma", float("nan")),
+            ("sigma", float("inf")),
+            ("sigma", 1e300),
+            ("sigma", 1e-200),
             ("max_parents", -1),
             ("top_k", 0),
         ],
@@ -288,7 +293,9 @@ def _clean_by_the_rule(dag, scorer):
         for parent in dag.parent_sets[node]:
             kept = current.parent_sets[node]
             reduced = tuple(u for u in kept if u != parent)
-            candidate = current.with_parents(node, reduced)
+            sets = list(current.parent_sets)
+            sets[node] = reduced
+            candidate = DagStructure(current.m, tuple(sets))
             with_len = scorer.node_length_or_inf(node, kept)
             without_len = scorer.node_length_or_inf(node, reduced)
             if math.isinf(with_len) or math.isinf(without_len):
