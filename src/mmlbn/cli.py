@@ -161,7 +161,7 @@ def parse_structure_file(path, m: int, names=()) -> DagStructure:
         return node
 
     arcs = []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):

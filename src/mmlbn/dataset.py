@@ -122,7 +122,7 @@ def _read_csv(path, variables, reject_missing: bool) -> DiscreteDataset:
     a token outside them raises.
     Line numbers in errors count CSV records, the header being record 1.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             names = [h.strip() for h in next(reader)]

@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from .cpt_full import full_cpt_predictive
 from .dataset import DiscreteDataset, counts_for, split_train_test
-from .fom import FomParams
+from .fom import FomParams, _logsumexp, predictive_log_probs
 from .graph import DagStructure
 from .sampler import PosteriorReport, SamplerConfig, run_sampler
 from .scoring import NetworkScorer
@@ -19,15 +19,6 @@ from .fom import fit_fom_map  # noqa: F401
 from .scoring import node_length  # noqa: F401
 
 _BLOCK_ROWS = 2048
-
-
-def _logsumexp(values: np.ndarray, axis: int) -> np.ndarray:
-    """log(sum(exp(values))) along an axis of finite values, each line
-    shifted by its maximum so that no exponential overflows."""
-    peak = values.max(axis=axis, keepdims=True)
-    shifted = values - peak
-    np.exp(shifted, out=shifted)
-    return np.log(shifted.sum(axis=axis)) + peak.squeeze(axis)
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,10 +68,8 @@ def _log_probs(network: FittedNetwork, rows: np.ndarray) -> np.ndarray:
     for child, parents in enumerate(network.dag.parent_sets):
         node, values = network.nodes[child], rows[:, child]
         if isinstance(node, FomParams):
-            logits = np.tile(node.a, (rows.shape[0], 1))
-            for block, parent in zip(node.blocks, parents):
-                logits += block[:, rows[:, parent]].T
-            total += logits[np.arange(len(rows)), values] - _logsumexp(logits, 1)
+            log_probs = predictive_log_probs(node, rows[:, list(parents)])
+            total += log_probs[np.arange(len(rows)), values]
         else:
             total += node[tuple(rows[:, p] for p in parents) + (values,)]
     return total
@@ -133,53 +122,20 @@ class RepeatMetrics:
     test_cases: int
     message_length: float  # posterior-weighted best length, nits
     test_nll: float  # nits
-    arc_count: float  # posterior-weighted
-    parameter_count: float  # posterior-weighted
-
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "train_cases": self.train_cases,
-            "test_cases": self.test_cases,
-            "message_length": self.message_length,
-            "test_nll": self.test_nll,
-            "arcs": self.arc_count,
-            "parameters": self.parameter_count,
-        }
+    arcs: float  # posterior-weighted
+    parameters: float  # posterior-weighted
 
 
 @dataclass(frozen=True)
 class EvalSummary:
     repeats: tuple[RepeatMetrics, ...]
 
-    def _mean(self, attribute: str) -> float:
-        return float(np.mean([getattr(r, attribute) for r in self.repeats]))
-
-    @property
-    def mean_message_length(self) -> float:
-        return self._mean("message_length")
-
-    @property
-    def mean_test_nll(self) -> float:
-        return self._mean("test_nll")
-
-    @property
-    def mean_arc_count(self) -> float:
-        return self._mean("arc_count")
-
-    @property
-    def mean_parameter_count(self) -> float:
-        return self._mean("parameter_count")
-
     def to_dict(self) -> dict:
+        repeats = [asdict(r) for r in self.repeats]
+        means = ("message_length", "test_nll", "arcs", "parameters")
         return {
-            "repeats": [r.to_dict() for r in self.repeats],
-            "means": {
-                "message_length": self.mean_message_length,
-                "test_nll": self.mean_test_nll,
-                "arcs": self.mean_arc_count,
-                "parameters": self.mean_parameter_count,
-            },
+            "repeats": repeats,
+            "means": {k: float(np.mean([r[k] for r in repeats])) for k in means},
         }
 
 
@@ -198,8 +154,8 @@ def evaluate_split(
         test_cases=test.n_cases,
         message_length=float(np.dot(weights, [c.best_length for c in classes])),
         test_nll=_mixture_nll(networks, weights, test),
-        arc_count=float(np.dot(weights, [c.best_network.arc_count for c in classes])),
-        parameter_count=float(np.dot(weights, [n.parameter_count for n in networks])),
+        arcs=float(np.dot(weights, [c.best_network.arc_count for c in classes])),
+        parameters=float(np.dot(weights, [n.parameter_count for n in networks])),
     )
 
 

@@ -24,10 +24,11 @@ Kronecker information. The expected information of theta (read row by row)
 is sum_c n_c (x_c x_c^T) kron W_c with W_c = Q_y^T (diag p_c - p_c p_c^T) Q_y.
 Its (k, l) child-contrast slot is the Gram matrix X^T diag(n_c W_c[k, l]) X,
 so assembling it costs one dense product per contrast pair k <= l. The
-ridge makes it positive definite. Each Newton step checks that with a numpy
-Cholesky factorisation, whose failure is a ConvergenceError, and then takes
-the step from a numpy solve; the log determinant the code length needs is
-read off the diagonal of the same kind of factor.
+ridge makes it positive definite. A Newton step factors it once, in a numpy
+solve; as grad @ step = -grad^T I^-1 grad < 0 for a positive definite I, a
+failed solve or a step that does not descend is a ConvergenceError. The log
+determinant the code length needs comes from a Cholesky factor at the
+optimum, whose failure is a ConvergenceError too.
 
 No length depends on this choice of basis: any other orthonormal basis of
 the constraint subspace is this one times an orthogonal matrix R. Under
@@ -195,43 +196,50 @@ class FomParams:
         return worst
 
 
+def _logsumexp(values: np.ndarray, axis: int) -> np.ndarray:
+    """log(sum(exp(values))) along an axis of finite values, each line
+    shifted by its maximum so that no exponential overflows."""
+    peak = values.max(axis=axis, keepdims=True)
+    shifted = values - peak
+    np.exp(shifted, out=shifted)
+    return np.log(shifted.sum(axis=axis)) + peak.squeeze(axis)
+
+
+def predictive_log_probs(params: FomParams, parent_values: np.ndarray) -> np.ndarray:
+    """Log child distributions, shape (n, r_y), at the rows of an (n, q)
+    integer array of parent values."""
+    logits = np.tile(params.a, (parent_values.shape[0], 1))
+    for block, values in zip(params.blocks, parent_values.T):
+        logits += block[:, values].T
+    return logits - _logsumexp(logits, 1)[:, None]
+
+
 def fom_probability(params: FomParams, parent_config: int) -> np.ndarray:
     """Child distribution at one parent configuration (mixed-radix index)."""
     digits = config_digits(parent_config, params.parent_arities)
-    logits = params.a.copy()
-    for block, w in zip(params.blocks, digits):
-        logits += block[:, w]
-    logits -= logits.max()
-    weights = np.exp(logits)
-    return weights / weights.sum()
-
-
-def _cholesky(matrix: np.ndarray) -> np.ndarray | None:
-    """Lower Cholesky factor of a symmetric matrix, or None when the matrix
-    is not numerically positive definite."""
-    try:
-        return np.linalg.cholesky(matrix)
-    except np.linalg.LinAlgError:
-        return None
+    return np.exp(predictive_log_probs(params, np.array([digits], dtype=int)))[0]
 
 
 def _log_det(matrix: np.ndarray) -> float:
     """Log determinant of a symmetric positive definite matrix, from its
     Cholesky factor."""
-    factor = _cholesky(matrix)
-    if factor is None:
-        raise ConvergenceError("information matrix is not positive definite")
+    try:
+        factor = np.linalg.cholesky(matrix)
+    except np.linalg.LinAlgError:
+        raise ConvergenceError("information matrix is not positive definite") from None
     return 2.0 * float(np.log(factor.diagonal()).sum())
 
 
-def _prior_log_norm(child_arity: int, parent_arities) -> float:
-    """Log of the factor the constrained Gaussian prior's density carries for
-    restricting an isotropic Gaussian to the constraint subspace."""
+def _prior_log_peak(child_arity: int, parent_arities, sigma: float) -> float:
+    """Log density of the constrained Gaussian prior at zero: an isotropic
+    Gaussian over the d free coordinates, times the factor for restricting
+    the one over all raw entries to the constraint subspace."""
     log_r_y = math.log(child_arity)
     norm = 0.5 * log_r_y
     for r_i in parent_arities:
         norm += 0.5 * ((r_i - 1) * log_r_y + (child_arity - 1) * math.log(r_i))
-    return norm
+    d = free_dimension(child_arity, parent_arities)
+    return norm - d * (0.5 * _LOG_2PI + math.log(sigma))
 
 
 def fom_log_prior(params: FomParams, sigma: float = DEFAULT_SIGMA) -> float:
@@ -244,12 +252,9 @@ def fom_log_prior(params: FomParams, sigma: float = DEFAULT_SIGMA) -> float:
     check_sigma(sigma)
     if params.constraint_residual() > _CONSTRAINT_TOL:
         raise ValueError("parameters violate the sum-to-zero constraints")
-    d = free_dimension(params.child_arity, params.parent_arities)
-    return (
-        _prior_log_norm(params.child_arity, params.parent_arities)
-        - d * (0.5 * _LOG_2PI + math.log(sigma))
-        - params.sum_of_squares() / (2.0 * sigma * sigma)
-    )
+    return _prior_log_peak(
+        params.child_arity, params.parent_arities, sigma
+    ) - params.sum_of_squares() / (2.0 * sigma * sigma)
 
 
 class FomObjective:
@@ -357,16 +362,25 @@ class FomObjective:
         u = np.zeros(self.dim)
         probs = self.probabilities(u)
         value = self.negative_log_likelihood(probs)
-        for _ in range(MAX_NEWTON_ITERS):
+        for iteration in range(MAX_NEWTON_ITERS + 1):
             grad = self._likelihood_gradient(probs) + u / self.sigma**2
             if math.sqrt(float(grad @ grad)) <= GRADIENT_TOL:
                 return u, probs
-            information = self.information_free(probs)
-            if _cholesky(information) is None:
+            if iteration == MAX_NEWTON_ITERS:
+                raise ConvergenceError(
+                    f"no convergence after {MAX_NEWTON_ITERS} Newton iterations",
+                    self.params(u),
+                )
+            # A positive definite information gives a strict descent step, so
+            # a failed solve or any other step (NaN included) shows it is not.
+            try:
+                step = np.linalg.solve(self.information_free(probs), -grad)
+            except np.linalg.LinAlgError:
+                step = None
+            if step is None or not float(grad @ step) < 0.0:
                 raise ConvergenceError(
                     "information matrix is not positive definite", self.params(u)
                 )
-            step = np.linalg.solve(information, -grad)
             # Slack at the rounding noise floor: near the optimum the true
             # decrease of a full step drops below evaluation noise, and a
             # strictly monotone test would stall with the gradient still
@@ -387,13 +401,6 @@ class FomObjective:
                     "line search failed to find a decrease", self.params(u)
                 )
             u, probs, value = candidate, cand_probs, cand_value
-        grad = self._likelihood_gradient(probs) + u / self.sigma**2
-        if math.sqrt(float(grad @ grad)) <= GRADIENT_TOL:
-            return u, probs
-        raise ConvergenceError(
-            f"no convergence after {MAX_NEWTON_ITERS} Newton iterations",
-            self.params(u),
-        )
 
 
 def fit_fom_map(counts: ContingencyCounts, sigma: float = DEFAULT_SIGMA) -> FomParams:
@@ -426,7 +433,6 @@ class FomScore:
     message_length: float  # nits
     free_dim: int
     map_params: FomParams
-    fisher_log_det: float
 
 
 def fom_message_length(
@@ -437,13 +443,11 @@ def fom_message_length(
     u, probs = objective.fit()
     d = objective.dim
     quad = float(u @ u) / (2.0 * sigma * sigma)
-    logdet = _log_det(objective.information_free(probs))
     length = (
-        d * (0.5 * _LOG_2PI + math.log(sigma))
-        - _prior_log_norm(counts.child_arity, counts.parent_arities)
+        -_prior_log_peak(counts.child_arity, counts.parent_arities, sigma)
         + quad
-        + 0.5 * logdet
+        + 0.5 * _log_det(objective.information_free(probs))
         + objective.negative_log_likelihood(probs)
         + 0.5 * d * (1.0 - _LOG_12)
     )
-    return FomScore(length, d, objective.params(u), logdet)
+    return FomScore(length, d, objective.params(u))

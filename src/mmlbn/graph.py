@@ -85,6 +85,8 @@ class DagStructure:
     def from_arcs(cls, m: int, arcs) -> "DagStructure":
         parents = [[] for _ in range(m)]
         for u, v in arcs:
+            if not 0 <= v < m:
+                raise ValueError(f"arc {u}->{v}: child index out of range")
             parents[v].append(u)
         return cls(m, tuple(tuple(p) for p in parents))
 

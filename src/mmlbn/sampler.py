@@ -95,9 +95,8 @@ class PosteriorReport:
         return tuple(c.visits / self.total_samples for c in self.classes)
 
 
-def initial_state(scorer: NetworkScorer, dag: DagStructure | None = None) -> ChainState:
-    if dag is None:
-        dag = DagStructure.empty(scorer.ds.n_variables)
+def initial_state(scorer: NetworkScorer) -> ChainState:
+    dag = DagStructure.empty(scorer.ds.n_variables)
     lengths = tuple(
         scorer.node_length_or_inf(child, parents)
         for child, parents in enumerate(dag.parent_sets)

@@ -382,6 +382,63 @@ class TestEval:
         assert "column 1 is named 'b', expected 'a'" in capsys.readouterr().err
 
 
+def three_column_csv(path, n=120, seed=83, header="a,b,c", encoding="utf-8"):
+    """Three binary variables; b copies a with 10% noise."""
+    rng = np.random.default_rng(seed)
+    rows = rng.integers(0, 2, size=(n, 3))
+    rows[:, 1] = np.where(rng.random(n) < 0.1, 1 - rows[:, 0], rows[:, 0])
+    lines = [header] + [",".join(f"v{int(v)}" for v in row) for row in rows]
+    path.write_text("\n".join(lines) + "\n", encoding=encoding)
+    return path
+
+
+def bom_csv(path, header="a,b,c"):
+    """A file that starts with a UTF-8 byte-order mark, as spreadsheet
+    programs write it."""
+    return three_column_csv(path, header=header, encoding="utf-8-sig")
+
+
+class TestByteOrderMark:
+    STEPS = ["--iterations", "200", "--burn-in", "20", "--seed", "1"]
+
+    @pytest.mark.parametrize("header", ["a,b,c", '"a",b,c'])
+    def test_learn_names_the_first_column_plainly(self, tmp_path, header):
+        data = bom_csv(tmp_path / "bom.csv", header)
+        report = run_json(["learn", "--data", str(data)] + self.STEPS, tmp_path / "o.json")
+        names = [v["name"] for v in report["dataset"]["variables"]]
+        assert names == ["a", "b", "c"]
+
+    def test_score_resolves_the_first_column_by_name(self, tmp_path):
+        data = bom_csv(tmp_path / "bom.csv")
+        structure = tmp_path / "arcs.txt"
+        structure.write_text("a->b\n")
+        report = run_json(
+            ["score", "--data", str(data), "--structure", str(structure)],
+            tmp_path / "o.json",
+        )
+        assert report["structure"]["arcs"] == ["0->1"]
+
+    def test_eval_matches_a_test_file_without_the_mark(self, tmp_path):
+        data = bom_csv(tmp_path / "bom.csv")
+        test = tmp_path / "test.csv"
+        test.write_text(data.read_text(encoding="utf-8-sig"), encoding="utf-8")
+        assert not test.read_bytes().startswith(b"\xef\xbb\xbf")
+        report = run_json(
+            ["eval", "--data", str(data), "--test", str(test)] + self.STEPS,
+            tmp_path / "o.json",
+        )
+        assert report["summary"]["repeats"][0]["test_cases"] == 120
+
+    def test_structure_file_with_the_mark(self, train_csv, tmp_path):
+        structure = tmp_path / "arcs.txt"
+        structure.write_text("0->1\n", encoding="utf-8-sig")
+        report = run_json(
+            ["score", "--data", str(train_csv), "--structure", str(structure)],
+            tmp_path / "o.json",
+        )
+        assert report["structure"]["arcs"] == ["0->1"]
+
+
 class TestFailureModes:
     def test_missing_data_file(self, tmp_path, capsys):
         code = main(["learn", "--data", str(tmp_path / "nope.csv")])
@@ -484,6 +541,23 @@ class TestDocs:
         for name in names:
             default = getattr(args, name[2:].replace("-", "_"))
             assert float(documented[name]) == default, name
+
+
+    def test_readme_library_examples_run(self, tmp_path, monkeypatch, capsys):
+        readme = Path(__file__).resolve().parent.parent / "README.md"
+        text = readme.read_text(encoding="utf-8")
+        blocks = re.findall(r"```python\n(.*?)```", text, re.DOTALL)
+        assert len(blocks) >= 3
+        for seed, (name, n) in enumerate(
+            (("train.csv", 300), ("test.csv", 60), ("other.csv", 200))
+        ):
+            three_column_csv(tmp_path / name, n, seed)
+        monkeypatch.chdir(tmp_path)
+        namespace = {}
+        for block in blocks:
+            exec(compile(block, str(readme), "exec"), namespace)
+        assert capsys.readouterr().out
+        assert namespace["nll"] > 0 and namespace["nll_other"] > 0
 
 
 # Blocks scipy before mmlbn is imported, then runs one command of each kind.

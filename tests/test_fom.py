@@ -323,6 +323,11 @@ class TestConstraintBasis:
                 )
 
 
+def indefinite_information(objective, probs):
+    """Stands in for FomObjective.information_free: minus the identity."""
+    return -np.eye(objective.dim)
+
+
 class TestFisherLogDet:
     def test_single_free_dimension_closed_form(self):
         for n in (0, 10, 400):
@@ -391,17 +396,45 @@ class TestFisherLogDet:
 
     def test_not_positive_definite_is_convergence_error(self, monkeypatch):
         counts = random_counts(np.random.default_rng(36), 2, (2,))
-        monkeypatch.setattr("mmlbn.fom._cholesky", lambda matrix: None)
+        monkeypatch.setattr(FomObjective, "information_free", indefinite_information)
         with pytest.raises(ConvergenceError):
             fisher_log_det(FomParams.zero(2, (2,)), counts, SIGMA)
 
     def test_newton_step_on_a_failed_factorisation(self, monkeypatch):
-        # the factorisation of the first Newton step's information fails
+        # the first Newton step's information is indefinite: its step ascends
         counts = random_counts(np.random.default_rng(37), 3, (2, 3))
-        monkeypatch.setattr("mmlbn.fom._cholesky", lambda matrix: None)
-        with pytest.raises(ConvergenceError) as caught:
+        monkeypatch.setattr(FomObjective, "information_free", indefinite_information)
+        with pytest.raises(ConvergenceError, match="not positive definite") as caught:
             fom_message_length(counts, SIGMA)
         assert caught.value.best_params is not None
+
+    def test_newton_step_on_a_singular_information(self, monkeypatch):
+        # the solve itself fails; the error carries the current iterate (zero)
+        counts = random_counts(np.random.default_rng(38), 3, (2, 3))
+        monkeypatch.setattr(
+            FomObjective, "information_free", lambda self, probs: np.zeros((self.dim,) * 2)
+        )
+        with pytest.raises(ConvergenceError, match="not positive definite") as caught:
+            fom_message_length(counts, SIGMA)
+        params = caught.value.best_params
+        assert params.sum_of_squares() == 0.0
+        assert params.child_arity == 3 and params.parent_arities == (2, 3)
+
+    def test_indefinite_information_at_the_optimum(self, monkeypatch):
+        # balanced counts put the optimum at zero, so the fit takes no step and
+        # the one information computed is the log determinant's, at the optimum
+        counts = ContingencyCounts.from_dense(2, (2,), np.full((2, 2), 5))
+        calls = []
+
+        def information(objective, probs):
+            calls.append(probs)
+            return indefinite_information(objective, probs)
+
+        monkeypatch.setattr(FomObjective, "information_free", information)
+        with pytest.raises(ConvergenceError, match="not positive definite") as caught:
+            fom_message_length(counts, SIGMA)
+        assert len(calls) == 1
+        assert caught.value.best_params is None
 
     def test_parameters_off_the_constraint_subspace(self):
         # raw parameters that break the sum-to-zero constraints give the same

@@ -57,6 +57,9 @@ class TestDagStructure:
             DagStructure(2, ((5,), ()))
         with pytest.raises(ValueError):
             DagStructure(2, ((1, 1), ()))
+        for child in (-1, 3):
+            with pytest.raises(ValueError, match=f"arc 0->{child}"):
+                DagStructure.from_arcs(3, [(0, child)])
 
     def test_topological_order(self):
         dag = DagStructure.from_arcs(4, [(2, 0), (0, 3), (1, 3)])

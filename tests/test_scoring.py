@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from mmlbn import (
     ContingencyCounts,
     DagStructure,
+    FomObjective,
     ModelPolicy,
     NetworkScorer,
     ScoreCache,
@@ -260,7 +261,9 @@ class TestLogitFailureStaysLocal:
         if failure == "newton":
             monkeypatch.setattr("mmlbn.fom.MAX_NEWTON_ITERS", 0)
         else:
-            monkeypatch.setattr("mmlbn.fom._cholesky", lambda matrix: None)
+            monkeypatch.setattr(
+                FomObjective, "information_free", lambda self, probs: -np.eye(self.dim)
+            )
         with pytest.raises(ConvergenceError):
             fom_message_length(counts_for(ds, 2, parents))
         fon = NetworkScorer(ds, ModelPolicy.FON)
