@@ -120,7 +120,8 @@ def _read_csv(path, variables, reject_missing: bool) -> DiscreteDataset:
     Without `variables` a new token gets the next code of its column; with
     them the header must repeat their names, the dicts hold their labels and
     a token outside them raises.
-    Line numbers in errors count CSV records, the header being record 1.
+    Empty records (blank lines) are skipped, but line numbers in errors
+    count them: they count CSV records, the header being record 1.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
@@ -141,8 +142,11 @@ def _read_csv(path, variables, reject_missing: bool) -> DiscreteDataset:
                     )
             codes = [{label: k for k, label in enumerate(v.labels)} for v in variables]
         data: list[int] = []  # every code, record after record
-        lineno = 1  # the header
+        n_records = 0
         for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            n_records += 1
             if len(row) != m:
                 raise DataFormatError(
                     f"{path}:{lineno}: expected {m} fields, found {len(row)}"
@@ -162,7 +166,6 @@ def _read_csv(path, variables, reject_missing: bool) -> DiscreteDataset:
                             f"{names[i]!r}"
                         ) from None
                     data.append(codes[i].setdefault(token, len(codes[i])))
-    n_records = lineno - 1
     if not n_records:
         raise DataFormatError(f"{path}: no data rows")
     if variables is None:
@@ -272,6 +275,20 @@ class ContingencyCounts:
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "parent_arities", tuple(self.parent_arities))
 
+    @classmethod
+    def _trusted(cls, child_arity, parent_arities, config_digits, counts):
+        """Counts from arrays already known to hold the shape, dtypes, ranges
+        and row order the constructor checks: a tally that kept its own
+        rules. Skips __post_init__ and freezes the arrays in place."""
+        config_digits.flags.writeable = False
+        counts.flags.writeable = False
+        tally = object.__new__(cls)
+        object.__setattr__(tally, "child_arity", child_arity)
+        object.__setattr__(tally, "parent_arities", parent_arities)
+        object.__setattr__(tally, "config_digits", config_digits)
+        object.__setattr__(tally, "counts", counts)
+        return tally
+
     @property
     def n_parents(self) -> int:
         return len(self.parent_arities)
@@ -364,4 +381,4 @@ def counts_for(ds: DiscreteDataset, child: int, parents) -> ContingencyCounts:
     case = np.empty(radix, dtype=np.intp)
     case[key] = np.arange(n)
     digits = rows[case[observed]][:, list(parents)]
-    return ContingencyCounts(r_y, parent_arities, digits, table[observed])
+    return ContingencyCounts._trusted(r_y, parent_arities, digits, table[observed])

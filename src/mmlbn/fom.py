@@ -30,6 +30,15 @@ failed solve or a step that does not descend is a ConvergenceError. The log
 determinant the code length needs comes from a Cholesky factor at the
 optimum, whose failure is a ConvergenceError too.
 
+Starting point. Newton's method starts from the ridge least-squares fit of
+the smoothed empirical log-odds (``FomObjective.start``): each observed
+configuration's log(counts + 1/2), in the child contrasts, weighted by the
+configuration's total, with the prior's 1/sigma^2 as the ridge. It reads
+the counts and sigma and nothing else, so a node's fit does not depend on
+which nodes were fitted before it. Without cases, or with a balanced table,
+the start is zero and so is the optimum. From this start a fit needs about
+two thirds of the information evaluations it needs from zero.
+
 No length depends on this choice of basis: any other orthonormal basis of
 the constraint subspace is this one times an orthogonal matrix R. Under
 u -> R u the quadratic term, the likelihood and the gradient norm are
@@ -350,18 +359,43 @@ class FomObjective:
             return 0.0
         return -float(np.sum(self._counts * np.log(probs)))
 
-    def value(self, u: np.ndarray) -> float:
+    def _value(self, u: np.ndarray, probs: np.ndarray) -> float:
+        """The objective at u, given the probabilities at u."""
         quad = float(u @ u) / (2.0 * self.sigma**2)
-        return self.negative_log_likelihood(self.probabilities(u)) + quad
+        return self.negative_log_likelihood(probs) + quad
+
+    def value(self, u: np.ndarray) -> float:
+        return self._value(u, self.probabilities(u))
 
     def gradient(self, u: np.ndarray) -> np.ndarray:
         return self._likelihood_gradient(self.probabilities(u)) + u / self.sigma**2
 
+    def start(self) -> np.ndarray:
+        """Newton's starting point, from the counts and sigma alone: the ridge
+        least-squares fit of the smoothed empirical log-odds.
+
+        Configuration c's target is its log(counts + 1/2) row, shifted so
+        that child value 0 reads zero, in the child contrasts: z_c, the rows
+        of Z. Q_y drops any per-configuration shift, so this is the centred
+        row's projection too, and a balanced row gives exactly zero. Weighing
+        each configuration by its total n_c (N = diag n_c) with the prior's
+        1/sigma^2 as the ridge, theta solves
+        (X^T N X + I / sigma^2) theta = X^T N Z: one D x D system with
+        r_y - 1 right-hand sides. No cases or a balanced table start at zero.
+        """
+        logs = np.log(self._counts + 0.5)
+        targets = (logs - logs[:, :1]) @ self._q_y
+        weighted = self._design * self._totals[:, None]
+        system = weighted.T @ self._design
+        system.flat[:: system.shape[0] + 1] += 1.0 / self.sigma**2
+        return np.linalg.solve(system, weighted.T @ targets).ravel()
+
     def fit(self):
-        """Newton iteration from zero; returns (u, probabilities at u)."""
-        u = np.zeros(self.dim)
+        """Newton iteration from ``start``, each step backtracked until the
+        objective does not rise; returns (u, probabilities at u)."""
+        u = self.start()
         probs = self.probabilities(u)
-        value = self.negative_log_likelihood(probs)
+        value = self._value(u, probs)
         for iteration in range(MAX_NEWTON_ITERS + 1):
             grad = self._likelihood_gradient(probs) + u / self.sigma**2
             if math.sqrt(float(grad @ grad)) <= GRADIENT_TOL:
@@ -390,9 +424,7 @@ class FomObjective:
             while scale >= 1e-12:
                 candidate = u + scale * step
                 cand_probs = self.probabilities(candidate)
-                cand_value = self.negative_log_likelihood(cand_probs) + float(
-                    candidate @ candidate
-                ) / (2.0 * self.sigma**2)
+                cand_value = self._value(candidate, cand_probs)
                 if cand_value <= value + slack:
                     break
                 scale *= 0.5

@@ -67,6 +67,31 @@ def sample_network(rng, n_cases, arities, parent_sets, tables):
     return rows
 
 
+def additive_logit_table(rng, r_y, parent_arities, n_cases, scale=1.5):
+    """Dense (n_configs, r_y) counts of n_cases draws from an additive logit.
+
+    Configurations are uniform (mixed radix, first parent most significant);
+    the child's logits at (w_1, ..., w_q) are a + sum_i b_i[:, w_i], with
+    every entry drawn from N(0, scale^2).
+    """
+    arities = tuple(parent_arities)
+    offsets = rng.normal(0.0, scale, r_y)
+    effects = [rng.normal(0.0, scale, (r_y, r_i)) for r_i in arities]
+    configs = rng.integers(0, math.prod(arities), n_cases)
+    logits = np.tile(offsets, (n_cases, 1))
+    index = configs.copy()
+    for effect, r_i in zip(reversed(effects), reversed(arities)):
+        index, digit = np.divmod(index, r_i)
+        logits += effect[:, digit].T
+    probs = np.exp(logits - logits.max(axis=1, keepdims=True))
+    probs /= probs.sum(axis=1, keepdims=True)
+    values = (rng.random((n_cases, 1)) > probs.cumsum(axis=1)).sum(axis=1)
+    values = np.minimum(values, r_y - 1)
+    table = np.zeros((math.prod(arities), r_y), dtype=np.int64)
+    np.add.at(table, (configs, values), 1)
+    return table
+
+
 # -- full-table oracle ----------------------------------------------------
 
 

@@ -462,6 +462,22 @@ class TestFailureModes:
         assert ds.variables[0].arity == 3
         assert "?" in ds.variables[0].labels
 
+    def test_blank_lines_in_the_data_are_skipped(self, train_csv, tmp_path, capsys):
+        # a file that ends in a blank line used to fail on its last record
+        blank = tmp_path / "blank.csv"
+        blank.write_text(train_csv.read_text().replace("\n", "\n\n", 1) + "\n")
+        args = ["learn", "--iterations", "300", "--burn-in", "50", "--seed", "3"]
+        plain = run_json(args + ["--data", str(train_csv)], tmp_path / "plain.json")
+        skipped = run_json(args + ["--data", str(blank)], tmp_path / "blank.json")
+        assert skipped["config"].pop("data") == str(blank)
+        plain["config"].pop("data")
+        assert skipped == plain
+        assert capsys.readouterr().err == ""
+        only_header = tmp_path / "header.csv"
+        only_header.write_text("a,b\n\n\n")
+        assert main(["learn", "--data", str(only_header)]) == 1
+        assert "no data rows" in capsys.readouterr().err
+
     def test_learn_defaults_to_extra_category(self, tmp_path):
         path = tmp_path / "gaps.csv"
         rows = ["a,b"] + ["x,1", "?,2", "y,1", "x,2"] * 10

@@ -95,6 +95,25 @@ class TestLoadCsv:
         with pytest.raises(DataFormatError):
             load_csv(write(tmp_path, "a,b\n"))
 
+    def test_blank_lines_are_skipped(self, tmp_path):
+        path = write(tmp_path, "a,b\nx,1\n\ny,2\n\n\n")
+        ds = load_csv(path)
+        assert ds.n_cases == 2
+        assert ds.rows.tolist() == [[0, 0], [1, 1]]
+        test = write(tmp_path, "a,b\n\ny,1\n", "test.csv")
+        assert load_csv_with_labels(test, ds.variables).rows.tolist() == [[1, 0]]
+
+    def test_blank_lines_still_count_as_records(self, tmp_path):
+        path = write(tmp_path, "a,b\nx,1\n\ny\n")
+        with pytest.raises(DataFormatError) as err:
+            load_csv(path)
+        assert str(err.value) == f"{path}:4: expected 2 fields, found 1"
+
+    def test_header_and_blank_lines_only(self, tmp_path):
+        path = write(tmp_path, "a,b\n\n\n")
+        with pytest.raises(DataFormatError, match="no data rows"):
+            load_csv(path)
+
     def test_whitespace_stripped(self, tmp_path):
         path = write(tmp_path, "a, b\n x ,1\n y ,2\n")
         ds = load_csv(path)
@@ -385,6 +404,20 @@ class TestCountsProperties:
             configs, table = tally(ds, child, tested)
             assert counts.config_digits.tolist() == configs
             assert counts.counts.tolist() == table
+            # built unchecked, so it must be what the checked constructor builds
+            checked = ContingencyCounts(
+                counts.child_arity,
+                counts.parent_arities,
+                counts.config_digits,
+                counts.counts,
+            )
+            assert np.array_equal(checked.config_digits, counts.config_digits)
+            assert np.array_equal(checked.counts, counts.counts)
+            assert counts.parent_arities == checked.parent_arities
+            assert counts.config_digits.dtype == np.int32
+            assert counts.counts.dtype == np.int64
+            assert not counts.config_digits.flags.writeable
+            assert not counts.counts.flags.writeable
 
     @given(st.data())
     def test_row_permutation_invariant(self, data):

@@ -1,10 +1,11 @@
 """First-order model: probabilities, prior, fitting, curvature, code length."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.linalg import null_space
 
@@ -13,6 +14,8 @@ from mmlbn import (
     ConvergenceError,
     FomObjective,
     FomParams,
+    ModelPolicy,
+    NetworkScorer,
     config_index,
     fisher_log_det,
     fit_fom_map,
@@ -21,11 +24,14 @@ from mmlbn import (
     fom_probability,
     free_dimension,
 )
-from mmlbn.fom import constraint_basis
+from mmlbn import fom
+from mmlbn.fom import GRADIENT_TOL, constraint_basis
 from helpers import (
+    additive_logit_table,
     constraint_matrix,
     constraint_rank_dimension,
     dense_information_matrix,
+    make_dataset,
 )
 
 SIGMA = 3.0
@@ -232,6 +238,115 @@ class TestObjectiveAndFit:
         assert np.abs(refit - probs).max() < 0.05
 
 
+def zero_start(objective):
+    return np.zeros(objective.dim)
+
+
+def count_information(calls):
+    """information_free that appends to calls before computing."""
+    information = FomObjective.information_free
+
+    def counted(objective, probs):
+        calls.append(None)
+        return information(objective, probs)
+
+    return counted
+
+
+@st.composite
+def small_tables(draw):
+    """Counts of 0-3 per cell: unseen child values, single-case and empty
+    configurations, and separated cells are all common."""
+    r_y = draw(st.integers(2, 4))
+    arities = tuple(draw(st.lists(st.integers(2, 3), max_size=3)))
+    cells = math.prod(arities) * r_y
+    table = draw(st.lists(st.integers(0, 3), min_size=cells, max_size=cells))
+    return r_y, arities, np.array(table).reshape(-1, r_y)
+
+
+class TestStart:
+    """Newton starts from the ridge fit of the smoothed log-odds; where it
+    starts changes the work, not the optimum."""
+
+    @given(small_tables())
+    @example((2, (2,), np.array([[40, 0], [0, 40]])))  # perfect separation
+    @example(  # one case per configuration
+        (3, (2, 2), np.array([[1, 0, 0], [0, 0, 1], [0, 1, 0], [1, 0, 0]]))
+    )
+    @example((3, (2,), np.zeros((2, 3), dtype=int)))  # no cases
+    @example((2, (2,), np.full((2, 2), 5)))  # balanced
+    @example((4, (), np.array([[7, 0, 2, 0]])))  # unseen child values
+    def test_same_optimum_as_from_zero(self, table):
+        r_y, arities, table = table
+        counts = ContingencyCounts.from_dense(r_y, arities, table)
+        objective = FomObjective(counts, SIGMA)
+        lengths = {}
+        for name, start in (("warm", FomObjective.start), ("cold", zero_start)):
+            with mock.patch.object(FomObjective, "start", start):
+                u, _ = objective.fit()
+                assert np.linalg.norm(objective.gradient(u)) <= GRADIENT_TOL
+                lengths[name] = fom_message_length(counts, SIGMA).message_length
+                with mock.patch.object(fom, "GRADIENT_TOL", 1e-12):
+                    tight = fom_message_length(counts, SIGMA)
+                lengths[name, "tight"] = tight.message_length
+        # Each fit stops within sigma^2 * GRADIENT_TOL of the optimum (the
+        # curvature is at least 1/sigma^2), and the log determinant in the
+        # length moves with it: about 1e-8 nits on a one-case table.
+        assert lengths["warm"] == pytest.approx(
+            lengths["cold"], rel=1e-9, abs=SIGMA**2 * GRADIENT_TOL
+        )
+        # stopped near enough to the optimum, both starts give the same length
+        assert lengths["warm", "tight"] == pytest.approx(
+            lengths["cold", "tight"], rel=1e-9
+        )
+
+    @pytest.mark.parametrize(
+        "table",
+        [np.zeros((3, 2), dtype=int), np.full((3, 2), 4)],
+        ids=["empty", "balanced"],
+    )
+    def test_zero_for_no_cases_and_balanced_tables(self, table):
+        objective = FomObjective(ContingencyCounts.from_dense(2, (3,), table), SIGMA)
+        assert not objective.start().any()
+        u, _ = objective.fit()
+        assert not u.any()
+
+    def test_lengths_do_not_depend_on_the_scoring_order(self):
+        rng = np.random.default_rng(40)
+        ds = make_dataset(rng.integers(0, 3, (4, 400)), arities=[3] * 4)
+        families = [
+            (child, parents)
+            for child in range(4)
+            for parents in ((), ((child + 1) % 4,), ((child + 1) % 4, (child + 2) % 4))
+        ]
+        forward = NetworkScorer(ds, ModelPolicy.FON, sigma=SIGMA)
+        backward = NetworkScorer(ds, ModelPolicy.FON, sigma=SIGMA)
+        lengths = [forward.node_score(*family).length for family in families]
+        reversed_lengths = [backward.node_score(*f).length for f in families[::-1]]
+        assert lengths == reversed_lengths[::-1]
+
+    def test_saves_a_quarter_of_the_information_evaluations(self, monkeypatch):
+        rng = np.random.default_rng(41)
+        shapes = [(2, (3,)), (3, (2, 4)), (4, (3, 2)), (2, (4, 3)), (4, (2, 3, 2))]
+        tables = [
+            ContingencyCounts.from_dense(
+                r_y, arities, additive_logit_table(rng, r_y, arities, n_cases)
+            )
+            for r_y, arities in shapes
+            for n_cases in (300, 3000)
+        ]
+        warm, cold = [], []
+        monkeypatch.setattr(FomObjective, "information_free", count_information(warm))
+        for counts in tables:
+            fom_message_length(counts, SIGMA)
+        monkeypatch.undo()
+        monkeypatch.setattr(FomObjective, "information_free", count_information(cold))
+        monkeypatch.setattr(FomObjective, "start", zero_start)
+        for counts in tables:
+            fom_message_length(counts, SIGMA)
+        assert 0 < len(warm) <= 0.75 * len(cold)
+
+
 def one_hot_design(r_y, arities, digits):
     """(r_y, raw dim) matrix mapping raw parameters to the logits of one
     configuration: row k picks a_k and entry (k, w_i) of every block."""
@@ -409,15 +524,18 @@ class TestFisherLogDet:
         assert caught.value.best_params is not None
 
     def test_newton_step_on_a_singular_information(self, monkeypatch):
-        # the solve itself fails; the error carries the current iterate (zero)
+        # the solve itself fails; the error carries the current iterate (the start)
         counts = random_counts(np.random.default_rng(38), 3, (2, 3))
+        objective = FomObjective(counts, SIGMA)
+        start = objective.params(objective.start())
         monkeypatch.setattr(
             FomObjective, "information_free", lambda self, probs: np.zeros((self.dim,) * 2)
         )
         with pytest.raises(ConvergenceError, match="not positive definite") as caught:
             fom_message_length(counts, SIGMA)
         params = caught.value.best_params
-        assert params.sum_of_squares() == 0.0
+        assert np.array_equal(params.flatten(), start.flatten())
+        assert start.sum_of_squares() > 0.0
         assert params.child_arity == 3 and params.parent_arities == (2, 3)
 
     def test_indefinite_information_at_the_optimum(self, monkeypatch):
