@@ -46,9 +46,7 @@ from .fom import (
     FomObjective,
     FomParams,
     FomScore,
-    fisher_log_det,
     fit_fom_map,
-    fom_log_prior,
     fom_message_length,
     fom_probability,
     free_dimension,
@@ -125,10 +123,8 @@ __all__ = [
     "cpdag_key",
     "cross_validate",
     "evaluate_split",
-    "fisher_log_det",
     "fit_fom_map",
     "fit_network",
-    "fom_log_prior",
     "fom_message_length",
     "fom_probability",
     "free_dimension",

@@ -88,25 +88,9 @@ def _sampler_config(args) -> SamplerConfig:
     )
 
 
-def _config_echo(args, command) -> dict:
-    echo = {"command": command, "data": args.data, "missing_policy": args.missing_policy}
-    for name in (
-        "model",
-        "seed",
-        "iterations",
-        "burn_in",
-        "sigma",
-        "arc_prior",
-        "max_parents",
-        "top_k",
-        "test",
-        "repeats",
-        "fraction",
-        "structure",
-    ):
-        if hasattr(args, name):
-            echo[name] = getattr(args, name)
-    return echo
+def _config_echo(args) -> dict:
+    """The subcommand and every parsed flag but the report path."""
+    return {name: value for name, value in vars(args).items() if name != "out"}
 
 
 def _arcs_as_strings(dag: DagStructure) -> list[str]:
@@ -189,7 +173,7 @@ def _run_learn(args) -> dict:
     report = run_sampler(ds, _sampler_config(args))
     classes = _classes_payload(report)
     return {
-        "config": _config_echo(args, "learn"),
+        "config": _config_echo(args),
         "dataset": {
             "cases": ds.n_cases,
             "variables": [
@@ -214,7 +198,7 @@ def _run_eval(args) -> dict:
     else:
         summary = cross_validate(ds, args.repeats, config, args.fraction).to_dict()
     return {
-        "config": _config_echo(args, "eval"),
+        "config": _config_echo(args),
         "dataset": {"cases": ds.n_cases, "variables": len(ds.variables)},
         "summary": summary,
     }
@@ -247,7 +231,7 @@ def _run_score(args) -> dict:
             errors[policy.value] = str(err)
         lengths[policy.value] = length
     report = {
-        "config": _config_echo(args, "score"),
+        "config": _config_echo(args),
         "structure": {"arcs": _arcs_as_strings(dag)},
         "lengths": lengths,
     }

@@ -120,15 +120,17 @@ def _read_csv(path, variables, reject_missing: bool) -> DiscreteDataset:
     Without `variables` a new token gets the next code of its column; with
     them the header must repeat their names, the dicts hold their labels and
     a token outside them raises.
-    Empty records (blank lines) are skipped, but line numbers in errors
-    count them: they count CSV records, the header being record 1.
+    Empty records (blank lines) are skipped, before the header too, but line
+    numbers in errors count them: they count CSV records from 1.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
-        try:
-            names = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise DataFormatError(f"{path}: empty file") from None
+        for header_lineno, header in enumerate(reader, start=1):
+            if header:
+                break
+        else:
+            raise DataFormatError(f"{path}: empty file")
+        names = [h.strip() for h in header]
         m = len(names)
         if variables is None:
             codes: list[dict[str, int]] = [{} for _ in range(m)]
@@ -143,7 +145,7 @@ def _read_csv(path, variables, reject_missing: bool) -> DiscreteDataset:
             codes = [{label: k for k, label in enumerate(v.labels)} for v in variables]
         data: list[int] = []  # every code, record after record
         n_records = 0
-        for lineno, row in enumerate(reader, start=2):
+        for lineno, row in enumerate(reader, start=header_lineno + 1):
             if not row:
                 continue
             n_records += 1

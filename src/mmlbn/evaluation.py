@@ -93,6 +93,16 @@ def _fit_classes(report: PosteriorReport):
     return visits / visits.sum(), networks
 
 
+def _check_test_variables(train: DiscreteDataset, test: DiscreteDataset) -> None:
+    """Test cases index the fitted tables by code, so they must use the
+    training data's variables and labels."""
+    if test.variables != train.variables:
+        raise ValueError(
+            "test data is not coded with the training variables and labels; "
+            "read it with load_csv_with_labels"
+        )
+
+
 def _mixture_nll(networks, weights, test: DiscreteDataset) -> float:
     log_weights = np.log(weights)[:, None]
     total = 0.0
@@ -109,9 +119,11 @@ def model_averaged_test_nll(report: PosteriorReport, test: DiscreteDataset) -> f
 
     Each reported class's best network is fitted with the report's scorer, on
     its training data, and the classes are mixed by their renormalised visit
-    weights, case by case.
+    weights, case by case. The test cases must be coded with the training
+    data's variables and labels.
     """
     weights, networks = _fit_classes(report)
+    _check_test_variables(report.scorer.ds, test)
     return _mixture_nll(networks, weights, test)
 
 
@@ -145,6 +157,7 @@ def evaluate_split(
     config: SamplerConfig,
 ) -> RepeatMetrics:
     """Run the sampler on the training part and score the test part."""
+    _check_test_variables(train, test)
     report = run_sampler(train, config)
     weights, networks = _fit_classes(report)
     classes = report.classes

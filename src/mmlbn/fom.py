@@ -69,7 +69,6 @@ MAX_NEWTON_ITERS = 200
 
 _LOG_2PI = math.log(2.0 * math.pi)
 _LOG_12 = math.log(12.0)
-_CONSTRAINT_TOL = 1e-8
 
 
 def check_sigma(sigma: float) -> None:
@@ -193,17 +192,6 @@ class FomParams:
         parts = [self.a] + [b.ravel() for b in self.blocks]
         return np.concatenate(parts) if parts else np.zeros(0)
 
-    def sum_of_squares(self) -> float:
-        return float(self.a @ self.a) + sum(float((b * b).sum()) for b in self.blocks)
-
-    def constraint_residual(self) -> float:
-        """Largest absolute violation of the sum-to-zero constraints."""
-        worst = abs(float(self.a.sum()))
-        for b in self.blocks:
-            worst = max(worst, float(np.abs(b.sum(axis=0)).max(initial=0.0)))
-            worst = max(worst, float(np.abs(b.sum(axis=1)).max(initial=0.0)))
-        return worst
-
 
 def _logsumexp(values: np.ndarray, axis: int) -> np.ndarray:
     """log(sum(exp(values))) along an axis of finite values, each line
@@ -249,21 +237,6 @@ def _prior_log_peak(child_arity: int, parent_arities, sigma: float) -> float:
         norm += 0.5 * ((r_i - 1) * log_r_y + (child_arity - 1) * math.log(r_i))
     d = free_dimension(child_arity, parent_arities)
     return norm - d * (0.5 * _LOG_2PI + math.log(sigma))
-
-
-def fom_log_prior(params: FomParams, sigma: float = DEFAULT_SIGMA) -> float:
-    """Log density of the constrained Gaussian prior at the parameters.
-
-    The normaliser accounts for restricting an isotropic Gaussian over all
-    raw entries to the constraint subspace; the quadratic term runs over
-    every raw entry, redundant ones included.
-    """
-    check_sigma(sigma)
-    if params.constraint_residual() > _CONSTRAINT_TOL:
-        raise ValueError("parameters violate the sum-to-zero constraints")
-    return _prior_log_peak(
-        params.child_arity, params.parent_arities, sigma
-    ) - params.sum_of_squares() / (2.0 * sigma * sigma)
 
 
 class FomObjective:
@@ -344,15 +317,6 @@ class FomObjective:
             blocks.append(self._q_y @ effects.T @ contrast_matrix(r_i).T)
             start += r_i - 1
         return FomParams(self.r_y, self.arities, self._q_y @ theta[0], tuple(blocks))
-
-    def free_coordinates(self, params: FomParams) -> np.ndarray:
-        """Free coordinates of the constrained parameters with the same
-        probabilities: the row means of each effect block move into the
-        offsets, and the contrasts drop every other softmax gauge shift."""
-        theta = [self._q_y.T @ (params.a + sum(b.mean(axis=1) for b in params.blocks))]
-        for r_i, block in zip(self.arities, params.blocks):
-            theta.append((self._q_y.T @ block @ contrast_matrix(r_i)).T)
-        return np.concatenate([np.ravel(row) for row in theta])
 
     def negative_log_likelihood(self, probs: np.ndarray) -> float:
         if self._counts.size == 0:
@@ -440,24 +404,6 @@ def fit_fom_map(counts: ContingencyCounts, sigma: float = DEFAULT_SIGMA) -> FomP
     objective = FomObjective(counts, sigma)
     u, _ = objective.fit()
     return objective.params(u)
-
-
-def fisher_log_det(
-    params: FomParams, counts: ContingencyCounts, sigma: float = DEFAULT_SIGMA
-) -> float:
-    """Log determinant of the ridged expected information at the parameters.
-
-    The value is invariant to the choice of orthonormal basis for the
-    constraint subspace.
-    """
-    objective = FomObjective(counts, sigma)
-    if (params.child_arity, params.parent_arities) != (
-        counts.child_arity,
-        counts.parent_arities,
-    ):
-        raise ValueError("parameter shape does not match the counts")
-    probs = objective.probabilities(objective.free_coordinates(params))
-    return _log_det(objective.information_free(probs))
 
 
 @dataclass(frozen=True, eq=False)

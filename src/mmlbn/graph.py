@@ -4,7 +4,8 @@ A DAG is stored as sorted parent tuples. Every graph walk reads them as bit
 masks, one per node, and takes one kind of step: `_closure` gathers every
 node reachable from a start set through a table of neighbour masks. Over
 parent masks that gives a node's ancestors, which is the cycle test of an
-edit; over undirected neighbour masks it gives a weakly connected component.
+edit and of the checked constructor; over undirected neighbour masks it gives
+a weakly connected component.
 
 The prior over structures weights each DAG by its number of linear
 extensions (total orders consistent with the arcs), normalised by m!, times
@@ -64,7 +65,9 @@ class DagStructure:
                 raise CycleError(f"node {v} lists itself as a parent")
             normalised.append(tuple(sorted(parents)))
         object.__setattr__(self, "parent_sets", tuple(normalised))
-        if len(self.topological_order()) != self.m:
+        # a cycle runs through v iff v is among its own parents' ancestors
+        masks = _parent_masks(normalised)
+        if any(_closure(masks, mask) >> v & 1 for v, mask in enumerate(masks)):
             raise CycleError("parent sets describe a directed cycle")
 
     @classmethod
@@ -98,22 +101,6 @@ class DagStructure:
         return sorted(
             (u, v) for v, parents in enumerate(self.parent_sets) for u in parents
         )
-
-    def topological_order(self) -> list[int]:
-        remaining = [len(p) for p in self.parent_sets]
-        children = [[] for _ in range(self.m)]
-        for v, parents in enumerate(self.parent_sets):
-            for u in parents:
-                children[u].append(v)
-        # Kahn's algorithm; the order list doubles as its FIFO queue, and on a
-        # cycle it stops short of m nodes.
-        order = [v for v in range(self.m) if remaining[v] == 0]
-        for u in order:
-            for w in children[u]:
-                remaining[w] -= 1
-                if remaining[w] == 0:
-                    order.append(w)
-        return order
 
 
 @dataclass(frozen=True)

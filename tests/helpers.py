@@ -44,15 +44,8 @@ def sample_network(rng, n_cases, arities, parent_sets, tables):
     parent most significant.
     """
     m = len(arities)
-    order = []
-    placed = set()
-    while len(order) < m:
-        for v in range(m):
-            if v not in placed and all(u in placed for u in parent_sets[v]):
-                order.append(v)
-                placed.add(v)
     rows = np.zeros((n_cases, m), dtype=np.int32)
-    for v in order:
+    for v in topological_order(parent_sets):
         parents = parent_sets[v]
         table = np.asarray(tables[v], dtype=float)
         if not parents:
@@ -172,6 +165,30 @@ def dense_information_matrix(params, counts):
 
 
 # -- graph oracles ---------------------------------------------------------
+
+
+def topological_order(parent_sets):
+    """Nodes with every parent placed before its child, found by repeated
+    sweeps that place each node whose parents are all placed. The parent
+    sets must form a DAG."""
+    m = len(parent_sets)
+    order = []
+    placed = set()
+    while len(order) < m:
+        for v in range(m):
+            if v not in placed and all(u in placed for u in parent_sets[v]):
+                order.append(v)
+                placed.add(v)
+    return order
+
+
+def is_acyclic(m, arcs):
+    """No directed cycle (self-loops included): the adjacency matrix is
+    nilpotent."""
+    adjacency = np.zeros((m, m), dtype=np.int64)
+    for u, v in arcs:
+        adjacency[u, v] = 1
+    return not np.linalg.matrix_power(adjacency, m).any()
 
 
 @st.composite

@@ -1,5 +1,6 @@
 """End-to-end command line runs against temporary CSV files."""
 
+import argparse
 import json
 import os
 import re
@@ -311,6 +312,35 @@ class TestScore:
         assert "score" in capsys.readouterr().err
 
 
+class TestConfigEcho:
+    def test_echo_holds_every_flag_but_the_report_path(
+        self, train_csv, test_csv, tmp_path
+    ):
+        (subcommands,) = [
+            action
+            for action in _build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        runs = {
+            "learn": ["--iterations", "60", "--burn-in", "10"],
+            "eval": ["--test", str(test_csv), "--iterations", "60", "--burn-in", "10"],
+            "score": ["--structure", "empty"],
+        }
+        assert set(subcommands.choices) == set(runs)
+        for command, parser in subcommands.choices.items():
+            dests = {
+                action.dest
+                for action in parser._actions
+                if not isinstance(action, argparse._HelpAction)
+            }
+            assert "out" in dests
+            argv = [command, "--data", str(train_csv)] + runs[command]
+            echo = run_json(argv, tmp_path / f"{command}.json")["config"]
+            assert set(echo) == dests - {"out"} | {"command"}
+            assert echo["command"] == command
+            assert echo["data"] == str(train_csv)
+
+
 class TestEval:
     def test_fixed_test_file(self, train_csv, test_csv, tmp_path):
         report = run_json(
@@ -463,20 +493,24 @@ class TestFailureModes:
         assert "?" in ds.variables[0].labels
 
     def test_blank_lines_in_the_data_are_skipped(self, train_csv, tmp_path, capsys):
-        # a file that ends in a blank line used to fail on its last record
-        blank = tmp_path / "blank.csv"
-        blank.write_text(train_csv.read_text().replace("\n", "\n\n", 1) + "\n")
+        # a file that ends in a blank line used to fail on its last record,
+        # and one that starts with a blank line on its header
+        text = train_csv.read_text()
         args = ["learn", "--iterations", "300", "--burn-in", "50", "--seed", "3"]
         plain = run_json(args + ["--data", str(train_csv)], tmp_path / "plain.json")
-        skipped = run_json(args + ["--data", str(blank)], tmp_path / "blank.json")
-        assert skipped["config"].pop("data") == str(blank)
         plain["config"].pop("data")
-        assert skipped == plain
+        for blank_text in (text.replace("\n", "\n\n", 1) + "\n", "\n\n" + text):
+            blank = tmp_path / "blank.csv"
+            blank.write_text(blank_text)
+            skipped = run_json(args + ["--data", str(blank)], tmp_path / "blank.json")
+            assert skipped["config"].pop("data") == str(blank)
+            assert skipped == plain
         assert capsys.readouterr().err == ""
-        only_header = tmp_path / "header.csv"
-        only_header.write_text("a,b\n\n\n")
-        assert main(["learn", "--data", str(only_header)]) == 1
-        assert "no data rows" in capsys.readouterr().err
+        for lines, message in (("a,b\n\n\n", "no data rows"), ("\n\n", "empty file")):
+            only_blank = tmp_path / "only_blank.csv"
+            only_blank.write_text(lines)
+            assert main(["learn", "--data", str(only_blank)]) == 1
+            assert message in capsys.readouterr().err
 
     def test_learn_defaults_to_extra_category(self, tmp_path):
         path = tmp_path / "gaps.csv"

@@ -88,8 +88,11 @@ class TestLoadCsv:
             load_csv(path)
 
     def test_empty_file(self, tmp_path):
-        with pytest.raises(DataFormatError):
-            load_csv(write(tmp_path, ""))
+        for text in ("", "\n\n\n"):
+            path = write(tmp_path, text)
+            with pytest.raises(DataFormatError) as err:
+                load_csv(path)
+            assert str(err.value) == f"{path}: empty file"
 
     def test_header_only(self, tmp_path):
         with pytest.raises(DataFormatError):
@@ -113,6 +116,19 @@ class TestLoadCsv:
         path = write(tmp_path, "a,b\n\n\n")
         with pytest.raises(DataFormatError, match="no data rows"):
             load_csv(path)
+
+    def test_blank_lines_before_the_header(self, tmp_path):
+        path = write(tmp_path, "\na,b\nx,1\ny,2\n")
+        ds = load_csv(path)
+        assert [v.name for v in ds.variables] == ["a", "b"]
+        assert ds.rows.tolist() == [[0, 0], [1, 1]]
+        test = write(tmp_path, "\n\na,b\ny,1\n", "test.csv")
+        assert load_csv_with_labels(test, ds.variables).rows.tolist() == [[1, 0]]
+        # record numbers count the blank lines above the header
+        ragged = write(tmp_path, "\n\na,b\nx,1\ny\n", "ragged.csv")
+        with pytest.raises(DataFormatError) as err:
+            load_csv(ragged)
+        assert str(err.value) == f"{ragged}:5: expected 2 fields, found 1"
 
     def test_whitespace_stripped(self, tmp_path):
         path = write(tmp_path, "a, b\n x ,1\n y ,2\n")

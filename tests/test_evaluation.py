@@ -11,10 +11,12 @@ from scipy.special import logsumexp
 from mmlbn import (
     ClassRecord,
     DagStructure,
+    DiscreteDataset,
     ModelPolicy,
     NetworkScorer,
     PosteriorReport,
     SamplerConfig,
+    VariableMeta,
     case_log_prob,
     config_index,
     counts_for,
@@ -28,6 +30,7 @@ from mmlbn import (
     run_sampler,
     split_train_test,
 )
+from mmlbn import evaluation
 from mmlbn.evaluation import _logsumexp
 from helpers import make_dataset
 
@@ -257,6 +260,45 @@ class TestSamplerCacheReuse:
         nll = model_averaged_test_nll(retargeted, test)
         assert nll == model_averaged_test_nll(built, test)
         assert nll != model_averaged_test_nll(report, test)
+
+
+def recoded(ds):
+    """The same cases, coded as a reader that met each variable's labels in
+    the other order would code them."""
+    variables = tuple(
+        VariableMeta(v.name, v.arity, v.labels[::-1]) for v in ds.variables
+    )
+    return DiscreteDataset(variables, np.array(ds.arities) - 1 - ds.rows)
+
+
+class TestTestDataCoding:
+    """Fitted tables are indexed by code, so test cases coded with other
+    variables or labels than the training data's are refused."""
+
+    def test_mixture_rejects_other_labels_and_variables(self):
+        train = dependent_pair(72)
+        test = dependent_pair(73, n=30)
+        report = report_for(train, DagStructure(2, ((), (0,))))
+        assert recoded(test).variables != train.variables
+        nll = model_averaged_test_nll(report, test)
+        assert nll == model_averaged_test_nll(report, recoded(recoded(test)))
+        rng = np.random.default_rng(74)
+        three = make_dataset(rng.integers(0, 2, (3, 30)), arities=[2, 2, 2])
+        for other in (recoded(test), three):
+            with pytest.raises(ValueError, match="training variables and labels"):
+                model_averaged_test_nll(report, other)
+
+    def test_split_checks_before_running_the_chain(self, monkeypatch):
+        train, test = split_train_test(dependent_pair(75, n=300), 0.2, 1)
+
+        def chain_must_not_run(*args):
+            raise AssertionError("the chain ran")
+
+        monkeypatch.setattr(evaluation, "run_sampler", chain_must_not_run)
+        with pytest.raises(ValueError, match="training variables and labels"):
+            evaluate_split(
+                train, recoded(test), SamplerConfig(iterations=50, burn_in=5)
+            )
 
 
 class TestEvaluateSplit:

@@ -17,9 +17,7 @@ from mmlbn import (
     ModelPolicy,
     NetworkScorer,
     config_index,
-    fisher_log_det,
     fit_fom_map,
-    fom_log_prior,
     fom_message_length,
     fom_probability,
     free_dimension,
@@ -48,6 +46,53 @@ def random_counts(rng, r_y, arities, max_count=8):
     n_configs = math.prod(arities)
     table = rng.integers(0, max_count, size=(n_configs, r_y))
     return ContingencyCounts.from_dense(r_y, tuple(arities), table)
+
+
+def zero_case_length(r_y, arities, sigma=SIGMA):
+    """Code length of a table without cases: the fit stays at zero, so the
+    length is the prior normaliser, the ridge's log determinant d log(1 /
+    sigma^2) / 2 and the lattice constant."""
+    table = np.zeros((math.prod(arities), r_y), dtype=int)
+    counts = ContingencyCounts.from_dense(r_y, tuple(arities), table)
+    return fom_message_length(counts, sigma).message_length
+
+
+def sum_of_squares(params):
+    blocks = sum(float((b * b).sum()) for b in params.blocks)
+    return float(params.a @ params.a) + blocks
+
+
+def constraint_residual(params):
+    """Largest absolute violation of the sum-to-zero constraints."""
+    worst = abs(float(params.a.sum()))
+    for b in params.blocks:
+        worst = max(worst, float(np.abs(b.sum(axis=0)).max(initial=0.0)))
+        worst = max(worst, float(np.abs(b.sum(axis=1)).max(initial=0.0)))
+    return worst
+
+
+def log_det_at(objective, u):
+    """The length's log determinant: the ridged information at u, through
+    the one route fom_message_length takes."""
+    return fom._log_det(objective.information_free(objective.probabilities(u)))
+
+
+def oracle_nll(params, counts):
+    """Negative log likelihood of the counts, one configuration at a time."""
+    total = 0.0
+    for digits, row in zip(counts.config_digits, counts.counts):
+        probs = fom_probability(params, config_index(digits, counts.parent_arities))
+        total -= float(row @ np.log(probs))
+    return total
+
+
+def dense_log_det(params, counts, basis):
+    """Oracle log determinant: the raw information from explicit designs,
+    projected on an orthonormal basis of the constraint subspace, plus the
+    ridge."""
+    dense = dense_information_matrix(params, counts)
+    ridged = basis.T @ dense @ basis + np.eye(basis.shape[1]) / SIGMA**2
+    return np.linalg.slogdet(ridged)[1]
 
 
 def numerical_gradient(fun, u, step=1e-5):
@@ -148,31 +193,46 @@ class TestProbability:
 
 
 class TestLogPrior:
+    """The prior term of the length, read off tables without cases and off
+    fitted tables."""
+
     def test_zero_point_value(self):
-        params = FomParams.zero(2, (2,))
-        expected = math.log(2 * math.sqrt(2)) - math.log(18 * math.pi)
-        assert fom_log_prior(params, SIGMA) == pytest.approx(expected, abs=1e-12)
+        # length = -log peak - d log sigma + d (1 - log 12) / 2, with the
+        # closed-form peaks of one binary child, alone and with a binary parent
+        for arities, log_peak in (
+            ((), 0.5 * math.log(2) - 0.5 * math.log(2 * math.pi * SIGMA**2)),
+            ((2,), math.log(2 * math.sqrt(2)) - math.log(18 * math.pi)),
+        ):
+            d = free_dimension(2, arities)
+            expected = -log_peak - d * math.log(SIGMA) + 0.5 * d * (1 - math.log(12))
+            assert zero_case_length(2, arities) == pytest.approx(expected, abs=1e-12)
 
     def test_quadratic_decay(self):
+        # above a table without cases, the prior term of a fitted table grows
+        # by the raw parameters' sum of squares over 2 sigma^2
         rng = np.random.default_rng(34)
-        params = random_params(rng, 3, (2,))
-        at_zero = fom_log_prior(FomParams.zero(3, (2,)), SIGMA)
-        expected = at_zero - params.sum_of_squares() / (2 * SIGMA**2)
-        assert fom_log_prior(params, SIGMA) == pytest.approx(expected, abs=1e-12)
+        counts = random_counts(rng, 3, (2,), max_count=12)
+        score = fom_message_length(counts, SIGMA)
+        params = score.map_params
+        nll = oracle_nll(params, counts)
+        d = free_dimension(3, (2,))
+        log_det = dense_log_det(params, counts, constraint_basis(3, (2,)))
+        prior_term = (
+            score.message_length - nll - 0.5 * (log_det + 2 * d * math.log(SIGMA))
+        ) - zero_case_length(3, (2,))
+        assert sum_of_squares(params) > 0.0
+        assert prior_term == pytest.approx(
+            sum_of_squares(params) / (2 * SIGMA**2), abs=1e-9
+        )
 
     def test_parent_order_symmetric(self):
-        a = fom_log_prior(FomParams.zero(3, (2, 4)), SIGMA)
-        b = fom_log_prior(FomParams.zero(3, (4, 2)), SIGMA)
-        assert a == pytest.approx(b, abs=1e-12)
-
-    def test_constraint_violation_rejected(self):
-        params = FomParams(2, (), np.array([0.5, 0.1]), ())
-        with pytest.raises(ValueError):
-            fom_log_prior(params, SIGMA)
+        assert zero_case_length(3, (2, 4)) == pytest.approx(
+            zero_case_length(3, (4, 2)), abs=1e-12
+        )
 
     def test_sigma_validated(self):
-        with pytest.raises(ValueError):
-            fom_log_prior(FomParams.zero(2, ()), 0.0)
+        with pytest.raises(ValueError, match="sigma"):
+            zero_case_length(2, (), sigma=0.0)
 
 
 class TestObjectiveAndFit:
@@ -194,7 +254,7 @@ class TestObjectiveAndFit:
     def test_fit_zero_data_returns_zero(self):
         counts = ContingencyCounts.from_dense(3, (2,), np.zeros((2, 3), dtype=int))
         params = fit_fom_map(counts, SIGMA)
-        assert params.sum_of_squares() == 0.0
+        assert sum_of_squares(params) == 0.0
 
     def test_fit_balanced_counts_zero(self):
         counts = ContingencyCounts.from_dense(2, (), np.array([[50, 50]]))
@@ -209,7 +269,7 @@ class TestObjectiveAndFit:
                 int(rng.integers(2, 4)) for _ in range(int(rng.integers(0, 3)))
             )
             params = fit_fom_map(random_counts(rng, r_y, arities), SIGMA)
-            assert params.constraint_residual() < 1e-10
+            assert constraint_residual(params) < 1e-10
 
     def test_fit_is_stationary(self):
         rng = np.random.default_rng(37)
@@ -448,7 +508,8 @@ class TestFisherLogDet:
         for n in (0, 10, 400):
             table = np.array([[n // 2, n - n // 2]])
             counts = ContingencyCounts.from_dense(2, (), table)
-            value = fisher_log_det(FomParams.zero(2, ()), counts, SIGMA)
+            objective = FomObjective(counts, SIGMA)
+            value = log_det_at(objective, np.zeros(objective.dim))
             assert value == pytest.approx(math.log(n / 2 + 1 / SIGMA**2), abs=1e-12)
 
     def test_matches_dense_oracle_and_any_basis(self):
@@ -459,17 +520,15 @@ class TestFisherLogDet:
                 int(rng.integers(2, 4)) for _ in range(int(rng.integers(1, 4)))
             )
             counts = random_counts(rng, r_y, arities, max_count=12)
-            params = random_params(rng, r_y, arities)
-            value = fisher_log_det(params, counts, SIGMA)
-            dense = dense_information_matrix(params, counts)
+            objective = FomObjective(counts, SIGMA)
+            u = rng.normal(0, 0.8, objective.dim)
+            value = log_det_at(objective, u)
             # an unrelated orthonormal basis of the same constraint subspace
             basis = null_space(constraint_matrix(r_y, arities)[::-1])
             rotation = np.linalg.qr(
                 rng.normal(size=(basis.shape[1], basis.shape[1]))
             )[0]
-            basis = basis @ rotation
-            ridged = basis.T @ dense @ basis + np.eye(basis.shape[1]) / SIGMA**2
-            oracle = np.linalg.slogdet(ridged)[1]
+            oracle = dense_log_det(objective.params(u), counts, basis @ rotation)
             assert value == pytest.approx(oracle, abs=1e-9)
 
     def test_matches_numerical_hessian(self):
@@ -477,7 +536,6 @@ class TestFisherLogDet:
         counts = random_counts(rng, 3, (2,), max_count=10)
         objective = FomObjective(counts, SIGMA)
         u = rng.normal(0, 0.5, objective.dim)
-        params = objective.params(u)
         step = 1e-5
         dim = objective.dim
         hessian = np.zeros((dim, dim))
@@ -491,9 +549,7 @@ class TestFisherLogDet:
             )
         hessian = 0.5 * (hessian + hessian.T)
         expected = np.linalg.slogdet(hessian)[1]
-        assert fisher_log_det(params, counts, SIGMA) == pytest.approx(
-            expected, abs=1e-5
-        )
+        assert log_det_at(objective, u) == pytest.approx(expected, abs=1e-5)
 
     def test_doubling_counts_adds_d_log_two(self):
         counts = ContingencyCounts.from_dense(
@@ -502,18 +558,18 @@ class TestFisherLogDet:
         doubled = ContingencyCounts.from_dense(
             3, (2,), 2 * counts.dense()
         )
-        params = fit_fom_map(counts, SIGMA)
-        gap = fisher_log_det(params, doubled, SIGMA) - fisher_log_det(
-            params, counts, SIGMA
-        )
+        objective = FomObjective(counts, SIGMA)
+        u, _ = objective.fit()
+        gap = log_det_at(FomObjective(doubled, SIGMA), u) - log_det_at(objective, u)
         d = free_dimension(3, (2,))
         assert gap == pytest.approx(d * math.log(2), abs=1e-3)
 
     def test_not_positive_definite_is_convergence_error(self, monkeypatch):
         counts = random_counts(np.random.default_rng(36), 2, (2,))
+        objective = FomObjective(counts, SIGMA)
         monkeypatch.setattr(FomObjective, "information_free", indefinite_information)
-        with pytest.raises(ConvergenceError):
-            fisher_log_det(FomParams.zero(2, (2,)), counts, SIGMA)
+        with pytest.raises(ConvergenceError, match="not positive definite"):
+            log_det_at(objective, np.zeros(objective.dim))
 
     def test_newton_step_on_a_failed_factorisation(self, monkeypatch):
         # the first Newton step's information is indefinite: its step ascends
@@ -535,7 +591,7 @@ class TestFisherLogDet:
             fom_message_length(counts, SIGMA)
         params = caught.value.best_params
         assert np.array_equal(params.flatten(), start.flatten())
-        assert start.sum_of_squares() > 0.0
+        assert sum_of_squares(start) > 0.0
         assert params.child_arity == 3 and params.parent_arities == (2, 3)
 
     def test_indefinite_information_at_the_optimum(self, monkeypatch):
@@ -553,41 +609,6 @@ class TestFisherLogDet:
             fom_message_length(counts, SIGMA)
         assert len(calls) == 1
         assert caught.value.best_params is None
-
-    def test_parameters_off_the_constraint_subspace(self):
-        # raw parameters that break the sum-to-zero constraints give the same
-        # probabilities as their free coordinates, and so the same log det as
-        # the constrained parameters with those probabilities
-        rng = np.random.default_rng(46)
-        for _ in range(20):
-            r_y = int(rng.integers(2, 5))
-            arities = tuple(
-                int(rng.integers(2, 5)) for _ in range(int(rng.integers(0, 4)))
-            )
-            raw = FomParams(
-                r_y,
-                arities,
-                rng.normal(size=r_y),
-                tuple(rng.normal(size=(r_y, r)) for r in arities),
-            )
-            counts = random_counts(rng, r_y, arities, max_count=6)
-            objective = FomObjective(counts, SIGMA)
-            u = objective.free_coordinates(raw)
-            expected = [
-                fom_probability(raw, config_index(digits, arities))
-                for digits in counts.config_digits
-            ]
-            np.testing.assert_allclose(
-                objective.probabilities(u), np.reshape(expected, (-1, r_y)), atol=1e-14
-            )
-            assert fisher_log_det(raw, counts, SIGMA) == pytest.approx(
-                fisher_log_det(objective.params(u), counts, SIGMA), rel=1e-12
-            )
-
-    def test_shape_mismatch(self):
-        counts = ContingencyCounts.from_dense(2, (), np.array([[1, 1]]))
-        with pytest.raises(ValueError):
-            fisher_log_det(FomParams.zero(2, (2,)), counts, SIGMA)
 
 
 class TestMessageLength:
@@ -652,14 +673,18 @@ class TestMessageLength:
             counts = random_counts(rng, r_y, arities, max_count=12)
             score = fom_message_length(counts, SIGMA)
             params = score.map_params
-            nll = -sum(
-                float(row @ np.log(fom_probability(params, config_index(digits, arities))))
-                for digits, row in zip(counts.config_digits, counts.counts)
-            )
+            nll = oracle_nll(params, counts)
             d = free_dimension(r_y, arities)
+            # the log prior peak, read off the length of a table without cases
+            log_peak = -(
+                zero_case_length(r_y, arities)
+                + d * math.log(SIGMA)
+                - 0.5 * d * (1.0 - math.log(12.0))
+            )
+            log_det = dense_log_det(params, counts, constraint_basis(r_y, arities))
             expected = (
-                -fom_log_prior(params, SIGMA)
-                + 0.5 * fisher_log_det(params, counts, SIGMA)
+                -(log_peak - sum_of_squares(params) / (2 * SIGMA**2))
+                + 0.5 * log_det
                 + nll
                 + 0.5 * d * (1.0 - math.log(12.0))
             )

@@ -25,7 +25,9 @@ from helpers import (
     dags,
     enumerate_dags,
     equivalent_by_definition,
+    is_acyclic,
     make_dataset,
+    topological_order,
 )
 
 
@@ -62,11 +64,54 @@ class TestDagStructure:
                 DagStructure.from_arcs(3, [(0, child)])
 
     def test_topological_order(self):
+        # the order the test data generators sample nodes in
         dag = DagStructure.from_arcs(4, [(2, 0), (0, 3), (1, 3)])
-        order = dag.topological_order()
+        order = topological_order(dag.parent_sets)
+        assert sorted(order) == list(range(4))
         pos = {v: i for i, v in enumerate(order)}
         for u, v in dag.arcs():
             assert pos[u] < pos[v]
+
+
+@st.composite
+def parent_set_lists(draw, max_nodes=8):
+    """Parent sets on up to max_nodes nodes, each in a random order. They
+    name only nodes earlier in a random node order (a DAG), or any other
+    node (often a cycle), or any node, the child itself included."""
+    m = draw(st.integers(0, max_nodes))
+    kind = draw(st.sampled_from(("ordered", "others", "any")))
+    if kind == "ordered":
+        order = draw(st.permutations(range(m)))
+        allowed = [order[: order.index(v)] for v in range(m)]
+    else:
+        allowed = [[u for u in range(m) if kind == "any" or u != v] for v in range(m)]
+    return [
+        draw(st.lists(st.sampled_from(nodes), unique=True)) if nodes else []
+        for nodes in allowed
+    ]
+
+
+class TestCheckedConstructor:
+    """DagStructure's own validation against a brute-force cycle check: a
+    self-parent is named first, any other cycle raises, and acyclic parent
+    sets come out sorted."""
+
+    @given(parent_set_lists())
+    def test_cycles_match_brute_force(self, sets):
+        m = len(sets)
+        arcs = [(u, v) for v, parents in enumerate(sets) for u in parents]
+        own = [v for v, parents in enumerate(sets) if v in parents]
+        if is_acyclic(m, arcs):
+            dag = DagStructure(m, tuple(map(tuple, sets)))
+            assert dag.parent_sets == tuple(tuple(sorted(p)) for p in sets)
+            return
+        if own:
+            message = f"node {own[0]} lists itself as a parent"
+        else:
+            message = "parent sets describe a directed cycle"
+        with pytest.raises(CycleError) as caught:
+            DagStructure(m, tuple(map(tuple, sets)))
+        assert str(caught.value) == message
 
 
 class TestApplyMove:
@@ -133,14 +178,6 @@ class TestApplyMove:
             assert twice == dag
 
 
-def is_acyclic(m, arcs):
-    """No directed cycle: the adjacency matrix is nilpotent."""
-    adjacency = np.zeros((m, m), dtype=np.int64)
-    for u, v in arcs:
-        adjacency[u, v] = 1
-    return not np.linalg.matrix_power(adjacency, m).any()
-
-
 @st.composite
 def moves_on_dags(draw):
     """A DAG on 2-7 nodes, a parent cap it meets, and a move on two of its
@@ -166,7 +203,7 @@ def parity_data(dag, seed, n_cases=60):
     not."""
     rng = np.random.default_rng(seed)
     rows = np.zeros((n_cases, dag.m), dtype=np.int64)
-    for v in dag.topological_order():
+    for v in topological_order(dag.parent_sets):
         flip = rng.random(n_cases) < (0.3 if dag.parent_sets[v] else 0.5)
         rows[:, v] = (rows[:, list(dag.parent_sets[v])].sum(axis=1) + flip) % 2
     return make_dataset(rows.T, arities=[2] * dag.m)
