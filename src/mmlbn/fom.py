@@ -346,13 +346,20 @@ class FomObjective:
         1/sigma^2 as the ridge, theta solves
         (X^T N X + I / sigma^2) theta = X^T N Z: one D x D system with
         r_y - 1 right-hand sides. No cases or a balanced table start at zero.
+        A singular system (collinear parents, the ridge lost in rounding) is
+        the ConvergenceError a Newton step raises for the same condition.
         """
         logs = np.log(self._counts + 0.5)
         targets = (logs - logs[:, :1]) @ self._q_y
         weighted = self._design * self._totals[:, None]
         system = weighted.T @ self._design
         system.flat[:: system.shape[0] + 1] += 1.0 / self.sigma**2
-        return np.linalg.solve(system, weighted.T @ targets).ravel()
+        try:
+            return np.linalg.solve(system, weighted.T @ targets).ravel()
+        except np.linalg.LinAlgError:
+            raise ConvergenceError(
+                "information matrix is not positive definite"
+            ) from None
 
     def fit(self):
         """Newton iteration from ``start``, each step backtracked until the

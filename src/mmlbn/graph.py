@@ -233,23 +233,22 @@ def count_linear_extensions(dag: DagStructure) -> int:
     return _count_extensions(dag.parent_sets)
 
 
+def check_arc_prior(p: float) -> None:
+    """Reject an arc prior probability outside the open interval (0, 1)."""
+    if not 0.0 < p < 1.0:
+        raise ValueError("arc prior probability must lie strictly in (0, 1)")
+
+
 def structure_log_prior(dag: DagStructure, p: float) -> float:
     """Log prior probability of a DAG, in nits.
 
     The prior is: (linear extensions / m!) * p^E * (1-p)^(C-E) with C the
     number of unordered node pairs and E the arc count.
     """
-    if not 0.0 < p < 1.0:
-        raise ValueError("arc prior probability must lie strictly in (0, 1)")
-    extensions = count_linear_extensions(dag)
-    m, e = dag.m, dag.arc_count
-    pairs = m * (m - 1) // 2
-    return (
-        math.log(extensions)
-        - math.log(math.factorial(m))
-        + e * math.log(p)
-        + (pairs - e) * math.log1p(-p)
-    )
+    check_arc_prior(p)
+    m = dag.m
+    log_ratio = math.log(count_linear_extensions(dag)) - math.log(math.factorial(m))
+    return log_ratio + log_prior_ceiling(m, dag.arc_count, p)
 
 
 def log_prior_ceiling(m: int, arcs: int, p: float) -> float:

@@ -4,9 +4,10 @@ The chain walks DAG space with symmetric proposals (arc toggles and arc
 reversals of uniformly random ordered pairs) and accepts by the usual
 Metropolis rule on the network code length, so its stationary distribution
 is proportional to exp(-length). The raw, uncleaned network is what the
-chain carries forward; each post-burn-in visit is separately cleaned of
-arcs that do not pay for themselves and binned by the Markov equivalence
-class of the cleaned network.
+chain carries forward, and the chain only counts post-burn-in visits per
+network. After it ends, each distinct visited network is cleaned once of
+arcs that do not pay for themselves and its visits are binned by the Markov
+equivalence class of the cleaned network.
 
 The structure prior is an exact count of linear extensions, the costliest
 term of a test, so both the Metropolis test and the cleaning test are first
@@ -30,7 +31,8 @@ import numpy.random  # noqa: F401
 
 from .errors import CycleError, NoArcError, ParentCapError
 from .fom import DEFAULT_SIGMA, check_sigma
-from .graph import ArcMove, DagStructure, apply_move, cpdag_key, log_prior_ceiling
+from .graph import ArcMove, DagStructure, apply_move, check_arc_prior, cpdag_key
+from .graph import log_prior_ceiling
 from .scoring import ModelPolicy, NetworkScorer
 
 
@@ -50,8 +52,7 @@ class SamplerConfig:
             raise ValueError("iterations must be positive")
         if not 0 <= self.burn_in < self.iterations:
             raise ValueError("burn_in must lie in [0, iterations)")
-        if not 0.0 < self.p < 1.0:
-            raise ValueError("arc prior probability must lie strictly in (0, 1)")
+        check_arc_prior(self.p)
         check_sigma(self.sigma)
         if self.max_parents < 0:
             raise ValueError("max_parents must be non-negative")
@@ -97,13 +98,14 @@ class PosteriorReport:
 
 def initial_state(scorer: NetworkScorer) -> ChainState:
     dag = DagStructure.empty(scorer.ds.n_variables)
-    lengths = tuple(
-        scorer.node_length_or_inf(child, parents)
-        for child, parents in enumerate(dag.parent_sets)
-    )
+    lengths = tuple(scorer.node_length_or_inf(v, ()) for v in range(dag.m))
     log_prior = scorer.structure_log_prior(dag)
-    total = math.inf if any(math.isinf(x) for x in lengths) else -log_prior + sum(lengths)
-    return ChainState(dag, lengths, log_prior, total)
+    return ChainState(dag, lengths, log_prior, -log_prior + sum(lengths))
+
+
+def _log_odds(p: float) -> float:
+    """odds = log((1 - p) / p), the least an added arc lowers the log prior by."""
+    return math.log1p(-p) - math.log(p)
 
 
 def _slack(m: int, p: float, scale: float) -> float:
@@ -113,9 +115,9 @@ def _slack(m: int, p: float, scale: float) -> float:
     of any DAG on m nodes) lies far above the float error of the few sums
     involved and far below any difference a test acts on.
     """
-    pairs = m * (m - 1) // 2
-    floor = min(log_prior_ceiling(m, 0, p), log_prior_ceiling(m, pairs, p))
-    return 1e-9 * (1.0 + abs(scale) + math.lgamma(m + 1) - floor)
+    # the least arc factor, the empty or the complete DAG's: C log min(p, 1 - p)
+    floor = log_prior_ceiling(m, 0, max(p, 1.0 - p))
+    return 1e-9 * (1.0 + abs(scale) + math.log(math.factorial(m)) - floor)
 
 
 def metropolis_step(
@@ -126,11 +128,13 @@ def metropolis_step(
     Moves that would break acyclicity or the parent cap, and reversals of
     absent arcs, leave the chain where it is (and still count as a visit).
 
-    From a codable state, the ceiling of the proposal's log prior bounds
-    delta from above. When that bound is negative the uniform is drawn at
-    once, as the rule would draw it, and a uniform that rejects even against
-    the bound rejects without counting extensions. An uncodable proposal
-    (infinite length) is rejected that way too.
+    The ceiling of the proposal's log prior bounds delta from above. When
+    that bound is negative the uniform is drawn at once, as the rule would
+    draw it, and a uniform that rejects even against the bound rejects
+    without counting extensions. Uncodable lengths are +inf and the prior is
+    finite, so an uncodable proposal from a codable state has delta_hi = -inf
+    and is rejected that way; from an uncodable state the slack is inf and
+    delta inf or NaN, so the move is accepted, as by the rule.
     """
     m = state.dag.m
     if m < 2:
@@ -148,24 +152,20 @@ def metropolis_step(
     for v in affected:
         lengths[v] = ctx.scorer.node_length_or_inf(v, new_dag.parent_sets[v])
     node_sum = sum(lengths)
-    log_u = None
-    if not math.isinf(state.total):
-        p = ctx.scorer.p
-        ceiling = log_prior_ceiling(m, new_dag.arc_count, p)
-        if kind == "toggle" and i not in state.dag.parent_sets[j]:
-            # an added arc never adds orders
-            ceiling = min(ceiling, state.log_prior + math.log(p) - math.log1p(-p))
-        delta_hi = state.total - node_sum + ceiling
-        slack = _slack(m, p, state.total)
-        if delta_hi < -slack:
-            log_u = math.log(rng.random())
-            if log_u >= delta_hi + slack:
-                return state
-    log_prior = ctx.scorer.structure_log_prior(new_dag)
-    if any(math.isinf(x) for x in lengths):
-        total = math.inf
+    p = ctx.scorer.p
+    if kind == "toggle" and i not in state.dag.parent_sets[j]:
+        ceiling = state.log_prior - _log_odds(p)  # an added arc never adds orders
     else:
-        total = -log_prior + node_sum
+        ceiling = log_prior_ceiling(m, new_dag.arc_count, p)
+    delta_hi = state.total - node_sum + ceiling
+    slack = _slack(m, p, state.total)
+    log_u = None
+    if delta_hi < -slack:
+        log_u = math.log(rng.random())
+        if log_u >= delta_hi + slack:
+            return state
+    log_prior = ctx.scorer.structure_log_prior(new_dag)
+    total = -log_prior + node_sum
     delta = state.total - total  # positive when the proposal is better
     if delta < 0:
         if log_u is None:
@@ -191,8 +191,8 @@ def clean_network(dag: DagStructure, scorer: NetworkScorer) -> DagStructure:
     and its prior is carried forward with each removal the test makes.
     """
     m, p = dag.m, scorer.p
-    odds = math.log1p(-p) - math.log(p)
-    log_m_factorial = math.lgamma(m + 1)
+    odds = _log_odds(p)
+    log_m_factorial = math.log(math.factorial(m))
     current, current_prior = dag, None
     for node in range(m):
         for parent in dag.parent_sets[node]:
@@ -224,38 +224,28 @@ def clean_network(dag: DagStructure, scorer: NetworkScorer) -> DagStructure:
 
 
 def run_sampler(ds, config: SamplerConfig) -> PosteriorReport:
-    """Run the chain from the empty structure and aggregate visited classes."""
+    """Run the chain from the empty structure, then clean and classify each
+    distinct visited network once, with its visit count."""
     config.validate()
-    m = ds.n_variables
     scorer = NetworkScorer(ds, config.policy, config.p, config.sigma)
-    ctx = SamplerContext(scorer, min(config.max_parents, max(m - 1, 0)))
+    ctx = SamplerContext(scorer, config.max_parents)
     rng = np.random.default_rng(config.seed)
     state = initial_state(scorer)
-    clean_memo: dict = {}
-    records: dict[bytes, list] = {}
+    visited: dict[tuple, list] = {}  # parent sets -> [dag, visits]
     for step in range(config.iterations):
         state = metropolis_step(state, rng, ctx)
-        if step < config.burn_in:
-            continue
-        memo_key = state.dag.parent_sets
-        entry = clean_memo.get(memo_key)
-        if entry is None:
-            cleaned = clean_network(state.dag, scorer)
-            entry = (
-                cpdag_key(cleaned),
-                cleaned,
-                scorer.total_length(cleaned),
-            )
-            clean_memo[memo_key] = entry
-        class_key, cleaned, clean_length = entry
-        record = records.get(class_key)
-        if record is None:
-            records[class_key] = [1, cleaned, clean_length]
-        else:
-            record[0] += 1
-            if clean_length < record[2]:
-                record[1] = cleaned
-                record[2] = clean_length
+        if step >= config.burn_in:
+            entry = visited.setdefault(state.dag.parent_sets, [state.dag, 0])
+            entry[1] += 1
+    # in first-visit order, so a class's best network is its first-visited shortest
+    records: dict[bytes, list] = {}
+    for dag, visits in visited.values():
+        cleaned = clean_network(dag, scorer)
+        length = scorer.total_length(cleaned)
+        record = records.setdefault(cpdag_key(cleaned), [0, cleaned, length])
+        record[0] += visits
+        if length < record[2]:
+            record[1:] = cleaned, length
     ordered = sorted(
         records.items(), key=lambda item: (-item[1][0], item[0])
     )[: config.top_k]

@@ -17,7 +17,7 @@ from .cpt_full import full_cpt_message_length
 from .dataset import DiscreteDataset, counts_for
 from .errors import ConvergenceError, MmlbnError, ParameterCapError
 from .fom import DEFAULT_SIGMA, FomParams, check_sigma, fom_message_length
-from .graph import DagStructure
+from .graph import DagStructure, check_arc_prior
 from .graph import structure_log_prior as _structure_log_prior
 
 MODEL_CHOICE_NITS = math.log(2.0)
@@ -68,7 +68,9 @@ class ScoreCache:
         else:
             self.hits += 1
         if isinstance(entry, MmlbnError):
-            raise entry
+            # a bare raise would append this call's frames to the stored
+            # traceback on every hit, and keep them alive
+            raise entry.with_traceback(None)
         return entry
 
 
@@ -117,8 +119,7 @@ class NetworkScorer:
         sigma: float = DEFAULT_SIGMA,
         cache: ScoreCache | None = None,
     ):
-        if not 0.0 < p < 1.0:
-            raise ValueError("arc prior probability must lie strictly in (0, 1)")
+        check_arc_prior(p)
         check_sigma(sigma)
         self.ds = ds
         self.policy = policy

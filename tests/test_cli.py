@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import math
 import os
 import re
 import subprocess
@@ -567,6 +568,35 @@ class TestFailureModes:
         assert "sigma" in err
         assert "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["learn", "score"])
+    def test_collinear_parents_at_the_widest_sigma(self, tmp_path, command):
+        # b copies a: a logit node with both as parents has a singular start
+        # system once the 1 / sigma^2 ridge is lost in rounding
+        rng = np.random.default_rng(84)
+        a, c = rng.integers(0, 3, size=(2, 300))
+        d = (a + c + rng.integers(0, 2, size=300)) % 3
+        data = tmp_path / "dup.csv"
+        data.write_text(
+            "a,b,c,d\n" + "".join(f"{x},{x},{y},{z}\n" for x, y, z in zip(a, c, d))
+        )
+        if command == "learn":
+            extra = ["--iterations", "300", "--burn-in", "50"]
+        else:
+            structure = tmp_path / "structure.txt"
+            structure.write_text("0->3\n1->3\n2->3\n")
+            extra = ["--structure", str(structure)]
+        report = run_json(
+            [command, "--data", str(data), "--sigma", "1e154"] + extra,
+            tmp_path / "report.json",
+        )
+        if command == "score":
+            assert report["errors"] == {
+                "fon": "information matrix is not positive definite"
+            }
+            assert report["lengths"]["dual"] == pytest.approx(
+                report["lengths"]["tbn"] + math.log(2.0), rel=1e-12
+            )
 
 
 class TestDocs:

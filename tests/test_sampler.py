@@ -99,6 +99,29 @@ def _step_by_the_rule(state, rng, ctx):
     return ChainState(new_dag, tuple(lengths), log_prior, total)
 
 
+def _run_by_the_rule(ds, config):
+    """run_sampler's classes, with each post-burn-in visit cleaned, priced
+    and classified as it happens: (key, visits, best network, best length)
+    of the top classes."""
+    scorer = NetworkScorer(ds, config.policy, config.p, config.sigma)
+    ctx = SamplerContext(scorer, config.max_parents)
+    rng = np.random.default_rng(config.seed)
+    state = initial_state(scorer)
+    records = {}
+    for step in range(config.iterations):
+        state = metropolis_step(state, rng, ctx)
+        if step < config.burn_in:
+            continue
+        cleaned = clean_network(state.dag, scorer)
+        length = scorer.total_length(cleaned)
+        record = records.setdefault(cpdag_key(cleaned), [0, cleaned, length])
+        record[0] += 1
+        if length < record[2]:
+            record[1:] = cleaned, length
+    ordered = sorted(records.items(), key=lambda item: (-item[1][0], item[0]))
+    return [(key, *record) for key, record in ordered[: config.top_k]]
+
+
 class _PartlyUncodable(NetworkScorer):
     """The real scorer with some (child, parents) pairs uncodable; counts the
     networks it prices."""
@@ -514,6 +537,41 @@ class TestRunSampler:
             assert record.best_length == pytest.approx(
                 scorer.total_length(record.best_network), abs=1e-9
             )
+
+    @pytest.mark.parametrize("policy", [ModelPolicy.TBN, ModelPolicy.DUAL])
+    @pytest.mark.parametrize("top_k", [2, 10])
+    def test_same_classes_as_the_per_visit_rule(self, policy, top_k):
+        # Weak dependence on few cases: the chain spreads over many classes,
+        # and a class gathers networks whose cleaned lengths differ.
+        rng = np.random.default_rng(24)
+        n = 60
+
+        def noisy(values, arity, flip):
+            redrawn = rng.random(n) < flip
+            return np.where(redrawn, rng.integers(0, arity, size=n), values)
+
+        a = rng.integers(0, 3, size=n)
+        b = noisy(a, 3, 0.4)
+        c = noisy((a + b) % 3, 3, 0.4)
+        d = noisy(c % 2, 2, 0.5)
+        self._check_against_the_rule(
+            make_dataset([a, b, c, d], arities=[3, 3, 3, 2]), policy, top_k
+        )
+        # Two copies of one column: 0 -> 1 and 1 -> 0 tie exactly, and the
+        # class keeps the first visited.
+        copies = make_dataset([a, a], arities=[3, 3])
+        self._check_against_the_rule(copies, policy, top_k)
+
+    def _check_against_the_rule(self, ds, policy, top_k):
+        for seed in (1, 2, 3):
+            config = SamplerConfig(
+                iterations=800, burn_in=100, seed=seed, policy=policy, top_k=top_k
+            )
+            report = run_sampler(ds, config)
+            assert report.total_samples == 700
+            assert [
+                (c.key, c.visits, c.best_network, c.best_length) for c in report.classes
+            ] == _run_by_the_rule(ds, config)
 
     def test_max_parents_respected(self):
         rng = np.random.default_rng(16)

@@ -233,6 +233,25 @@ class TestScoreCache:
                 cache.get_or_compute(("k",), compute)
         assert len(calls) == 1
 
+    def test_a_cached_error_keeps_its_traceback_depth(self):
+        def compute():
+            raise ParameterCapError("too many cells")
+
+        def depth(err):
+            tb, frames = err.__traceback__, 0
+            while tb is not None:
+                tb, frames = tb.tb_next, frames + 1
+            return frames
+
+        cache = ScoreCache()
+        depths = []
+        for _ in range(20):
+            with pytest.raises(ParameterCapError) as caught:
+                cache.get_or_compute(("k",), compute)
+            depths.append(depth(caught.value))
+        # every lookup re-raises the stored error; its traceback must not grow
+        assert len(set(depths)) == 1
+
     def test_length_or_inf_on_capped_node(self):
         rng = np.random.default_rng(58)
         ds = random_dataset(rng, 25, (2,) * 17)
@@ -252,22 +271,30 @@ class TestScoreCache:
 
 
 class TestLogitFailureStaysLocal:
-    @pytest.mark.parametrize("failure", ["newton", "information"])
+    @pytest.mark.parametrize("failure", ["newton", "information", "start"])
     def test_fon_voids_the_node_and_dual_keeps_the_table(self, monkeypatch, failure):
         rng = np.random.default_rng(60)
-        ds = random_dataset(rng, 60, (2, 3, 2))
-        parents = (0, 1)
-        table = full_cpt_message_length(counts_for(ds, 2, parents)).message_length
+        if failure == "start":
+            # Collinear parents (column 1 copies column 0) with the 1 / sigma^2
+            # ridge lost in rounding: the start system itself is singular.
+            columns = [rng.integers(0, r, size=60) for r in (3, 3, 2, 3)]
+            columns[1] = columns[0]
+            ds = make_dataset(columns, arities=[3, 3, 2, 3])
+            child, parents, sigma = 3, (0, 1, 2), 1e10
+        else:
+            ds = random_dataset(rng, 60, (2, 3, 2))
+            child, parents, sigma = 2, (0, 1), 3.0
+        table = full_cpt_message_length(counts_for(ds, child, parents)).message_length
         if failure == "newton":
             monkeypatch.setattr("mmlbn.fom.MAX_NEWTON_ITERS", 0)
-        else:
+        elif failure == "information":
             monkeypatch.setattr(
                 FomObjective, "information_free", lambda self, probs: -np.eye(self.dim)
             )
         with pytest.raises(ConvergenceError):
-            fom_message_length(counts_for(ds, 2, parents))
-        fon = NetworkScorer(ds, ModelPolicy.FON)
-        assert fon.node_length_or_inf(2, parents) == math.inf
-        dual = NetworkScorer(ds, ModelPolicy.DUAL)
-        assert dual.node_length_or_inf(2, parents) == table + LOG2
-        assert dual.node_score(2, parents).chosen_model == "full"
+            fom_message_length(counts_for(ds, child, parents), sigma)
+        fon = NetworkScorer(ds, ModelPolicy.FON, sigma=sigma)
+        assert fon.node_length_or_inf(child, parents) == math.inf
+        dual = NetworkScorer(ds, ModelPolicy.DUAL, sigma=sigma)
+        assert dual.node_length_or_inf(child, parents) == table + LOG2
+        assert dual.node_score(child, parents).chosen_model == "full"
