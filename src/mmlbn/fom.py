@@ -23,10 +23,15 @@ by construction.
 Kronecker information. The expected information of theta (read row by row)
 is sum_c n_c (x_c x_c^T) kron W_c with W_c = Q_y^T (diag p_c - p_c p_c^T) Q_y.
 Its (k, l) child-contrast slot is the Gram matrix X^T diag(n_c W_c[k, l]) X,
-so assembling it costs one dense product per contrast pair k <= l. The
-ridge makes it positive definite. A Newton step factors it once, in a numpy
-solve; as grad @ step = -grad^T I^-1 grad < 0 for a positive definite I, a
-failed solve or a step that does not descend is a ConvergenceError. The log
+so one product X^T (X * w), with w holding every pair k <= l's weights side
+by side, gives the Gram matrices of all pairs at once as a (D, D, pairs)
+stack, and one gather through an index layout kept per (D, r_y) places the
+stack in the matrix. The product is summed over blocks of at most
+``INFORMATION_BLOCK_ROWS`` configurations, so its temporaries stay the same
+size however many configurations a node has. The ridge makes the matrix
+positive definite. A Newton step factors it once, in a numpy solve; as
+grad @ step = -grad^T I^-1 grad < 0 for a positive definite I, a failed
+solve or a step that does not descend is a ConvergenceError. The log
 determinant the code length needs comes from a Cholesky factor at the
 optimum, whose failure is a ConvergenceError too.
 
@@ -55,8 +60,8 @@ quantisation constant of 1/12.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -66,6 +71,9 @@ from .errors import ConvergenceError
 DEFAULT_SIGMA = 3.0
 GRADIENT_TOL = 1e-8
 MAX_NEWTON_ITERS = 200
+# Configurations per product in information_free: its temporaries take
+# about INFORMATION_BLOCK_ROWS * D * pairs floats, whatever the node's size.
+INFORMATION_BLOCK_ROWS = 512
 
 _LOG_2PI = math.log(2.0 * math.pi)
 _LOG_12 = math.log(12.0)
@@ -133,6 +141,36 @@ def constraint_basis(child_arity: int, parent_arities: tuple) -> np.ndarray:
     return basis
 
 
+@lru_cache(maxsize=64)
+def _child_constants(child_arity: int):
+    """Q_y, its transpose, the child contrast pairs k <= l, and the products
+    of their columns, so that p_c @ products gives (Q_y^T diag p_c Q_y)[k, l]
+    for every pair."""
+    q_y = contrast_matrix(child_arity)
+    k, l = np.triu_indices(child_arity - 1)
+    products = q_y[:, k] * q_y[:, l]
+    q_y_t = np.ascontiguousarray(q_y.T)
+    for array in (k, l, products, q_y_t):
+        array.flags.writeable = False
+    return q_y, q_y_t, k, l, products
+
+
+@lru_cache(maxsize=256)
+def _information_layout(d: int, child_arity: int) -> np.ndarray:
+    """Where each entry of the (d (r_y - 1))^2 information sits in the
+    flattened (d, d, pairs) stack of Gram matrices: entry (i (r_y - 1) + k,
+    j (r_y - 1) + l) reads Gram matrix pair(k, l) at (i, j)."""
+    r = child_arity - 1
+    k, l = _child_constants(child_arity)[2:4]
+    pair = np.empty((r, r), dtype=np.intp)
+    pair[k, l] = pair[l, k] = np.arange(k.size)
+    rows = np.arange(d)
+    layout = (rows[:, None, None, None] * d + rows[:, None]) * k.size + pair[:, None, :]
+    layout = layout.reshape(d * r, d * r)
+    layout.flags.writeable = False
+    return layout
+
+
 @dataclass(frozen=True, eq=False)
 class FomParams:
     """Offsets and per-parent effect blocks of one fitted node."""
@@ -193,6 +231,22 @@ class FomParams:
         return np.concatenate(parts) if parts else np.zeros(0)
 
 
+def _params_from_free(
+    child_arity: int, parent_arities: tuple, u: np.ndarray
+) -> FomParams:
+    """Raw parameters of free coordinates u: a = Q_y alpha and
+    b_i = Q_y B_i Q_{r_i}^T, with B_i^T the rows of theta for parent i."""
+    q_y = contrast_matrix(child_arity)
+    theta = u.reshape(-1, child_arity - 1)
+    blocks = []
+    start = 1
+    for r_i in parent_arities:
+        effects = theta[start : start + r_i - 1]
+        blocks.append(q_y @ effects.T @ contrast_matrix(r_i).T)
+        start += r_i - 1
+    return FomParams(child_arity, parent_arities, q_y @ theta[0], tuple(blocks))
+
+
 def _logsumexp(values: np.ndarray, axis: int) -> np.ndarray:
     """log(sum(exp(values))) along an axis of finite values, each line
     shifted by its maximum so that no exponential overflows."""
@@ -227,7 +281,8 @@ def _log_det(matrix: np.ndarray) -> float:
     return 2.0 * float(np.log(factor.diagonal()).sum())
 
 
-def _prior_log_peak(child_arity: int, parent_arities, sigma: float) -> float:
+@lru_cache(maxsize=512)
+def _prior_log_peak(child_arity: int, parent_arities: tuple, sigma: float) -> float:
     """Log density of the constrained Gaussian prior at zero: an isotropic
     Gaussian over the d free coordinates, times the factor for restricting
     the one over all raw entries to the constraint subspace."""
@@ -255,84 +310,79 @@ class FomObjective:
         check_sigma(sigma)
         self.counts = counts
         self.sigma = sigma
+        self._ridge = 1.0 / (sigma * sigma)
         self.r_y = counts.child_arity
         self.arities = counts.parent_arities
         self.dim = free_dimension(self.r_y, self.arities)
         self._counts = counts.counts.astype(float)
-        self._totals = counts.config_totals.astype(float)
+        self._totals = self._counts.sum(axis=1)
         digits = counts.config_digits
-        self._q_y = contrast_matrix(self.r_y)
         self._design = np.hstack(
             [np.ones((digits.shape[0], 1))]
             + [contrast_matrix(r_i)[digits[:, i]] for i, r_i in enumerate(self.arities)]
         )
-        # Child contrast pairs k <= l and the products of their columns, so
-        # that p_c @ products gives (Q_y^T diag p_c Q_y)[k, l] for every pair.
-        self._pairs = np.triu_indices(self.r_y - 1)
-        k, l = self._pairs
-        self._pair_products = self._q_y[:, k] * self._q_y[:, l]
+        self._q_y, self._q_y_t, k, l, self._pair_products = _child_constants(self.r_y)
+        self._pairs = k, l
+        self._counts_q = self._counts @ self._q_y
 
     def probabilities(self, u: np.ndarray) -> np.ndarray:
         """Softmax child distributions at each observed configuration."""
-        logits = self._design @ (u.reshape(-1, self.r_y - 1) @ self._q_y.T)
+        logits = self._design @ (u.reshape(-1, self.r_y - 1) @ self._q_y_t)
         logits -= logits.max(axis=1, keepdims=True)
         np.exp(logits, out=logits)
         logits /= logits.sum(axis=1, keepdims=True)
         return logits
 
     def _likelihood_gradient(self, probs: np.ndarray) -> np.ndarray:
-        residual = self._totals[:, None] * probs - self._counts
-        return (self._design.T @ (residual @ self._q_y)).ravel()
+        residual = self._totals[:, None] * (probs @ self._q_y)
+        residual -= self._counts_q
+        return (self._design.T @ residual).ravel()
 
     def information_free(self, probs: np.ndarray) -> np.ndarray:
         """Ridged expected information in free coordinates.
 
         The information is sum_c n_c (x_c x_c^T) kron W_c with
-        W_c = Q_y^T (diag p_c - p_c p_c^T) Q_y; entry (k, l) of every W_c
-        weighs one Gram matrix of the design, which fills the (k, l) and
-        (l, k) child-contrast slots of the matrix.
+        W_c = Q_y^T (diag p_c - p_c p_c^T) Q_y. Entry (k, l) of every W_c
+        weighs one Gram matrix of the design, and one product per block of
+        configurations, X^T (X * w) with the weights of all pairs k <= l
+        side by side, adds to all of them; the (D, D, pairs) stack then
+        fills the (k, l) and (l, k) child-contrast slots in one gather.
         """
         k, l = self._pairs
-        projected = probs @ self._q_y
-        weights = probs @ self._pair_products - projected[:, k] * projected[:, l]
-        weights *= self._totals[:, None]
-        d, r = self._design.shape[1], self.r_y - 1
-        matrix = np.empty((d, r, d, r))
-        for pair, (row, col) in enumerate(zip(k, l)):
-            gram = self._design.T @ (self._design * weights[:, pair, None])
-            matrix[:, row, :, col] = gram
-            matrix[:, col, :, row] = gram
-        matrix = matrix.reshape(d * r, d * r)
-        matrix.flat[:: d * r + 1] += 1.0 / self.sigma**2
+        design = self._design
+        n, d = design.shape
+        grams = np.zeros((d, d * k.size))
+        for start in range(0, n, INFORMATION_BLOCK_ROWS):
+            stop = start + INFORMATION_BLOCK_ROWS
+            block, p = design[start:stop], probs[start:stop]
+            projected = p @ self._q_y
+            weights = p @ self._pair_products - projected[:, k] * projected[:, l]
+            weights *= self._totals[start:stop, None]
+            weighted = block[:, :, None] * weights[:, None, :]
+            grams += block.T @ weighted.reshape(len(block), -1)
+        matrix = np.take(grams, _information_layout(d, self.r_y))
+        matrix.ravel()[:: self.dim + 1] += self._ridge
         return matrix
 
     def params(self, u: np.ndarray) -> FomParams:
-        """Raw parameters of free coordinates u: a = Q_y alpha and
-        b_i = Q_y B_i Q_{r_i}^T, with B_i^T the rows of theta for parent i."""
-        theta = u.reshape(-1, self.r_y - 1)
-        blocks = []
-        start = 1
-        for r_i in self.arities:
-            effects = theta[start : start + r_i - 1]
-            blocks.append(self._q_y @ effects.T @ contrast_matrix(r_i).T)
-            start += r_i - 1
-        return FomParams(self.r_y, self.arities, self._q_y @ theta[0], tuple(blocks))
+        """Raw parameters of free coordinates u."""
+        return _params_from_free(self.r_y, self.arities, u)
 
     def negative_log_likelihood(self, probs: np.ndarray) -> float:
         if self._counts.size == 0:
             return 0.0
-        return -float(np.sum(self._counts * np.log(probs)))
+        return -float((self._counts * np.log(probs)).sum())
 
     def _value(self, u: np.ndarray, probs: np.ndarray) -> float:
         """The objective at u, given the probabilities at u."""
-        quad = float(u @ u) / (2.0 * self.sigma**2)
+        quad = 0.5 * self._ridge * float(u @ u)
         return self.negative_log_likelihood(probs) + quad
 
     def value(self, u: np.ndarray) -> float:
         return self._value(u, self.probabilities(u))
 
     def gradient(self, u: np.ndarray) -> np.ndarray:
-        return self._likelihood_gradient(self.probabilities(u)) + u / self.sigma**2
+        return self._likelihood_gradient(self.probabilities(u)) + self._ridge * u
 
     def start(self) -> np.ndarray:
         """Newton's starting point, from the counts and sigma alone: the ridge
@@ -353,7 +403,7 @@ class FomObjective:
         targets = (logs - logs[:, :1]) @ self._q_y
         weighted = self._design * self._totals[:, None]
         system = weighted.T @ self._design
-        system.flat[:: system.shape[0] + 1] += 1.0 / self.sigma**2
+        system.flat[:: system.shape[0] + 1] += self._ridge
         try:
             return np.linalg.solve(system, weighted.T @ targets).ravel()
         except np.linalg.LinAlgError:
@@ -368,7 +418,7 @@ class FomObjective:
         probs = self.probabilities(u)
         value = self._value(u, probs)
         for iteration in range(MAX_NEWTON_ITERS + 1):
-            grad = self._likelihood_gradient(probs) + u / self.sigma**2
+            grad = self._likelihood_gradient(probs) + self._ridge * u
             if math.sqrt(float(grad @ grad)) <= GRADIENT_TOL:
                 return u, probs
             if iteration == MAX_NEWTON_ITERS:
@@ -415,9 +465,23 @@ def fit_fom_map(counts: ContingencyCounts, sigma: float = DEFAULT_SIGMA) -> FomP
 
 @dataclass(frozen=True, eq=False)
 class FomScore:
+    """A fitted node's code length, and its optimum in free coordinates.
+
+    The raw parameters (``map_params``) are built, and validated by
+    FomParams, the first time they are read; most scores are never read.
+    """
+
     message_length: float  # nits
     free_dim: int
-    map_params: FomParams
+    child_arity: int
+    parent_arities: tuple[int, ...]
+    free_coordinates: np.ndarray = field(repr=False)  # (free_dim,)
+
+    @cached_property
+    def map_params(self) -> FomParams:
+        return _params_from_free(
+            self.child_arity, self.parent_arities, self.free_coordinates
+        )
 
 
 def fom_message_length(
@@ -435,4 +499,5 @@ def fom_message_length(
         + objective.negative_log_likelihood(probs)
         + 0.5 * d * (1.0 - _LOG_12)
     )
-    return FomScore(length, d, objective.params(u))
+    u.flags.writeable = False
+    return FomScore(length, d, objective.r_y, objective.arities, u)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from .cpt_full import full_cpt_message_length
 from .dataset import DiscreteDataset, counts_for
 from .errors import ConvergenceError, MmlbnError, ParameterCapError
-from .fom import DEFAULT_SIGMA, FomParams, check_sigma, fom_message_length
+from .fom import DEFAULT_SIGMA, FomParams, FomScore, check_sigma, fom_message_length
 from .graph import DagStructure, check_arc_prior
 from .graph import structure_log_prior as _structure_log_prior
 
@@ -34,8 +34,13 @@ class NodeScore:
     length: float  # nits; may be any real number
     chosen_model: str  # "full" or "fom"
     parameter_count: int
-    # The fitted logit model of a "fom" node, kept so that nothing fits it again.
-    fom_params: FomParams | None = field(default=None, compare=False, repr=False)
+    # The logit fit of a "fom" node, kept so that nothing fits it again.
+    fom: FomScore | None = field(default=None, compare=False, repr=False)
+
+    @property
+    def fom_params(self) -> FomParams | None:
+        """The fitted logit model of a "fom" node, built on the first read."""
+        return None if self.fom is None else self.fom.map_params
 
 
 class ScoreCache:
@@ -85,7 +90,7 @@ def node_length(
         return NodeScore(score.message_length, "full", score.free_params)
     if policy is ModelPolicy.FON:
         score = fom_message_length(counts, sigma)
-        return NodeScore(score.message_length, "fom", score.free_dim, score.map_params)
+        return NodeScore(score.message_length, "fom", score.free_dim, score)
     if policy is not ModelPolicy.DUAL:
         raise ValueError(f"unknown policy {policy!r}")
     if counts.n_parents <= 1:
@@ -104,7 +109,7 @@ def node_length(
     if full is not None and (fom is None or full.message_length <= fom.message_length):
         return NodeScore(full.message_length + MODEL_CHOICE_NITS, "full", full.free_params)
     return NodeScore(
-        fom.message_length + MODEL_CHOICE_NITS, "fom", fom.free_dim, fom.map_params
+        fom.message_length + MODEL_CHOICE_NITS, "fom", fom.free_dim, fom
     )
 
 

@@ -1,6 +1,7 @@
 """First-order model: probabilities, prior, fitting, curvature, code length."""
 
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -23,7 +24,7 @@ from mmlbn import (
     free_dimension,
 )
 from mmlbn import fom
-from mmlbn.fom import GRADIENT_TOL, constraint_basis
+from mmlbn.fom import GRADIENT_TOL, constraint_basis, contrast_matrix
 from helpers import (
     additive_logit_table,
     constraint_matrix,
@@ -466,6 +467,88 @@ class TestAssemblyMatchesDefinition:
             np.testing.assert_allclose(
                 actual, expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max()
             )
+
+
+def kron_information(counts, probs, sigma=SIGMA):
+    """The textbook ridged information, one configuration at a time:
+    sum_c n_c (x_c x_c^T) kron W_c plus I / sigma^2, with design row
+    x_c = [1, Q_{r_1}[w_1], ...] and W_c = Q_y^T (diag p_c - p_c p_c^T) Q_y."""
+    q_y = contrast_matrix(counts.child_arity)
+    dim = free_dimension(counts.child_arity, counts.parent_arities)
+    total = np.eye(dim) / sigma**2
+    for digits, row, p in zip(counts.config_digits, counts.counts, probs):
+        x = np.concatenate(
+            [[1.0]]
+            + [contrast_matrix(r)[w] for r, w in zip(counts.parent_arities, digits)]
+        )
+        w = q_y.T @ (np.diag(p) - np.outer(p, p)) @ q_y
+        total += row.sum() * np.kron(np.outer(x, x), w)
+    return total
+
+
+def assert_information_is_the_kron_sum(r_y, arities, seed, min_count=0):
+    rng = np.random.default_rng(seed)
+    table = rng.integers(min_count, 6, size=(math.prod(arities), r_y))
+    counts = ContingencyCounts.from_dense(r_y, tuple(arities), table)
+    logits = rng.normal(0.0, 2.0, (counts.n_observed, r_y))
+    probs = np.exp(logits)
+    probs /= probs.sum(axis=1, keepdims=True)
+    expected = kron_information(counts, probs)
+    # rtol 1e-12 of each entry, with entries that cancel to rounding noise
+    # measured against the largest entry
+    np.testing.assert_allclose(
+        FomObjective(counts, SIGMA).information_free(probs),
+        expected,
+        rtol=1e-12,
+        atol=1e-12 * np.abs(expected).max(),
+    )
+    return counts
+
+
+class TestInformationAssembly:
+    """information_free's blocked one-product assembly is the Kronecker sum."""
+
+    @given(
+        st.integers(2, 5),
+        st.lists(st.integers(2, 5), max_size=4),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_equals_the_kron_sum(self, r_y, arities, seed):
+        assert_information_is_the_kron_sum(r_y, arities, seed)
+
+    def test_several_blocks_ending_on_a_partial_one(self):
+        counts = assert_information_is_the_kron_sum(3, [5, 5, 5, 5], 7, min_count=1)
+        rows = fom.INFORMATION_BLOCK_ROWS
+        assert counts.n_observed == 625
+        assert rows < counts.n_observed < 2 * rows
+
+    def test_memory_stays_flat_on_a_wide_node(self):
+        # the Nursery grid: 8 parents, 12960 configurations with one case each
+        rng = np.random.default_rng(63)
+        arities = (3, 5, 4, 4, 3, 2, 3, 3)
+        table = np.zeros((math.prod(arities), 5), dtype=int)
+        table[np.arange(len(table)), rng.integers(0, 5, len(table))] = 1
+        objective = FomObjective(ContingencyCounts.from_dense(5, arities, table), SIGMA)
+        probs = objective.probabilities(objective.start())
+        d = 1 + sum(r - 1 for r in arities)
+        pairs = 4 * 5 // 2
+        # At most two blocks' temporaries are alive at once: per block of
+        # 512 configurations, the weights (pairs + 3 floats a configuration)
+        # and the weighted design (d * pairs floats); then the Gram stack,
+        # the matrix and 256 KiB of slack. Blocks of 1024 configurations peak
+        # above this bound (3.6 MB), and one product over all 12960 needs
+        # 20.7 MB for its weighted design alone.
+        rows = 512
+        floats = rows * ((d + 1) * pairs + 3) + d * d * pairs + 80**2
+        bound = 2 * 8 * floats + 2**18
+        tracemalloc.start()
+        try:
+            objective.information_free(probs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert objective.dim == 80 and len(probs) == 12960
+        assert peak < bound
 
 
 class TestConstraintBasis:

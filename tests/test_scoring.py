@@ -11,15 +11,20 @@ from mmlbn import (
     ContingencyCounts,
     DagStructure,
     FomObjective,
+    FomParams,
     ModelPolicy,
     NetworkScorer,
+    SamplerConfig,
     ScoreCache,
     counts_for,
+    fit_fom_map,
     full_cpt_message_length,
     fom_message_length,
     network_message_length,
     node_length,
+    run_sampler,
 )
+from mmlbn import fom
 from mmlbn.errors import ConvergenceError, ParameterCapError
 from helpers import make_dataset
 
@@ -298,3 +303,76 @@ class TestLogitFailureStaysLocal:
         dual = NetworkScorer(ds, ModelPolicy.DUAL, sigma=sigma)
         assert dual.node_length_or_inf(child, parents) == table + LOG2
         assert dual.node_score(child, parents).chosen_model == "full"
+
+
+def count_fom_params(monkeypatch):
+    """Count FomParams constructions from here on (each runs __post_init__)."""
+    built = []
+    validate = FomParams.__post_init__
+
+    def counted(params):
+        built.append(params)
+        validate(params)
+
+    monkeypatch.setattr(FomParams, "__post_init__", counted)
+    return built
+
+
+def additive_child_dataset(seed, n=3000):
+    """v2 an additive logit of v0 and v1, all of arity 4: the logit model
+    (21 free parameters) codes v2 given both parents in less than the full
+    table (48)."""
+    rng = np.random.default_rng(seed)
+    parents = rng.integers(0, 4, size=(2, n))
+    logits = rng.normal(0, 1.5, (4, 1)) + sum(
+        rng.normal(0, 1.5, (4, 4))[:, values] for values in parents
+    )
+    probs = np.exp(logits - logits.max(axis=0))
+    probs /= probs.sum(axis=0)
+    child = (rng.random(n) > probs.cumsum(axis=0)).sum(axis=0)
+    return make_dataset([*parents, np.minimum(child, 3)], arities=[4, 4, 4])
+
+
+class TestLogitParametersOnDemand:
+    """A logit score's raw parameters are built the first time they are read."""
+
+    def test_built_once_on_the_first_read(self, monkeypatch):
+        ds = additive_child_dataset(60)
+        built = count_fom_params(monkeypatch)
+        report = run_sampler(
+            ds, SamplerConfig(iterations=300, burn_in=50, seed=1, max_parents=2)
+        )
+        score = report.scorer.node_score(2, (0, 1))
+        assert score.chosen_model == "fom"
+        assert built == []
+        params = score.fom_params
+        assert len(built) == 1 and built[0] is params
+        assert score.fom_params is params
+        assert len(built) == 1
+        np.testing.assert_allclose(
+            params.flatten(),
+            fit_fom_map(counts_for(ds, 2, (0, 1))).flatten(),
+            rtol=0,
+            atol=1e-10,
+        )
+
+    def test_a_full_table_node_has_none(self):
+        ds = additive_child_dataset(61)
+        scorer = NetworkScorer(ds, ModelPolicy.DUAL)
+        for parents in ((), (0,)):
+            score = scorer.node_score(2, parents)
+            assert score.chosen_model == "full"
+            assert score.fom_params is None
+
+    def test_a_convergence_error_carries_the_iterate(self, monkeypatch):
+        # out of Newton iterations at the start: the error's parameters are
+        # the start's, built when the error is raised
+        counts = counts_for(additive_child_dataset(62), 2, (0, 1))
+        objective = FomObjective(counts)
+        start = objective.params(objective.start())
+        built = count_fom_params(monkeypatch)
+        monkeypatch.setattr(fom, "MAX_NEWTON_ITERS", 0)
+        with pytest.raises(ConvergenceError, match="no convergence") as caught:
+            fom_message_length(counts)
+        assert built == [caught.value.best_params]
+        assert np.array_equal(caught.value.best_params.flatten(), start.flatten())
