@@ -14,11 +14,11 @@ on m nodes this is exactly 1: conditioned on a total order, the arc slots
 are independent coin flips.
 
 Because 1 <= extensions <= m!, the arc factor alone bounds the prior: with E
-arcs the log prior lies within log m! below `log_prior_ceiling`. An added
-arc only removes orders, so it lowers the log prior by at least
+arcs the log prior lies within log m! below `StructurePrior.ceiling(E)`. An
+added arc only removes orders, so it lowers the log prior by at least
 odds = log((1 - p) / p); a removed arc raises it by between odds and
-odds + log m!. The sampler settles most tests from these bounds and counts
-extensions only when they do not suffice.
+odds + log m!. The sampler settles most tests from these bounds, whose
+constants `structure_prior(m, p)` works out once per (m, p).
 
 Linear extensions are counted exactly, as Python integers. Weakly connected
 components are counted apart and their orders interleaved by a multinomial
@@ -239,26 +239,50 @@ def check_arc_prior(p: float) -> None:
         raise ValueError("arc prior probability must lie strictly in (0, 1)")
 
 
+@dataclass(frozen=True)
+class StructurePrior:
+    """The structure prior of DAGs on m nodes at arc probability p, with p
+    checked and the constants of the module docstring's bounds worked out once."""
+
+    m: int
+    p: float
+
+    def __post_init__(self):
+        check_arc_prior(self.p)
+        log_p, log_q = math.log(self.p), math.log1p(-self.p)
+        pairs = self.m * (self.m - 1) // 2
+        # Frozen, so set through the instance dict. _floor, the least arc
+        # factor, comes from the logs: 1 - p rounds to 1 below p ~ 1.1e-16.
+        vars(self).update(
+            pairs=pairs,
+            odds=log_q - log_p,
+            log_m_factorial=math.log(math.factorial(self.m)),
+            _log_p=log_p, _log_q=log_q,
+            _floor=pairs * min(log_p, log_q),
+        )
+
+    def ceiling(self, arcs: int) -> float:
+        """The arc factor E log p + (C - E) log(1 - p), C being `pairs`."""
+        return arcs * self._log_p + (self.pairs - arcs) * self._log_q
+
+    def log_prior(self, dag: DagStructure) -> float:
+        """log((linear extensions / m!) * p^E * (1 - p)^(C - E)), in nits."""
+        log_ratio = math.log(count_linear_extensions(dag)) - self.log_m_factorial
+        return log_ratio + self.ceiling(dag.arc_count)
+
+    def slack(self, scale: float) -> float:
+        """Rounding guard of a test settled from the bounds: 1e-9 of the terms
+        compared (scale, the largest |log prior| on m nodes), far above their
+        sums' float error and far below any difference a test acts on."""
+        return 1e-9 * (1.0 + abs(scale) + self.log_m_factorial - self._floor)
+
+
+structure_prior = lru_cache(maxsize=64)(StructurePrior)
+
+
 def structure_log_prior(dag: DagStructure, p: float) -> float:
-    """Log prior probability of a DAG, in nits.
-
-    The prior is: (linear extensions / m!) * p^E * (1-p)^(C-E) with C the
-    number of unordered node pairs and E the arc count.
-    """
-    check_arc_prior(p)
-    m = dag.m
-    log_ratio = math.log(count_linear_extensions(dag)) - math.log(math.factorial(m))
-    return log_ratio + log_prior_ceiling(m, dag.arc_count, p)
-
-
-def log_prior_ceiling(m: int, arcs: int, p: float) -> float:
-    """The arc factor of structure_log_prior: E log p + (C - E) log(1 - p).
-
-    Since 1 <= extensions <= m!, every DAG on m nodes with this many arcs has
-    a log prior in [ceiling - log m!, ceiling].
-    """
-    pairs = m * (m - 1) // 2
-    return arcs * math.log(p) + (pairs - arcs) * math.log1p(-p)
+    """Log prior probability of a DAG, in nits (`StructurePrior.log_prior`)."""
+    return structure_prior(dag.m, p).log_prior(dag)
 
 
 def cpdag_key(dag: DagStructure) -> bytes:

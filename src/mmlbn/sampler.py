@@ -11,12 +11,9 @@ equivalence class of the cleaned network.
 
 The structure prior is an exact count of linear extensions, the costliest
 term of a test, so both the Metropolis test and the cleaning test are first
-tried against exact bounds on it (see graph.py): a DAG with E arcs has a log
-prior within log m! below `log_prior_ceiling(m, E, p)`, an added arc lowers
-it by at least odds = log((1 - p) / p), and a removed arc raises it by
-between odds and odds + log m!. Extensions are counted only when the node
-lengths and these bounds cannot settle the test; every decision and every
-random draw is the one the exact prior gives.
+tried against the bounds on it that graph.py states. Extensions are counted
+only when the node lengths and these bounds cannot settle the test; every
+decision and every random draw is the one the exact prior gives.
 """
 
 from __future__ import annotations
@@ -32,7 +29,7 @@ import numpy.random  # noqa: F401
 from .errors import CycleError, NoArcError, ParentCapError
 from .fom import DEFAULT_SIGMA, check_sigma
 from .graph import ArcMove, DagStructure, apply_move, check_arc_prior, cpdag_key
-from .graph import log_prior_ceiling
+from .graph import structure_prior
 from .scoring import ModelPolicy, NetworkScorer
 
 
@@ -103,23 +100,6 @@ def initial_state(scorer: NetworkScorer) -> ChainState:
     return ChainState(dag, lengths, log_prior, -log_prior + sum(lengths))
 
 
-def _log_odds(p: float) -> float:
-    """odds = log((1 - p) / p), the least an added arc lowers the log prior by."""
-    return math.log1p(-p) - math.log(p)
-
-
-def _slack(m: int, p: float, scale: float) -> float:
-    """Rounding guard for settling a test from bounds on the prior.
-
-    A relative 1e-9 of the terms compared (scale, and the largest |log prior|
-    of any DAG on m nodes) lies far above the float error of the few sums
-    involved and far below any difference a test acts on.
-    """
-    # the least arc factor, the empty or the complete DAG's: C log min(p, 1 - p)
-    floor = log_prior_ceiling(m, 0, max(p, 1.0 - p))
-    return 1e-9 * (1.0 + abs(scale) + math.log(math.factorial(m)) - floor)
-
-
 def metropolis_step(
     state: ChainState, rng: np.random.Generator, ctx: SamplerContext
 ) -> ChainState:
@@ -152,13 +132,13 @@ def metropolis_step(
     for v in affected:
         lengths[v] = ctx.scorer.node_length_or_inf(v, new_dag.parent_sets[v])
     node_sum = sum(lengths)
-    p = ctx.scorer.p
+    prior = structure_prior(m, ctx.scorer.p)
     if kind == "toggle" and i not in state.dag.parent_sets[j]:
-        ceiling = state.log_prior - _log_odds(p)  # an added arc never adds orders
+        ceiling = state.log_prior - prior.odds  # an added arc never adds orders
     else:
-        ceiling = log_prior_ceiling(m, new_dag.arc_count, p)
+        ceiling = prior.ceiling(new_dag.arc_count)
     delta_hi = state.total - node_sum + ceiling
-    slack = _slack(m, p, state.total)
+    slack = prior.slack(state.total)
     log_u = None
     if delta_hi < -slack:
         log_u = math.log(rng.random())
@@ -183,18 +163,15 @@ def clean_network(dag: DagStructure, scorer: NetworkScorer) -> DagStructure:
     parent is tested, and each parent is tested exactly once. Scoring
     errors during a test count as removals.
 
-    Removing an arc changes the log prior by between odds = log((1 - p) / p)
-    and odds + log m!, so a length gain (without minus with) at most odds
-    removes the arc and one above odds + log m! keeps it, with no prior
-    computed. Only a gain between the two prices the candidate exactly; the
-    current network is priced when such a test first needs it, at most once,
-    and its prior is carried forward with each removal the test makes.
+    A removal raises the log prior within a window graph.py bounds, so a
+    length gain (without minus with) below it removes the arc and one above
+    it keeps it, with no prior computed. A gain inside prices the candidate
+    exactly; the current network is priced when such a test first needs it,
+    at most once, and its prior is carried forward with each removal it makes.
     """
-    m, p = dag.m, scorer.p
-    odds = _log_odds(p)
-    log_m_factorial = math.log(math.factorial(m))
+    prior = structure_prior(dag.m, scorer.p)
     current, current_prior = dag, None
-    for node in range(m):
+    for node in range(dag.m):
         for parent in dag.parent_sets[node]:
             kept = current.parent_sets[node]
             reduced = tuple(u for u in kept if u != parent)
@@ -208,11 +185,11 @@ def clean_network(dag: DagStructure, scorer: NetworkScorer) -> DagStructure:
                 current, current_prior = candidate, None
                 continue
             gain = without_len - with_len
-            slack = _slack(m, p, gain)
-            if gain - odds <= -slack:
+            slack = prior.slack(gain)
+            if gain - prior.odds <= -slack:
                 current, current_prior = candidate, None
                 continue
-            if gain - odds - log_m_factorial > slack:
+            if gain - prior.odds - prior.log_m_factorial > slack:
                 continue
             if current_prior is None:
                 current_prior = scorer.structure_log_prior(current)

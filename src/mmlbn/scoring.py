@@ -17,8 +17,7 @@ from .cpt_full import full_cpt_message_length
 from .dataset import DiscreteDataset, counts_for
 from .errors import ConvergenceError, MmlbnError, ParameterCapError
 from .fom import DEFAULT_SIGMA, FomParams, FomScore, check_sigma, fom_message_length
-from .graph import DagStructure, check_arc_prior
-from .graph import structure_log_prior as _structure_log_prior
+from .graph import DagStructure, check_arc_prior, structure_prior
 
 MODEL_CHOICE_NITS = math.log(2.0)
 
@@ -153,7 +152,7 @@ class NetworkScorer:
             return math.inf
 
     def structure_log_prior(self, dag: DagStructure) -> float:
-        return _structure_log_prior(dag, self.p)
+        return structure_prior(dag.m, self.p).log_prior(dag)
 
     def total_length(self, dag: DagStructure) -> float:
         """Network code length in nits; inf when some node cannot be scored.

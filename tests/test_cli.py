@@ -386,6 +386,20 @@ class TestEval:
         assert [r["seed"] for r in repeats] == [4, 5]
         assert all(r["test_cases"] == 30 for r in repeats)
 
+    def test_learn_and_eval_at_a_tiny_arc_prior(self, train_csv, test_csv, tmp_path):
+        # 1 - p rounds to 1 here, and the chain's bounds must not form it; an
+        # arc costs about 690 nits, so only the empty network is reported
+        run = ["--iterations", "200", "--burn-in", "20", "--arc-prior", "1e-300"]
+        learned = run_json(
+            ["learn", "--data", str(train_csv)] + run, tmp_path / "l.json"
+        )
+        assert [c["arcs"] for c in learned["classes"]] == [[]]
+        evaluated = run_json(
+            ["eval", "--data", str(train_csv), "--test", str(test_csv)] + run,
+            tmp_path / "e.json",
+        )
+        assert evaluated["summary"]["repeats"][0]["test_cases"] == 30
+
     def test_unknown_test_value_fails(self, train_csv, tmp_path, capsys):
         bad_test = tmp_path / "bad_test.csv"
         bad_test.write_text("a,b\nv0,surprise\n")

@@ -321,6 +321,16 @@ class TestEvaluateSplit:
             ),
             abs=1e-12,
         )
+        parameters = [
+            sum(
+                report.scorer.node_score(child, parents).parameter_count
+                for child, parents in enumerate(c.best_network.parent_sets)
+            )
+            for c in report.classes
+        ]
+        assert metrics.parameters == pytest.approx(
+            float(np.dot(weights, parameters)), abs=1e-12
+        )
         expected_nll = model_averaged_test_nll(report, test)
         assert metrics.test_nll == pytest.approx(expected_nll, abs=1e-9)
 

@@ -19,7 +19,7 @@ from mmlbn import (
     structure_log_prior,
 )
 from mmlbn.errors import CapacityError, CycleError, NoArcError, ParentCapError
-from mmlbn.graph import log_prior_ceiling
+from mmlbn.graph import StructurePrior, structure_prior
 from helpers import (
     brute_force_extensions,
     dags,
@@ -330,6 +330,28 @@ class TestLinearExtensions:
         )
 
 
+# Arc priors from anywhere in (0, 1), with the extremes: the least positive
+# float, and the largest below 1.
+ARC_PRIORS = st.one_of(
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    st.sampled_from([5e-324, 1 - 2**-53]),
+)
+
+
+def _grown_by_one_arc(dag):
+    """Every DAG that adds one arc to dag."""
+    for u in range(dag.m):
+        for v in range(dag.m):
+            if u == v or u in dag.parent_sets[v]:
+                continue
+            sets = list(dag.parent_sets)
+            sets[v] += (u,)
+            try:
+                yield DagStructure(dag.m, tuple(sets))
+            except CycleError:
+                continue
+
+
 class TestStructurePrior:
     def test_two_node_empty(self):
         value = structure_log_prior(DagStructure.empty(2), 0.5)
@@ -353,27 +375,63 @@ class TestStructurePrior:
 
     @given(dags(), st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
     def test_property_within_the_ceiling_bounds(self, dag, p):
-        ceiling = log_prior_ceiling(dag.m, dag.arc_count, p)
+        ceiling = StructurePrior(dag.m, p).ceiling(dag.arc_count)
         value = structure_log_prior(dag, p)
         assert value <= ceiling
         # equality at one extension, up to the rounding of the two sums
         log_m_factorial = math.log(math.factorial(dag.m))
         assert value >= ceiling - log_m_factorial - 1e-12 * (1 + abs(ceiling))
 
+    @given(dags(), ARC_PRIORS)
+    def test_property_adding_an_arc_lowers_the_prior_by_at_least_odds(self, dag, p):
+        prior = structure_prior(dag.m, p)
+        before = prior.log_prior(dag)
+        for grown in _grown_by_one_arc(dag):
+            after = prior.log_prior(grown)
+            tol = 1e-12 * max(abs(before), abs(after), abs(prior.odds))
+            assert before - after >= prior.odds - tol
+
+    @given(dags(), ARC_PRIORS)
+    def test_property_removing_an_arc_raises_the_prior_within_the_window(
+        self, dag, p
+    ):
+        prior = structure_prior(dag.m, p)
+        before = prior.log_prior(dag)
+        window = (prior.odds, prior.odds + prior.log_m_factorial)
+        for u, v in dag.arcs():
+            sets = list(dag.parent_sets)
+            sets[v] = tuple(w for w in sets[v] if w != u)
+            after = prior.log_prior(DagStructure(dag.m, tuple(sets)))
+            tol = 1e-12 * max(abs(before), abs(after), *map(abs, window))
+            assert window[0] - tol <= after - before <= window[1] + tol
+
+    @given(dags(), ARC_PRIORS, st.floats(-1e6, 1e6))
+    def test_property_slack_finite_and_positive(self, dag, p, scale):
+        slack = structure_prior(dag.m, p).slack(scale)
+        assert math.isfinite(slack) and slack > 0
+
+    @given(dags(), ARC_PRIORS)
+    def test_property_same_arithmetic_as_the_formula(self, dag, p):
+        m, arcs = dag.m, dag.arc_count
+        pairs = m * (m - 1) // 2
+        expected = math.log(count_linear_extensions(dag)) - math.log(
+            math.factorial(m)
+        ) + (arcs * math.log(p) + (pairs - arcs) * math.log1p(-p))
+        assert structure_log_prior(dag, p) == expected
+
+    def test_one_object_per_nodes_and_arc_prior(self):
+        prior = structure_prior(5, 0.3)
+        assert structure_prior(5, 0.3) is prior
+        assert prior == StructurePrior(5, 0.3)
+        assert structure_prior(6, 0.3) is not prior
+        with pytest.raises(ValueError):
+            structure_prior(5, 1.0)
+
     @given(dags())
     def test_property_adding_an_arc_never_adds_orders(self, dag):
         before = count_linear_extensions(dag)
-        for u in range(dag.m):
-            for v in range(dag.m):
-                if u == v or u in dag.parent_sets[v]:
-                    continue
-                sets = list(dag.parent_sets)
-                sets[v] += (u,)
-                try:
-                    grown = DagStructure(dag.m, tuple(sets))
-                except CycleError:
-                    continue
-                assert count_linear_extensions(grown) <= before
+        for grown in _grown_by_one_arc(dag):
+            assert count_linear_extensions(grown) <= before
 
 
 class TestCpdagKey:

@@ -185,7 +185,8 @@ class TestChainMechanics:
             assert state.total == pytest.approx(expected, abs=1e-9)
         assert len(seen) > 3  # the chain actually explores
 
-    @pytest.mark.parametrize("p", [0.2, 0.5, 0.8])
+    # 1e-300 is below the least p whose 1 - p differs from 1
+    @pytest.mark.parametrize("p", [0.2, 0.5, 0.8, 1e-300])
     @pytest.mark.parametrize(
         "uncodable",
         [frozenset(), frozenset({(0, ()), (2, (1,)), (3, (0, 2)), (1, (0, 3))})],
