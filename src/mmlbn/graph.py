@@ -1,11 +1,13 @@
 """Directed acyclic structures, edit moves, and the structure prior.
 
-A DAG is stored as sorted parent tuples. Every graph walk reads them as bit
-masks, one per node, and takes one kind of step: `_closure` gathers every
-node reachable from a start set through a table of neighbour masks. Over
-parent masks that gives a node's ancestors, which is the cycle test of an
-edit and of the checked constructor; over undirected neighbour masks it gives
-a weakly connected component.
+A DAG is stored as sorted parent tuples and carries the bit mask of each
+node's parents, built once by the checked constructor or by the edit that
+made the DAG. Every graph walk reads the masks and takes one kind of step:
+`_closure` gathers every node reachable from a start set through a table of
+neighbour masks. Over parent masks that gives a node's ancestors, which is
+the cycle test of an edit and of the checked constructor; over undirected
+neighbour masks it gives a weakly connected component. Every edit of a DAG
+(`apply_move`, `remove_arc`) lives in this module.
 
 The prior over structures weights each DAG by its number of linear
 extensions (total orders consistent with the arcs), normalised by m!, times
@@ -31,10 +33,10 @@ own bits.
 
 from __future__ import annotations
 
-import bisect
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import combinations
 from typing import Literal
 
 from .errors import CapacityError, CycleError, NoArcError, ParentCapError
@@ -44,17 +46,21 @@ MAX_NODES = 24
 
 @dataclass(frozen=True)
 class DagStructure:
-    """Immutable DAG over nodes 0..m-1, stored as sorted parent tuples."""
+    """Immutable DAG over nodes 0..m-1, stored as sorted parent tuples.
+
+    parent_masks (each node's parents as a bit mask) is derived from them,
+    so equality and hashing ignore it."""
 
     m: int
     parent_sets: tuple[tuple[int, ...], ...]
+    parent_masks: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.m < 0:
             raise ValueError("node count must be non-negative")
         if len(self.parent_sets) != self.m:
             raise ValueError("parent_sets length does not match node count")
-        normalised = []
+        normalised, masks = [], []
         for v, parents in enumerate(self.parent_sets):
             parents = tuple(int(u) for u in parents)
             if any(not 0 <= u < self.m for u in parents):
@@ -64,20 +70,23 @@ class DagStructure:
             if v in parents:
                 raise CycleError(f"node {v} lists itself as a parent")
             normalised.append(tuple(sorted(parents)))
+            masks.append(sum(1 << u for u in parents))
         object.__setattr__(self, "parent_sets", tuple(normalised))
+        object.__setattr__(self, "parent_masks", tuple(masks))
         # a cycle runs through v iff v is among its own parents' ancestors
-        masks = _parent_masks(normalised)
         if any(_closure(masks, mask) >> v & 1 for v, mask in enumerate(masks)):
             raise CycleError("parent sets describe a directed cycle")
 
     @classmethod
-    def _trusted(cls, m: int, parent_sets) -> "DagStructure":
-        """A DAG from parent sets already known to be sorted tuples of
-        in-range ints that form no cycle: the result of an edit that checked
-        its own rules. Skips __post_init__."""
+    def _trusted(cls, m: int, parent_sets, parent_masks) -> "DagStructure":
+        """The result of an edit in this module that checked its own rules:
+        parent sets known to be sorted tuples of in-range ints that form no
+        cycle, with the masks the edit derived from them. Skips
+        __post_init__."""
         dag = object.__new__(cls)
         object.__setattr__(dag, "m", m)
         object.__setattr__(dag, "parent_sets", parent_sets)
+        object.__setattr__(dag, "parent_masks", parent_masks)
         return dag
 
     @classmethod
@@ -131,42 +140,33 @@ def apply_move(dag: DagStructure, move: ArcMove, max_parents: int) -> DagStructu
     i, j = move.from_node, move.to_node
     if not (0 <= i < dag.m and 0 <= j < dag.m):
         raise ValueError("move endpoints out of range")
-    sets = list(dag.parent_sets)
     if move.kind == "reverse":
-        # j -> i becomes i -> j: drop j from i's parents, then add i -> j
-        if j not in sets[i]:
+        # j -> i becomes i -> j: remove j -> i, then add i -> j
+        if not dag.parent_masks[i] >> j & 1:
             raise NoArcError(f"no arc {j}->{i} to reverse")
-        sets[i] = tuple(u for u in sets[i] if u != j)
-        edit = f"reversing {j}->{i}"
-    elif i in sets[j]:
-        sets[j] = tuple(u for u in sets[j] if u != i)
-        return DagStructure._trusted(dag.m, tuple(sets))
+        dag, edit = remove_arc(dag, j, i), f"reversing {j}->{i}"
+    elif dag.parent_masks[j] >> i & 1:
+        return remove_arc(dag, i, j)
     else:
         edit = f"adding {i}->{j}"
-    if len(sets[j]) + 1 > max_parents:
+    if len(dag.parent_sets[j]) + 1 > max_parents:
         raise ParentCapError(f"node {j} would exceed the parent cap of {max_parents}")
     # i -> j closes a cycle iff j is already an ancestor of i
-    if _closure(_parent_masks(sets), 1 << i) >> j & 1:
+    if _closure(dag.parent_masks, 1 << i) >> j & 1:
         raise CycleError(f"{edit} would create a cycle")
-    sets[j] = _with_parent(sets[j], i)
-    return DagStructure._trusted(dag.m, tuple(sets))
+    sets, masks = list(dag.parent_sets), list(dag.parent_masks)
+    sets[j] = tuple(sorted(sets[j] + (int(i),)))
+    masks[j] |= 1 << i
+    return DagStructure._trusted(dag.m, tuple(sets), tuple(masks))
 
 
-def _with_parent(parents: tuple[int, ...], new: int) -> tuple[int, ...]:
-    """A sorted parent tuple with one more parent, inserted in order."""
-    at = bisect.bisect(parents, new)
-    return parents[:at] + (int(new),) + parents[at:]
-
-
-def _parent_masks(parent_sets) -> list[int]:
-    """Bit mask of each node's parents."""
-    masks = []
-    for parents in parent_sets:
-        mask = 0
-        for u in parents:
-            mask |= 1 << u
-        masks.append(mask)
-    return masks
+def remove_arc(dag: DagStructure, u: int, v: int) -> DagStructure:
+    """The DAG without the arc u -> v (equal to dag if it has none). A
+    removal keeps the parents sorted and makes no cycle, so nothing is checked."""
+    sets, masks = list(dag.parent_sets), list(dag.parent_masks)
+    sets[v] = tuple(w for w in sets[v] if w != u)
+    masks[v] &= ~(1 << u)
+    return DagStructure._trusted(dag.m, tuple(sets), tuple(masks))
 
 
 def _closure(links, start_mask: int) -> int:
@@ -203,12 +203,12 @@ def _extensions_in_component(nodes) -> int:
 
 
 @lru_cache(maxsize=1 << 16)
-def _count_extensions(parent_sets) -> int:
+def _count_extensions(dag: DagStructure) -> int:
     # Weakly connected components order independently; interleavings of the
     # component orders contribute a multinomial factor.
-    pmasks = _parent_masks(parent_sets)
+    pmasks = dag.parent_masks
     neighbours = list(pmasks)
-    for v, parents in enumerate(parent_sets):
+    for v, parents in enumerate(dag.parent_sets):
         for u in parents:
             neighbours[u] |= 1 << v
     total, placed = 1, 0
@@ -230,7 +230,7 @@ def count_linear_extensions(dag: DagStructure) -> int:
             f"the structure prior handles at most {MAX_NODES} variables; "
             f"this network has {dag.m}"
         )
-    return _count_extensions(dag.parent_sets)
+    return _count_extensions(dag)
 
 
 def check_arc_prior(p: float) -> None:
@@ -291,17 +291,18 @@ def cpdag_key(dag: DagStructure) -> bytes:
     Two DAGs get the same key iff they share the same skeleton and the same
     set of unshielded colliders.
     """
-    adjacent = set()
-    for v, parents in enumerate(dag.parent_sets):
-        for u in parents:
-            adjacent.add((min(u, v), max(u, v)))
-    colliders = []
-    for w, parents in enumerate(dag.parent_sets):
-        for a in range(len(parents)):
-            for b in range(a + 1, len(parents)):
-                x, y = parents[a], parents[b]
-                if (x, y) not in adjacent:
-                    colliders.append((x, y, w))
-    skeleton = ",".join(f"{u}-{v}" for u, v in sorted(adjacent))
-    collider_part = ",".join(f"{x}.{y}>{w}" for x, y, w in sorted(colliders))
-    return f"{dag.m}|{skeleton}|{collider_part}".encode("ascii")
+    masks = dag.parent_masks
+    skeleton = sorted(
+        (min(u, v), max(u, v))
+        for v, parents in enumerate(dag.parent_sets)
+        for u in parents
+    )
+    colliders = sorted(
+        (x, y, w)
+        for w, parents in enumerate(dag.parent_sets)
+        for x, y in combinations(parents, 2)
+        if not (masks[y] >> x | masks[x] >> y) & 1
+    )
+    skeleton_part = ",".join(f"{u}-{v}" for u, v in skeleton)
+    collider_part = ",".join(f"{x}.{y}>{w}" for x, y, w in colliders)
+    return f"{dag.m}|{skeleton_part}|{collider_part}".encode("ascii")

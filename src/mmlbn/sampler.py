@@ -29,7 +29,7 @@ import numpy.random  # noqa: F401
 from .errors import CycleError, NoArcError, ParentCapError
 from .fom import DEFAULT_SIGMA, check_sigma
 from .graph import ArcMove, DagStructure, apply_move, check_arc_prior, cpdag_key
-from .graph import structure_prior
+from .graph import remove_arc, structure_prior
 from .scoring import ModelPolicy, NetworkScorer
 
 
@@ -133,7 +133,7 @@ def metropolis_step(
         lengths[v] = ctx.scorer.node_length_or_inf(v, new_dag.parent_sets[v])
     node_sum = sum(lengths)
     prior = structure_prior(m, ctx.scorer.p)
-    if kind == "toggle" and i not in state.dag.parent_sets[j]:
+    if kind == "toggle" and not state.dag.parent_masks[j] >> i & 1:
         ceiling = state.log_prior - prior.odds  # an added arc never adds orders
     else:
         ceiling = prior.ceiling(new_dag.arc_count)
@@ -160,7 +160,8 @@ def clean_network(dag: DagStructure, scorer: NetworkScorer) -> DagStructure:
 
     Nodes are visited in ascending index order and each node's original
     parents in ascending order; every removal is applied before the next
-    parent is tested, and each parent is tested exactly once. Scoring
+    parent is tested, and each parent is tested exactly once. Each test
+    weighs the current network against its `remove_arc` candidate. Scoring
     errors during a test count as removals.
 
     A removal raises the log prior within a window graph.py bounds, so a
@@ -173,14 +174,9 @@ def clean_network(dag: DagStructure, scorer: NetworkScorer) -> DagStructure:
     current, current_prior = dag, None
     for node in range(dag.m):
         for parent in dag.parent_sets[node]:
-            kept = current.parent_sets[node]
-            reduced = tuple(u for u in kept if u != parent)
-            with_len = scorer.node_length_or_inf(node, kept)
-            without_len = scorer.node_length_or_inf(node, reduced)
-            sets = list(current.parent_sets)
-            sets[node] = reduced
-            # removing an arc keeps the parents sorted and makes no cycle
-            candidate = DagStructure._trusted(current.m, tuple(sets))
+            candidate = remove_arc(current, parent, node)
+            with_len = scorer.node_length_or_inf(node, current.parent_sets[node])
+            without_len = scorer.node_length_or_inf(node, candidate.parent_sets[node])
             if math.isinf(with_len) or math.isinf(without_len):
                 current, current_prior = candidate, None
                 continue

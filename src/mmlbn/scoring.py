@@ -57,9 +57,6 @@ class ScoreCache:
         self.hits = 0
         self.misses = 0
 
-    def __len__(self):
-        return len(self._entries)
-
     def get_or_compute(self, key, compute):
         entry = self._entries.get(key)
         if entry is None:

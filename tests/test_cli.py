@@ -172,6 +172,42 @@ class TestLearn:
         b = run_json(args, tmp_path / "b.json")
         assert a == b
 
+    def test_deterministic_across_hash_seeds(self, tmp_path):
+        """Two interpreters with different string hashing write the same
+        report bytes: nothing the report holds follows set or hash order.
+        The short chain from the empty network reports classes with equal
+        visits, whose order the class keys decide."""
+        rng = np.random.default_rng(82)
+        rows = rng.integers(0, 3, size=(200, 8))
+        for v in range(1, 8):
+            noise = rng.random(200) < 0.4
+            rows[:, v] = np.where(noise, rows[:, v], rows[:, v - 1])
+        names = ["red", "green", "blue"]
+        lines = ["a,b,c,d,e,f,g,h"] + [",".join(names[x] for x in row) for row in rows]
+        data = tmp_path / "chain.csv"
+        data.write_text("\n".join(lines) + "\n")
+        paths = [str(Path(mmlbn.__file__).resolve().parents[1])]
+        paths += filter(None, [os.environ.get("PYTHONPATH")])
+        reports = []
+        for hash_seed in ("0", "1"):
+            out = tmp_path / f"report{hash_seed}.json"
+            env = dict(
+                os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=os.pathsep.join(paths)
+            )
+            proc = subprocess.run(
+                [
+                    sys.executable, "-m", "mmlbn.cli", "learn", "--data", str(data),
+                    "--iterations", "300", "--burn-in", "0", "--top-k", "100",
+                    "--seed", "1", "--out", str(out),
+                ],
+                capture_output=True,
+                text=True,
+                env=env,
+            )
+            assert proc.returncode == 0, proc.stderr
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
+
     def test_module_entry_point(self, train_csv, tmp_path):
         out = tmp_path / "cli.json"
         proc = subprocess.run(

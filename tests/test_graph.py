@@ -19,7 +19,7 @@ from mmlbn import (
     structure_log_prior,
 )
 from mmlbn.errors import CapacityError, CycleError, NoArcError, ParentCapError
-from mmlbn.graph import StructurePrior, structure_prior
+from mmlbn.graph import StructurePrior, remove_arc, structure_prior
 from helpers import (
     brute_force_extensions,
     dags,
@@ -45,6 +45,7 @@ class TestDagStructure:
     def test_construction_normalises(self):
         dag = DagStructure(3, ((), (2, 0), ()))
         assert dag.parent_sets == ((), (0, 2), ())
+        assert dag.parent_masks == (0, 0b101, 0)
         assert dag.arc_count == 2
         assert dag.arcs() == [(0, 1), (2, 1)]
 
@@ -191,8 +192,11 @@ def moves_on_dags(draw):
 
 def assert_equals_checked_rebuild(dag, max_parents):
     """The DAG is what the checked constructor makes of its parent sets
-    (sorted tuples, acyclic) and meets the parent cap."""
-    assert dag == DagStructure(dag.m, dag.parent_sets)
+    (sorted tuples, acyclic, and the parent masks, which == ignores) and
+    meets the parent cap."""
+    rebuilt = DagStructure(dag.m, dag.parent_sets)
+    assert dag == rebuilt
+    assert dag.parent_masks == rebuilt.parent_masks
     assert all(type(u) is int for parents in dag.parent_sets for u in parents)
     assert max(map(len, dag.parent_sets), default=0) <= max_parents
 
@@ -243,6 +247,34 @@ class TestApplyMoveProperties:
         assert is_acyclic(result.m, result.arcs())
         assert max(len(parents) for parents in result.parent_sets) <= max_parents
         assert_equals_checked_rebuild(result, max_parents)
+
+    @given(st.data())
+    def test_walk_carries_the_masks(self, data):
+        """Masks carried through a walk of edits from the empty DAG match
+        the masks the checked constructor builds, after every edit."""
+        m = data.draw(st.integers(2, 7))
+        max_parents = data.draw(st.integers(1, m - 1))
+        dag = DagStructure.empty(m)
+        for _ in range(data.draw(st.integers(30, 60))):
+            i, j = data.draw(st.permutations(range(m)))[:2]
+            move = ArcMove(data.draw(st.sampled_from(("toggle", "reverse"))), i, j)
+            try:
+                dag = apply_move(dag, move, max_parents)
+            except (CycleError, NoArcError, ParentCapError):
+                continue
+            assert_equals_checked_rebuild(dag, max_parents)
+
+    def test_remove_arc(self):
+        dag = DagStructure.from_arcs(3, [(0, 2), (1, 2)])
+        reduced = remove_arc(dag, 0, 2)
+        assert reduced.arcs() == [(1, 2)]
+        assert_equals_checked_rebuild(reduced, 1)
+        assert dag.arcs() == [(0, 2), (1, 2)]
+        # removing an absent arc, the reverse of a present one or not, changes nothing
+        for u, v in [(2, 0), (0, 1), (1, 0)]:
+            same = remove_arc(dag, u, v)
+            assert same == dag
+            assert same.parent_masks == dag.parent_masks
 
     @given(
         dags(min_nodes=1, max_nodes=6),
@@ -471,6 +503,17 @@ class TestCpdagKey:
             reversed_dag = DagStructure(dag.m, tuple(sets))
             assert equivalent_by_definition(reversed_dag, dag)
             assert cpdag_key(reversed_dag) == key
+
+    def test_exact_keys(self):
+        # report order among classes with equal visits sorts by these bytes
+        keys = {
+            b"3||": [],
+            b"3|0-1,1-2|": [(0, 1), (1, 2)],
+            b"3|0-2,1-2|0.1>2": [(0, 2), (1, 2)],
+            b"3|0-1,0-2,1-2|": [(0, 1), (0, 2), (1, 2)],
+        }
+        for key, arcs in keys.items():
+            assert cpdag_key(DagStructure.from_arcs(3, arcs)) == key
 
     def test_skeleton_separates(self):
         assert cpdag_key(DagStructure.empty(2)) != cpdag_key(
