@@ -100,12 +100,10 @@ def _arcs_as_strings(dag: DagStructure) -> list[str]:
 def _classes_payload(report: PosteriorReport) -> list[dict]:
     payload = []
     for record, weight in zip(report.classes, report.weights()):
-        per_node = []
-        for child, parents in enumerate(record.best_network.parent_sets):
-            score = report.scorer.node_score(child, parents)
-            per_node.append(
-                {"model": score.chosen_model, "params": score.parameter_count}
-            )
+        per_node = [
+            {"model": score.chosen_model, "params": score.parameter_count}
+            for score in report.scorer.node_scores(record.best_network)
+        ]
         payload.append(
             {
                 "arcs": _arcs_as_strings(record.best_network),
@@ -204,12 +202,6 @@ def _run_eval(args) -> dict:
     }
 
 
-def _raise_first_node_error(scorer: NetworkScorer, dag: DagStructure) -> None:
-    """Re-raise the cached error of the first node the scorer could not code."""
-    for child, parents in enumerate(dag.parent_sets):
-        scorer.node_score(child, parents)
-
-
 def _run_score(args) -> dict:
     ds = load_csv(args.data, args.missing_policy)
     if args.structure == "empty":
@@ -225,7 +217,7 @@ def _run_score(args) -> dict:
         try:
             length = scorer.total_length(dag)
             if math.isinf(length):
-                _raise_first_node_error(scorer, dag)
+                scorer.node_scores(dag)  # raises the first node's error
         except MmlbnError as err:
             length = None
             errors[policy.value] = str(err)

@@ -42,24 +42,19 @@ def fit_network(dag: DagStructure, scorer: NetworkScorer) -> FittedNetwork:
     Node scores, logit fits included, come from the scorer's cache, so a
     sampler run's scorer (`PosteriorReport.scorer`) fits nothing again.
     """
-    train = scorer.ds
-    if dag.m != train.n_variables:
-        raise ValueError("structure and dataset disagree on variable count")
+    scores = scorer.node_scores(dag)
     nodes = []
-    chosen = []
-    parameters = 0
-    for child, parents in enumerate(dag.parent_sets):
-        score = scorer.node_score(child, parents)
-        chosen.append(score.chosen_model)
-        parameters += score.parameter_count
+    for child, (parents, score) in enumerate(zip(dag.parent_sets, scores)):
         if score.chosen_model == "full":
-            counts = counts_for(train, child, parents)
+            counts = counts_for(scorer.ds, child, parents)
             # Unseen configurations keep the uniform row full_cpt_predictive gives.
             table = np.log(full_cpt_predictive(counts))
             nodes.append(table.reshape(counts.parent_arities + (counts.child_arity,)))
         else:
             nodes.append(score.fom_params)
-    return FittedNetwork(dag, tuple(nodes), tuple(chosen), parameters)
+    chosen = tuple(score.chosen_model for score in scores)
+    parameters = sum(score.parameter_count for score in scores)
+    return FittedNetwork(dag, tuple(nodes), chosen, parameters)
 
 
 def _log_probs(network: FittedNetwork, rows: np.ndarray) -> np.ndarray:

@@ -233,6 +233,9 @@ def count_linear_extensions(dag: DagStructure) -> int:
     return _count_extensions(dag)
 
 
+DEFAULT_ARC_PRIOR = 0.5
+
+
 def check_arc_prior(p: float) -> None:
     """Reject an arc prior probability outside the open interval (0, 1)."""
     if not 0.0 < p < 1.0:

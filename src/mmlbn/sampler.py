@@ -28,8 +28,8 @@ import numpy.random  # noqa: F401
 
 from .errors import CycleError, NoArcError, ParentCapError
 from .fom import DEFAULT_SIGMA, check_sigma
-from .graph import ArcMove, DagStructure, apply_move, check_arc_prior, cpdag_key
-from .graph import remove_arc, structure_prior
+from .graph import DEFAULT_ARC_PRIOR, ArcMove, DagStructure, apply_move
+from .graph import check_arc_prior, cpdag_key, remove_arc, structure_prior
 from .scoring import ModelPolicy, NetworkScorer
 
 
@@ -39,7 +39,7 @@ class SamplerConfig:
     burn_in: int = 10000
     seed: int = 0
     policy: ModelPolicy = ModelPolicy.DUAL
-    p: float = 0.5
+    p: float = DEFAULT_ARC_PRIOR
     sigma: float = DEFAULT_SIGMA
     max_parents: int = 10
     top_k: int = 10

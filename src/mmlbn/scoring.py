@@ -17,7 +17,7 @@ from .cpt_full import full_cpt_message_length
 from .dataset import DiscreteDataset, counts_for
 from .errors import ConvergenceError, MmlbnError, ParameterCapError
 from .fom import DEFAULT_SIGMA, FomParams, FomScore, check_sigma, fom_message_length
-from .graph import DagStructure, check_arc_prior, structure_prior
+from .graph import DEFAULT_ARC_PRIOR, DagStructure, check_arc_prior, structure_prior
 
 MODEL_CHOICE_NITS = math.log(2.0)
 
@@ -110,13 +110,14 @@ def node_length(
 
 
 class NetworkScorer:
-    """Scoring context binding a dataset, a policy and shared caches."""
+    """Scoring context binding a dataset, a policy and shared caches; the one
+    owner of a network's size check, node scores and total length."""
 
     def __init__(
         self,
         ds: DiscreteDataset,
         policy: ModelPolicy,
-        p: float = 0.5,
+        p: float = DEFAULT_ARC_PRIOR,
         sigma: float = DEFAULT_SIGMA,
         cache: ScoreCache | None = None,
     ):
@@ -148,33 +149,39 @@ class NetworkScorer:
         except MmlbnError:
             return math.inf
 
+    def _check_size(self, dag: DagStructure) -> None:
+        if dag.m != self.ds.n_variables:
+            raise ValueError("structure and dataset disagree on variable count")
+
+    def node_scores(self, dag: DagStructure) -> tuple[NodeScore, ...]:
+        """Each node's score in node order; raises the first node's error."""
+        self._check_size(dag)
+        return tuple(self.node_score(*node) for node in enumerate(dag.parent_sets))
+
     def structure_log_prior(self, dag: DagStructure) -> float:
+        self._check_size(dag)
         return structure_prior(dag.m, self.p).log_prior(dag)
 
     def total_length(self, dag: DagStructure) -> float:
         """Network code length in nits; inf when some node cannot be scored.
 
-        The structure prior's errors (more variables than it handles) raise.
+        It is the chain's sum (`initial_state`), so it equals a chain state's
+        total bit for bit. The prior is priced first, and its errors (another
+        size, more variables than it handles) raise before any node is scored.
         """
-        total = -self.structure_log_prior(dag)
-        for child, parents in enumerate(dag.parent_sets):
-            length = self.node_length_or_inf(child, parents)
-            if math.isinf(length):
-                return math.inf
-            total += length
-        return total
+        log_prior = self.structure_log_prior(dag)
+        nodes = enumerate(dag.parent_sets)
+        return -log_prior + sum(self.node_length_or_inf(*node) for node in nodes)
 
 
 def network_message_length(
     dag: DagStructure,
     ds: DiscreteDataset,
     policy: ModelPolicy,
-    p: float = 0.5,
+    p: float = DEFAULT_ARC_PRIOR,
     sigma: float = DEFAULT_SIGMA,
     cache: ScoreCache | None = None,
 ) -> float:
     """Structure cost plus the sum of node code lengths, in nits; inf when
     some node cannot be scored under the policy."""
-    if dag.m != ds.n_variables:
-        raise ValueError("structure and dataset disagree on variable count")
     return NetworkScorer(ds, policy, p, sigma, cache).total_length(dag)

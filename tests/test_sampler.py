@@ -185,6 +185,30 @@ class TestChainMechanics:
             assert state.total == pytest.approx(expected, abs=1e-9)
         assert len(seen) > 3  # the chain actually explores
 
+    @pytest.mark.parametrize("p", [0.5, 0.2])
+    @pytest.mark.parametrize("policy", list(ModelPolicy))
+    def test_total_length_is_the_chain_total_bit_for_bit(self, policy, p):
+        rng = np.random.default_rng(31)
+        arities = [2, 3, 2, 3, 2]
+        parent_sets = ((), (0,), (0, 1), (2,), (1, 3))
+        tables = [
+            rng.dirichlet(np.ones(arities[v]), size=math.prod(arities[u] for u in ps))
+            for v, ps in enumerate(parent_sets)
+        ]
+        rows = sample_network(rng, 300, arities, parent_sets, tables)
+        ds = make_dataset(rows.T, arities=arities)
+        scorer = NetworkScorer(ds, policy, p)
+        ctx = SamplerContext(scorer, 4)
+        state = initial_state(scorer)
+        chain_rng = np.random.default_rng(7)
+        totals = {state.dag: state.total}
+        for _ in range(2000):
+            state = metropolis_step(state, chain_rng, ctx)
+            totals[state.dag] = state.total
+        assert len(totals) > 20
+        for dag, total in totals.items():
+            assert scorer.total_length(dag) == total, dag
+
     # 1e-300 is below the least p whose 1 - p differs from 1
     @pytest.mark.parametrize("p", [0.2, 0.5, 0.8, 1e-300])
     @pytest.mark.parametrize(

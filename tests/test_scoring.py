@@ -18,6 +18,7 @@ from mmlbn import (
     ScoreCache,
     counts_for,
     fit_fom_map,
+    fit_network,
     full_cpt_message_length,
     fom_message_length,
     network_message_length,
@@ -167,9 +168,21 @@ class TestNetworkLength:
         assert total_gap == pytest.approx(node_gap + prior_gap, abs=1e-10)
 
     def test_variable_count_mismatch(self):
-        ds = make_dataset([[0, 1], [1, 0]], arities=[2, 2])
-        with pytest.raises(ValueError):
-            network_message_length(DagStructure.empty(3), ds, ModelPolicy.TBN)
+        # every entry point that prices or fits a DAG refuses another size
+        ds = make_dataset([[0, 1, 1], [1, 0, 1], [0, 0, 1]], arities=[2, 2, 2])
+        scorer = NetworkScorer(ds, ModelPolicy.DUAL)
+        entry_points = (
+            scorer.total_length,
+            scorer.structure_log_prior,
+            scorer.node_scores,
+            lambda dag: network_message_length(dag, ds, ModelPolicy.DUAL),
+            lambda dag: fit_network(dag, scorer),
+        )
+        for m in (2, 4):
+            for price in entry_points:
+                with pytest.raises(ValueError, match="disagree on variable count"):
+                    price(DagStructure.empty(m))
+        assert len(scorer.node_scores(DagStructure.empty(3))) == 3
 
     def test_arc_prior_validated(self):
         ds = make_dataset([[0, 1]], arities=[2])
