@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -86,6 +87,14 @@ class DiscreteDataset:
 
     def arity(self, index: int) -> int:
         return self.variables[index].arity
+
+    @cached_property
+    def columns(self) -> np.ndarray:
+        """The codes as one contiguous int64 row per variable, (n_variables,
+        n_cases), made on the first read: tallies read whole columns."""
+        columns = np.ascontiguousarray(self.rows.T, dtype=np.int64)
+        columns.flags.writeable = False
+        return columns
 
     def subset(self, row_indices) -> "DiscreteDataset":
         """New dataset holding the selected rows; metadata is shared."""
@@ -349,11 +358,13 @@ def counts_for(ds: DiscreteDataset, child: int, parents) -> ContingencyCounts:
     the first parent most significant, so ascending keys are exactly the
     lexicographic row order ContingencyCounts requires. One bincount tallies
     the cases into the dense (radix, r_y) table of every possible key, and
-    the rows with cases are the observed configurations, in order; each
-    one's digits are read from any case that has it. Before the running
-    radix would pass the number of cases, the key so far is replaced by its
-    rank among the distinct keys; ranks keep the order, so the table never
-    has more than n * (largest parent arity) rows and wide arities stay exact.
+    the rows with cases are the observed configurations, in order. Before
+    the running radix would pass the number of cases, the key so far is
+    replaced by its rank among the distinct keys; ranks keep the order, so
+    the table never has more than n * (largest parent arity) rows and wide
+    arities stay exact. Without a re-rank a row is its configuration's index,
+    and its digits are read off the index; after one, from any case that has
+    the configuration.
     """
     parents = tuple(int(p) for p in parents)
     m = ds.n_variables
@@ -367,20 +378,27 @@ def counts_for(ds: DiscreteDataset, child: int, parents) -> ContingencyCounts:
         raise ValueError("child cannot be its own parent")
     r_y = ds.arity(child)
     parent_arities = tuple(ds.arity(p) for p in parents)
-    rows = ds.rows
+    columns = ds.columns
     n = ds.n_cases
     key = np.zeros(n, dtype=np.int64)
     radix = 1  # keys lie in [0, radix)
+    reranked = False
     for p, r in zip(parents, parent_arities):
         if radix * r > n:
             distinct, key = np.unique(key, return_inverse=True)
-            radix = len(distinct)
-        key = key * r + rows[:, p]
+            radix, reranked = len(distinct), True
+        key = key * r + columns[p]
         radix *= r
-    table = np.bincount(key * r_y + rows[:, child], minlength=radix * r_y)
+    table = np.bincount(key * r_y + columns[child], minlength=radix * r_y)
     table = table.reshape(radix, r_y)
     observed = np.flatnonzero(table.any(axis=1))
-    case = np.empty(radix, dtype=np.intp)
-    case[key] = np.arange(n)
-    digits = rows[case[observed]][:, list(parents)]
+    if reranked:
+        case = np.empty(radix, dtype=np.intp)
+        case[key] = np.arange(n)
+        digits = ds.rows[case[observed]][:, list(parents)]
+    else:
+        digits = np.empty((len(observed), len(parents)), dtype=np.int32)
+        index = observed
+        for i in range(len(parents) - 1, -1, -1):
+            index, digits[:, i] = np.divmod(index, parent_arities[i])
     return ContingencyCounts._trusted(r_y, parent_arities, digits, table[observed])

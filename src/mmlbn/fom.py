@@ -77,6 +77,9 @@ INFORMATION_BLOCK_ROWS = 512
 
 _LOG_2PI = math.log(2.0 * math.pi)
 _LOG_12 = math.log(12.0)
+# log(2 pi) + 1 - log 12: twice the per-dimension constant of the length
+# once the log sigma terms cancel (see fom_length_floor)
+_LOG_PI_E_OVER_6 = math.log(math.pi * math.e / 6.0)
 
 
 def check_sigma(sigma: float) -> None:
@@ -282,15 +285,23 @@ def _log_det(matrix: np.ndarray) -> float:
 
 
 @lru_cache(maxsize=512)
-def _prior_log_peak(child_arity: int, parent_arities: tuple, sigma: float) -> float:
-    """Log density of the constrained Gaussian prior at zero: an isotropic
-    Gaussian over the d free coordinates, times the factor for restricting
-    the one over all raw entries to the constraint subspace."""
+def _prior_log_normaliser(child_arity: int, parent_arities: tuple) -> float:
+    """The factor, in logs, for restricting the isotropic Gaussian over all
+    raw entries to the constraint subspace; it does not depend on sigma."""
     log_r_y = math.log(child_arity)
     norm = 0.5 * log_r_y
     for r_i in parent_arities:
         norm += 0.5 * ((r_i - 1) * log_r_y + (child_arity - 1) * math.log(r_i))
+    return norm
+
+
+@lru_cache(maxsize=512)
+def _prior_log_peak(child_arity: int, parent_arities: tuple, sigma: float) -> float:
+    """Log density of the constrained Gaussian prior at zero: an isotropic
+    Gaussian over the d free coordinates, times the factor for restricting
+    the one over all raw entries to the constraint subspace."""
     d = free_dimension(child_arity, parent_arities)
+    norm = _prior_log_normaliser(child_arity, parent_arities)
     return norm - d * (0.5 * _LOG_2PI + math.log(sigma))
 
 
@@ -501,3 +512,40 @@ def fom_message_length(
     )
     u.flags.writeable = False
     return FomScore(length, d, objective.r_y, objective.arities, u)
+
+
+def _sum_x_log_x(values: np.ndarray) -> float:
+    """Sum of x log x over an integer array, 0 log 0 read as 0."""
+    positive = values[values > 0].astype(float)
+    return float((positive * np.log(positive)).sum())
+
+
+def fom_length_floor(counts: ContingencyCounts) -> float:
+    """A lower bound on ``fom_message_length(counts, sigma).message_length``
+    for every sigma, from the counts alone: no fit.
+
+    Write the length as -log peak + quad + (1/2) log det I_sigma + NLL
+    + (d/2)(1 - log 12), with log peak = norm - d ((1/2) log 2 pi + log sigma)
+    (``_prior_log_peak``), I_sigma the ridged information and d the free
+    dimension. Three facts bound it:
+
+    - quad >= 0, and no model's NLL is below the saturated one, which gives
+      each observed configuration its empirical child distribution:
+      NLL >= sum_c n_c log n_c - sum_{c,k} n_ck log n_ck.
+    - I_sigma is a positive semidefinite matrix plus I / sigma^2, so
+      log det I_sigma >= d log(1 / sigma^2) = -2 d log sigma.
+    - The d log sigma of -log peak then cancels the -d log sigma of the log
+      determinant.
+
+    So the length is at least saturated NLL - norm + (d/2) log(pi e / 6).
+    The bound is tight without cases, where the optimum is zero and the
+    information is the ridge alone, so a rounding guard is subtracted: 1e-9
+    of the terms compared, far above their float error.
+    """
+    r_y, arities = counts.child_arity, counts.parent_arities
+    d = free_dimension(r_y, arities)
+    norm = _prior_log_normaliser(r_y, arities)
+    scale = _sum_x_log_x(counts.config_totals)  # the largest of the NLL terms
+    saturated = scale - _sum_x_log_x(counts.counts)
+    floor = saturated - norm + 0.5 * d * _LOG_PI_E_OVER_6
+    return floor - 1e-9 * (1.0 + scale + norm + d)

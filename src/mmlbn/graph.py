@@ -1,13 +1,14 @@
 """Directed acyclic structures, edit moves, and the structure prior.
 
 A DAG is stored as sorted parent tuples and carries the bit mask of each
-node's parents, built once by the checked constructor or by the edit that
-made the DAG. Every graph walk reads the masks and takes one kind of step:
-`_closure` gathers every node reachable from a start set through a table of
-neighbour masks. Over parent masks that gives a node's ancestors, which is
-the cycle test of an edit and of the checked constructor; over undirected
-neighbour masks it gives a weakly connected component. Every edit of a DAG
-(`apply_move`, `remove_arc`) lives in this module.
+node's parents and its arc count, built once by the checked constructor or
+by the edit that made the DAG. Every graph walk reads the masks and takes
+one kind of step: `_closure` gathers every node reachable from a start set
+through a table of neighbour masks. Over parent masks that gives a node's
+ancestors, which is the cycle test of an edit and of the checked
+constructor; over undirected neighbour masks it gives a weakly connected
+component. Every edit of a DAG (`apply_move`, `remove_arc`) lives in this
+module.
 
 The prior over structures weights each DAG by its number of linear
 extensions (total orders consistent with the arcs), normalised by m!, times
@@ -48,12 +49,13 @@ MAX_NODES = 24
 class DagStructure:
     """Immutable DAG over nodes 0..m-1, stored as sorted parent tuples.
 
-    parent_masks (each node's parents as a bit mask) is derived from them,
-    so equality and hashing ignore it."""
+    parent_masks (each node's parents as a bit mask) and arc_count are
+    derived from them, so equality and hashing ignore them."""
 
     m: int
     parent_sets: tuple[tuple[int, ...], ...]
     parent_masks: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    arc_count: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.m < 0:
@@ -73,20 +75,24 @@ class DagStructure:
             masks.append(sum(1 << u for u in parents))
         object.__setattr__(self, "parent_sets", tuple(normalised))
         object.__setattr__(self, "parent_masks", tuple(masks))
+        object.__setattr__(self, "arc_count", sum(map(len, normalised)))
         # a cycle runs through v iff v is among its own parents' ancestors
         if any(_closure(masks, mask) >> v & 1 for v, mask in enumerate(masks)):
             raise CycleError("parent sets describe a directed cycle")
 
     @classmethod
-    def _trusted(cls, m: int, parent_sets, parent_masks) -> "DagStructure":
+    def _trusted(
+        cls, m: int, parent_sets, parent_masks, arc_count: int
+    ) -> "DagStructure":
         """The result of an edit in this module that checked its own rules:
         parent sets known to be sorted tuples of in-range ints that form no
-        cycle, with the masks the edit derived from them. Skips
-        __post_init__."""
+        cycle, with the masks and arc count the edit derived from them.
+        Skips __post_init__."""
         dag = object.__new__(cls)
         object.__setattr__(dag, "m", m)
         object.__setattr__(dag, "parent_sets", parent_sets)
         object.__setattr__(dag, "parent_masks", parent_masks)
+        object.__setattr__(dag, "arc_count", arc_count)
         return dag
 
     @classmethod
@@ -101,10 +107,6 @@ class DagStructure:
                 raise ValueError(f"arc {u}->{v}: child index out of range")
             parents[v].append(u)
         return cls(m, tuple(tuple(p) for p in parents))
-
-    @property
-    def arc_count(self) -> int:
-        return sum(len(p) for p in self.parent_sets)
 
     def arcs(self) -> list[tuple[int, int]]:
         return sorted(
@@ -157,7 +159,7 @@ def apply_move(dag: DagStructure, move: ArcMove, max_parents: int) -> DagStructu
     sets, masks = list(dag.parent_sets), list(dag.parent_masks)
     sets[j] = tuple(sorted(sets[j] + (int(i),)))
     masks[j] |= 1 << i
-    return DagStructure._trusted(dag.m, tuple(sets), tuple(masks))
+    return DagStructure._trusted(dag.m, tuple(sets), tuple(masks), dag.arc_count + 1)
 
 
 def remove_arc(dag: DagStructure, u: int, v: int) -> DagStructure:
@@ -165,8 +167,9 @@ def remove_arc(dag: DagStructure, u: int, v: int) -> DagStructure:
     removal keeps the parents sorted and makes no cycle, so nothing is checked."""
     sets, masks = list(dag.parent_sets), list(dag.parent_masks)
     sets[v] = tuple(w for w in sets[v] if w != u)
+    arcs = dag.arc_count - (masks[v] >> u & 1)
     masks[v] &= ~(1 << u)
-    return DagStructure._trusted(dag.m, tuple(sets), tuple(masks))
+    return DagStructure._trusted(dag.m, tuple(sets), tuple(masks), arcs)
 
 
 def _closure(links, start_mask: int) -> int:

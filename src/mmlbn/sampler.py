@@ -9,11 +9,14 @@ network. After it ends, each distinct visited network is cleaned once of
 arcs that do not pay for themselves and its visits are binned by the Markov
 equivalence class of the cleaned network.
 
-The structure prior is an exact count of linear extensions, the costliest
-term of a test, so both the Metropolis test and the cleaning test are first
-tried against the bounds on it that graph.py states. Extensions are counted
-only when the node lengths and these bounds cannot settle the test; every
-decision and every random draw is the one the exact prior gives.
+The structure prior is an exact count of linear extensions, and a logit
+node's length needs a fit: the two costliest terms of a test. So both the
+Metropolis test and the cleaning test are first tried against the bounds on
+the prior that graph.py states, and with each new node priced by its floor
+(`NetworkScorer.node_floor`), a lower bound on its length that needs no fit.
+A node is fitted only when its floor cannot settle the test, and extensions
+are counted only when the exact node lengths and the prior's bounds cannot;
+every decision and every random draw is the one the exact lengths give.
 """
 
 from __future__ import annotations
@@ -108,13 +111,17 @@ def metropolis_step(
     Moves that would break acyclicity or the parent cap, and reversals of
     absent arcs, leave the chain where it is (and still count as a visit).
 
-    The ceiling of the proposal's log prior bounds delta from above. When
-    that bound is negative the uniform is drawn at once, as the rule would
-    draw it, and a uniform that rejects even against the bound rejects
-    without counting extensions. Uncodable lengths are +inf and the prior is
-    finite, so an uncodable proposal from a codable state has delta_hi = -inf
-    and is rejected that way; from an uncodable state the slack is inf and
-    delta inf or NaN, so the move is accepted, as by the rule.
+    The ceiling of the proposal's log prior bounds delta from above, and so
+    does the ceiling with the changed nodes' floors in place of their
+    lengths. When a bound is negative the uniform is drawn at once, as the
+    rule would draw it, and a uniform that rejects even against the bound
+    rejects without fitting the nodes or counting extensions. The floors are
+    tried first, when some changed node is not scored yet, and give the
+    higher bound, so the rule would draw the uniform there too. Uncodable
+    lengths are +inf and the prior is finite, so an uncodable proposal from a
+    codable state has delta_hi = -inf and is rejected that way; from an
+    uncodable state the slack is inf and delta inf or NaN, so the move is
+    accepted, as by the rule.
     """
     m = state.dag.m
     if m < 2:
@@ -129,21 +136,31 @@ def metropolis_step(
         return state
     affected = (j,) if kind == "toggle" else (i, j)
     lengths = list(state.node_lengths)
+    floored = []  # the changed nodes priced by a floor
     for v in affected:
-        lengths[v] = ctx.scorer.node_length_or_inf(v, new_dag.parent_sets[v])
-    node_sum = sum(lengths)
+        lengths[v], exact = ctx.scorer.node_floor(v, new_dag.parent_sets[v])
+        if not exact:
+            floored.append(v)
     prior = structure_prior(m, ctx.scorer.p)
     if kind == "toggle" and not state.dag.parent_masks[j] >> i & 1:
         ceiling = state.log_prior - prior.odds  # an added arc never adds orders
     else:
         ceiling = prior.ceiling(new_dag.arc_count)
-    delta_hi = state.total - node_sum + ceiling
     slack = prior.slack(state.total)
     log_u = None
-    if delta_hi < -slack:
-        log_u = math.log(rng.random())
-        if log_u >= delta_hi + slack:
-            return state
+    while True:  # at most twice: with the floors, then with the lengths
+        node_sum = sum(lengths)
+        delta_hi = state.total - node_sum + ceiling
+        if delta_hi < -slack:
+            if log_u is None:
+                log_u = math.log(rng.random())
+            if log_u >= delta_hi + slack:
+                return state
+        if not floored:
+            break
+        for v in floored:
+            lengths[v] = ctx.scorer.node_length_or_inf(v, new_dag.parent_sets[v])
+        floored = []
     log_prior = ctx.scorer.structure_log_prior(new_dag)
     total = -log_prior + node_sum
     delta = state.total - total  # positive when the proposal is better
@@ -169,14 +186,31 @@ def clean_network(dag: DagStructure, scorer: NetworkScorer) -> DagStructure:
     it keeps it, with no prior computed. A gain inside prices the candidate
     exactly; the current network is priced when such a test first needs it,
     at most once, and its prior is carried forward with each removal it makes.
+
+    Under `dual` the candidate's node is first priced by its floor
+    (`NetworkScorer.node_floor`): a gain from the floor above the window
+    keeps the arc without fitting the node, as the exact gain is no lower.
+    Only under `dual` is a finite floor the floor of a finite length, and an
+    uncodable candidate would be a removal.
     """
     prior = structure_prior(dag.m, scorer.p)
+
+    def kept_by_the_bounds(gain):
+        return gain - prior.odds - prior.log_m_factorial > prior.slack(gain)
+
     current, current_prior = dag, None
     for node in range(dag.m):
         for parent in dag.parent_sets[node]:
             candidate = remove_arc(current, parent, node)
+            reduced = candidate.parent_sets[node]
             with_len = scorer.node_length_or_inf(node, current.parent_sets[node])
-            without_len = scorer.node_length_or_inf(node, candidate.parent_sets[node])
+            without_len, exact = scorer.node_floor(node, reduced)
+            if not exact:
+                if scorer.policy is ModelPolicy.DUAL and kept_by_the_bounds(
+                    without_len - with_len
+                ):
+                    continue
+                without_len = scorer.node_length_or_inf(node, reduced)
             if math.isinf(with_len) or math.isinf(without_len):
                 current, current_prior = candidate, None
                 continue
@@ -185,7 +219,7 @@ def clean_network(dag: DagStructure, scorer: NetworkScorer) -> DagStructure:
             if gain - prior.odds <= -slack:
                 current, current_prior = candidate, None
                 continue
-            if gain - prior.odds - prior.log_m_factorial > slack:
+            if kept_by_the_bounds(gain):
                 continue
             if current_prior is None:
                 current_prior = scorer.structure_log_prior(current)

@@ -5,6 +5,9 @@ first-order model. DUAL picks the cheaper of the two per node and charges
 one extra bit (log 2 nits) for saying which, except for nodes with at most
 one parent, where the two models have the same expressive power and the
 full table is used without a selection bit.
+
+A node can also be priced by a floor that needs no logit fit
+(`NetworkScorer.node_floor`), so that a test the floor settles fits nothing.
 """
 
 from __future__ import annotations
@@ -13,10 +16,11 @@ import enum
 import math
 from dataclasses import dataclass, field
 
-from .cpt_full import full_cpt_message_length
+from .cpt_full import FullCptScore, full_cpt_message_length
 from .dataset import DiscreteDataset, counts_for
 from .errors import ConvergenceError, MmlbnError, ParameterCapError
-from .fom import DEFAULT_SIGMA, FomParams, FomScore, check_sigma, fom_message_length
+from .fom import DEFAULT_SIGMA, FomParams, FomScore, check_sigma
+from .fom import fom_length_floor, fom_message_length
 from .graph import DEFAULT_ARC_PRIOR, DagStructure, check_arc_prior, structure_prior
 
 MODEL_CHOICE_NITS = math.log(2.0)
@@ -57,6 +61,9 @@ class ScoreCache:
         self.hits = 0
         self.misses = 0
 
+    def __contains__(self, key) -> bool:
+        return key in self._entries
+
     def get_or_compute(self, key, compute):
         entry = self._entries.get(key)
         if entry is None:
@@ -79,8 +86,11 @@ def node_length(
     counts,
     policy: ModelPolicy,
     sigma: float = DEFAULT_SIGMA,
+    *,
+    full: FullCptScore | None = None,
 ) -> NodeScore:
-    """Code length of one node's counts under a model policy."""
+    """Code length of one node's counts under a model policy; `full` is the
+    counts' full-table score under `dual` when already worked out."""
     if policy is ModelPolicy.TBN:
         score = full_cpt_message_length(counts)
         return NodeScore(score.message_length, "full", score.free_params)
@@ -92,10 +102,11 @@ def node_length(
     if counts.n_parents <= 1:
         score = full_cpt_message_length(counts)
         return NodeScore(score.message_length, "full", score.free_params)
-    try:
-        full = full_cpt_message_length(counts)
-    except ParameterCapError:
-        full = None
+    if full is None:
+        try:
+            full = full_cpt_message_length(counts)
+        except ParameterCapError:
+            pass
     try:
         fom = fom_message_length(counts, sigma)
     except ConvergenceError:
@@ -111,7 +122,8 @@ def node_length(
 
 class NetworkScorer:
     """Scoring context binding a dataset, a policy and shared caches; the one
-    owner of a network's size check, node scores and total length."""
+    owner of a network's size check, node scores, node floors and total
+    length."""
 
     def __init__(
         self,
@@ -132,16 +144,55 @@ class NetworkScorer:
             self.cache.source = (ds, sigma)
         elif self.cache.source[0] is not ds or self.cache.source[1] != sigma:
             raise ValueError("the score cache holds scores of another dataset or sigma")
+        # (child, parents) -> (floor, counts, full-table score or None) of
+        # each node priced by its floor and not yet scored
+        self._floored: dict = {}
 
     def node_score(self, child: int, parents: tuple) -> NodeScore:
         parents = tuple(parents)
         key = (child, parents, self.policy)
-        return self.cache.get_or_compute(
-            key,
-            lambda: node_length(
-                counts_for(self.ds, child, parents), self.policy, self.sigma
-            ),
-        )
+        return self.cache.get_or_compute(key, lambda: self._score(child, parents))
+
+    def _score(self, child: int, parents: tuple) -> NodeScore:
+        floored = self._floored.pop((child, parents), None)
+        if floored is None:
+            counts = counts_for(self.ds, child, parents)
+            return node_length(counts, self.policy, self.sigma)
+        _, counts, full = floored
+        return node_length(counts, self.policy, self.sigma, full=full)
+
+    def node_floor(self, child: int, parents: tuple) -> tuple[float, bool]:
+        """(length, exact): a lower bound on `node_length_or_inf`, and
+        whether it is that length.
+
+        The length is exact for a scored node, under `tbn`, and under `dual`
+        for at most one parent: no logit fit is needed there. Otherwise the
+        node is tallied once, and its tally (and full-table score) is kept
+        for `node_score`. The floor is `fom_length_floor` under `fon`, and
+        min(full table, logit floor) + log 2 under `dual`; a `dual` node
+        whose full table is over its cap gets -inf, so every finite `dual`
+        floor belongs to a node of finite length.
+        """
+        parents = tuple(parents)
+        if (
+            self.policy is ModelPolicy.TBN
+            or (self.policy is ModelPolicy.DUAL and len(parents) <= 1)
+            or (child, parents, self.policy) in self.cache
+        ):
+            return self.node_length_or_inf(child, parents), True
+        floored = self._floored.get((child, parents))
+        if floored is None:
+            counts = counts_for(self.ds, child, parents)
+            floor, full = fom_length_floor(counts), None
+            if self.policy is ModelPolicy.DUAL:
+                try:
+                    full = full_cpt_message_length(counts)
+                except ParameterCapError:
+                    floor = -math.inf
+                else:
+                    floor = min(full.message_length, floor) + MODEL_CHOICE_NITS
+            floored = self._floored[child, parents] = (floor, counts, full)
+        return floored[0], False
 
     def node_length_or_inf(self, child: int, parents: tuple) -> float:
         try:

@@ -385,10 +385,10 @@ class TestCounts:
 
 
 @st.composite
-def count_problems(draw, max_variables=5, max_cases=40):
+def count_problems(draw, max_variables=5, max_cases=40, max_arity=4):
     """A small random dataset with a child and an ordered parent tuple."""
     m = draw(st.integers(1, max_variables))
-    arities = draw(st.lists(st.integers(2, 4), min_size=m, max_size=m))
+    arities = draw(st.lists(st.integers(2, max_arity), min_size=m, max_size=m))
     n = draw(st.integers(0, max_cases))
     columns = [
         draw(st.lists(st.integers(0, r - 1), min_size=n, max_size=n)) for r in arities
@@ -497,6 +497,30 @@ class TestCountsProperties:
         configs, table = tally(ds, 0, parents)
         assert counts.config_digits.tolist() == configs
         assert counts.counts.tolist() == table
+
+
+    @given(count_problems(max_variables=6, max_cases=12, max_arity=9))
+    def test_wide_keys_match_the_case_by_case_tally(self, problem):
+        # arities up to 9 on at most 12 cases: most keys with two or more
+        # parents pass the case count and are re-ranked, the rest are read
+        # off the mixed-radix index
+        ds, child, parents = problem
+        counts = counts_for(ds, child, parents)
+        configs, table = tally(ds, child, parents)
+        assert counts.config_digits.tolist() == configs
+        assert counts.counts.tolist() == table
+        assert counts.config_digits.shape == (len(configs), len(parents))
+        assert counts.config_digits.dtype == np.int32
+        assert counts.counts.dtype == np.int64
+
+    @given(count_problems())
+    def test_columns_are_the_rows_read_by_variable(self, problem):
+        ds = problem[0]
+        columns = ds.columns
+        assert columns is ds.columns  # made once
+        assert columns.dtype == np.int64 and columns.flags.c_contiguous
+        assert not columns.flags.writeable
+        assert np.array_equal(columns, ds.rows.T)
 
 
 class TestDatasetContainer:

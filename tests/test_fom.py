@@ -772,3 +772,53 @@ class TestMessageLength:
                 + 0.5 * d * (1.0 - math.log(12.0))
             )
             assert score.message_length == pytest.approx(expected, rel=1e-10)
+
+
+@st.composite
+def floor_tables(draw):
+    """Child and parent arities 2-5, 0-3 parents and 0-39 cases, each in a
+    random cell: empty, single-case and separated configurations abound."""
+    r_y = draw(st.integers(2, 5))
+    arities = tuple(draw(st.lists(st.integers(2, 5), max_size=3)))
+    cells = math.prod(arities) * r_y
+    n = draw(st.integers(0, 39))
+    chosen = draw(st.lists(st.integers(0, cells - 1), min_size=n, max_size=n))
+    table = np.bincount(np.array(chosen, dtype=np.intp), minlength=cells)
+    return ContingencyCounts.from_dense(r_y, arities, table.reshape(-1, r_y))
+
+
+class TestLengthFloor:
+    """fom_length_floor bounds every sigma's length from below, with no fit."""
+
+    @given(floor_tables())
+    @example(ContingencyCounts.from_dense(2, (), np.zeros((1, 2), dtype=int)))
+    def test_below_the_length_at_every_sigma(self, counts):
+        floor = fom.fom_length_floor(counts)
+        for sigma in (0.5, SIGMA, 30.0):
+            try:
+                length = fom_message_length(counts, sigma).message_length
+            except ConvergenceError:
+                continue
+            assert floor <= length
+
+    @pytest.mark.parametrize("sigma", [0.5, SIGMA, 30.0])
+    @pytest.mark.parametrize("arities", [(), (2,), (3, 4), (5, 2, 3)])
+    def test_tight_without_cases(self, arities, sigma):
+        # no cases: the optimum is zero and the information the ridge alone,
+        # so every inequality of the bound holds with equality
+        for r_y in (2, 3, 5):
+            table = np.zeros((math.prod(arities), r_y), dtype=int)
+            counts = ContingencyCounts.from_dense(r_y, arities, table)
+            gap = zero_case_length(r_y, arities, sigma) - fom.fom_length_floor(counts)
+            assert 0.0 < gap < 1e-6
+
+    def test_saturated_likelihood_and_normaliser(self):
+        # one parent of arity 2 over a binary child: d = 2 and the
+        # normaliser is (1/2) log 2 + (1/2)(log 2 + log 2)
+        table = np.array([[3, 1], [0, 2]])
+        counts = ContingencyCounts.from_dense(2, (2,), table)
+        saturated = 4 * math.log(4) + 2 * math.log(2) - 3 * math.log(3) - 2 * math.log(2)
+        norm = 1.5 * math.log(2)
+        expected = saturated - norm + math.log(math.pi * math.e / 6)
+        assert fom.fom_length_floor(counts) == pytest.approx(expected, abs=1e-7)
+        assert fom.fom_length_floor(counts) < expected

@@ -1,5 +1,6 @@
 """Structures, moves, extension counts, prior, equivalence keys."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -263,6 +264,28 @@ class TestApplyMoveProperties:
             except (CycleError, NoArcError, ParentCapError):
                 continue
             assert_equals_checked_rebuild(dag, max_parents)
+
+    @given(st.data())
+    def test_every_edit_carries_the_arc_count(self, data):
+        """The arc count carried through toggles, reversals and removals of
+        present and absent arcs is the sum of the parent set sizes."""
+        m = data.draw(st.integers(2, 7))
+        dag = DagStructure.empty(m)
+        assert dag.arc_count == 0
+        for _ in range(data.draw(st.integers(30, 60))):
+            i, j = data.draw(st.permutations(range(m)))[:2]
+            kind = data.draw(st.sampled_from(("toggle", "reverse", "remove")))
+            if kind == "remove":
+                dag = remove_arc(dag, i, j)
+            else:
+                try:
+                    dag = apply_move(dag, ArcMove(kind, i, j), m - 1)
+                except (CycleError, NoArcError):
+                    continue
+            assert dag.arc_count == sum(map(len, dag.parent_sets))
+            assert dag.arc_count == DagStructure(m, dag.parent_sets).arc_count
+        compared = [f.name for f in dataclasses.fields(DagStructure) if f.compare]
+        assert compared == ["m", "parent_sets"]
 
     def test_remove_arc(self):
         dag = DagStructure.from_arcs(3, [(0, 2), (1, 2)])

@@ -24,6 +24,7 @@ from mmlbn import (
     run_sampler,
     structure_log_prior,
 )
+from mmlbn import scoring
 from mmlbn.errors import CycleError, NoArcError, ParentCapError
 from helpers import dags, make_dataset, sample_network
 
@@ -313,6 +314,9 @@ class _FakeScorer:
         self.queried.append(tuple(parents))
         return self.table[tuple(parents)]
 
+    def node_floor(self, node, parents):
+        return self.node_length_or_inf(node, parents), True
+
     def structure_log_prior(self, dag):
         return 0.0
 
@@ -329,9 +333,58 @@ class _PricedScorer:
     def node_length_or_inf(self, node, parents):
         return self.lengths(node, tuple(parents))
 
+    def node_floor(self, node, parents):
+        return self.node_length_or_inf(node, parents), True
+
     def structure_log_prior(self, dag):
         self.priced.append(dag)
         return structure_log_prior(dag, self.p)
+
+
+class _FlooredScorer(_PricedScorer):
+    """_PricedScorer whose nodes are priced first by floors, as NetworkScorer
+    prices a node it has not scored: gaps(node, parents) below the length of
+    a codable node. A node is exact once its length has been read.
+
+    Nodes in `uncodable` have length inf. Under dual their floor is -inf, as
+    NetworkScorer's is, since a finite dual floor promises a finite length;
+    under fon it is the finite length they would have had, less the gap, as
+    for a logit fit that fails."""
+
+    def __init__(self, lengths, gaps, p, policy=ModelPolicy.DUAL, uncodable=()):
+        super().__init__(lengths, p)
+        self.gaps = gaps
+        self.policy = policy
+        self.uncodable = frozenset(uncodable)
+        self.scored = []
+
+    def node_length_or_inf(self, node, parents):
+        key = (node, tuple(parents))
+        self.scored.append(key)
+        return math.inf if key in self.uncodable else self.lengths(*key)
+
+    def node_floor(self, node, parents):
+        key = (node, tuple(parents))
+        if key in self.scored:
+            return self.node_length_or_inf(*key), True
+        if key in self.uncodable and self.policy is ModelPolicy.DUAL:
+            return -math.inf, False
+        return self.lengths(*key) - self.gaps(*key), False
+
+
+class _CountingRng:
+    """A Generator's random and integers, counting the uniforms drawn."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.uniforms = 0
+
+    def random(self):
+        self.uniforms += 1
+        return self.rng.random()
+
+    def integers(self, low, high):
+        return self.rng.integers(low, high)
 
 
 def _clean_by_the_rule(dag, scorer):
@@ -516,6 +569,155 @@ class TestCleaning:
         scorer = _FakeScorer(1, {(0,): math.inf, (): 3.0})
         dag = DagStructure(2, ((), (0,)))
         assert clean_network(dag, scorer) == DagStructure.empty(2)
+
+
+class TestNodeFloors:
+    """Tests priced by floors first are the tests of the exact lengths."""
+
+    @staticmethod
+    def _draw_problem(data, policy):
+        m = data.draw(st.integers(2, 5), label="m")
+        p = data.draw(st.sampled_from([0.2, 0.5, 0.8]), label="p")
+        weights = [
+            [data.draw(st.floats(-6.0, 6.0), label="weight") for _ in range(m)]
+            for _ in range(m)
+        ]
+        gap_values = st.sampled_from([0.0, 1e-12, 1e-3, 0.5, 3.0, 40.0, math.inf])
+        gaps = {}
+
+        # a pairwise term too, so that a parent's worth depends on the others
+        def lengths(node, parents):
+            pairs = sum(weights[u][w] for u in parents for w in parents if u < w)
+            return 50.0 + sum(weights[node][u] for u in parents) + 0.3 * pairs
+
+        def gap(node, parents):
+            key = (node, parents)
+            if key not in gaps:
+                gaps[key] = data.draw(gap_values, label="gap")
+            return gaps[key]
+
+        uncodable = set()
+        if data.draw(st.booleans(), label="some uncodable"):
+            for node in range(m):
+                for parents in data.draw(
+                    st.lists(st.sets(st.integers(0, m - 1)), max_size=3),
+                    label="uncodable",
+                ):
+                    uncodable.add((node, tuple(sorted(set(parents) - {node}))))
+        floored = _FlooredScorer(lengths, gap, p, policy, uncodable)
+
+        def exact(node, parents):
+            return math.inf if (node, parents) in uncodable else lengths(node, parents)
+
+        return m, p, floored, _PricedScorer(exact, p)
+
+    @pytest.mark.parametrize("policy", [ModelPolicy.DUAL, ModelPolicy.FON])
+    @given(data=st.data())
+    def test_the_chain_is_the_rule(self, policy, data):
+        m, p, floored, exact = self._draw_problem(data, policy)
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        dag = DagStructure.empty(m)
+        states = []
+        for scorer in (floored, exact):
+            lengths = tuple(scorer.node_length_or_inf(v, ()) for v in range(m))
+            log_prior = structure_log_prior(dag, p)
+            states.append(ChainState(dag, lengths, log_prior, -log_prior + sum(lengths)))
+        fast, slow = states
+        fast_rng, slow_rng = _CountingRng(seed), _CountingRng(seed)
+        fast_ctx, slow_ctx = SamplerContext(floored, 3), SamplerContext(exact, 3)
+        for _ in range(60):
+            fast = metropolis_step(fast, fast_rng, fast_ctx)
+            slow = _step_by_the_rule(slow, slow_rng, slow_ctx)
+            assert fast.dag == slow.dag
+            assert fast.node_lengths == slow.node_lengths
+            assert fast.total == slow.total
+            assert fast_rng.uniforms == slow_rng.uniforms
+
+    @pytest.mark.parametrize("policy", [ModelPolicy.DUAL, ModelPolicy.FON])
+    @given(data=st.data())
+    def test_cleaning_is_the_rule(self, policy, data):
+        m, p, floored, exact = self._draw_problem(data, policy)
+        order = data.draw(st.permutations(range(m)), label="order")
+        slots = [(order[a], order[b]) for a in range(m) for b in range(a + 1, m)]
+        keep = data.draw(
+            st.lists(st.booleans(), min_size=len(slots), max_size=len(slots)),
+            label="arcs",
+        )
+        dag = DagStructure.from_arcs(m, [arc for arc, k in zip(slots, keep) if k])
+        assert clean_network(dag, floored) == _clean_by_the_rule(dag, exact)
+
+    def test_a_floor_keeps_an_arc_without_scoring_the_candidate(self):
+        # dropping 0 -> 1 would cost 30 nits by the floor alone
+        lengths = {(1, (0,)): 10.0, (1, ()): 45.0}
+        scorer = _FlooredScorer(
+            lambda node, parents: lengths[node, parents], lambda *_: 5.0, 0.5
+        )
+        dag = DagStructure(2, ((), (0,)))
+        assert clean_network(dag, scorer) == dag
+        assert scorer.scored == [(1, (0,))]
+
+    def test_an_uncodable_fon_candidate_is_removed_whatever_its_floor(self):
+        # Under fon a logit fit can fail, so the candidate's length may be
+        # inf while its floor is far above the window: the arc must go, as
+        # the rule removes it, and only its exact length shows that.
+        lengths = {(1, (0,)): 10.0, (1, ()): 45.0}
+        scorer = _FlooredScorer(
+            lambda node, parents: lengths[node, parents],
+            lambda *_: 5.0,
+            0.5,
+            ModelPolicy.FON,
+            uncodable={(1, ())},
+        )
+        dag = DagStructure(2, ((), (0,)))
+        expected = _clean_by_the_rule(
+            dag,
+            _PricedScorer(lambda node, parents: math.inf if not parents else 10.0),
+        )
+        assert expected == DagStructure.empty(2)
+        assert clean_network(dag, scorer) == expected
+        assert scorer.scored == [(1, (0,)), (1, ())]
+
+    @pytest.mark.parametrize("policy", [ModelPolicy.DUAL, ModelPolicy.FON])
+    def test_one_tally_per_node_and_fewer_fits(self, policy, monkeypatch):
+        # each variable the sum of the (up to) two before it, one case in
+        # ten redrawn
+        rng = np.random.default_rng(24)
+        n = 400
+        columns = [rng.integers(0, 3, size=n)]
+        for v in range(1, 6):
+            total = (columns[-1] + (columns[-2] if v > 1 else 0)) % 3
+            redrawn = rng.random(n) < 0.1
+            columns.append(np.where(redrawn, rng.integers(0, 3, size=n), total))
+        ds = make_dataset(columns, arities=[3] * 6)
+        config = SamplerConfig(iterations=600, burn_in=100, seed=2, policy=policy)
+
+        tallied, fits = [], []
+        counts_for, fit = scoring.counts_for, scoring.fom_message_length
+
+        def counted_tally(dataset, child, parents):
+            tallied.append((child, tuple(parents)))
+            return counts_for(dataset, child, parents)
+
+        def counted_fit(*args, **kwargs):
+            fits.append(None)
+            return fit(*args, **kwargs)
+
+        monkeypatch.setattr(scoring, "counts_for", counted_tally)
+        monkeypatch.setattr(scoring, "fom_message_length", counted_fit)
+        report = run_sampler(ds, config)
+        assert len(set(tallied)) == len(tallied)
+        with_floors = len(fits)
+
+        # every node priced exactly: the same report from more fits
+        def exact_floor(scorer, child, parents):
+            return scorer.node_length_or_inf(child, parents), True
+
+        monkeypatch.setattr(NetworkScorer, "node_floor", exact_floor)
+        tallied.clear()
+        fits.clear()
+        assert run_sampler(ds, config) == report
+        assert len(set(tallied)) == len(tallied)
+        assert with_floors < len(fits)
 
 
 class TestRunSampler:

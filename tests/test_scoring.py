@@ -25,7 +25,7 @@ from mmlbn import (
     node_length,
     run_sampler,
 )
-from mmlbn import fom
+from mmlbn import fom, scoring
 from mmlbn.errors import ConvergenceError, ParameterCapError
 from helpers import make_dataset
 
@@ -389,3 +389,123 @@ class TestLogitParametersOnDemand:
             fom_message_length(counts)
         assert built == [caught.value.best_params]
         assert np.array_equal(caught.value.best_params.flatten(), start.flatten())
+
+
+@st.composite
+def floor_problems(draw):
+    """A small dataset, a child and 0-3 parents."""
+    m = draw(st.integers(2, 5))
+    arities = draw(st.lists(st.integers(2, 4), min_size=m, max_size=m))
+    n = draw(st.integers(1, 40))
+    columns = [
+        draw(st.lists(st.integers(0, r - 1), min_size=n, max_size=n)) for r in arities
+    ]
+    child = draw(st.integers(0, m - 1))
+    others = draw(st.permutations([v for v in range(m) if v != child]))
+    parents = tuple(sorted(others[: draw(st.integers(0, min(3, m - 1)))]))
+    return make_dataset(columns, arities=arities), child, parents
+
+
+def collinear_problem():
+    """A dual node whose logit fit raises ConvergenceError: collinear parents
+    (column 1 copies column 0) with the 1 / sigma^2 ridge lost in rounding."""
+    rng = np.random.default_rng(60)
+    columns = [rng.integers(0, r, size=60) for r in (3, 3, 2, 3)]
+    columns[1] = columns[0]
+    return make_dataset(columns, arities=[3, 3, 2, 3]), 3, (0, 1, 2), 1e10
+
+
+class TestNodeFloor:
+    @given(floor_problems(), st.sampled_from([0.5, 3.0, 30.0]))
+    def test_below_the_length(self, problem, sigma):
+        ds, child, parents = problem
+        for policy in ModelPolicy:
+            scorer = NetworkScorer(ds, policy, sigma=sigma)
+            floor, exact = scorer.node_floor(child, parents)
+            length = scorer.node_length_or_inf(child, parents)
+            assert floor <= length
+            if exact:
+                assert floor == length
+            # exact once scored
+            assert scorer.node_floor(child, parents) == (length, True)
+
+    @given(floor_problems())
+    def test_exact_where_no_fit_is_needed(self, problem):
+        ds, child, parents = problem
+        tbn = NetworkScorer(ds, ModelPolicy.TBN)
+        assert tbn.node_floor(child, parents) == (
+            tbn.node_length_or_inf(child, parents),
+            True,
+        )
+        dual = NetworkScorer(ds, ModelPolicy.DUAL)
+        for few in ((), parents[:1]):
+            assert dual.node_floor(child, few) == (
+                dual.node_length_or_inf(child, few),
+                True,
+            )
+
+    def test_the_dual_floor_is_the_cheaper_floor_plus_the_choice(self):
+        rng = np.random.default_rng(61)
+        ds = random_dataset(rng, 30, (3, 2, 3, 2))
+        for child, parents in ((3, (0, 1)), (0, (1, 2, 3)), (2, (0, 3))):
+            counts = counts_for(ds, child, parents)
+            full = full_cpt_message_length(counts).message_length
+            expected = min(full, fom.fom_length_floor(counts)) + LOG2
+            dual = NetworkScorer(ds, ModelPolicy.DUAL)
+            assert dual.node_floor(child, parents) == (expected, False)
+            fon = NetworkScorer(ds, ModelPolicy.FON)
+            assert fon.node_floor(child, parents) == (
+                fom.fom_length_floor(counts),
+                False,
+            )
+
+    def test_a_failed_fit_keeps_the_floors_below(self):
+        ds, child, parents, sigma = collinear_problem()
+        counts = counts_for(ds, child, parents)
+        with pytest.raises(ConvergenceError):
+            fom_message_length(counts, sigma)
+        table = full_cpt_message_length(counts).message_length
+        dual = NetworkScorer(ds, ModelPolicy.DUAL, sigma=sigma)
+        floor, exact = dual.node_floor(child, parents)
+        assert not exact and floor <= table + LOG2
+        assert dual.node_length_or_inf(child, parents) == table + LOG2
+        # under fon the length is inf and the floor finite: a floor does not
+        # say a node is codable
+        fon = NetworkScorer(ds, ModelPolicy.FON, sigma=sigma)
+        floor, exact = fon.node_floor(child, parents)
+        assert not exact and math.isfinite(floor)
+        assert fon.node_length_or_inf(child, parents) == math.inf
+
+    def test_a_capped_dual_table_gets_no_finite_floor(self):
+        # a finite dual floor promises a finite length, and over the cap only
+        # the logit fit could give one
+        rng = np.random.default_rng(62)
+        ds = random_dataset(rng, 50, [2] * 17)
+        scorer = NetworkScorer(ds, ModelPolicy.DUAL)
+        assert scorer.node_floor(0, tuple(range(1, 17))) == (-math.inf, False)
+
+    @pytest.mark.parametrize("policy", [ModelPolicy.DUAL, ModelPolicy.FON])
+    def test_one_tally_and_one_table_per_node(self, policy, monkeypatch):
+        rng = np.random.default_rng(63)
+        ds = random_dataset(rng, 40, (3, 2, 3))
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("counts_for", "full_cpt_message_length"):
+            monkeypatch.setattr(scoring, name, counted(name, getattr(scoring, name)))
+        scorer = NetworkScorer(ds, policy)
+        floor, exact = scorer.node_floor(2, (0, 1))
+        assert scorer.node_floor(2, (0, 1)) == (floor, exact)
+        score = scorer.node_score(2, (0, 1))
+        assert floor <= score.length
+        assert calls.count("counts_for") == 1
+        assert calls.count("full_cpt_message_length") == (policy is ModelPolicy.DUAL)
+        monkeypatch.undo()
+        # and the score is the one a fresh scorer works out
+        assert NetworkScorer(ds, policy).node_score(2, (0, 1)) == score
