@@ -130,54 +130,57 @@ def _read_csv(path, variables, reject_missing: bool) -> DiscreteDataset:
     them the header must repeat their names, the dicts hold their labels and
     a token outside them raises.
     Empty records (blank lines) are skipped, before the header too, but line
-    numbers in errors count them: they count CSV records from 1.
+    numbers in errors count them: they count CSV records from 1. A record
+    csv cannot read raises DataFormatError too.
     """
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        for header_lineno, header in enumerate(reader, start=1):
-            if header:
-                break
-        else:
-            raise DataFormatError(f"{path}: empty file")
-        names = [h.strip() for h in header]
-        m = len(names)
-        if variables is None:
-            codes: list[dict[str, int]] = [{} for _ in range(m)]
-        elif m != len(variables):
-            raise DataFormatError(f"{path}: {m} columns, expected {len(variables)}")
-        else:
-            for k, (name, v) in enumerate(zip(names, variables), start=1):
-                if name != v.name:
-                    raise DataFormatError(
-                        f"{path}: column {k} is named {name!r}, expected {v.name!r}"
-                    )
-            codes = [{label: k for k, label in enumerate(v.labels)} for v in variables]
-        data: list[int] = []  # every code, record after record
-        n_records = 0
-        for lineno, row in enumerate(reader, start=header_lineno + 1):
-            if not row:
-                continue
-            n_records += 1
-            if len(row) != m:
-                raise DataFormatError(
-                    f"{path}:{lineno}: expected {m} fields, found {len(row)}"
-                )
-            for i, token in enumerate(row):
-                token = token.strip()
-                if reject_missing and token == MISSING_TOKEN:
-                    raise MissingValueError(
-                        f"{path}:{lineno}: missing value in column {names[i]!r}"
-                    )
-                try:
-                    data.append(codes[i][token])
-                except KeyError:
-                    if variables is not None:
+    lineno = 0  # the last record read
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            records = enumerate(csv.reader(fh), start=1)
+            for lineno, header in records:
+                if header:
+                    break
+            else:
+                raise DataFormatError(f"{path}: empty file")
+            names = [h.strip() for h in header]
+            m = len(names)
+            if variables is None:
+                codes: list[dict[str, int]] = [{} for _ in range(m)]
+            elif m != len(variables):
+                raise DataFormatError(f"{path}: {m} columns, expected {len(variables)}")
+            else:
+                for k, (name, v) in enumerate(zip(names, variables), start=1):
+                    if name != v.name:
                         raise DataFormatError(
-                            f"{path}:{lineno}: unknown value {token!r} in column "
-                            f"{names[i]!r}"
-                        ) from None
-                    data.append(codes[i].setdefault(token, len(codes[i])))
-    if not n_records:
+                            f"{path}: column {k} is named {name!r}, expected {v.name!r}"
+                        )
+                codes = [dict(zip(v.labels, range(v.arity))) for v in variables]
+            data: list[int] = []  # every code, record after record
+            for lineno, row in records:
+                if not row:
+                    continue
+                if len(row) != m:
+                    raise DataFormatError(
+                        f"{path}:{lineno}: expected {m} fields, found {len(row)}"
+                    )
+                for i, token in enumerate(row):
+                    token = token.strip()
+                    if reject_missing and token == MISSING_TOKEN:
+                        raise MissingValueError(
+                            f"{path}:{lineno}: missing value in column {names[i]!r}"
+                        )
+                    try:
+                        data.append(codes[i][token])
+                    except KeyError:
+                        if variables is not None:
+                            raise DataFormatError(
+                                f"{path}:{lineno}: unknown value {token!r} in column "
+                                f"{names[i]!r}"
+                            ) from None
+                        data.append(codes[i].setdefault(token, len(codes[i])))
+    except csv.Error as err:  # a field over csv's size limit, say
+        raise DataFormatError(f"{path}:{lineno + 1}: {err}") from None
+    if not data:
         raise DataFormatError(f"{path}: no data rows")
     if variables is None:
         for name, table in zip(names, codes):
@@ -189,7 +192,7 @@ def _read_csv(path, variables, reject_missing: bool) -> DiscreteDataset:
             VariableMeta(name, len(table), tuple(table))  # first-appearance order
             for name, table in zip(names, codes)
         )
-    rows = np.array(data, dtype=np.int32).reshape(n_records, m)
+    rows = np.array(data, dtype=np.int32).reshape(-1, m)
     return DiscreteDataset(variables, rows)
 
 

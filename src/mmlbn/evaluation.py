@@ -176,6 +176,7 @@ def cross_validate(
     """Repeated random splits; repeat r uses seed config.seed + r throughout."""
     if repeats < 1:
         raise ValueError("repeats must be at least 1")
+    config.validate()  # before the first split draws with its seed
     metrics = []
     for r in range(repeats):
         seed = config.seed + r

@@ -12,11 +12,12 @@ equivalence class of the cleaned network.
 The structure prior is an exact count of linear extensions, and a logit
 node's length needs a fit: the two costliest terms of a test. So both the
 Metropolis test and the cleaning test are first tried against the bounds on
-the prior that graph.py states, and with each new node priced by its floor
-(`NetworkScorer.node_floor`), a lower bound on its length that needs no fit.
-A node is fitted only when its floor cannot settle the test, and extensions
-are counted only when the exact node lengths and the prior's bounds cannot;
-every decision and every random draw is the one the exact lengths give.
+the prior that graph.py states, and with each node that would need a fit
+priced by its floor (`NetworkScorer.node_floor`), a lower bound on its
+length. A node is fitted only when its floor cannot settle the test, and
+extensions are counted only when the exact node lengths and the prior's
+bounds cannot; every decision and every random draw is the one the exact
+lengths give.
 """
 
 from __future__ import annotations
@@ -54,8 +55,9 @@ class SamplerConfig:
             raise ValueError("burn_in must lie in [0, iterations)")
         check_arc_prior(self.p)
         check_sigma(self.sigma)
-        if self.max_parents < 0:
-            raise ValueError("max_parents must be non-negative")
+        for name in ("seed", "max_parents"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative")
         if self.top_k < 1:
             raise ValueError("top_k must be at least 1")
 
@@ -116,12 +118,12 @@ def metropolis_step(
     lengths. When a bound is negative the uniform is drawn at once, as the
     rule would draw it, and a uniform that rejects even against the bound
     rejects without fitting the nodes or counting extensions. The floors are
-    tried first, when some changed node is not scored yet, and give the
-    higher bound, so the rule would draw the uniform there too. Uncodable
-    lengths are +inf and the prior is finite, so an uncodable proposal from a
-    codable state has delta_hi = -inf and is rejected that way; from an
-    uncodable state the slack is inf and delta inf or NaN, so the move is
-    accepted, as by the rule.
+    tried first, when some changed node has one, and give the higher bound,
+    so the rule would draw the uniform there too. Uncodable lengths are +inf
+    and the prior is finite, so an uncodable proposal from a codable state
+    has delta_hi = -inf and is rejected that way; from an uncodable state
+    the slack is inf and delta inf or NaN, so the move is accepted, as by
+    the rule.
     """
     m = state.dag.m
     if m < 2:
@@ -187,11 +189,10 @@ def clean_network(dag: DagStructure, scorer: NetworkScorer) -> DagStructure:
     exactly; the current network is priced when such a test first needs it,
     at most once, and its prior is carried forward with each removal it makes.
 
-    Under `dual` the candidate's node is first priced by its floor
+    The candidate's node is first priced by its floor
     (`NetworkScorer.node_floor`): a gain from the floor above the window
-    keeps the arc without fitting the node, as the exact gain is no lower.
-    Only under `dual` is a finite floor the floor of a finite length, and an
-    uncodable candidate would be a removal.
+    keeps the arc without fitting the node, as the exact gain is no lower
+    and the node is codable.
     """
     prior = structure_prior(dag.m, scorer.p)
 
@@ -206,9 +207,7 @@ def clean_network(dag: DagStructure, scorer: NetworkScorer) -> DagStructure:
             with_len = scorer.node_length_or_inf(node, current.parent_sets[node])
             without_len, exact = scorer.node_floor(node, reduced)
             if not exact:
-                if scorer.policy is ModelPolicy.DUAL and kept_by_the_bounds(
-                    without_len - with_len
-                ):
+                if kept_by_the_bounds(without_len - with_len):
                     continue
                 without_len = scorer.node_length_or_inf(node, reduced)
             if math.isinf(with_len) or math.isinf(without_len):

@@ -91,7 +91,9 @@ def node_length(
 ) -> NodeScore:
     """Code length of one node's counts under a model policy; `full` is the
     counts' full-table score under `dual` when already worked out."""
-    if policy is ModelPolicy.TBN:
+    if policy is ModelPolicy.TBN or (
+        policy is ModelPolicy.DUAL and counts.n_parents <= 1
+    ):
         score = full_cpt_message_length(counts)
         return NodeScore(score.message_length, "full", score.free_params)
     if policy is ModelPolicy.FON:
@@ -99,9 +101,6 @@ def node_length(
         return NodeScore(score.message_length, "fom", score.free_dim, score)
     if policy is not ModelPolicy.DUAL:
         raise ValueError(f"unknown policy {policy!r}")
-    if counts.n_parents <= 1:
-        score = full_cpt_message_length(counts)
-        return NodeScore(score.message_length, "full", score.free_params)
     if full is None:
         try:
             full = full_cpt_message_length(counts)
@@ -154,43 +153,39 @@ class NetworkScorer:
         return self.cache.get_or_compute(key, lambda: self._score(child, parents))
 
     def _score(self, child: int, parents: tuple) -> NodeScore:
-        floored = self._floored.pop((child, parents), None)
-        if floored is None:
+        _, counts, full = self._floored.pop((child, parents), (None, None, None))
+        if counts is None:
             counts = counts_for(self.ds, child, parents)
-            return node_length(counts, self.policy, self.sigma)
-        _, counts, full = floored
         return node_length(counts, self.policy, self.sigma, full=full)
 
     def node_floor(self, child: int, parents: tuple) -> tuple[float, bool]:
         """(length, exact): a lower bound on `node_length_or_inf`, and
         whether it is that length.
 
-        The length is exact for a scored node, under `tbn`, and under `dual`
-        for at most one parent: no logit fit is needed there. Otherwise the
-        node is tallied once, and its tally (and full-table score) is kept
-        for `node_score`. The floor is `fom_length_floor` under `fon`, and
-        min(full table, logit floor) + log 2 under `dual`; a `dual` node
-        whose full table is over its cap gets -inf, so every finite `dual`
-        floor belongs to a node of finite length.
+        Only a `dual` node with two or more parents that is not scored yet
+        needs a logit fit, so only it gets a floor that is not exact:
+        min(full table, `fom_length_floor`) + log 2, or -inf when its full
+        table is over the cap. So a floor that is not exact is the floor of
+        a codable node, or -inf. The node is tallied once, and its tally and
+        full-table score are kept for `node_score`.
         """
         parents = tuple(parents)
         if (
-            self.policy is ModelPolicy.TBN
-            or (self.policy is ModelPolicy.DUAL and len(parents) <= 1)
+            self.policy is not ModelPolicy.DUAL
+            or len(parents) <= 1
             or (child, parents, self.policy) in self.cache
         ):
             return self.node_length_or_inf(child, parents), True
         floored = self._floored.get((child, parents))
         if floored is None:
             counts = counts_for(self.ds, child, parents)
-            floor, full = fom_length_floor(counts), None
-            if self.policy is ModelPolicy.DUAL:
-                try:
-                    full = full_cpt_message_length(counts)
-                except ParameterCapError:
-                    floor = -math.inf
-                else:
-                    floor = min(full.message_length, floor) + MODEL_CHOICE_NITS
+            try:
+                full = full_cpt_message_length(counts)
+            except ParameterCapError:
+                floor, full = -math.inf, None
+            else:
+                floor = min(full.message_length, fom_length_floor(counts))
+                floor += MODEL_CHOICE_NITS
             floored = self._floored[child, parents] = (floor, counts, full)
         return floored[0], False
 

@@ -37,6 +37,15 @@ def make_dataset(columns, names=None, arities=None):
     return DiscreteDataset(tuple(variables), rows)
 
 
+def collinear_problem():
+    """A node whose logit fit raises ConvergenceError: collinear parents
+    (column 1 copies column 0) with the 1 / sigma^2 ridge lost in rounding."""
+    rng = np.random.default_rng(60)
+    columns = [rng.integers(0, r, size=60) for r in (3, 3, 2, 3)]
+    columns[1] = columns[0]
+    return make_dataset(columns, arities=[3, 3, 2, 3]), 3, (0, 1, 2), 1e10
+
+
 def sample_network(rng, n_cases, arities, parent_sets, tables):
     """Forward-sample cases; tables[v] has one row per parent configuration.
 

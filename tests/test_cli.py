@@ -593,6 +593,28 @@ class TestFailureModes:
         assert code == 1
         assert "burn_in" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["learn", "eval", "score"])
+    def test_an_overlong_field(self, tmp_path, capsys, command):
+        # past csv's field size limit: a data error, not a traceback
+        path = tmp_path / "long.csv"
+        path.write_text("a,b\n" + "z" * 200000 + ",1\nx,2\n")
+        extra = ["--structure", "empty"] if command == "score" else []
+        assert main([command, "--data", str(path)] + extra) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"mmlbn {command}: {path}:2: field larger than")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "command,test", [("learn", False), ("eval", True), ("eval", False)]
+    )
+    def test_a_negative_seed(self, train_csv, test_csv, capsys, command, test):
+        # without --test the split draws with the seed first
+        args = [command, "--data", str(train_csv), "--seed", "-1"]
+        args += ["--test", str(test_csv)] if test else []
+        assert main(args + ["--iterations", "50", "--burn-in", "5"]) == 1
+        err = capsys.readouterr().err
+        assert err == f"mmlbn {command}: seed must be non-negative\n"
+
     def test_too_many_variables(self, tmp_path, capsys):
         path = wide_csv(tmp_path)
         code = main(

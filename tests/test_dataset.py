@@ -130,6 +130,19 @@ class TestLoadCsv:
             load_csv(ragged)
         assert str(err.value) == f"{ragged}:5: expected 2 fields, found 1"
 
+    @pytest.mark.parametrize(
+        "text,where",
+        [("a,{big}\nx,1\ny,2\n", 1), ("\na,b\nx,1\ny,{big}\n", 4)],
+        ids=["header", "data"],
+    )
+    def test_an_unreadable_record_is_a_format_error(self, tmp_path, text, where):
+        # csv refuses a field longer than its field size limit
+        big = "z" * (csv.field_size_limit() + 1)
+        path = write(tmp_path, text.format(big=big))
+        with pytest.raises(DataFormatError) as err:
+            load_csv(path)
+        assert str(err.value).startswith(f"{path}:{where}: field larger than")
+
     def test_whitespace_stripped(self, tmp_path):
         path = write(tmp_path, "a, b\n x ,1\n y ,2\n")
         ds = load_csv(path)
@@ -174,6 +187,19 @@ class TestLoadWithLabels:
         assert str(err.value) == f"{path}: column 2 is named 'c', expected 'b'"
         padded = write(tmp_path, " a , b \nyes,yes\n", "test.csv")
         assert load_csv_with_labels(padded, train.variables).rows.tolist() == [[0, 1]]
+
+    @pytest.mark.parametrize(
+        "text,where",
+        [("a,{big}\nx,1\n", 1), ("a,b\nx,1\n\ny,{big}\n", 4)],
+        ids=["header", "data"],
+    )
+    def test_an_unreadable_record_is_a_format_error(self, tmp_path, text, where):
+        train = load_csv(write(tmp_path, "a,b\nx,1\ny,2\n", "train.csv"))
+        big = "z" * (csv.field_size_limit() + 1)
+        path = write(tmp_path, text.format(big=big), "test.csv")
+        with pytest.raises(DataFormatError) as err:
+            load_csv_with_labels(path, train.variables)
+        assert str(err.value).startswith(f"{path}:{where}: field larger than")
 
     def test_column_count_mismatch(self, tmp_path):
         train = load_csv(write(tmp_path, "a,b\nx,1\ny,2\n", "train.csv"))

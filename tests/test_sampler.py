@@ -26,7 +26,7 @@ from mmlbn import (
 )
 from mmlbn import scoring
 from mmlbn.errors import CycleError, NoArcError, ParentCapError
-from helpers import dags, make_dataset, sample_network
+from helpers import collinear_problem, dags, make_dataset, sample_network
 
 
 def dependent_pair(seed=0, n=400, flip=0.05):
@@ -61,6 +61,7 @@ class TestConfigValidation:
             ("sigma", 1e-200),
             ("max_parents", -1),
             ("top_k", 0),
+            ("seed", -1),
         ],
     )
     def test_rejects_bad_values(self, field, value):
@@ -346,15 +347,12 @@ class _FlooredScorer(_PricedScorer):
     prices a node it has not scored: gaps(node, parents) below the length of
     a codable node. A node is exact once its length has been read.
 
-    Nodes in `uncodable` have length inf. Under dual their floor is -inf, as
-    NetworkScorer's is, since a finite dual floor promises a finite length;
-    under fon it is the finite length they would have had, less the gap, as
-    for a logit fit that fails."""
+    Nodes in `uncodable` have length inf and floor -inf, as NetworkScorer
+    gives: a floor that is not exact is the floor of a codable node."""
 
-    def __init__(self, lengths, gaps, p, policy=ModelPolicy.DUAL, uncodable=()):
+    def __init__(self, lengths, gaps, p, uncodable=()):
         super().__init__(lengths, p)
         self.gaps = gaps
-        self.policy = policy
         self.uncodable = frozenset(uncodable)
         self.scored = []
 
@@ -367,7 +365,7 @@ class _FlooredScorer(_PricedScorer):
         key = (node, tuple(parents))
         if key in self.scored:
             return self.node_length_or_inf(*key), True
-        if key in self.uncodable and self.policy is ModelPolicy.DUAL:
+        if key in self.uncodable:
             return -math.inf, False
         return self.lengths(*key) - self.gaps(*key), False
 
@@ -575,7 +573,7 @@ class TestNodeFloors:
     """Tests priced by floors first are the tests of the exact lengths."""
 
     @staticmethod
-    def _draw_problem(data, policy):
+    def _draw_problem(data):
         m = data.draw(st.integers(2, 5), label="m")
         p = data.draw(st.sampled_from([0.2, 0.5, 0.8]), label="p")
         weights = [
@@ -604,17 +602,16 @@ class TestNodeFloors:
                     label="uncodable",
                 ):
                     uncodable.add((node, tuple(sorted(set(parents) - {node}))))
-        floored = _FlooredScorer(lengths, gap, p, policy, uncodable)
+        floored = _FlooredScorer(lengths, gap, p, uncodable)
 
         def exact(node, parents):
             return math.inf if (node, parents) in uncodable else lengths(node, parents)
 
         return m, p, floored, _PricedScorer(exact, p)
 
-    @pytest.mark.parametrize("policy", [ModelPolicy.DUAL, ModelPolicy.FON])
     @given(data=st.data())
-    def test_the_chain_is_the_rule(self, policy, data):
-        m, p, floored, exact = self._draw_problem(data, policy)
+    def test_the_chain_is_the_rule(self, data):
+        m, p, floored, exact = self._draw_problem(data)
         seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
         dag = DagStructure.empty(m)
         states = []
@@ -633,10 +630,9 @@ class TestNodeFloors:
             assert fast.total == slow.total
             assert fast_rng.uniforms == slow_rng.uniforms
 
-    @pytest.mark.parametrize("policy", [ModelPolicy.DUAL, ModelPolicy.FON])
     @given(data=st.data())
-    def test_cleaning_is_the_rule(self, policy, data):
-        m, p, floored, exact = self._draw_problem(data, policy)
+    def test_cleaning_is_the_rule(self, data):
+        m, p, floored, exact = self._draw_problem(data)
         order = data.draw(st.permutations(range(m)), label="order")
         slots = [(order[a], order[b]) for a in range(m) for b in range(a + 1, m)]
         keep = data.draw(
@@ -656,26 +652,19 @@ class TestNodeFloors:
         assert clean_network(dag, scorer) == dag
         assert scorer.scored == [(1, (0,))]
 
-    def test_an_uncodable_fon_candidate_is_removed_whatever_its_floor(self):
-        # Under fon a logit fit can fail, so the candidate's length may be
-        # inf while its floor is far above the window: the arc must go, as
-        # the rule removes it, and only its exact length shows that.
-        lengths = {(1, (0,)): 10.0, (1, ()): 45.0}
-        scorer = _FlooredScorer(
-            lambda node, parents: lengths[node, parents],
-            lambda *_: 5.0,
-            0.5,
-            ModelPolicy.FON,
-            uncodable={(1, ())},
-        )
-        dag = DagStructure(2, ((), (0,)))
+    def test_an_uncodable_fon_node_is_cleaned_as_by_the_rule(self):
+        # Under fon a logit fit can fail: node 3's fit over its collinear
+        # parents does, so its floor is its exact length, inf, and the arc
+        # tested first goes, as the rule removes it.
+        ds, child, parents, sigma = collinear_problem()
+        dag = DagStructure(ds.n_variables, ((), (), (), parents))
+        scorer = NetworkScorer(ds, ModelPolicy.FON, sigma=sigma)
+        assert scorer.node_floor(child, parents) == (math.inf, True)
         expected = _clean_by_the_rule(
-            dag,
-            _PricedScorer(lambda node, parents: math.inf if not parents else 10.0),
+            dag, NetworkScorer(ds, ModelPolicy.FON, sigma=sigma)
         )
-        assert expected == DagStructure.empty(2)
+        assert parents[0] not in expected.parent_sets[child]
         assert clean_network(dag, scorer) == expected
-        assert scorer.scored == [(1, (0,)), (1, ())]
 
     @pytest.mark.parametrize("policy", [ModelPolicy.DUAL, ModelPolicy.FON])
     def test_one_tally_per_node_and_fewer_fits(self, policy, monkeypatch):
@@ -717,7 +706,10 @@ class TestNodeFloors:
         fits.clear()
         assert run_sampler(ds, config) == report
         assert len(set(tallied)) == len(tallied)
-        assert with_floors < len(fits)
+        if policy is ModelPolicy.DUAL:
+            assert with_floors < len(fits)
+        else:  # fon has no floors
+            assert with_floors == len(fits)
 
 
 class TestRunSampler:

@@ -27,7 +27,7 @@ from mmlbn import (
 )
 from mmlbn import fom, scoring
 from mmlbn.errors import ConvergenceError, ParameterCapError
-from helpers import make_dataset
+from helpers import collinear_problem, make_dataset
 
 LOG2 = math.log(2.0)
 
@@ -406,15 +406,6 @@ def floor_problems(draw):
     return make_dataset(columns, arities=arities), child, parents
 
 
-def collinear_problem():
-    """A dual node whose logit fit raises ConvergenceError: collinear parents
-    (column 1 copies column 0) with the 1 / sigma^2 ridge lost in rounding."""
-    rng = np.random.default_rng(60)
-    columns = [rng.integers(0, r, size=60) for r in (3, 3, 2, 3)]
-    columns[1] = columns[0]
-    return make_dataset(columns, arities=[3, 3, 2, 3]), 3, (0, 1, 2), 1e10
-
-
 class TestNodeFloor:
     @given(floor_problems(), st.sampled_from([0.5, 3.0, 30.0]))
     def test_below_the_length(self, problem, sigma):
@@ -431,12 +422,15 @@ class TestNodeFloor:
 
     @given(floor_problems())
     def test_exact_where_no_fit_is_needed(self, problem):
+        # only a dual node of two or more parents gets a floor: a fon floor
+        # costs more time than the fits it saves
         ds, child, parents = problem
-        tbn = NetworkScorer(ds, ModelPolicy.TBN)
-        assert tbn.node_floor(child, parents) == (
-            tbn.node_length_or_inf(child, parents),
-            True,
-        )
+        for policy in (ModelPolicy.TBN, ModelPolicy.FON):
+            scorer = NetworkScorer(ds, policy)
+            assert scorer.node_floor(child, parents) == (
+                scorer.node_length_or_inf(child, parents),
+                True,
+            )
         dual = NetworkScorer(ds, ModelPolicy.DUAL)
         for few in ((), parents[:1]):
             assert dual.node_floor(child, few) == (
@@ -455,8 +449,8 @@ class TestNodeFloor:
             assert dual.node_floor(child, parents) == (expected, False)
             fon = NetworkScorer(ds, ModelPolicy.FON)
             assert fon.node_floor(child, parents) == (
-                fom.fom_length_floor(counts),
-                False,
+                fom_message_length(counts).message_length,
+                True,
             )
 
     def test_a_failed_fit_keeps_the_floors_below(self):
@@ -469,12 +463,9 @@ class TestNodeFloor:
         floor, exact = dual.node_floor(child, parents)
         assert not exact and floor <= table + LOG2
         assert dual.node_length_or_inf(child, parents) == table + LOG2
-        # under fon the length is inf and the floor finite: a floor does not
-        # say a node is codable
+        # under fon the floor is the exact length, inf
         fon = NetworkScorer(ds, ModelPolicy.FON, sigma=sigma)
-        floor, exact = fon.node_floor(child, parents)
-        assert not exact and math.isfinite(floor)
-        assert fon.node_length_or_inf(child, parents) == math.inf
+        assert fon.node_floor(child, parents) == (math.inf, True)
 
     def test_a_capped_dual_table_gets_no_finite_floor(self):
         # a finite dual floor promises a finite length, and over the cap only
