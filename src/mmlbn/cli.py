@@ -8,7 +8,7 @@ import math
 import sys
 
 from .dataset import load_csv, load_csv_with_labels
-from .errors import MmlbnError
+from .errors import CycleError, DataFormatError, MmlbnError
 from .evaluation import EvalSummary, cross_validate, evaluate_split
 from .graph import DagStructure
 from .sampler import PosteriorReport, SamplerConfig
@@ -120,6 +120,7 @@ def parse_structure_file(path, m: int, names=()) -> DagStructure:
     """Read one arc per line as 'i->j' or 'name->name'; 'empty' means no arcs.
 
     A name shared by several columns is ambiguous and must be given by index.
+    Errors name the file, and the line when one line is at fault.
     """
     index = {}
     for i, name in enumerate(names):
@@ -142,19 +143,29 @@ def parse_structure_file(path, m: int, names=()) -> DagStructure:
             raise ValueError(f"{path}:{lineno}: node index out of range")
         return node
 
-    arcs = []
-    with open(path, encoding="utf-8-sig") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if line == "empty":
-                continue
-            if "->" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'i->j', found {line!r}")
-            left, _, right = line.partition("->")
-            arcs.append((resolve(left, lineno), resolve(right, lineno)))
-    return DagStructure.from_arcs(m, arcs)
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as err:  # decoded in blocks: no line to name
+        raise DataFormatError(f"{path}: not UTF-8 text ({err.reason})") from None
+    arcs = {}  # arc -> the line giving it
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line or line.startswith("#") or line == "empty":
+            continue
+        if "->" not in line:
+            raise ValueError(f"{path}:{lineno}: expected 'i->j', found {line!r}")
+        left, _, right = line.partition("->")
+        u, v = arc = resolve(left, lineno), resolve(right, lineno)
+        if u == v:
+            raise CycleError(f"{path}:{lineno}: node {v} lists itself as a parent")
+        if arc in arcs:
+            raise ValueError(f"{path}:{lineno}: arc {u}->{v} repeats line {arcs[arc]}")
+        arcs[arc] = lineno
+    try:
+        return DagStructure.from_arcs(m, arcs)
+    except CycleError as err:  # a cycle spans lines
+        raise CycleError(f"{path}: {err}") from None
 
 
 def _write_report(report: dict, out_path) -> None:

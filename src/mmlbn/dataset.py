@@ -131,7 +131,7 @@ def _read_csv(path, variables, reject_missing: bool) -> DiscreteDataset:
     a token outside them raises.
     Empty records (blank lines) are skipped, before the header too, but line
     numbers in errors count them: they count CSV records from 1. A record
-    csv cannot read raises DataFormatError too.
+    csv cannot read, or a file that is not UTF-8, raises DataFormatError too.
     """
     lineno = 0  # the last record read
     try:
@@ -180,6 +180,8 @@ def _read_csv(path, variables, reject_missing: bool) -> DiscreteDataset:
                         data.append(codes[i].setdefault(token, len(codes[i])))
     except csv.Error as err:  # a field over csv's size limit, say
         raise DataFormatError(f"{path}:{lineno + 1}: {err}") from None
+    except UnicodeDecodeError as err:  # decoded in blocks: no record to name
+        raise DataFormatError(f"{path}: not UTF-8 text ({err.reason})") from None
     if not data:
         raise DataFormatError(f"{path}: no data rows")
     if variables is None:

@@ -117,8 +117,9 @@ def model_averaged_test_nll(report: PosteriorReport, test: DiscreteDataset) -> f
     weights, case by case. The test cases must be coded with the training
     data's variables and labels.
     """
+    if report.scorer is not None:  # else _fit_classes refuses the report
+        _check_test_variables(report.scorer.ds, test)  # before any fit
     weights, networks = _fit_classes(report)
-    _check_test_variables(report.scorer.ds, test)
     return _mixture_nll(networks, weights, test)
 
 

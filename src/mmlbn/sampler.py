@@ -10,14 +10,12 @@ arcs that do not pay for themselves and its visits are binned by the Markov
 equivalence class of the cleaned network.
 
 The structure prior is an exact count of linear extensions, and a logit
-node's length needs a fit: the two costliest terms of a test. So both the
-Metropolis test and the cleaning test are first tried against the bounds on
-the prior that graph.py states, and with each node that would need a fit
+node's length needs a fit: the two costliest terms of a test. So both tests
+are first tried against the prior's bounds (graph.py) with the changed node
 priced by its floor (`NetworkScorer.node_floor`), a lower bound on its
-length. A node is fitted only when its floor cannot settle the test, and
-extensions are counted only when the exact node lengths and the prior's
-bounds cannot; every decision and every random draw is the one the exact
-lengths give.
+length that fits nothing, then with its length; extensions are counted only
+when neither settles the test. Every decision and every random draw is the
+one the exact lengths give.
 """
 
 from __future__ import annotations
@@ -113,17 +111,15 @@ def metropolis_step(
     Moves that would break acyclicity or the parent cap, and reversals of
     absent arcs, leave the chain where it is (and still count as a visit).
 
-    The ceiling of the proposal's log prior bounds delta from above, and so
-    does the ceiling with the changed nodes' floors in place of their
-    lengths. When a bound is negative the uniform is drawn at once, as the
-    rule would draw it, and a uniform that rejects even against the bound
-    rejects without fitting the nodes or counting extensions. The floors are
-    tried first, when some changed node has one, and give the higher bound,
-    so the rule would draw the uniform there too. Uncodable lengths are +inf
-    and the prior is finite, so an uncodable proposal from a codable state
-    has delta_hi = -inf and is rejected that way; from an uncodable state
-    the slack is inf and delta inf or NaN, so the move is accepted, as by
-    the rule.
+    The ceiling of the proposal's log prior, with the changed nodes priced
+    by their floors and then by their lengths, bounds delta from above. When
+    a bound is negative the uniform is drawn at once, as the rule would draw
+    it; one that rejects against the floors' bound rejects without fitting
+    the nodes, and against the lengths' without counting extensions. Uncodable
+    lengths are +inf and the prior is finite, so an uncodable proposal from a
+    codable state has delta_hi = -inf and is rejected that way; from an
+    uncodable state the slack is inf and delta inf or NaN, so the move is
+    accepted, as by the rule.
     """
     m = state.dag.m
     if m < 2:
@@ -138,11 +134,6 @@ def metropolis_step(
         return state
     affected = (j,) if kind == "toggle" else (i, j)
     lengths = list(state.node_lengths)
-    floored = []  # the changed nodes priced by a floor
-    for v in affected:
-        lengths[v], exact = ctx.scorer.node_floor(v, new_dag.parent_sets[v])
-        if not exact:
-            floored.append(v)
     prior = structure_prior(m, ctx.scorer.p)
     if kind == "toggle" and not state.dag.parent_masks[j] >> i & 1:
         ceiling = state.log_prior - prior.odds  # an added arc never adds orders
@@ -150,7 +141,9 @@ def metropolis_step(
         ceiling = prior.ceiling(new_dag.arc_count)
     slack = prior.slack(state.total)
     log_u = None
-    while True:  # at most twice: with the floors, then with the lengths
+    for price in (ctx.scorer.node_floor, ctx.scorer.node_length_or_inf):
+        for v in affected:
+            lengths[v] = price(v, new_dag.parent_sets[v])
         node_sum = sum(lengths)
         delta_hi = state.total - node_sum + ceiling
         if delta_hi < -slack:
@@ -158,11 +151,6 @@ def metropolis_step(
                 log_u = math.log(rng.random())
             if log_u >= delta_hi + slack:
                 return state
-        if not floored:
-            break
-        for v in floored:
-            lengths[v] = ctx.scorer.node_length_or_inf(v, new_dag.parent_sets[v])
-        floored = []
     log_prior = ctx.scorer.structure_log_prior(new_dag)
     total = -log_prior + node_sum
     delta = state.total - total  # positive when the proposal is better
@@ -191,8 +179,9 @@ def clean_network(dag: DagStructure, scorer: NetworkScorer) -> DagStructure:
 
     The candidate's node is first priced by its floor
     (`NetworkScorer.node_floor`): a gain from the floor above the window
-    keeps the arc without fitting the node, as the exact gain is no lower
-    and the node is codable.
+    keeps the arc without fitting the node, as the exact gain is no lower.
+    An infinite gain is never above it, as the window's rounding guard
+    grows with the gain, so an uncodable candidate is removed, as by the rule.
     """
     prior = structure_prior(dag.m, scorer.p)
 
@@ -205,17 +194,13 @@ def clean_network(dag: DagStructure, scorer: NetworkScorer) -> DagStructure:
             candidate = remove_arc(current, parent, node)
             reduced = candidate.parent_sets[node]
             with_len = scorer.node_length_or_inf(node, current.parent_sets[node])
-            without_len, exact = scorer.node_floor(node, reduced)
-            if not exact:
-                if kept_by_the_bounds(without_len - with_len):
-                    continue
-                without_len = scorer.node_length_or_inf(node, reduced)
-            if math.isinf(with_len) or math.isinf(without_len):
-                current, current_prior = candidate, None
+            if kept_by_the_bounds(scorer.node_floor(node, reduced) - with_len):
                 continue
+            without_len = scorer.node_length_or_inf(node, reduced)
             gain = without_len - with_len
-            slack = prior.slack(gain)
-            if gain - prior.odds <= -slack:
+            if math.isinf(with_len) or math.isinf(without_len) or (
+                gain - prior.odds <= -prior.slack(gain)
+            ):
                 current, current_prior = candidate, None
                 continue
             if kept_by_the_bounds(gain):

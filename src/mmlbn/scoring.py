@@ -158,16 +158,14 @@ class NetworkScorer:
             counts = counts_for(self.ds, child, parents)
         return node_length(counts, self.policy, self.sigma, full=full)
 
-    def node_floor(self, child: int, parents: tuple) -> tuple[float, bool]:
-        """(length, exact): a lower bound on `node_length_or_inf`, and
-        whether it is that length.
+    def node_floor(self, child: int, parents: tuple) -> float:
+        """A lower bound on `node_length_or_inf` that fits no logit model.
 
-        Only a `dual` node with two or more parents that is not scored yet
-        needs a logit fit, so only it gets a floor that is not exact:
-        min(full table, `fom_length_floor`) + log 2, or -inf when its full
-        table is over the cap. So a floor that is not exact is the floor of
-        a codable node, or -inf. The node is tallied once, and its tally and
-        full-table score are kept for `node_score`.
+        It is that length unless the node is a `dual` node of two or more
+        parents not yet scored, whose floor is min(full table,
+        `fom_length_floor`) + log 2, or -inf when its table is over the cap;
+        so a finite floor belongs to a codable node. The node is tallied
+        once, and its tally and table are kept for `node_score`.
         """
         parents = tuple(parents)
         if (
@@ -175,7 +173,7 @@ class NetworkScorer:
             or len(parents) <= 1
             or (child, parents, self.policy) in self.cache
         ):
-            return self.node_length_or_inf(child, parents), True
+            return self.node_length_or_inf(child, parents)
         floored = self._floored.get((child, parents))
         if floored is None:
             counts = counts_for(self.ds, child, parents)
@@ -187,7 +185,7 @@ class NetworkScorer:
                 floor = min(full.message_length, fom_length_floor(counts))
                 floor += MODEL_CHOICE_NITS
             floored = self._floored[child, parents] = (floor, counts, full)
-        return floored[0], False
+        return floored[0]
 
     def node_length_or_inf(self, child: int, parents: tuple) -> float:
         try:

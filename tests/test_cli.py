@@ -15,6 +15,7 @@ import pytest
 import mmlbn
 from mmlbn import ModelPolicy, NetworkScorer, load_csv, network_message_length
 from mmlbn.cli import _build_parser, _sampler_config, main, parse_structure_file
+from mmlbn.errors import CycleError, DataFormatError
 from mmlbn.graph import DagStructure
 from mmlbn.sampler import SamplerConfig
 
@@ -309,15 +310,33 @@ class TestScore:
         )
         assert report["structure"]["arcs"] == ["0->1"]
 
-    def test_parse_structure_file_errors(self, tmp_path):
-        bad = tmp_path / "bad.txt"
-        bad.write_text("0->zebra\n")
-        with pytest.raises(ValueError):
-            parse_structure_file(str(bad), 2)
-        out_of_range = tmp_path / "range.txt"
-        out_of_range.write_text("0->5\n")
-        with pytest.raises(ValueError):
-            parse_structure_file(str(out_of_range), 2)
+    @pytest.mark.parametrize(
+        "text,error,message",
+        [
+            ("0->zebra\n", ValueError, ":1: unknown variable 'zebra'"),
+            ("0->5\n", ValueError, ":1: node index out of range"),
+            ("# arcs\n0->1\n\n0->1\n", ValueError, ":4: arc 0->1 repeats line 2"),
+            ("0->2\n1->1\n", CycleError, ":2: node 1 lists itself as a parent"),
+            # a cycle spans lines, so only the file is named
+            (
+                "0->1\n1->2\n2->0\n",
+                CycleError,
+                ": parent sets describe a directed cycle",
+            ),
+            (
+                "0->1\n1->\xff\n",
+                DataFormatError,
+                ": not UTF-8 text (invalid start byte)",
+            ),
+        ],
+        ids=["unknown", "range", "repeat", "self-loop", "cycle", "not-utf8"],
+    )
+    def test_parse_structure_file_errors(self, tmp_path, text, error, message):
+        path = tmp_path / "arcs.txt"
+        path.write_bytes(text.encode("latin-1"))
+        with pytest.raises(error) as err:
+            parse_structure_file(str(path), 3)
+        assert str(err.value) == f"{path}{message}"
 
     def test_ambiguous_name_needs_an_index(self, tmp_path, capsys):
         data = tmp_path / "dup.csv"
@@ -346,7 +365,8 @@ class TestScore:
             ["score", "--data", str(train_csv), "--structure", str(structure)]
         )
         assert code == 1
-        assert "score" in capsys.readouterr().err
+        cycle = "parent sets describe a directed cycle"
+        assert capsys.readouterr().err == f"mmlbn score: {structure}: {cycle}\n"
 
 
 class TestConfigEcho:
@@ -603,6 +623,19 @@ class TestFailureModes:
         err = capsys.readouterr().err
         assert err.startswith(f"mmlbn {command}: {path}:2: field larger than")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["learn", "eval", "score"])
+    def test_a_file_that_is_not_utf8(self, train_csv, tmp_path, capsys, command):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"a,b\nv0,v\xff\n")
+        args = {
+            "learn": ["--data", str(bad), "--iterations", "50", "--burn-in", "5"],
+            "eval": ["--data", str(train_csv), "--test", str(bad)],
+            "score": ["--data", str(train_csv), "--structure", str(bad)],
+        }[command]
+        assert main([command] + args) == 1
+        err = capsys.readouterr().err
+        assert err == f"mmlbn {command}: {bad}: not UTF-8 text (invalid start byte)\n"
 
     @pytest.mark.parametrize(
         "command,test", [("learn", False), ("eval", True), ("eval", False)]

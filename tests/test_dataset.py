@@ -143,6 +143,19 @@ class TestLoadCsv:
             load_csv(path)
         assert str(err.value).startswith(f"{path}:{where}: field larger than")
 
+    @pytest.mark.parametrize(
+        "head,tail",
+        [(b"a,", b"\nx,1\ny,2\n"), (b"a,b\n" + b"x,1\ny,2\n" * 3000, b",2\n")],
+        ids=["header", "far-down"],
+    )
+    def test_a_file_that_is_not_utf8_is_a_format_error(self, tmp_path, head, tail):
+        # text is decoded a block at a time, so no record can be named
+        path = tmp_path / "data.csv"
+        path.write_bytes(head + b"\xff" + tail)
+        with pytest.raises(DataFormatError) as err:
+            load_csv(path)
+        assert str(err.value) == f"{path}: not UTF-8 text (invalid start byte)"
+
     def test_whitespace_stripped(self, tmp_path):
         path = write(tmp_path, "a, b\n x ,1\n y ,2\n")
         ds = load_csv(path)
@@ -200,6 +213,14 @@ class TestLoadWithLabels:
         with pytest.raises(DataFormatError) as err:
             load_csv_with_labels(path, train.variables)
         assert str(err.value).startswith(f"{path}:{where}: field larger than")
+
+    def test_a_file_that_is_not_utf8_is_a_format_error(self, tmp_path):
+        train = load_csv(write(tmp_path, "a,b\nx,1\ny,2\n", "train.csv"))
+        path = tmp_path / "test.csv"
+        path.write_bytes(b"a,b\nx,1\n\xff,2\n")
+        with pytest.raises(DataFormatError) as err:
+            load_csv_with_labels(path, train.variables)
+        assert str(err.value) == f"{path}: not UTF-8 text (invalid start byte)"
 
     def test_column_count_mismatch(self, tmp_path):
         train = load_csv(write(tmp_path, "a,b\nx,1\ny,2\n", "train.csv"))
@@ -276,10 +297,14 @@ class TestSplit:
             with pytest.raises(ValueError):
                 split_train_test(ds, bad, seed=0)
 
-    def test_too_small_for_split(self):
-        ds = make_dataset([[0, 1, 0, 1, 0], [1, 0, 1, 0, 1]])
-        with pytest.raises(ValueError):
-            split_train_test(ds, 0.1, seed=0)  # floor(0.5) < 1
+    @pytest.mark.parametrize(
+        "n,fraction,which",
+        [(5, 0.1, "test"), (2, 0.99, "train")],  # floor(0.5) < 1; 2 - 2 < 1
+    )
+    def test_too_small_for_split(self, n, fraction, which):
+        ds = make_dataset([[k % 2 for k in range(n)], [(k + 1) % 2 for k in range(n)]])
+        with pytest.raises(ValueError, match=f"{which} split would be empty"):
+            split_train_test(ds, fraction, seed=0)
 
 
 class TestMixedRadix:
@@ -404,6 +429,9 @@ class TestCounts:
             ContingencyCounts(
                 2, (2, 3), np.array([[1, 0], [0, 2]]), np.array([[1, 0], [0, 1]])
             )
+        # with no parents there is one configuration, so one row at most
+        with pytest.raises(ValueError, match="sorted"):
+            ContingencyCounts(2, (), np.zeros((2, 0)), np.array([[1, 0], [0, 1]]))
         sorted_rows = ContingencyCounts(
             2, (2, 3), np.array([[0, 2], [1, 0]]), np.array([[1, 0], [0, 1]])
         )

@@ -30,7 +30,7 @@ from mmlbn import (
     run_sampler,
     split_train_test,
 )
-from mmlbn import evaluation
+from mmlbn import evaluation, scoring
 from mmlbn.evaluation import _logsumexp
 from helpers import make_dataset
 
@@ -287,6 +287,26 @@ class TestTestDataCoding:
         for other in (recoded(test), three):
             with pytest.raises(ValueError, match="training variables and labels"):
                 model_averaged_test_nll(report, other)
+
+    def test_mixture_checks_before_fitting(self, monkeypatch):
+        train = dependent_pair(76)
+        report = dataclasses.replace(
+            report_for(train, DagStructure(2, ((), (0,)))),
+            scorer=NetworkScorer(train, ModelPolicy.FON),
+        )
+        fits = []
+        fit = scoring.fom_message_length
+
+        def counted_fit(*args, **kwargs):
+            fits.append(None)
+            return fit(*args, **kwargs)
+
+        monkeypatch.setattr(scoring, "fom_message_length", counted_fit)
+        with pytest.raises(ValueError, match="training variables and labels"):
+            model_averaged_test_nll(report, recoded(train))
+        assert fits == []
+        model_averaged_test_nll(report, train)
+        assert len(fits) == 2  # the fon network's two nodes
 
     def test_split_checks_before_running_the_chain(self, monkeypatch):
         train, test = split_train_test(dependent_pair(75, n=300), 0.2, 1)

@@ -316,7 +316,7 @@ class _FakeScorer:
         return self.table[tuple(parents)]
 
     def node_floor(self, node, parents):
-        return self.node_length_or_inf(node, parents), True
+        return self.table[tuple(parents)]
 
     def structure_log_prior(self, dag):
         return 0.0
@@ -335,7 +335,7 @@ class _PricedScorer:
         return self.lengths(node, tuple(parents))
 
     def node_floor(self, node, parents):
-        return self.node_length_or_inf(node, parents), True
+        return self.node_length_or_inf(node, parents)
 
     def structure_log_prior(self, dag):
         self.priced.append(dag)
@@ -348,7 +348,7 @@ class _FlooredScorer(_PricedScorer):
     a codable node. A node is exact once its length has been read.
 
     Nodes in `uncodable` have length inf and floor -inf, as NetworkScorer
-    gives: a floor that is not exact is the floor of a codable node."""
+    gives: a finite floor is the floor of a codable node."""
 
     def __init__(self, lengths, gaps, p, uncodable=()):
         super().__init__(lengths, p)
@@ -364,10 +364,10 @@ class _FlooredScorer(_PricedScorer):
     def node_floor(self, node, parents):
         key = (node, tuple(parents))
         if key in self.scored:
-            return self.node_length_or_inf(*key), True
+            return self.node_length_or_inf(*key)
         if key in self.uncodable:
-            return -math.inf, False
-        return self.lengths(*key) - self.gaps(*key), False
+            return -math.inf
+        return self.lengths(*key) - self.gaps(*key)
 
 
 class _CountingRng:
@@ -652,6 +652,19 @@ class TestNodeFloors:
         assert clean_network(dag, scorer) == dag
         assert scorer.scored == [(1, (0,))]
 
+    def test_an_already_scored_uncodable_candidate_is_removed(self):
+        # Once scored, the candidate's floor is its length, inf, so the floor
+        # test sees an infinite gain; the bounds must not keep the arc for it.
+        scorer = _FlooredScorer(
+            lambda node, parents: 10.0, lambda *_: 5.0, 0.5, uncodable={(1, ())}
+        )
+        scorer.node_length_or_inf(1, ())
+        assert scorer.node_floor(1, ()) == math.inf
+        dag = DagStructure(2, ((), (0,)))
+        expected = _clean_by_the_rule(dag, scorer)
+        assert expected == DagStructure.empty(2)
+        assert clean_network(dag, scorer) == expected
+
     def test_an_uncodable_fon_node_is_cleaned_as_by_the_rule(self):
         # Under fon a logit fit can fail: node 3's fit over its collinear
         # parents does, so its floor is its exact length, inf, and the arc
@@ -659,7 +672,7 @@ class TestNodeFloors:
         ds, child, parents, sigma = collinear_problem()
         dag = DagStructure(ds.n_variables, ((), (), (), parents))
         scorer = NetworkScorer(ds, ModelPolicy.FON, sigma=sigma)
-        assert scorer.node_floor(child, parents) == (math.inf, True)
+        assert scorer.node_floor(child, parents) == math.inf
         expected = _clean_by_the_rule(
             dag, NetworkScorer(ds, ModelPolicy.FON, sigma=sigma)
         )
@@ -698,10 +711,9 @@ class TestNodeFloors:
         with_floors = len(fits)
 
         # every node priced exactly: the same report from more fits
-        def exact_floor(scorer, child, parents):
-            return scorer.node_length_or_inf(child, parents), True
-
-        monkeypatch.setattr(NetworkScorer, "node_floor", exact_floor)
+        monkeypatch.setattr(
+            NetworkScorer, "node_floor", NetworkScorer.node_length_or_inf
+        )
         tallied.clear()
         fits.clear()
         assert run_sampler(ds, config) == report

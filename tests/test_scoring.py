@@ -317,6 +317,21 @@ class TestLogitFailureStaysLocal:
         assert dual.node_length_or_inf(child, parents) == table + LOG2
         assert dual.node_score(child, parents).chosen_model == "full"
 
+    def test_dual_voids_a_capped_node_whose_fit_fails(self):
+        # Two copies of one arity-300 parent: the table needs 90000 free
+        # parameters and, at the widest sigma, the logit start is singular.
+        column = list(range(60))
+        child = [k % 2 for k in column]
+        ds = make_dataset([column, column, child], arities=[300, 300, 2])
+        counts = counts_for(ds, 2, (0, 1))
+        with pytest.raises(ParameterCapError, match="90000 free parameters"):
+            full_cpt_message_length(counts)
+        with pytest.raises(ConvergenceError):
+            node_length(counts, ModelPolicy.DUAL, 1e10)
+        dual = NetworkScorer(ds, ModelPolicy.DUAL, sigma=1e10)
+        assert dual.node_floor(2, (0, 1)) == -math.inf
+        assert dual.node_length_or_inf(2, (0, 1)) == math.inf
+
 
 def count_fom_params(monkeypatch):
     """Count FomParams constructions from here on (each runs __post_init__)."""
@@ -412,13 +427,11 @@ class TestNodeFloor:
         ds, child, parents = problem
         for policy in ModelPolicy:
             scorer = NetworkScorer(ds, policy, sigma=sigma)
-            floor, exact = scorer.node_floor(child, parents)
+            floor = scorer.node_floor(child, parents)
             length = scorer.node_length_or_inf(child, parents)
             assert floor <= length
-            if exact:
-                assert floor == length
             # exact once scored
-            assert scorer.node_floor(child, parents) == (length, True)
+            assert scorer.node_floor(child, parents) == length
 
     @given(floor_problems())
     def test_exact_where_no_fit_is_needed(self, problem):
@@ -427,16 +440,11 @@ class TestNodeFloor:
         ds, child, parents = problem
         for policy in (ModelPolicy.TBN, ModelPolicy.FON):
             scorer = NetworkScorer(ds, policy)
-            assert scorer.node_floor(child, parents) == (
-                scorer.node_length_or_inf(child, parents),
-                True,
-            )
+            floor = scorer.node_floor(child, parents)
+            assert floor == scorer.node_length_or_inf(child, parents)
         dual = NetworkScorer(ds, ModelPolicy.DUAL)
         for few in ((), parents[:1]):
-            assert dual.node_floor(child, few) == (
-                dual.node_length_or_inf(child, few),
-                True,
-            )
+            assert dual.node_floor(child, few) == dual.node_length_or_inf(child, few)
 
     def test_the_dual_floor_is_the_cheaper_floor_plus_the_choice(self):
         rng = np.random.default_rng(61)
@@ -446,11 +454,10 @@ class TestNodeFloor:
             full = full_cpt_message_length(counts).message_length
             expected = min(full, fom.fom_length_floor(counts)) + LOG2
             dual = NetworkScorer(ds, ModelPolicy.DUAL)
-            assert dual.node_floor(child, parents) == (expected, False)
+            assert dual.node_floor(child, parents) == expected
             fon = NetworkScorer(ds, ModelPolicy.FON)
             assert fon.node_floor(child, parents) == (
-                fom_message_length(counts).message_length,
-                True,
+                fom_message_length(counts).message_length
             )
 
     def test_a_failed_fit_keeps_the_floors_below(self):
@@ -460,12 +467,11 @@ class TestNodeFloor:
             fom_message_length(counts, sigma)
         table = full_cpt_message_length(counts).message_length
         dual = NetworkScorer(ds, ModelPolicy.DUAL, sigma=sigma)
-        floor, exact = dual.node_floor(child, parents)
-        assert not exact and floor <= table + LOG2
+        assert dual.node_floor(child, parents) <= table + LOG2
         assert dual.node_length_or_inf(child, parents) == table + LOG2
         # under fon the floor is the exact length, inf
         fon = NetworkScorer(ds, ModelPolicy.FON, sigma=sigma)
-        assert fon.node_floor(child, parents) == (math.inf, True)
+        assert fon.node_floor(child, parents) == math.inf
 
     def test_a_capped_dual_table_gets_no_finite_floor(self):
         # a finite dual floor promises a finite length, and over the cap only
@@ -473,7 +479,7 @@ class TestNodeFloor:
         rng = np.random.default_rng(62)
         ds = random_dataset(rng, 50, [2] * 17)
         scorer = NetworkScorer(ds, ModelPolicy.DUAL)
-        assert scorer.node_floor(0, tuple(range(1, 17))) == (-math.inf, False)
+        assert scorer.node_floor(0, tuple(range(1, 17))) == -math.inf
 
     @pytest.mark.parametrize("policy", [ModelPolicy.DUAL, ModelPolicy.FON])
     def test_one_tally_and_one_table_per_node(self, policy, monkeypatch):
@@ -491,8 +497,8 @@ class TestNodeFloor:
         for name in ("counts_for", "full_cpt_message_length"):
             monkeypatch.setattr(scoring, name, counted(name, getattr(scoring, name)))
         scorer = NetworkScorer(ds, policy)
-        floor, exact = scorer.node_floor(2, (0, 1))
-        assert scorer.node_floor(2, (0, 1)) == (floor, exact)
+        floor = scorer.node_floor(2, (0, 1))
+        assert scorer.node_floor(2, (0, 1)) == floor
         score = scorer.node_score(2, (0, 1))
         assert floor <= score.length
         assert calls.count("counts_for") == 1
