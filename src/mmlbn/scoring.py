@@ -108,7 +108,7 @@ def node_length(
             pass
     try:
         fom = fom_message_length(counts, sigma)
-    except ConvergenceError:
+    except (ConvergenceError, ParameterCapError):
         if full is None:
             raise
         fom = None

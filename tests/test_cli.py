@@ -13,9 +13,10 @@ import numpy as np
 import pytest
 
 import mmlbn
-from mmlbn import ModelPolicy, NetworkScorer, load_csv, network_message_length
+from mmlbn import ModelPolicy, NetworkScorer, fom_message_length, load_csv
+from mmlbn import network_message_length
 from mmlbn.cli import _build_parser, _sampler_config, main, parse_structure_file
-from mmlbn.errors import CycleError, DataFormatError
+from mmlbn.errors import CycleError, DataFormatError, ParameterCapError
 from mmlbn.graph import DagStructure
 from mmlbn.sampler import SamplerConfig
 
@@ -209,6 +210,31 @@ class TestLearn:
             reports.append(out.read_bytes())
         assert reports[0] == reports[1]
 
+    @pytest.mark.parametrize("model", ["dual", "fon"])
+    def test_nodes_past_the_logit_cap(self, tmp_path, monkeypatch, model):
+        # under fon every node with a parent is void, so the chain keeps the
+        # empty network; under dual such nodes take their tables
+        refused = []
+
+        def fit(counts, sigma):
+            try:
+                return fom_message_length(counts, sigma)
+            except ParameterCapError as err:
+                refused.append(err)
+                raise
+
+        monkeypatch.setattr("mmlbn.scoring.fom_message_length", fit)
+        args = ["learn", "--data", str(arity_40_csv(tmp_path)), "--model", model]
+        args += ["--iterations", "300", "--burn-in", "50", "--seed", "3"]
+        report = run_json(args, tmp_path / "learn.json")
+        assert refused
+        classes = report["classes"]
+        if model == "fon":
+            assert [c["arcs"] for c in classes] == [[]]
+            assert [n["params"] for n in classes[0]["per_node"]] == [39] * 3
+        else:
+            assert all(n["model"] == "full" for c in classes for n in c["per_node"])
+
     def test_module_entry_point(self, train_csv, tmp_path):
         out = tmp_path / "cli.json"
         proc = subprocess.run(
@@ -231,6 +257,17 @@ class TestLearn:
         )
         assert proc.returncode == 0, proc.stderr
         assert json.loads(out.read_text())["total_samples"] == 180
+
+
+def arity_40_csv(tmp_path):
+    """Three columns of 40 states each, every state seen: c is a plus b's
+    parity, so a table with a as c's parent codes c far better than none."""
+    rng = np.random.default_rng(85)
+    a, b = (rng.permutation(np.arange(4000) % 40) for _ in range(2))
+    path = tmp_path / "arity40.csv"
+    rows = [f"s{x},s{y},s{(x + y % 2) % 40}" for x, y in zip(a, b)]
+    path.write_text("\n".join(["a,b,c"] + rows) + "\n")
+    return path
 
 
 class TestScore:
@@ -276,6 +313,24 @@ class TestScore:
                 expected, rel=1e-12
             )
 
+    def test_nodes_the_logit_model_cannot_code(self, tmp_path):
+        # arity-40 columns: a logit node with one parent has 1560 free
+        # parameters and one with two 3081, both past the logit cap; the
+        # tables (1560 and 62400) are not
+        data = arity_40_csv(tmp_path)
+        structure = tmp_path / "both.txt"
+        structure.write_text("0->2\n1->2\n")
+        report = run_json(
+            ["score", "--data", str(data), "--structure", str(structure)],
+            tmp_path / "score.json",
+        )
+        assert report["errors"] == {
+            "fon": "logit model needs 3081 free parameters (cap 1000)"
+        }
+        assert report["lengths"]["dual"] == pytest.approx(
+            report["lengths"]["tbn"] + math.log(2.0), rel=1e-12
+        )
+
     def test_too_many_variables(self, tmp_path):
         report = run_json(
             ["score", "--data", str(wide_csv(tmp_path)), "--structure", "empty"],
@@ -315,6 +370,7 @@ class TestScore:
         [
             ("0->zebra\n", ValueError, ":1: unknown variable 'zebra'"),
             ("0->5\n", ValueError, ":1: node index out of range"),
+            ("0->1\n1 2\n", ValueError, ":2: expected 'i->j', found '1 2'"),
             ("# arcs\n0->1\n\n0->1\n", ValueError, ":4: arc 0->1 repeats line 2"),
             ("0->2\n1->1\n", CycleError, ":2: node 1 lists itself as a parent"),
             # a cycle spans lines, so only the file is named
@@ -329,7 +385,9 @@ class TestScore:
                 ": not UTF-8 text (invalid start byte)",
             ),
         ],
-        ids=["unknown", "range", "repeat", "self-loop", "cycle", "not-utf8"],
+        ids=[
+            "unknown", "range", "no-arrow", "repeat", "self-loop", "cycle", "not-utf8"
+        ],
     )
     def test_parse_structure_file_errors(self, tmp_path, text, error, message):
         path = tmp_path / "arcs.txt"
@@ -765,18 +823,42 @@ for args in commands:
 """
 
 
+# Runs learn with nothing blocked, then lists the scipy modules loaded.
+_LOADS_NO_SCIPY = """
+import sys
+
+import mmlbn.cli
+
+train, out = sys.argv[1:]
+args = ["learn", "--data", train, "--iterations", "200", "--burn-in", "20"]
+assert mmlbn.cli.main(args + ["--out", out]) == 0
+loaded = [name for name in sys.modules if name.split(".")[0] == "scipy"]
+assert not loaded, loaded
+"""
+
+
+def run_python(code, *args):
+    """Runs code in a fresh interpreter that imports mmlbn from this tree."""
+    src = str(Path(mmlbn.__file__).resolve().parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    return subprocess.run(
+        [sys.executable, "-c", code, *map(str, args)],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+
+
 class TestRuntimeDependencies:
     def test_commands_run_without_scipy(self, train_csv, test_csv, tmp_path):
         structure = tmp_path / "arcs.txt"
         structure.write_text("0->1\n")
-        src = str(Path(mmlbn.__file__).resolve().parent.parent)
-        path = os.environ.get("PYTHONPATH")
-        env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
-        proc = subprocess.run(
-            [sys.executable, "-c", _WITHOUT_SCIPY, str(train_csv), str(test_csv),
-             str(structure), str(tmp_path / "out.json")],
-            capture_output=True,
-            text=True,
-            env=env,
+        proc = run_python(
+            _WITHOUT_SCIPY, train_csv, test_csv, structure, tmp_path / "out.json"
         )
+        assert proc.returncode == 0, proc.stderr
+
+    def test_learn_loads_no_scipy(self, train_csv, tmp_path):
+        proc = run_python(_LOADS_NO_SCIPY, train_csv, tmp_path / "out.json")
         assert proc.returncode == 0, proc.stderr

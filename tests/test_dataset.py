@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 
 from mmlbn import (
     ContingencyCounts,
+    DiscreteDataset,
+    VariableMeta,
     config_digits,
     config_index,
     counts_for,
@@ -21,6 +23,7 @@ from mmlbn import (
     split_train_test,
 )
 from mmlbn.errors import (
+    CapacityError,
     DataFormatError,
     DegenerateVariableError,
     MissingValueError,
@@ -328,6 +331,8 @@ class TestMixedRadix:
             config_index((2, 0), (2, 3))
         with pytest.raises(ValueError):
             config_digits(6, (2, 3))
+        with pytest.raises(ValueError, match="digit count"):
+            config_index((1,), (2, 3))
 
 
 class TestCounts:
@@ -418,6 +423,18 @@ class TestCounts:
             ContingencyCounts(2, (2,), np.array([[0]]), np.array([[-1, 0]]))
         with pytest.raises(ValueError):
             ContingencyCounts(2, (2,), np.array([[3]]), np.array([[1, 0]]))
+        with pytest.raises(ValueError, match="configuration array shape"):
+            ContingencyCounts(2, (2,), np.array([0, 1]), np.array([[1, 0], [0, 1]]))
+        with pytest.raises(ValueError, match="count array shape"):
+            ContingencyCounts(2, (2,), np.array([[0]]), np.array([[1, 0, 0]]))
+        with pytest.raises(ValueError, match=r"shape \(5, 2\) does not match \(6, 2\)"):
+            ContingencyCounts.from_dense(2, (2, 3), np.zeros((5, 2), dtype=int))
+
+    def test_dense_table_cap(self):
+        wide = (1 << 11, 1 << 11)
+        counts = ContingencyCounts(2, wide, np.zeros((0, 2)), np.zeros((0, 2)))
+        with pytest.raises(CapacityError, match="8388608 cells"):
+            counts.dense()
 
     def test_rows_must_be_sorted(self):
         # distinct rows out of lexicographic order are refused
@@ -592,6 +609,20 @@ class TestDatasetContainer:
     def test_code_bounds_checked(self):
         meta = make_dataset([[0, 1], [1, 0]]).variables
         with pytest.raises(DataFormatError):
-            from mmlbn import DiscreteDataset
-
             DiscreteDataset(meta, np.array([[0, 5], [1, 0]]))
+        for rows in ([0, 1], [[0, 1, 0]]):  # one dimension, three columns
+            with pytest.raises(DataFormatError, match="does not match 2 variables"):
+                DiscreteDataset(meta, np.array(rows))
+
+    @pytest.mark.parametrize(
+        "arity,labels,error,message",
+        [
+            (1, ("a",), DegenerateVariableError, "has arity 1; need at least 2"),
+            (3, ("a", "b"), DataFormatError, "2 labels for arity 3"),
+            (2, ("a", "a"), DataFormatError, "has duplicate labels"),
+        ],
+        ids=["arity", "label-count", "duplicate"],
+    )
+    def test_variable_meta_checked(self, arity, labels, error, message):
+        with pytest.raises(error, match=message):
+            VariableMeta("v", arity, labels)

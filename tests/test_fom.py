@@ -24,7 +24,8 @@ from mmlbn import (
     free_dimension,
 )
 from mmlbn import fom
-from mmlbn.fom import GRADIENT_TOL, constraint_basis, contrast_matrix
+from mmlbn.errors import ParameterCapError
+from mmlbn.fom import GRADIENT_TOL, PARAMETER_CAP, constraint_basis, contrast_matrix
 from helpers import (
     additive_logit_table,
     constraint_matrix,
@@ -191,6 +192,19 @@ class TestProbability:
         params = FomParams.zero(2, (2,))
         with pytest.raises(ValueError):
             fom_probability(params, 2)
+
+    @pytest.mark.parametrize(
+        "a,blocks,message",
+        [
+            (np.zeros(3), (np.zeros((2, 3)),), r"offset vector has shape \(3,\)"),
+            (np.zeros(2), (np.zeros((3, 2)),), r"effect block has shape \(3, 2\)"),
+            (np.array([np.nan, 0.0]), (np.zeros((2, 3)),), "must be finite"),
+        ],
+        ids=["offsets", "block", "finite"],
+    )
+    def test_params_checked(self, a, blocks, message):
+        with pytest.raises(ValueError, match=message):
+            FomParams(2, (3,), a, blocks)
 
 
 class TestLogPrior:
@@ -677,6 +691,15 @@ class TestFisherLogDet:
         assert sum_of_squares(start) > 0.0
         assert params.child_arity == 3 and params.parent_arities == (2, 3)
 
+    def test_line_search_that_finds_no_decrease(self, monkeypatch):
+        # an objective that rises on every evaluation defeats each step size
+        counts = random_counts(np.random.default_rng(39), 3, (2, 3))
+        values = iter(range(1000))
+        monkeypatch.setattr(FomObjective, "_value", lambda self, u, probs: next(values))
+        with pytest.raises(ConvergenceError, match="line search failed") as caught:
+            fom_message_length(counts, SIGMA)
+        assert caught.value.best_params is not None
+
     def test_indefinite_information_at_the_optimum(self, monkeypatch):
         # balanced counts put the optimum at zero, so the fit takes no step and
         # the one information computed is the log determinant's, at the optimum
@@ -692,6 +715,29 @@ class TestFisherLogDet:
             fom_message_length(counts, SIGMA)
         assert len(calls) == 1
         assert caught.value.best_params is None
+
+
+class TestParameterCap:
+    """A logit model of PARAMETER_CAP or more free dimensions is refused
+    before its design is built: the table's "or more" rule."""
+
+    @staticmethod
+    def no_cases(child_arity, parent_arities):
+        digits = np.zeros((0, len(parent_arities)), dtype=int)
+        return ContingencyCounts(
+            child_arity, parent_arities, digits, np.zeros((0, child_arity), dtype=int)
+        )
+
+    def test_refused_at_the_cap(self):
+        # a binary child of one parent has as many free dimensions as its parent
+        # has states
+        below = FomObjective(self.no_cases(2, (PARAMETER_CAP - 1,)))
+        assert below.dim == PARAMETER_CAP - 1
+        message = f"logit model needs {PARAMETER_CAP} free parameters"
+        with pytest.raises(ParameterCapError, match=message):
+            FomObjective(self.no_cases(2, (PARAMETER_CAP,)))
+        with pytest.raises(ParameterCapError, match="3081 free parameters"):
+            fom_message_length(self.no_cases(40, (40, 40)))
 
 
 class TestMessageLength:

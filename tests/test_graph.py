@@ -61,6 +61,10 @@ class TestDagStructure:
             DagStructure(2, ((5,), ()))
         with pytest.raises(ValueError):
             DagStructure(2, ((1, 1), ()))
+        with pytest.raises(ValueError, match="non-negative"):
+            DagStructure(-1, ())
+        with pytest.raises(ValueError, match="does not match node count"):
+            DagStructure(2, ((),))
         for child in (-1, 3):
             with pytest.raises(ValueError, match=f"arc 0->{child}"):
                 DagStructure.from_arcs(3, [(0, child)])

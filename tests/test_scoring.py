@@ -95,6 +95,11 @@ class TestNodeLength:
         assert dual.length == fom + LOG2
         assert dual.chosen_model == "fom"
 
+    def test_unknown_policy(self):
+        counts = random_counts(np.random.default_rng(54), 2, (2, 2))
+        with pytest.raises(ValueError, match="unknown policy 'dual'"):
+            node_length(counts, "dual")
+
 
 class TestRelabellingInvariance:
     """Node lengths under every policy do not depend on how the child's or a
@@ -331,6 +336,24 @@ class TestLogitFailureStaysLocal:
         dual = NetworkScorer(ds, ModelPolicy.DUAL, sigma=1e10)
         assert dual.node_floor(2, (0, 1)) == -math.inf
         assert dual.node_length_or_inf(2, (0, 1)) == math.inf
+
+    def test_a_capped_logit_model_leaves_the_node_to_the_table(self):
+        # three arity-40 columns: two parents need 3081 logit parameters and
+        # 62400 table ones, a third parent 124800 table ones
+        rng = np.random.default_rng(61)
+        ds = random_dataset(rng, 120, (40, 40, 40, 2))
+        counts = counts_for(ds, 2, (0, 1))
+        with pytest.raises(ParameterCapError, match="3081 free parameters"):
+            node_length(counts, ModelPolicy.FON)
+        table = full_cpt_message_length(counts).message_length
+        dual = NetworkScorer(ds, ModelPolicy.DUAL)
+        assert dual.node_floor(2, (0, 1)) <= table + LOG2
+        assert dual.node_score(2, (0, 1)).length == table + LOG2
+        assert dual.node_score(2, (0, 1)).chosen_model == "full"
+        fon = NetworkScorer(ds, ModelPolicy.FON)
+        assert fon.node_length_or_inf(2, (0, 1)) == math.inf
+        with pytest.raises(ParameterCapError, match="3120 free parameters"):
+            node_length(counts_for(ds, 2, (0, 1, 3)), ModelPolicy.DUAL)
 
 
 def count_fom_params(monkeypatch):
