@@ -10,6 +10,7 @@ is lost by not materialising the full table.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -123,8 +124,19 @@ def load_csv_with_labels(path, variables: tuple[VariableMeta, ...]) -> DiscreteD
     return _read_csv(path, variables, False)
 
 
-def _read_csv(path, variables, reject_missing: bool) -> DiscreteDataset:
-    """Code a CSV file one record at a time through one dict per column.
+# Characters of whole lines read per chunk after the header.
+_CHUNK_CHARS = 1 << 16
+# The fixed-width keys of a chunk may take at most this many bytes per byte
+# of the chunk; a chunk with a token too wide for that goes to csv.
+_KEY_BYTES_PER_BYTE = 4
+# The ASCII characters str.strip removes.
+_ASCII_SPACE = np.array([chr(c).isspace() for c in range(128)])
+
+
+def _read_csv(
+    path, variables, reject_missing: bool, *, plain_chunks=True
+) -> DiscreteDataset:
+    """Code a CSV file through one dict per column.
 
     Without `variables` a new token gets the next code of its column; with
     them the header must repeat their names, the dicts hold their labels and
@@ -132,6 +144,14 @@ def _read_csv(path, variables, reject_missing: bool) -> DiscreteDataset:
     Empty records (blank lines) are skipped, before the header too, but line
     numbers in errors count them: they count CSV records from 1. A record
     csv cannot read, or a file that is not UTF-8, raises DataFormatError too.
+
+    After the header the file is read in chunks of whole lines, and each
+    chunk that `_code_plain_chunk` can code is coded by numpy, with the codes
+    the record loop would give. From the first chunk it refuses, the record
+    loop reads the rest of the file; it alone raises the errors. Chunks are
+    decoded ahead of the record loop, so text that is not UTF-8 reruns the
+    record loop alone on the whole file: it names a bad record that comes
+    before the bad text.
     """
     lineno = 0  # the last record read
     try:
@@ -155,7 +175,19 @@ def _read_csv(path, variables, reject_missing: bool) -> DiscreteDataset:
                             f"{path}: column {k} is named {name!r}, expected {v.name!r}"
                         )
                 codes = [dict(zip(v.labels, range(v.arity))) for v in variables]
-            data: list[int] = []  # every code, record after record
+            blocks = []  # (records, m) codes of the chunks numpy coded
+            lines = fh.readlines(_CHUNK_CHARS) if plain_chunks else []
+            while lines:
+                block = _code_plain_chunk(
+                    "".join(lines), m, codes, variables is None, reject_missing
+                )
+                if block is None:
+                    break
+                blocks.append(block)
+                lineno += len(block)
+                lines = fh.readlines(_CHUNK_CHARS)
+            data: list[int] = []  # every later code, record after record
+            records = enumerate(csv.reader(itertools.chain(lines, fh)), lineno + 1)
             for lineno, row in records:
                 if not row:
                     continue
@@ -181,8 +213,12 @@ def _read_csv(path, variables, reject_missing: bool) -> DiscreteDataset:
     except csv.Error as err:  # a field over csv's size limit, say
         raise DataFormatError(f"{path}:{lineno + 1}: {err}") from None
     except UnicodeDecodeError as err:  # decoded in blocks: no record to name
+        if plain_chunks:
+            return _read_csv(path, variables, reject_missing, plain_chunks=False)
         raise DataFormatError(f"{path}: not UTF-8 text ({err.reason})") from None
-    if not data:
+    blocks.append(np.array(data, dtype=np.int32).reshape(-1, m))
+    rows = np.concatenate(blocks)
+    if not len(rows):
         raise DataFormatError(f"{path}: no data rows")
     if variables is None:
         for name, table in zip(names, codes):
@@ -194,8 +230,75 @@ def _read_csv(path, variables, reject_missing: bool) -> DiscreteDataset:
             VariableMeta(name, len(table), tuple(table))  # first-appearance order
             for name, table in zip(names, codes)
         )
-    rows = np.array(data, dtype=np.int32).reshape(-1, m)
     return DiscreteDataset(variables, rows)
+
+
+def _code_plain_chunk(text, m, codes, grow, reject_missing):
+    """The (records, m) int32 codes of a chunk of whole lines, or None.
+
+    A chunk is plain when it is ASCII with no quote or NUL, each carriage
+    return is followed by a newline or ends the chunk, every line holds m
+    fields (so none is blank), no field passes csv's size limit and the keys
+    stay small. Then each line is one record, and its fields are the runs
+    between commas, stripped as str.strip does.
+    Each column's stripped tokens are keyed as fixed-width bytes, and their
+    first appearances extend `codes` as the record loop would. A chunk that
+    is not plain, holds "?" under `reject_missing`, or without `grow` holds
+    a token outside `codes`, is refused before `codes` changes.
+    """
+    if not text.isascii() or '"' in text or "\0" in text:
+        return None
+    # The file's last line may have no end, and the chunk's may end in a lone
+    # "\r": csv ends a record there as it does at "\r\n".
+    if not text.endswith("\n"):
+        text += "\n"
+    buf = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    returns = np.flatnonzero(buf == ord("\r"))
+    if (buf[returns + 1] != ord("\n")).any():
+        return None
+    ends = np.flatnonzero((buf == ord(",")) | (buf == ord("\n")))
+    line_ends = buf[ends] == ord("\n")
+    n = np.count_nonzero(line_ends)
+    if len(ends) != n * m or not line_ends.reshape(n, m)[:, -1].all():
+        return None
+    ends = ends.reshape(n, m)
+    starts = np.empty_like(ends)
+    starts.flat[0] = 0
+    starts.flat[1:] = ends.flat[:-1] + 1
+    if len(returns):  # a CRLF line's last field ends before its "\r"
+        ends[:, -1] -= buf[ends[:, -1] - 1] == ord("\r")
+    widths = ends - starts
+    if widths.max() > csv.field_size_limit() or (m == 1 and not widths.all()):
+        return None
+    if np.count_nonzero(buf <= ord(" ")) > n + len(returns):  # a token to strip
+        solid = np.flatnonzero(~_ASCII_SPACE[buf])
+        solid = np.concatenate(([-1], solid, [len(buf)]))
+        starts = np.minimum(solid[np.searchsorted(solid, starts)], ends)
+        ends = np.maximum(solid[np.searchsorted(solid, ends) - 1] + 1, starts)
+        widths = ends - starts
+    key_widths = np.maximum(widths.max(axis=0), 1)
+    if n * int(key_widths.sum()) > _KEY_BYTES_PER_BYTE * len(buf):
+        return None
+    columns = []
+    for c, width in enumerate(key_widths.tolist()):
+        offsets = np.arange(width)
+        chars = np.take(buf, starts[:, c, None] + offsets, mode="clip")
+        chars[offsets >= widths[:, c, None]] = 0
+        keys = chars.view(f"S{width}").ravel()
+        unique, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        tokens = [key.decode("ascii") for key in unique.tolist()]
+        if reject_missing and MISSING_TOKEN in tokens:
+            return None
+        if not grow and not codes[c].keys() >= set(tokens):
+            return None
+        columns.append((tokens, first, inverse))
+    block = np.empty((n, m), dtype=np.int32)
+    for c, (tokens, first, inverse) in enumerate(columns):
+        table = codes[c]
+        for k in np.argsort(first).tolist():  # in order of first appearance
+            table.setdefault(tokens[k], len(table))
+        block[:, c] = np.array([table[t] for t in tokens], dtype=np.int32)[inverse]
+    return block
 
 
 def split_train_test(ds: DiscreteDataset, test_fraction: float, seed: int):

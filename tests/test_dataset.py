@@ -4,11 +4,12 @@ import csv
 import math
 import os
 import tempfile
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mmlbn import (
@@ -22,11 +23,13 @@ from mmlbn import (
     load_csv_with_labels,
     split_train_test,
 )
+from mmlbn import dataset
 from mmlbn.errors import (
     CapacityError,
     DataFormatError,
     DegenerateVariableError,
     MissingValueError,
+    MmlbnError,
 )
 from helpers import make_dataset
 
@@ -265,6 +268,129 @@ class TestReaderProperty:
         assert [list(v.labels) for v in ds.variables] == labels
         assert ds.rows.tolist() == expected
         assert again.rows.tolist() == expected
+
+
+def read_outcome(read, *args):
+    """What a read gives: its variables and rows, or its error."""
+    try:
+        ds = read(*args)
+    except MmlbnError as err:
+        return type(err), str(err)
+    return [(v.name, v.labels) for v in ds.variables], ds.rows.tolist()
+
+
+def record_loop_outcome(read, *args):
+    """read_outcome with every chunk left to the csv record loop."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dataset, "_code_plain_chunk", lambda *chunk: None)
+        return read_outcome(read, *args)
+
+
+# Tokens numpy codes as they stand or stripped, and pieces that send a chunk
+# to the record loop: quotes, NUL, non-ASCII text and, as line ends, a lone
+# "\r" and blank lines; an empty end runs two lines together.
+PLAIN_TOKENS = ["x", "y", "s0"]
+ODD_TOKENS = [" x", "x\t", "\x0bx ", "\x1cy", " ", "", "?", " ? ", "z", "é",
+              '"a,b"', '"q\nr"', '"', "x\0"]
+LINE_ENDS = ["\r\n", "\r", "\n\n", "\r\n\r\n", ""]
+
+
+@st.composite
+def raw_files(draw):
+    m = draw(st.integers(1, 3))
+    token = st.sampled_from(PLAIN_TOKENS) | st.sampled_from(ODD_TOKENS)
+    fields = st.lists(token, min_size=m, max_size=m) | st.lists(token, max_size=m + 1)
+    end = st.sampled_from(["\n", "\r\n"])
+    line = st.tuples(fields, end | st.sampled_from(LINE_ENDS))
+    lines = draw(st.lists(line, max_size=16))
+    if draw(st.booleans()):  # two values in every column: reads get past the tally
+        lines[:0] = [(["x"] * m, draw(end)), (["y"] * m, draw(end))]
+    header = ",".join(f"c{i}" for i in range(m)) + draw(end)
+    return m, header + "".join(",".join(f) + e for f, e in lines)
+
+
+class TestPlainChunks:
+    """Chunks numpy codes give the record loop's rows, labels and errors."""
+
+    @settings(max_examples=300)
+    @given(raw_files(), st.sampled_from([1, 7, 32, 1 << 16]))
+    def test_same_outcome_as_the_record_loop(self, file, chunk_chars):
+        m, text = file
+        variables = tuple(VariableMeta(f"c{i}", 3, ("x", "y", "?")) for i in range(m))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "data.csv")
+            with open(path, "w", newline="", encoding="utf-8") as fh:
+                fh.write(text)
+            reads = [
+                (load_csv, path, "extra-category"),
+                (load_csv, path, "reject"),
+                (load_csv_with_labels, path, variables),
+            ]
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(dataset, "_CHUNK_CHARS", chunk_chars)
+                got = [read_outcome(*read) for read in reads]
+                expected = [record_loop_outcome(*read) for read in reads]
+        assert got == expected
+
+    @pytest.mark.parametrize(
+        "fault,records,policy,error",
+        [
+            ("y\n", 1, "extra-category", "expected 2 fields, found 1"),
+            ('"two\nlines",1\ny\n', 2, "extra-category", "expected 2 fields, found 1"),
+            ("z" * (csv.field_size_limit() + 1) + ",1\n", 1, "extra-category",
+             "field larger than field limit"),
+            ("?,1\n", 1, "reject", "missing value in column 'a'"),
+        ],
+        ids=["ragged", "quoted-then-ragged", "over-long", "missing"],
+    )
+    def test_handover_keeps_record_numbers(
+        self, tmp_path, monkeypatch, fault, records, policy, error
+    ):
+        # several plain chunks, then a chunk the record loop reads from its
+        # first record: its errors count the records numpy coded
+        plain = 3 * dataset._CHUNK_CHARS // 4
+        path = write(tmp_path, "a,b\n" + "x,1\ny,2\nz,1\n" * plain + fault + "x,2\n")
+        coded = []
+        code_plain_chunk = dataset._code_plain_chunk
+
+        def spy(*chunk):
+            block = code_plain_chunk(*chunk)
+            coded.append(block is not None)
+            return block
+
+        monkeypatch.setattr(dataset, "_code_plain_chunk", spy)
+        with pytest.raises(DataFormatError) as err:
+            load_csv(path, policy)
+        assert coded.count(True) >= 3 and coded[-1] is False
+        assert str(err.value).startswith(f"{path}:{3 * plain + 1 + records}: {error}")
+        expected = record_loop_outcome(load_csv, path, policy)
+        assert (type(err.value), str(err.value)) == expected
+
+    def test_a_record_fault_before_text_that_is_not_utf8_is_named(self, tmp_path):
+        # the record loop decodes a block at a time and meets the ragged
+        # record first; a chunk read ahead meets the bad byte first
+        path = tmp_path / "data.csv"
+        path.write_bytes(b"a,b\nx,1\ny\n" + b"x,1\ny,2\n" * 3000 + b"\xff,2\n")
+        assert read_outcome(load_csv, path) == (
+            DataFormatError, f"{path}:3: expected 2 fields, found 1"
+        )
+        assert read_outcome(load_csv, path) == record_loop_outcome(load_csv, path)
+
+    def test_a_wide_token_sends_its_chunk_to_csv(self, tmp_path):
+        # keys for this chunk would be (records x 100 000) bytes, and their
+        # gather index eight times that
+        wide = "w" * 100_000
+        assert len(wide) < csv.field_size_limit()
+        path = write(tmp_path, "a,b\n" + "x,1\ny,2\n" * 300 + f"{wide},1\nx,2\n")
+        tracemalloc.start()
+        try:
+            ds = load_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ds.variables[0].labels == ("x", "y", wide)
+        assert ds.rows.tolist() == [[0, 0], [1, 1]] * 300 + [[2, 0], [0, 1]]
+        assert peak < 4 << 20
 
 
 class TestSplit:
