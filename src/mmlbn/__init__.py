@@ -52,7 +52,6 @@ from .fom import (
     free_dimension,
 )
 from .graph import (
-    ArcMove,
     DagStructure,
     apply_move,
     count_linear_extensions,
@@ -82,7 +81,6 @@ from .scoring import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArcMove",
     "CapacityError",
     "ChainState",
     "ClassRecord",

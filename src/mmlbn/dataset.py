@@ -59,6 +59,7 @@ class DiscreteDataset:
     rows: np.ndarray  # (n_cases, n_variables) int32, read-only
 
     def __post_init__(self):
+        object.__setattr__(self, "variables", tuple(self.variables))
         rows = np.array(self.rows, dtype=np.int32)
         if rows.ndim != 2 or rows.shape[1] != len(self.variables):
             raise DataFormatError(

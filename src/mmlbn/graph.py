@@ -8,7 +8,8 @@ through a table of neighbour masks. Over parent masks that gives a node's
 ancestors, which is the cycle test of an edit and of the checked
 constructor; over undirected neighbour masks it gives a weakly connected
 component. Every edit of a DAG (`apply_move`, `remove_arc`) lives in this
-module.
+module. A move of `apply_move` is of one of two kinds: "toggle" adds the
+arc i -> j or removes it, and "reverse" turns the arc j -> i into i -> j.
 
 The prior over structures weights each DAG by its number of linear
 extensions (total orders consistent with the arcs), normalised by m!, times
@@ -35,10 +36,10 @@ own bits.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
-from typing import Literal
 
 from .errors import CapacityError, CycleError, NoArcError, ParentCapError
 
@@ -114,35 +115,24 @@ class DagStructure:
         )
 
 
-@dataclass(frozen=True)
-class ArcMove:
-    """One structural edit.
+def apply_move(
+    dag: DagStructure, kind: str, i: int, j: int, max_parents: int
+) -> DagStructure:
+    """Apply one move, enforcing acyclicity and the parent cap.
 
-    toggle: flip presence of the arc from_node -> to_node.
-    reverse: replace the arc to_node -> from_node by from_node -> to_node.
+    kind "toggle" flips the presence of the arc i -> j; kind "reverse"
+    replaces the arc j -> i by i -> j. The edit's own tests are the only
+    checks its result needs, so the result is built without DagStructure's
+    validation.
     """
-
-    kind: Literal["toggle", "reverse"]
-    from_node: int
-    to_node: int
-
-    def __post_init__(self):
-        if self.kind not in ("toggle", "reverse"):
-            raise ValueError(f"unknown move kind {self.kind!r}")
-        if self.from_node == self.to_node:
-            raise ValueError("move endpoints must differ")
-
-
-def apply_move(dag: DagStructure, move: ArcMove, max_parents: int) -> DagStructure:
-    """Apply an edit, enforcing acyclicity and the parent cap.
-
-    The edit's own tests are the only checks its result needs, so the result
-    is built without DagStructure's validation.
-    """
-    i, j = move.from_node, move.to_node
+    if kind not in ("toggle", "reverse"):
+        raise ValueError(f"unknown move kind {kind!r}")
+    if i == j:
+        raise ValueError("move endpoints must differ")
+    i, j = operator.index(i), operator.index(j)
     if not (0 <= i < dag.m and 0 <= j < dag.m):
         raise ValueError("move endpoints out of range")
-    if move.kind == "reverse":
+    if kind == "reverse":
         # j -> i becomes i -> j: remove j -> i, then add i -> j
         if not dag.parent_masks[i] >> j & 1:
             raise NoArcError(f"no arc {j}->{i} to reverse")
@@ -157,7 +147,7 @@ def apply_move(dag: DagStructure, move: ArcMove, max_parents: int) -> DagStructu
     if _closure(dag.parent_masks, 1 << i) >> j & 1:
         raise CycleError(f"{edit} would create a cycle")
     sets, masks = list(dag.parent_sets), list(dag.parent_masks)
-    sets[j] = tuple(sorted(sets[j] + (int(i),)))
+    sets[j] = tuple(sorted(sets[j] + (i,)))
     masks[j] |= 1 << i
     return DagStructure._trusted(dag.m, tuple(sets), tuple(masks), dag.arc_count + 1)
 
@@ -165,6 +155,7 @@ def apply_move(dag: DagStructure, move: ArcMove, max_parents: int) -> DagStructu
 def remove_arc(dag: DagStructure, u: int, v: int) -> DagStructure:
     """The DAG without the arc u -> v (equal to dag if it has none). A
     removal keeps the parents sorted and makes no cycle, so nothing is checked."""
+    u, v = operator.index(u), operator.index(v)
     sets, masks = list(dag.parent_sets), list(dag.parent_masks)
     sets[v] = tuple(w for w in sets[v] if w != u)
     arcs = dag.arc_count - (masks[v] >> u & 1)

@@ -30,7 +30,7 @@ import numpy.random  # noqa: F401
 
 from .errors import CycleError, NoArcError, ParentCapError
 from .fom import DEFAULT_SIGMA, check_sigma
-from .graph import DEFAULT_ARC_PRIOR, ArcMove, DagStructure, apply_move
+from .graph import DEFAULT_ARC_PRIOR, DagStructure, apply_move
 from .graph import check_arc_prior, cpdag_key, remove_arc, structure_prior
 from .scoring import ModelPolicy, NetworkScorer
 
@@ -129,13 +129,13 @@ def metropolis_step(
     i, rem = divmod(pair, m - 1)
     j = rem + (rem >= i)
     try:
-        new_dag = apply_move(state.dag, ArcMove(kind, i, j), ctx.max_parents)
+        new_dag = apply_move(state.dag, kind, i, j, ctx.max_parents)
     except (CycleError, ParentCapError, NoArcError):
         return state
     affected = (j,) if kind == "toggle" else (i, j)
     lengths = list(state.node_lengths)
     prior = structure_prior(m, ctx.scorer.p)
-    if kind == "toggle" and not state.dag.parent_masks[j] >> i & 1:
+    if new_dag.arc_count > state.dag.arc_count:
         ceiling = state.log_prior - prior.odds  # an added arc never adds orders
     else:
         ceiling = prior.ceiling(new_dag.arc_count)

@@ -26,6 +26,7 @@ from mmlbn import (
     fit_fom_map,
     fit_network,
     fom_probability,
+    load_csv_with_labels,
     model_averaged_test_nll,
     run_sampler,
     split_train_test,
@@ -287,6 +288,21 @@ class TestTestDataCoding:
         for other in (recoded(test), three):
             with pytest.raises(ValueError, match="training variables and labels"):
                 model_averaged_test_nll(report, other)
+
+    def test_variables_given_as_a_list(self, tmp_path):
+        """Test data read with the training variables passed as a list keeps
+        them as a tuple, so the mixture takes it."""
+        train = dependent_pair(77)
+        report = report_for(train, DagStructure(2, ((), (0,))))
+        path = tmp_path / "test.csv"
+        path.write_text("v0,v1\nc1,c1\nc0,c1\nc0,c0\n", encoding="utf-8")
+        test = load_csv_with_labels(path, list(train.variables))
+        assert type(test.variables) is tuple
+        assert test.variables == train.variables
+        same = DiscreteDataset(train.variables, test.rows)
+        assert model_averaged_test_nll(report, test) == model_averaged_test_nll(
+            report, same
+        )
 
     def test_mixture_checks_before_fitting(self, monkeypatch):
         train = dependent_pair(76)

@@ -9,7 +9,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mmlbn import (
-    ArcMove,
     DagStructure,
     ModelPolicy,
     NetworkScorer,
@@ -123,76 +122,100 @@ class TestCheckedConstructor:
 class TestApplyMove:
     def test_toggle_add_then_remove(self):
         dag = DagStructure.empty(3)
-        added = apply_move(dag, ArcMove("toggle", 0, 1), max_parents=10)
+        added = apply_move(dag, "toggle", 0, 1, max_parents=10)
         assert 0 in added.parent_sets[1]
-        back = apply_move(added, ArcMove("toggle", 0, 1), max_parents=10)
+        back = apply_move(added, "toggle", 0, 1, max_parents=10)
         assert back == dag
 
     def test_original_untouched(self):
         dag = DagStructure.from_arcs(3, [(0, 1)])
-        apply_move(dag, ArcMove("toggle", 1, 2), max_parents=10)
+        apply_move(dag, "toggle", 1, 2, max_parents=10)
         assert dag.arcs() == [(0, 1)]
 
     def test_toggle_cycle_error(self):
         dag = DagStructure.from_arcs(3, [(0, 1), (1, 2)])
         with pytest.raises(CycleError):
-            apply_move(dag, ArcMove("toggle", 2, 0), max_parents=10)
+            apply_move(dag, "toggle", 2, 0, max_parents=10)
 
     def test_parent_cap(self):
         dag = DagStructure.from_arcs(3, [(0, 2), (1, 2)])
         with pytest.raises(ParentCapError):
-            apply_move(dag, ArcMove("toggle", 0, 1), max_parents=0)
+            apply_move(dag, "toggle", 0, 1, max_parents=0)
         with pytest.raises(ParentCapError):
-            apply_move(
-                DagStructure.empty(3), ArcMove("toggle", 0, 1), max_parents=0
-            )
+            apply_move(DagStructure.empty(3), "toggle", 0, 1, max_parents=0)
 
     def test_reverse(self):
         dag = DagStructure.from_arcs(2, [(1, 0)])
-        flipped = apply_move(dag, ArcMove("reverse", 0, 1), max_parents=10)
+        flipped = apply_move(dag, "reverse", 0, 1, max_parents=10)
         assert flipped.arcs() == [(0, 1)]
 
     def test_reverse_missing_arc(self):
         with pytest.raises(NoArcError):
-            apply_move(DagStructure.empty(2), ArcMove("reverse", 0, 1), max_parents=10)
+            apply_move(DagStructure.empty(2), "reverse", 0, 1, max_parents=10)
 
     def test_reverse_cycle_error(self):
         # 0->1, 1->2, 0->2; reversing 0->2 to 2->0 closes a cycle via 0->1->2
         dag = DagStructure.from_arcs(3, [(0, 1), (1, 2), (0, 2)])
         with pytest.raises(CycleError):
-            apply_move(dag, ArcMove("reverse", 2, 0), max_parents=10)
+            apply_move(dag, "reverse", 2, 0, max_parents=10)
 
     def test_move_validation(self):
-        with pytest.raises(ValueError):
-            ArcMove("swap", 0, 1)
-        with pytest.raises(ValueError):
-            ArcMove("toggle", 1, 1)
-        with pytest.raises(ValueError):
-            apply_move(DagStructure.empty(2), ArcMove("toggle", 0, 5), max_parents=10)
+        dag = DagStructure.empty(2)
+        with pytest.raises(ValueError, match="unknown move kind 'swap'"):
+            apply_move(dag, "swap", 0, 1, max_parents=10)
+        with pytest.raises(ValueError, match="move endpoints must differ"):
+            apply_move(dag, "toggle", 1, 1, max_parents=10)
+        with pytest.raises(ValueError, match="move endpoints out of range"):
+            apply_move(dag, "toggle", 0, 5, max_parents=10)
 
     def test_toggle_involution_random(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
             dag = random_dag(rng, 5)
             i, j = rng.choice(5, size=2, replace=False)
-            move = ArcMove("toggle", int(i), int(j))
             try:
-                once = apply_move(dag, move, max_parents=10)
-                twice = apply_move(once, move, max_parents=10)
+                once = apply_move(dag, "toggle", i, j, max_parents=10)
+                twice = apply_move(once, "toggle", i, j, max_parents=10)
             except (CycleError, ParentCapError):
                 continue
             assert twice == dag
 
+    @pytest.mark.parametrize("m", [5, 70])
+    @pytest.mark.parametrize("as_index", [np.int32, np.int64])
+    def test_numpy_endpoints(self, m, as_index):
+        """Numpy integer endpoints edit as Python ints do, also on nodes past
+        bit 63 of a mask."""
+        far = m - 1
+        dag = expected = DagStructure.empty(m)
+        for kind, i, j in [
+            ("toggle", 1, 2), ("toggle", far, 3), ("reverse", 2, 1), ("toggle", 3, 1)
+        ]:
+            dag = apply_move(dag, kind, as_index(i), as_index(j), max_parents=2)
+            expected = apply_move(expected, kind, i, j, max_parents=2)
+            assert dag == expected
+            assert dag.parent_masks == expected.parent_masks
+            assert_equals_checked_rebuild(dag, 2)
+        # far -> 3 -> 1 is a path, so 1 -> far closes a cycle
+        with pytest.raises(CycleError):
+            apply_move(dag, "toggle", as_index(1), as_index(far), max_parents=2)
+
+    def test_numpy_endpoint_past_bit_63_keeps_its_arc(self):
+        dag = DagStructure.empty(70)
+        dag = apply_move(dag, "toggle", np.int64(65), np.int64(3), max_parents=2)
+        assert dag.parent_masks[3] == 1 << 65
+        with pytest.raises(CycleError):
+            apply_move(dag, "toggle", 3, 65, max_parents=2)
+
 
 @st.composite
 def moves_on_dags(draw):
-    """A DAG on 2-7 nodes, a parent cap it meets, and a move on two of its
-    nodes."""
+    """A DAG on 2-7 nodes, a parent cap it meets, and a move (kind and two
+    of its nodes)."""
     dag = draw(dags(min_nodes=2))
     widest = max(len(parents) for parents in dag.parent_sets)
     max_parents = draw(st.integers(widest, dag.m))
     i, j = draw(st.permutations(range(dag.m)))[:2]
-    return dag, ArcMove(draw(st.sampled_from(("toggle", "reverse"))), i, j), max_parents
+    return dag, draw(st.sampled_from(("toggle", "reverse"))), i, j, max_parents
 
 
 def assert_equals_checked_rebuild(dag, max_parents):
@@ -203,6 +226,7 @@ def assert_equals_checked_rebuild(dag, max_parents):
     assert dag == rebuilt
     assert dag.parent_masks == rebuilt.parent_masks
     assert all(type(u) is int for parents in dag.parent_sets for u in parents)
+    assert all(type(x) is int for x in (*dag.parent_masks, dag.arc_count))
     assert max(map(len, dag.parent_sets), default=0) <= max_parents
 
 
@@ -227,16 +251,15 @@ class TestApplyMoveProperties:
 
     @given(moves_on_dags())
     def test_matches_brute_force(self, case):
-        dag, move, max_parents = case
-        i, j = move.from_node, move.to_node
+        dag, kind, i, j, max_parents = case
         arcs = set(dag.arcs())
         expected_error = None
-        if move.kind == "toggle" and (i, j) in arcs:
+        if kind == "toggle" and (i, j) in arcs:
             arcs.discard((i, j))
-        elif move.kind == "reverse" and (j, i) not in arcs:
+        elif kind == "reverse" and (j, i) not in arcs:
             expected_error = NoArcError
         else:
-            if move.kind == "reverse":
+            if kind == "reverse":
                 arcs.discard((j, i))
             arcs.add((i, j))
             if sum(v == j for _, v in arcs) > max_parents:
@@ -245,9 +268,9 @@ class TestApplyMoveProperties:
                 expected_error = CycleError
         if expected_error is not None:
             with pytest.raises(expected_error):
-                apply_move(dag, move, max_parents)
+                apply_move(dag, kind, i, j, max_parents)
             return
-        result = apply_move(dag, move, max_parents)
+        result = apply_move(dag, kind, i, j, max_parents)
         assert set(result.arcs()) == arcs
         assert is_acyclic(result.m, result.arcs())
         assert max(len(parents) for parents in result.parent_sets) <= max_parents
@@ -262,9 +285,9 @@ class TestApplyMoveProperties:
         dag = DagStructure.empty(m)
         for _ in range(data.draw(st.integers(30, 60))):
             i, j = data.draw(st.permutations(range(m)))[:2]
-            move = ArcMove(data.draw(st.sampled_from(("toggle", "reverse"))), i, j)
+            kind = data.draw(st.sampled_from(("toggle", "reverse")))
             try:
-                dag = apply_move(dag, move, max_parents)
+                dag = apply_move(dag, kind, i, j, max_parents)
             except (CycleError, NoArcError, ParentCapError):
                 continue
             assert_equals_checked_rebuild(dag, max_parents)
@@ -283,7 +306,7 @@ class TestApplyMoveProperties:
                 dag = remove_arc(dag, i, j)
             else:
                 try:
-                    dag = apply_move(dag, ArcMove(kind, i, j), m - 1)
+                    dag = apply_move(dag, kind, i, j, m - 1)
                 except (CycleError, NoArcError):
                     continue
             assert dag.arc_count == sum(map(len, dag.parent_sets))
@@ -302,6 +325,13 @@ class TestApplyMoveProperties:
             same = remove_arc(dag, u, v)
             assert same == dag
             assert same.parent_masks == dag.parent_masks
+        # numpy endpoints remove as Python ints do
+        for as_index in (np.int32, np.int64):
+            same = remove_arc(dag, as_index(0), as_index(2))
+            assert same == reduced
+            assert same.parent_masks == reduced.parent_masks
+            assert_equals_checked_rebuild(same, 1)
+            assert count_linear_extensions(same) == 3
 
     @given(
         dags(min_nodes=1, max_nodes=6),

@@ -8,7 +8,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mmlbn import (
-    ArcMove,
     ChainState,
     DagStructure,
     ModelPolicy,
@@ -84,7 +83,7 @@ def _step_by_the_rule(state, rng, ctx):
     i, rem = divmod(pair, m - 1)
     j = rem + (rem >= i)
     try:
-        new_dag = apply_move(state.dag, ArcMove(kind, i, j), ctx.max_parents)
+        new_dag = apply_move(state.dag, kind, i, j, ctx.max_parents)
     except (CycleError, ParentCapError, NoArcError):
         return state
     lengths = list(state.node_lengths)
