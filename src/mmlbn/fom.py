@@ -23,17 +23,24 @@ by construction.
 Kronecker information. The expected information of theta (read row by row)
 is sum_c n_c (x_c x_c^T) kron W_c with W_c = Q_y^T (diag p_c - p_c p_c^T) Q_y.
 Its (k, l) child-contrast slot is the Gram matrix X^T diag(n_c W_c[k, l]) X,
-so one product X^T (X * w), with w holding every pair k <= l's weights side
-by side, gives the Gram matrices of all pairs at once as a (D, D, pairs)
-stack, and one gather through an index layout kept per (D, r_y) places the
-stack in the matrix. The product is summed over blocks of at most
+whose entry (i, j) is sum_c x_ci x_cj n_c W_c[k, l]. With P the products
+x_ci x_cj of each design row for i <= j, T = D (D + 1) / 2 columns, and w
+holding every pair k <= l's weights side by side, one product P^T w gives
+the upper triangles of the Gram matrices of all pairs at once as a
+(T, pairs) stack, and one gather through an index layout kept per (D, r_y)
+places the stack in the matrix. The product is summed over blocks of at most
 ``INFORMATION_BLOCK_ROWS`` configurations, so its temporaries stay the same
-size however many configurations a node has. The ridge makes the matrix
-positive definite. A Newton step factors it once, in a numpy solve; as
-grad @ step = -grad^T I^-1 grad < 0 for a positive definite I, a failed
-solve or a step that does not descend is a ConvergenceError. The log
-determinant the code length needs comes from a Cholesky factor at the
-optimum, whose failure is a ConvergenceError too.
+size however many configurations a node has. P does not depend on the
+probabilities, so the objective keeps the leading blocks of P that fit in
+``KEPT_PRODUCT_FLOATS`` floats, formed by its first evaluation and read by
+every later one (each Newton step and the log determinant at the optimum);
+a block past that cap is formed again at each evaluation. Against the full
+(D, D, pairs) Gram stack, the upper triangles halve the product's flops.
+The ridge makes the matrix positive definite. A Newton step factors it
+once, in a numpy solve; as grad @ step = -grad^T I^-1 grad < 0 for a
+positive definite I, a failed solve or a step that does not descend is a
+ConvergenceError. The log determinant the code length needs comes from a
+Cholesky factor at the optimum, whose failure is a ConvergenceError too.
 
 Starting point. Newton's method starts from the ridge least-squares fit of
 the smoothed empirical log-odds (``FomObjective.start``): each observed
@@ -77,8 +84,12 @@ PARAMETER_CAP = 1000
 GRADIENT_TOL = 1e-8
 MAX_NEWTON_ITERS = 200
 # Configurations per product in information_free: its temporaries take
-# about INFORMATION_BLOCK_ROWS * D * pairs floats, whatever the node's size.
+# about INFORMATION_BLOCK_ROWS * (D (D + 1) / 2 + pairs) floats, whatever the
+# node's size.
 INFORMATION_BLOCK_ROWS = 512
+# Floats of design products (2 MiB) an objective keeps across its information
+# evaluations; the blocks past them are formed at each evaluation.
+KEPT_PRODUCT_FLOATS = 2**18
 
 _LOG_2PI = math.log(2.0 * math.pi)
 _LOG_12 = math.log(12.0)
@@ -160,17 +171,29 @@ def _child_constants(child_arity: int):
     return q_y, q_y_t, k, l, products
 
 
+@lru_cache(maxsize=64)
+def _upper_triangle(d: int):
+    """Row and column indices i <= j of a d x d matrix, row by row."""
+    upper = np.triu_indices(d)
+    for array in upper:
+        array.flags.writeable = False
+    return upper
+
+
 @lru_cache(maxsize=256)
 def _information_layout(d: int, child_arity: int) -> np.ndarray:
     """Where each entry of the (d (r_y - 1))^2 information sits in the
-    flattened (d, d, pairs) stack of Gram matrices: entry (i (r_y - 1) + k,
-    j (r_y - 1) + l) reads Gram matrix pair(k, l) at (i, j)."""
+    flattened (d (d + 1) / 2, pairs) stack of Gram upper triangles: entry
+    (i (r_y - 1) + k, j (r_y - 1) + l) reads Gram matrix pair(k, l) at
+    (min(i, j), max(i, j))."""
     r = child_arity - 1
     k, l = _child_constants(child_arity)[2:4]
     pair = np.empty((r, r), dtype=np.intp)
     pair[k, l] = pair[l, k] = np.arange(k.size)
-    rows = np.arange(d)
-    layout = (rows[:, None, None, None] * d + rows[:, None]) * k.size + pair[:, None, :]
+    i, j = _upper_triangle(d)
+    entry = np.empty((d, d), dtype=np.intp)
+    entry[i, j] = entry[j, i] = np.arange(i.size)
+    layout = entry[:, None, :, None] * k.size + pair[:, None, :]
     layout = layout.reshape(d * r, d * r)
     layout.flags.writeable = False
     return layout
@@ -344,6 +367,8 @@ class FomObjective:
         self._q_y, self._q_y_t, k, l, self._pair_products = _child_constants(self.r_y)
         self._pairs = k, l
         self._counts_q = self._counts @ self._q_y
+        # the leading blocks' design products, kept by information_free
+        self._products = []
 
     def probabilities(self, u: np.ndarray) -> np.ndarray:
         """Softmax child distributions at each observed configuration."""
@@ -364,24 +389,36 @@ class FomObjective:
 
         The information is sum_c n_c (x_c x_c^T) kron W_c with
         W_c = Q_y^T (diag p_c - p_c p_c^T) Q_y. Entry (k, l) of every W_c
-        weighs one Gram matrix of the design, and one product per block of
-        configurations, X^T (X * w) with the weights of all pairs k <= l
-        side by side, adds to all of them; the (D, D, pairs) stack then
-        fills the (k, l) and (l, k) child-contrast slots in one gather.
+        weighs one Gram matrix of the design. Per block of configurations,
+        P^T w, with P the products x_ci x_cj (i <= j) of the block's design
+        rows and w the weights of all pairs k <= l side by side, adds to the
+        upper triangles of all of them; the (D (D + 1) / 2, pairs) stack
+        then fills the (k, l) and (l, k) child-contrast slots in one gather.
+        The first call keeps the products of the leading blocks, up to
+        ``KEPT_PRODUCT_FLOATS`` floats, and later calls read them; the
+        products of any later block are formed at each call.
         """
         k, l = self._pairs
-        design = self._design
+        design, kept = self._design, self._products
         n, d = design.shape
-        grams = np.zeros((d, d * k.size))
-        for start in range(0, n, INFORMATION_BLOCK_ROWS):
+        i, j = _upper_triangle(d)
+        stack = np.zeros((i.size, k.size))
+        for index, start in enumerate(range(0, n, INFORMATION_BLOCK_ROWS)):
             stop = start + INFORMATION_BLOCK_ROWS
-            block, p = design[start:stop], probs[start:stop]
+            if index < len(kept):
+                products = kept[index]
+            else:
+                block = design[start:stop]
+                products = block[:, i]
+                products *= block[:, j]
+                if (start + len(block)) * i.size <= KEPT_PRODUCT_FLOATS:
+                    kept.append(products)
+            p = probs[start:stop]
             projected = p @ self._q_y
             weights = p @ self._pair_products - projected[:, k] * projected[:, l]
             weights *= self._totals[start:stop, None]
-            weighted = block[:, :, None] * weights[:, None, :]
-            grams += block.T @ weighted.reshape(len(block), -1)
-        matrix = np.take(grams, _information_layout(d, self.r_y))
+            stack += products.T @ weights
+        matrix = np.take(stack, _information_layout(d, self.r_y))
         matrix.ravel()[:: self.dim + 1] += self._ridge
         return matrix
 

@@ -154,8 +154,11 @@ def apply_move(
 
 def remove_arc(dag: DagStructure, u: int, v: int) -> DagStructure:
     """The DAG without the arc u -> v (equal to dag if it has none). A
-    removal keeps the parents sorted and makes no cycle, so nothing is checked."""
+    removal keeps the parents sorted and makes no cycle, so only the
+    endpoints are checked."""
     u, v = operator.index(u), operator.index(v)
+    if not (0 <= u < dag.m and 0 <= v < dag.m):
+        raise ValueError("arc endpoints out of range")
     sets, masks = list(dag.parent_sets), list(dag.parent_masks)
     sets[v] = tuple(w for w in sets[v] if w != u)
     arcs = dag.arc_count - (masks[v] >> u & 1)

@@ -4,5 +4,8 @@ from hypothesis import settings
 
 # No per-example deadline: on a loaded or shared machine one example can take
 # longer than hypothesis' default 200 ms without anything being wrong.
+# Hypothesis loads its own "ci" profile on CI (deadline=None too, and
+# derandomized, printing the failure blob), which is kept.
 settings.register_profile("no-deadline", deadline=None)
-settings.load_profile("no-deadline")
+if settings.get_current_profile_name() != "ci":
+    settings.load_profile("no-deadline")

@@ -500,23 +500,32 @@ def kron_information(counts, probs, sigma=SIGMA):
     return total
 
 
+def random_probs(rng, n, r_y):
+    """n softmax child distributions of Gaussian logits."""
+    probs = np.exp(rng.normal(0.0, 2.0, (n, r_y)))
+    return probs / probs.sum(axis=1, keepdims=True)
+
+
 def assert_information_is_the_kron_sum(r_y, arities, seed, min_count=0):
+    """Draws a table and probabilities from seed, checks one objective's
+    information against the Kronecker sum twice (the second evaluation at
+    new probabilities, reading any kept products) and returns it."""
     rng = np.random.default_rng(seed)
     table = rng.integers(min_count, 6, size=(math.prod(arities), r_y))
     counts = ContingencyCounts.from_dense(r_y, tuple(arities), table)
-    logits = rng.normal(0.0, 2.0, (counts.n_observed, r_y))
-    probs = np.exp(logits)
-    probs /= probs.sum(axis=1, keepdims=True)
-    expected = kron_information(counts, probs)
-    # rtol 1e-12 of each entry, with entries that cancel to rounding noise
-    # measured against the largest entry
-    np.testing.assert_allclose(
-        FomObjective(counts, SIGMA).information_free(probs),
-        expected,
-        rtol=1e-12,
-        atol=1e-12 * np.abs(expected).max(),
-    )
-    return counts
+    objective = FomObjective(counts, SIGMA)
+    for _ in range(2):
+        probs = random_probs(rng, counts.n_observed, r_y)
+        expected = kron_information(counts, probs)
+        # rtol 1e-12 of each entry, with entries that cancel to rounding
+        # noise measured against the largest entry
+        np.testing.assert_allclose(
+            objective.information_free(probs),
+            expected,
+            rtol=1e-12,
+            atol=1e-12 * np.abs(expected).max(),
+        )
+    return objective
 
 
 class TestInformationAssembly:
@@ -531,10 +540,37 @@ class TestInformationAssembly:
         assert_information_is_the_kron_sum(r_y, arities, seed)
 
     def test_several_blocks_ending_on_a_partial_one(self):
-        counts = assert_information_is_the_kron_sum(3, [5, 5, 5, 5], 7, min_count=1)
+        objective = assert_information_is_the_kron_sum(3, [5, 5, 5, 5], 7, min_count=1)
         rows = fom.INFORMATION_BLOCK_ROWS
-        assert counts.n_observed == 625
-        assert rows < counts.n_observed < 2 * rows
+        assert objective.counts.n_observed == 625
+        assert rows < objective.counts.n_observed < 2 * rows
+
+    def test_a_block_past_the_cap_is_formed_at_each_evaluation(self, monkeypatch):
+        # 17 design columns, 153 products a configuration: the cap holds the
+        # first block of 512 configurations and not the 113 after it
+        monkeypatch.setattr(fom, "KEPT_PRODUCT_FLOATS", 512 * 153)
+        objective = assert_information_is_the_kron_sum(3, [5, 5, 5, 5], 7, min_count=1)
+        assert [products.shape for products in objective._products] == [(512, 153)]
+
+    @pytest.mark.parametrize("cap, kept", [(None, 2), (512 * 153, 1), (0, 0)])
+    def test_kept_products_do_not_go_stale(self, monkeypatch, cap, kept):
+        """Each evaluation of one objective equals a fresh objective's."""
+        if cap is not None:
+            monkeypatch.setattr(fom, "KEPT_PRODUCT_FLOATS", cap)
+        rng = np.random.default_rng(64)
+        counts = ContingencyCounts.from_dense(
+            3, (5, 5, 5, 5), rng.integers(1, 6, size=(625, 3))
+        )
+        objective = FomObjective(counts, SIGMA)
+        for _ in range(3):
+            probs = random_probs(rng, 625, 3)
+            np.testing.assert_allclose(
+                objective.information_free(probs),
+                FomObjective(counts, SIGMA).information_free(probs),
+                rtol=1e-13,
+                atol=0,
+            )
+        assert len(objective._products) == kept
 
     def test_memory_stays_flat_on_a_wide_node(self):
         # the Nursery grid: 8 parents, 12960 configurations with one case each
@@ -542,26 +578,33 @@ class TestInformationAssembly:
         arities = (3, 5, 4, 4, 3, 2, 3, 3)
         table = np.zeros((math.prod(arities), 5), dtype=int)
         table[np.arange(len(table)), rng.integers(0, 5, len(table))] = 1
-        objective = FomObjective(ContingencyCounts.from_dense(5, arities, table), SIGMA)
-        probs = objective.probabilities(objective.start())
-        d = 1 + sum(r - 1 for r in arities)
-        pairs = 4 * 5 // 2
-        # At most two blocks' temporaries are alive at once: per block of
-        # 512 configurations, the weights (pairs + 3 floats a configuration)
-        # and the weighted design (d * pairs floats); then the Gram stack,
-        # the matrix and 256 KiB of slack. Blocks of 1024 configurations peak
-        # above this bound (3.6 MB), and one product over all 12960 needs
-        # 20.7 MB for its weighted design alone.
+        counts = ContingencyCounts.from_dense(5, arities, table)
+        n, d, pairs = len(table), 1 + sum(r - 1 for r in arities), 4 * 5 // 2
+        products = d * (d + 1) // 2
+        first, second = random_probs(rng, n, 5), random_probs(rng, n, 5)
+        # The trace covers the construction, so products made there count,
+        # and two evaluations, the first keeping products and the second
+        # reading them. The objective holds n (d + 2 * 5) floats for its
+        # configurations (the design, the counts, their totals and their
+        # child contrasts) and at most KEPT_PRODUCT_FLOATS of kept products.
+        # Besides, at most two blocks' temporaries are alive at once: per
+        # block of 512 configurations, the weights (pairs + 3 floats a
+        # configuration) and the products (d (d + 1) / 2 floats); then the
+        # stack of Gram upper triangles, the matrix and 256 KiB of slack.
+        # Keeping the products of all 12960 configurations needs 21.8 MB.
         rows = 512
-        floats = rows * ((d + 1) * pairs + 3) + d * d * pairs + 80**2
-        bound = 2 * 8 * floats + 2**18
+        floats = rows * (products + pairs + 3) + products * pairs + 80**2
+        held = 8 * n * (d + 2 * 5) + 8 * fom.KEPT_PRODUCT_FLOATS
+        bound = held + 2 * 8 * floats + 2**18
         tracemalloc.start()
         try:
-            objective.information_free(probs)
+            objective = FomObjective(counts, SIGMA)
+            objective.information_free(first)
+            objective.information_free(second)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert objective.dim == 80 and len(probs) == 12960
+        assert objective.dim == 80 and n == 12960
         assert peak < bound
 
 

@@ -333,6 +333,13 @@ class TestApplyMoveProperties:
             assert_equals_checked_rebuild(same, 1)
             assert count_linear_extensions(same) == 3
 
+    @pytest.mark.parametrize("u, v", [(0, -1), (0, 7), (-3, 2), (3, 2)])
+    def test_remove_arc_rejects_endpoints_out_of_range(self, u, v):
+        # node -1 would index node 2 and remove 0 -> 2; node 7 does not exist
+        dag = DagStructure.from_arcs(3, [(0, 2)])
+        with pytest.raises(ValueError, match="arc endpoints out of range"):
+            remove_arc(dag, u, v)
+
     @given(
         dags(min_nodes=1, max_nodes=6),
         st.sampled_from([ModelPolicy.TBN, ModelPolicy.DUAL]),
