@@ -60,7 +60,9 @@ class DiscreteDataset:
 
     def __post_init__(self):
         object.__setattr__(self, "variables", tuple(self.variables))
-        rows = np.array(self.rows, dtype=np.int32)
+        rows = np.asarray(self.rows)  # checked before the int32 cast truncates or wraps
+        if rows.size and rows.dtype.kind not in "biu":
+            raise DataFormatError(f"codes must be integers; got dtype {rows.dtype}")
         if rows.ndim != 2 or rows.shape[1] != len(self.variables):
             raise DataFormatError(
                 f"row array of shape {rows.shape} does not match "
@@ -72,6 +74,7 @@ class DiscreteDataset:
                 raise DataFormatError(
                     f"column {var.name!r} holds codes outside [0, {var.arity})"
                 )
+        rows = rows.astype(np.int32)
         rows.flags.writeable = False
         object.__setattr__(self, "rows", rows)
 
@@ -373,8 +376,10 @@ class ContingencyCounts:
     counts: np.ndarray  # (n_observed, child_arity) int64
 
     def __post_init__(self):
-        digits = np.array(self.config_digits, dtype=np.int32)
-        counts = np.array(self.counts, dtype=np.int64)
+        digits, counts = np.asarray(self.config_digits), np.asarray(self.counts)
+        if any(a.size and a.dtype.kind not in "biu" for a in (digits, counts)):
+            raise ValueError("parent digits and counts must be integers")
+        counts = counts.astype(np.int64)
         if digits.ndim != 2 or digits.shape[1] != len(self.parent_arities):
             raise ValueError("configuration array shape mismatch")
         if counts.shape != (digits.shape[0], self.child_arity):
@@ -385,6 +390,7 @@ class ContingencyCounts:
             col = digits[:, j]
             if col.size and (col.min() < 0 or col.max() >= r):
                 raise ValueError(f"parent digit out of range for arity {r}")
+        digits = digits.astype(np.int32)
         if digits.shape[0] > 1 and not _rows_strictly_increase(digits):
             raise ValueError(
                 "parent configurations must be distinct and sorted lexicographically"
@@ -446,14 +452,14 @@ class ContingencyCounts:
     def from_dense(cls, child_arity, parent_arities, table) -> "ContingencyCounts":
         """Build from a full table indexed by mixed-radix configuration."""
         parent_arities = tuple(parent_arities)
-        table = np.asarray(table, dtype=np.int64)
+        table = np.asarray(table)  # the constructor refuses non-integer counts
         n_configs = math.prod(parent_arities)
         if table.shape != (n_configs, child_arity):
             raise ValueError(
                 f"table shape {table.shape} does not match "
                 f"({n_configs}, {child_arity})"
             )
-        observed = np.flatnonzero(table.sum(axis=1) > 0)
+        observed = np.flatnonzero(table.any(axis=1))
         digits = np.array(
             [config_digits(i, parent_arities) for i in observed], dtype=np.int32
         ).reshape(len(observed), len(parent_arities))

@@ -38,8 +38,5 @@ class ParameterCapError(MmlbnError):
 
 
 class ConvergenceError(MmlbnError):
-    """Iterative fitting failed to converge. Carries the best iterate found."""
-
-    def __init__(self, message, best_params=None):
-        super().__init__(message)
-        self.best_params = best_params
+    """A logit fit failed: out of Newton iterations, no decrease found, or an
+    information that is not positive definite. Carries only its message."""

@@ -61,8 +61,9 @@ to rounding.
 The stated code length follows the usual quantised two-part construction:
 negative log prior plus half the log determinant of the (ridged) expected
 information, plus the negative log likelihood, plus a per-dimension lattice
-quantisation constant of 1/12. ``_logit_length`` is its one statement, and
-the fit-free floor evaluates it at its fitted terms' least values.
+quantisation constant of 1/12. ``_logit_length`` is its one statement; it
+prices the objective the fit minimised, NLL + |u|^2 / (2 sigma^2). The
+fit-free floor evaluates it at its fitted terms' least values.
 """
 
 from __future__ import annotations
@@ -321,16 +322,16 @@ def _prior_log_normaliser(child_arity: int, parent_arities: tuple) -> float:
 
 
 def _logit_length(
-    counts: ContingencyCounts, sigma: float, quad: float, log_det: float, nll: float
+    counts: ContingencyCounts, sigma: float, objective: float, log_det: float
 ) -> float:
-    """The logit code length in nits: -log prior peak + quad
-    + (1/2) log det I_sigma + NLL + (d/2)(1 - log 12), with quad |u|^2 /
-    (2 sigma^2), I_sigma the ridged information, d the free dimension and the
-    prior's log peak norm - d ((1/2) log 2 pi + log sigma)."""
+    """The logit code length in nits: -log prior peak + objective
+    + (1/2) log det I_sigma + (d/2)(1 - log 12), with objective the fit's
+    NLL + |u|^2 / (2 sigma^2), I_sigma the ridged information, d the free
+    dimension and the prior's log peak norm - d ((1/2) log 2 pi + log sigma)."""
     d = free_dimension(counts.child_arity, counts.parent_arities)
     norm = _prior_log_normaliser(counts.child_arity, counts.parent_arities)
     neg_log_peak = d * (0.5 * _LOG_2PI + math.log(sigma)) - norm
-    return neg_log_peak + quad + 0.5 * log_det + nll + 0.5 * d * (1.0 - _LOG_12)
+    return neg_log_peak + objective + 0.5 * log_det + 0.5 * d * (1.0 - _LOG_12)
 
 
 class FomObjective:
@@ -348,7 +349,6 @@ class FomObjective:
     def __init__(self, counts: ContingencyCounts, sigma: float = DEFAULT_SIGMA):
         check_sigma(sigma)
         self.counts = counts
-        self.sigma = sigma
         self._ridge = 1.0 / (sigma * sigma)
         self.r_y = counts.child_arity
         self.arities = counts.parent_arities
@@ -360,10 +360,15 @@ class FomObjective:
         self._counts = counts.counts.astype(float)
         self._totals = self._counts.sum(axis=1)
         digits = counts.config_digits
-        self._design = np.hstack(
-            [np.ones((digits.shape[0], 1))]
-            + [contrast_matrix(r_i)[digits[:, i]] for i, r_i in enumerate(self.arities)]
-        )
+        self._design = np.empty((digits.shape[0], self.dim // (self.r_y - 1)))
+        self._design[:, 0] = 1.0
+        # each parent's contrast rows go straight into its columns; "clip"
+        # alters no digit (all are in range) and, unlike "raise", buffers no copy
+        start = 1
+        for i, r_i in enumerate(self.arities):
+            columns = self._design[:, start : start + r_i - 1]
+            contrast_matrix(r_i).take(digits[:, i], axis=0, out=columns, mode="clip")
+            start += r_i - 1
         self._q_y, self._q_y_t, k, l, self._pair_products = _child_constants(self.r_y)
         self._pairs = k, l
         self._counts_q = self._counts @ self._q_y
@@ -426,13 +431,10 @@ class FomObjective:
         """Raw parameters of free coordinates u."""
         return _params_from_free(self.r_y, self.arities, u)
 
-    def negative_log_likelihood(self, probs: np.ndarray) -> float:
-        return -float((self._counts * np.log(probs)).sum())
-
     def _value(self, u: np.ndarray, probs: np.ndarray) -> float:
-        """The objective at u, given the probabilities at u."""
-        quad = 0.5 * self._ridge * float(u @ u)
-        return self.negative_log_likelihood(probs) + quad
+        """NLL + |u|^2 / (2 sigma^2) at u, given the probabilities at u."""
+        nll = -float((self._counts * np.log(probs)).sum())
+        return nll + 0.5 * self._ridge * float(u @ u)
 
     def value(self, u: np.ndarray) -> float:
         return self._value(u, self.probabilities(u))
@@ -479,8 +481,7 @@ class FomObjective:
                 return u, probs
             if iteration == MAX_NEWTON_ITERS:
                 raise ConvergenceError(
-                    f"no convergence after {MAX_NEWTON_ITERS} Newton iterations",
-                    self.params(u),
+                    f"no convergence after {MAX_NEWTON_ITERS} Newton iterations"
                 )
             # A positive definite information gives a strict descent step, so
             # a failed solve or any other step (NaN included) shows it is not.
@@ -489,9 +490,7 @@ class FomObjective:
             except np.linalg.LinAlgError:
                 step = None
             if step is None or not float(grad @ step) < 0.0:
-                raise ConvergenceError(
-                    "information matrix is not positive definite", self.params(u)
-                )
+                raise ConvergenceError("information matrix is not positive definite")
             # Slack at the rounding noise floor: near the optimum the true
             # decrease of a full step drops below evaluation noise, and a
             # strictly monotone test would stall with the gradient still
@@ -506,17 +505,8 @@ class FomObjective:
                     break
                 scale *= 0.5
             else:
-                raise ConvergenceError(
-                    "line search failed to find a decrease", self.params(u)
-                )
+                raise ConvergenceError("line search failed to find a decrease")
             u, probs, value = candidate, cand_probs, cand_value
-
-
-def fit_fom_map(counts: ContingencyCounts, sigma: float = DEFAULT_SIGMA) -> FomParams:
-    """Posterior-mode parameters for one node's counts."""
-    objective = FomObjective(counts, sigma)
-    u, _ = objective.fit()
-    return objective.params(u)
 
 
 @dataclass(frozen=True, eq=False)
@@ -546,12 +536,16 @@ def fom_message_length(
     """Code length in nits of stating fitted effects and the data under them."""
     objective = FomObjective(counts, sigma)
     u, probs = objective.fit()
-    quad = float(u @ u) / (2.0 * sigma * sigma)
     log_det = _log_det(objective.information_free(probs))
-    nll = objective.negative_log_likelihood(probs)
-    length = _logit_length(counts, sigma, quad, log_det, nll)
+    length = _logit_length(counts, sigma, objective._value(u, probs), log_det)
     u.flags.writeable = False
     return FomScore(length, objective.dim, objective.r_y, objective.arities, u)
+
+
+def fit_fom_map(counts: ContingencyCounts, sigma: float = DEFAULT_SIGMA) -> FomParams:
+    """Posterior-mode parameters for one node's counts: the optimum
+    ``fom_message_length`` scores."""
+    return fom_message_length(counts, sigma).map_params
 
 
 def _sum_x_log_x(values: np.ndarray) -> float:
@@ -564,10 +558,10 @@ def fom_length_floor(counts: ContingencyCounts) -> float:
     """A lower bound on ``fom_message_length(counts, sigma).message_length``
     for every sigma, from the counts alone: no fit.
 
-    It is ``_logit_length`` at the least value of each fitted term. quad
-    >= 0. No model's NLL is below the saturated one, which gives each
-    observed configuration its empirical child distribution:
-    NLL >= sum_c n_c log n_c - sum_{c,k} n_ck log n_ck. I_sigma is a positive
+    It is ``_logit_length`` at the least value of each fitted term. The
+    objective >= the saturated NLL: |u|^2 >= 0, and no model's NLL is below
+    that of the one giving each observed configuration its empirical child
+    distribution, sum_c n_c log n_c - sum_{c,k} n_ck log n_ck. I_sigma is a positive
     semidefinite matrix plus I / sigma^2, so log det I_sigma >= -2 d log
     sigma, whose d log sigma cancels that of -log peak: priced at sigma = 1,
     both vanish.
@@ -580,5 +574,5 @@ def fom_length_floor(counts: ContingencyCounts) -> float:
     norm = _prior_log_normaliser(counts.child_arity, counts.parent_arities)
     scale = _sum_x_log_x(counts.config_totals)  # the largest of the NLL terms
     saturated = scale - _sum_x_log_x(counts.counts)
-    floor = _logit_length(counts, 1.0, 0.0, 0.0, saturated)
+    floor = _logit_length(counts, 1.0, saturated, 0.0)
     return floor - 1e-9 * (1.0 + scale + norm + d)

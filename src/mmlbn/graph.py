@@ -65,7 +65,7 @@ class DagStructure:
             raise ValueError("parent_sets length does not match node count")
         normalised, masks = [], []
         for v, parents in enumerate(self.parent_sets):
-            parents = tuple(int(u) for u in parents)
+            parents = tuple(map(operator.index, parents))
             if any(not 0 <= u < self.m for u in parents):
                 raise ValueError(f"node {v}: parent index out of range")
             if len(set(parents)) != len(parents):

@@ -556,6 +556,30 @@ class TestCounts:
         with pytest.raises(ValueError, match=r"shape \(5, 2\) does not match \(6, 2\)"):
             ContingencyCounts.from_dense(2, (2, 3), np.zeros((5, 2), dtype=int))
 
+    def test_non_integer_counts_and_digits_refused(self):
+        # the casts would truncate a count of 1.7 to 1 and wrap a digit of
+        # 2^32 to 0
+        with pytest.raises(ValueError, match="counts must be integers"):
+            ContingencyCounts(2, (2,), np.array([[0]]), np.array([[1.7, 0.0]]))
+        with pytest.raises(ValueError, match="counts must be integers"):
+            ContingencyCounts.from_dense(2, (2,), np.array([[1.7, 0.0], [1.0, 2.0]]))
+        with pytest.raises(ValueError, match="must be integers"):
+            ContingencyCounts(2, (2,), np.array([[0.5]]), np.array([[1, 0]]))
+        with pytest.raises(ValueError, match="out of range"):
+            ContingencyCounts(
+                2, (2,), np.array([[2**32]], dtype=np.int64), np.array([[1, 0]])
+            )
+        # a row whose counts sum to zero or less is still refused if any is
+        # negative, not dropped as unobserved
+        with pytest.raises(ValueError, match="non-negative"):
+            ContingencyCounts.from_dense(2, (2,), np.array([[-1, 1], [1, 1]]))
+        counts = ContingencyCounts(
+            2, (2,), np.array([[False], [True]]), np.array([[1, 0], [0, 1]], np.uint8)
+        )
+        assert counts.config_digits.dtype == np.int32
+        assert counts.counts.dtype == np.int64
+        assert counts.dense().tolist() == [[1, 0], [0, 1]]
+
     def test_dense_table_cap(self):
         wide = (1 << 11, 1 << 11)
         counts = ContingencyCounts(2, wide, np.zeros((0, 2)), np.zeros((0, 2)))
@@ -739,6 +763,19 @@ class TestDatasetContainer:
         for rows in ([0, 1], [[0, 1, 0]]):  # one dimension, three columns
             with pytest.raises(DataFormatError, match="does not match 2 variables"):
                 DiscreteDataset(meta, np.array(rows))
+
+    def test_codes_are_checked_before_the_int32_cast(self):
+        # the cast would read 0.7 as 0 and wrap 2^32 to 0
+        meta = make_dataset([[0, 1], [1, 0]]).variables
+        with pytest.raises(DataFormatError, match="codes must be integers"):
+            DiscreteDataset(meta, np.array([[0.7, 1.0], [1.0, 0.0]]))
+        with pytest.raises(DataFormatError, match="outside"):
+            DiscreteDataset(meta, np.array([[2**32, 1], [1, 0]], dtype=np.int64))
+        for dtype in (bool, np.uint8, np.int64):
+            ds = DiscreteDataset(meta, np.array([[0, 1], [1, 0]], dtype=dtype))
+            assert ds.rows.dtype == np.int32
+            assert ds.rows.tolist() == [[0, 1], [1, 0]]
+        assert DiscreteDataset(meta, np.zeros((0, 2))).n_cases == 0
 
     @pytest.mark.parametrize(
         "arity,labels,error,message",

@@ -607,6 +607,32 @@ class TestInformationAssembly:
         assert objective.dim == 80 and n == 12960
         assert peak < bound
 
+    def test_construction_fills_the_design_in_place(self):
+        # the Nursery grid again: the contrast rows of each parent go straight
+        # into the design's columns, so construction allocates the arrays the
+        # objective keeps (the design, the counts, their totals and their
+        # child contrasts) and little besides. A stack of per-parent pieces
+        # holds them and the design at once: 1.66 MB over the kept 3.11 MB.
+        rng = np.random.default_rng(63)
+        arities = (3, 5, 4, 4, 3, 2, 3, 3)
+        table = np.zeros((math.prod(arities), 5), dtype=int)
+        table[np.arange(len(table)), rng.integers(0, 5, len(table))] = 1
+        counts = ContingencyCounts.from_dense(5, arities, table)
+        tracemalloc.start()
+        try:
+            objective = FomObjective(counts, SIGMA)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        design = objective._design
+        kept = (design, objective._counts, objective._totals, objective._counts_q)
+        held = sum(array.nbytes for array in kept)
+        assert design.shape == (12960, 20)
+        assert peak < held + design.nbytes // 4
+        digits = counts.config_digits
+        pieces = [contrast_matrix(r)[digits[:, i]] for i, r in enumerate(arities)]
+        assert np.array_equal(design, np.hstack([np.ones((len(table), 1))] + pieces))
+
 
 class TestConstraintBasis:
     def test_orthonormal_basis_of_the_constraint_subspace(self):
@@ -715,33 +741,28 @@ class TestFisherLogDet:
         # the first Newton step's information is indefinite: its step ascends
         counts = random_counts(np.random.default_rng(37), 3, (2, 3))
         monkeypatch.setattr(FomObjective, "information_free", indefinite_information)
-        with pytest.raises(ConvergenceError, match="not positive definite") as caught:
+        with pytest.raises(ConvergenceError, match="not positive definite"):
             fom_message_length(counts, SIGMA)
-        assert caught.value.best_params is not None
 
     def test_newton_step_on_a_singular_information(self, monkeypatch):
-        # the solve itself fails; the error carries the current iterate (the start)
+        # the solve itself fails, at a start away from zero
         counts = random_counts(np.random.default_rng(38), 3, (2, 3))
         objective = FomObjective(counts, SIGMA)
         start = objective.params(objective.start())
         monkeypatch.setattr(
             FomObjective, "information_free", lambda self, probs: np.zeros((self.dim,) * 2)
         )
-        with pytest.raises(ConvergenceError, match="not positive definite") as caught:
+        with pytest.raises(ConvergenceError, match="not positive definite"):
             fom_message_length(counts, SIGMA)
-        params = caught.value.best_params
-        assert np.array_equal(params.flatten(), start.flatten())
         assert sum_of_squares(start) > 0.0
-        assert params.child_arity == 3 and params.parent_arities == (2, 3)
 
     def test_line_search_that_finds_no_decrease(self, monkeypatch):
         # an objective that rises on every evaluation defeats each step size
         counts = random_counts(np.random.default_rng(39), 3, (2, 3))
         values = iter(range(1000))
         monkeypatch.setattr(FomObjective, "_value", lambda self, u, probs: next(values))
-        with pytest.raises(ConvergenceError, match="line search failed") as caught:
+        with pytest.raises(ConvergenceError, match="line search failed"):
             fom_message_length(counts, SIGMA)
-        assert caught.value.best_params is not None
 
     def test_indefinite_information_at_the_optimum(self, monkeypatch):
         # balanced counts put the optimum at zero, so the fit takes no step and
@@ -754,10 +775,9 @@ class TestFisherLogDet:
             return indefinite_information(objective, probs)
 
         monkeypatch.setattr(FomObjective, "information_free", information)
-        with pytest.raises(ConvergenceError, match="not positive definite") as caught:
+        with pytest.raises(ConvergenceError, match="not positive definite"):
             fom_message_length(counts, SIGMA)
         assert len(calls) == 1
-        assert caught.value.best_params is None
 
 
 class TestParameterCap:
@@ -833,9 +853,7 @@ class TestMessageLength:
         counts = random_counts(rng, 2, (2, 2), max_count=20)
         score = fom_message_length(counts, SIGMA)
         direct = fit_fom_map(counts, SIGMA)
-        np.testing.assert_allclose(
-            score.map_params.flatten(), direct.flatten(), atol=1e-10
-        )
+        assert np.array_equal(score.map_params.flatten(), direct.flatten())
 
     def test_length_is_prior_fisher_likelihood_and_quantisation(self):
         rng = np.random.default_rng(45)

@@ -55,6 +55,14 @@ class TestDagStructure:
         with pytest.raises(CycleError):
             DagStructure(2, ((0,), ()))
 
+    def test_non_integer_parents_refused(self):
+        # int() would read these as the parents (0,) and (1,)
+        with pytest.raises(TypeError):
+            DagStructure(3, ((), (0.9,), (1.5,)))
+        numpy = DagStructure(3, ((), (np.int64(0),), (np.int32(1), np.int8(0))))
+        assert numpy == DagStructure(3, ((), (0,), (0, 1)))
+        assert all(type(u) is int for parents in numpy.parent_sets for u in parents)
+
     def test_bad_indices(self):
         with pytest.raises(ValueError):
             DagStructure(2, ((5,), ()))
