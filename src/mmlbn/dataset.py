@@ -22,6 +22,7 @@ from .errors import (
     DataFormatError,
     DegenerateVariableError,
     MissingValueError,
+    as_index,
 )
 
 MISSING_TOKEN = "?"
@@ -39,6 +40,8 @@ class VariableMeta:
     labels: tuple[str, ...]
 
     def __post_init__(self):
+        arity = as_index(self.arity, f"variable {self.name!r}: arity", DataFormatError)
+        object.__setattr__(self, "arity", arity)
         if self.arity < 2:
             raise DegenerateVariableError(
                 f"variable {self.name!r} has arity {self.arity}; need at least 2"
@@ -331,7 +334,7 @@ def config_index(digits, parent_arities) -> int:
         raise ValueError("digit count does not match parent count")
     index = 0
     for d, r in zip(digits, arities):
-        d = int(d)
+        d = as_index(d, "digit")
         if not 0 <= d < r:
             raise ValueError(f"digit {d} out of range for arity {r}")
         index = index * r + d
@@ -341,7 +344,7 @@ def config_index(digits, parent_arities) -> int:
 def config_digits(index, parent_arities) -> tuple[int, ...]:
     """Inverse of config_index."""
     arities = tuple(parent_arities)
-    index = int(index)
+    index = as_index(index, "configuration index")
     total = math.prod(arities)
     if not 0 <= index < max(total, 1):
         raise ValueError(f"configuration index {index} out of range")
@@ -376,6 +379,10 @@ class ContingencyCounts:
     counts: np.ndarray  # (n_observed, child_arity) int64
 
     def __post_init__(self):
+        child_arity = as_index(self.child_arity, "child arity")
+        arities = tuple(as_index(r, "parent arity") for r in self.parent_arities)
+        object.__setattr__(self, "child_arity", child_arity)
+        object.__setattr__(self, "parent_arities", arities)
         digits, counts = np.asarray(self.config_digits), np.asarray(self.counts)
         if any(a.size and a.dtype.kind not in "biu" for a in (digits, counts)):
             raise ValueError("parent digits and counts must be integers")
@@ -399,7 +406,6 @@ class ContingencyCounts:
         counts.flags.writeable = False
         object.__setattr__(self, "config_digits", digits)
         object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "parent_arities", tuple(self.parent_arities))
 
     @classmethod
     def _trusted(cls, child_arity, parent_arities, config_digits, counts):
@@ -481,7 +487,8 @@ def counts_for(ds: DiscreteDataset, child: int, parents) -> ContingencyCounts:
     and its digits are read off the index; after one, from any case that has
     the configuration.
     """
-    parents = tuple(int(p) for p in parents)
+    child = as_index(child, "child index")
+    parents = tuple(as_index(p, "parent index") for p in parents)
     m = ds.n_variables
     if not 0 <= child < m:
         raise ValueError(f"child index {child} out of range")

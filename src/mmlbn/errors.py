@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its integer check."""
+
+import operator
 
 
 class MmlbnError(Exception):
@@ -40,3 +42,13 @@ class ParameterCapError(MmlbnError):
 class ConvergenceError(MmlbnError):
     """A logit fit failed: out of Newton iterations, no decrease found, or an
     information that is not positive definite. Carries only its message."""
+
+
+def as_index(value, what: str, error: type[Exception] = ValueError) -> int:
+    """`value` as a Python int, through `operator.index`: ints, bools and
+    numpy integers pass, and anything else (1.5, 2.0, "3") raises `error`
+    naming `what`, where `int` would truncate it or a later step fail."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise error(f"{what} must be an integer; got {value!r}") from None

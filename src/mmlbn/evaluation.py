@@ -8,6 +8,7 @@ import numpy as np
 
 from .cpt_full import full_cpt_predictive
 from .dataset import DiscreteDataset, counts_for, split_train_test
+from .errors import as_index
 from .fom import FomParams, _logsumexp, predictive_log_probs
 from .graph import DagStructure
 from .sampler import PosteriorReport, SamplerConfig, run_sampler
@@ -175,7 +176,7 @@ def cross_validate(
     test_fraction: float = 0.1,
 ) -> EvalSummary:
     """Repeated random splits; repeat r uses seed config.seed + r throughout."""
-    if repeats < 1:
+    if as_index(repeats, "repeats") < 1:
         raise ValueError("repeats must be at least 1")
     config.validate()  # before the first split draws with its seed
     metrics = []

@@ -75,7 +75,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .dataset import ContingencyCounts, config_digits
-from .errors import ConvergenceError, ParameterCapError
+from .errors import ConvergenceError, ParameterCapError, as_index
 
 DEFAULT_SIGMA = 3.0
 # Free dimensions at which a logit model is refused. On 3000 random rows a
@@ -109,7 +109,8 @@ def check_sigma(sigma: float) -> None:
 
 def free_dimension(child_arity: int, parent_arities) -> int:
     """Dimension of the constraint subspace."""
-    arities = tuple(parent_arities)
+    child_arity = as_index(child_arity, "child arity")
+    arities = tuple(as_index(r, "parent arity") for r in parent_arities)
     if child_arity < 2 or any(r < 2 for r in arities):
         raise ValueError("arities must be at least 2")
     return (child_arity - 1) * (1 + sum(r - 1 for r in arities))

@@ -36,12 +36,11 @@ own bits.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
 
-from .errors import CapacityError, CycleError, NoArcError, ParentCapError
+from .errors import CapacityError, CycleError, NoArcError, ParentCapError, as_index
 
 MAX_NODES = 24
 
@@ -59,13 +58,14 @@ class DagStructure:
     arc_count: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "m", as_index(self.m, "node count"))
         if self.m < 0:
             raise ValueError("node count must be non-negative")
         if len(self.parent_sets) != self.m:
             raise ValueError("parent_sets length does not match node count")
         normalised, masks = [], []
         for v, parents in enumerate(self.parent_sets):
-            parents = tuple(map(operator.index, parents))
+            parents = tuple(as_index(u, f"node {v}: parent") for u in parents)
             if any(not 0 <= u < self.m for u in parents):
                 raise ValueError(f"node {v}: parent index out of range")
             if len(set(parents)) != len(parents):
@@ -98,12 +98,13 @@ class DagStructure:
 
     @classmethod
     def empty(cls, m: int) -> "DagStructure":
-        return cls(m, tuple(() for _ in range(m)))
+        return cls(m, ((),) * as_index(m, "node count"))
 
     @classmethod
     def from_arcs(cls, m: int, arcs) -> "DagStructure":
-        parents = [[] for _ in range(m)]
+        parents = [[] for _ in range(as_index(m, "node count"))]
         for u, v in arcs:
+            v = as_index(v, f"arc {u}->{v}: child")
             if not 0 <= v < m:
                 raise ValueError(f"arc {u}->{v}: child index out of range")
             parents[v].append(u)
@@ -129,7 +130,7 @@ def apply_move(
         raise ValueError(f"unknown move kind {kind!r}")
     if i == j:
         raise ValueError("move endpoints must differ")
-    i, j = operator.index(i), operator.index(j)
+    i, j = as_index(i, "move endpoint"), as_index(j, "move endpoint")
     if not (0 <= i < dag.m and 0 <= j < dag.m):
         raise ValueError("move endpoints out of range")
     if kind == "reverse":
@@ -156,7 +157,7 @@ def remove_arc(dag: DagStructure, u: int, v: int) -> DagStructure:
     """The DAG without the arc u -> v (equal to dag if it has none). A
     removal keeps the parents sorted and makes no cycle, so only the
     endpoints are checked."""
-    u, v = operator.index(u), operator.index(v)
+    u, v = as_index(u, "arc endpoint"), as_index(v, "arc endpoint")
     if not (0 <= u < dag.m and 0 <= v < dag.m):
         raise ValueError("arc endpoints out of range")
     sets, masks = list(dag.parent_sets), list(dag.parent_masks)

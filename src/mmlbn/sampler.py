@@ -11,11 +11,11 @@ equivalence class of the cleaned network.
 
 The structure prior is an exact count of linear extensions, and a logit
 node's length needs a fit: the two costliest terms of a test. So both tests
-are first tried against the prior's bounds (graph.py) with the changed node
-priced by its floor (`NetworkScorer.node_floor`), a lower bound on its
-length that fits nothing, then with its length; extensions are counted only
-when neither settles the test. Every decision and every random draw is the
-one the exact lengths give.
+climb one ladder against the prior's bounds (graph.py): the changed nodes
+are priced first by their floors (`NetworkScorer.node_floor`), lower bounds
+on their lengths that fit nothing, then by their lengths; extensions are
+counted only when neither rung settles the test. Every decision and every
+random draw is the one the exact lengths give.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 # keeps that cost out of the first chain.
 import numpy.random  # noqa: F401
 
-from .errors import CycleError, NoArcError, ParentCapError
+from .errors import CycleError, NoArcError, ParentCapError, as_index
 from .fom import DEFAULT_SIGMA, check_sigma
 from .graph import DEFAULT_ARC_PRIOR, DagStructure, apply_move
 from .graph import check_arc_prior, cpdag_key, remove_arc, structure_prior
@@ -47,6 +47,8 @@ class SamplerConfig:
     top_k: int = 10
 
     def validate(self):
+        for name in ("iterations", "burn_in", "seed", "max_parents", "top_k"):
+            as_index(getattr(self, name), name)
         if self.iterations <= 0:
             raise ValueError("iterations must be positive")
         if not 0 <= self.burn_in < self.iterations:
@@ -171,46 +173,38 @@ def clean_network(dag: DagStructure, scorer: NetworkScorer) -> DagStructure:
     weighs the current network against its `remove_arc` candidate. Scoring
     errors during a test count as removals.
 
-    A removal raises the log prior within a window graph.py bounds, so a
-    length gain (without minus with) below it removes the arc and one above
-    it keeps it, with no prior computed. A gain inside prices the candidate
-    exactly; the current network is priced when such a test first needs it,
-    at most once, and its prior is carried forward with each removal it makes.
-
-    The candidate's node is first priced by its floor
-    (`NetworkScorer.node_floor`): a gain from the floor above the window
-    keeps the arc without fitting the node, as the exact gain is no lower.
-    An infinite gain is never above it, as the window's rounding guard
-    grows with the gain, so an uncodable candidate is removed, as by the rule.
+    The test climbs the chain's ladder: the length gain (without minus with)
+    is taken with the candidate's node priced first by its floor, then by
+    its length. A removal raises the log prior by between odds and
+    odds + log m! (graph.py), so a gain above that window keeps the arc; on
+    the floor's rung it does so without fitting the node, as the exact gain
+    is no lower. Past both rungs, a gain that is not finite (an uncodable
+    node on either side) or lies below the window removes the arc, and one
+    inside it is settled by the exact priors. The current network's prior
+    is computed when a test first needs it, at most once, and carried
+    forward with each removal it makes. The window's rounding guard grows
+    with the gain, so no infinite gain keeps an arc, as by the rule.
     """
     prior = structure_prior(dag.m, scorer.p)
-
-    def kept_by_the_bounds(gain):
-        return gain - prior.odds - prior.log_m_factorial > prior.slack(gain)
-
     current, current_prior = dag, None
     for node in range(dag.m):
         for parent in dag.parent_sets[node]:
             candidate = remove_arc(current, parent, node)
             reduced = candidate.parent_sets[node]
             with_len = scorer.node_length_or_inf(node, current.parent_sets[node])
-            if kept_by_the_bounds(scorer.node_floor(node, reduced) - with_len):
-                continue
-            without_len = scorer.node_length_or_inf(node, reduced)
-            gain = without_len - with_len
-            if math.isinf(with_len) or math.isinf(without_len) or (
-                gain - prior.odds <= -prior.slack(gain)
-            ):
-                current, current_prior = candidate, None
-                continue
-            if kept_by_the_bounds(gain):
-                continue
-            if current_prior is None:
-                current_prior = scorer.structure_log_prior(current)
-            candidate_prior = scorer.structure_log_prior(candidate)
-            total_delta = gain - (candidate_prior - current_prior)
-            if total_delta <= 0:
-                current, current_prior = candidate, candidate_prior
+            for price in (scorer.node_floor, scorer.node_length_or_inf):
+                gain = price(node, reduced) - with_len
+                if gain - prior.odds - prior.log_m_factorial > prior.slack(gain):
+                    break
+            else:
+                if not math.isfinite(gain) or gain - prior.odds <= -prior.slack(gain):
+                    current, current_prior = candidate, None
+                    continue
+                if current_prior is None:
+                    current_prior = scorer.structure_log_prior(current)
+                candidate_prior = scorer.structure_log_prior(candidate)
+                if gain <= candidate_prior - current_prior:
+                    current, current_prior = candidate, candidate_prior
     return current
 
 

@@ -460,6 +460,15 @@ class TestMixedRadix:
         with pytest.raises(ValueError, match="digit count"):
             config_index((1,), (2, 3))
 
+    def test_non_integer_digits_and_indices_refused(self):
+        # int() would read these as the digit 1 and the index 2 = (1, 0)
+        with pytest.raises(ValueError, match="digit must be an integer"):
+            config_index((1.7,), (2,))
+        with pytest.raises(ValueError, match="configuration index must be an integer"):
+            config_digits(2.9, (2, 2))
+        assert config_index((np.int64(1), np.int8(2)), (2, 3)) == 5
+        assert config_digits(np.int32(5), (2, 3)) == (1, 2)
+
 
 class TestCounts:
     def test_direct_tally(self):
@@ -579,6 +588,29 @@ class TestCounts:
         assert counts.config_digits.dtype == np.int32
         assert counts.counts.dtype == np.int64
         assert counts.dense().tolist() == [[1, 0], [0, 1]]
+
+    def test_non_integer_indices_refused(self):
+        # int() would tally against parent 0 for 0.9
+        ds = make_dataset([[0, 1, 1], [0, 0, 1], [1, 1, 0]])
+        with pytest.raises(ValueError, match="parent index must be an integer"):
+            counts_for(ds, 2, (0.9,))
+        with pytest.raises(ValueError, match="child index must be an integer"):
+            counts_for(ds, 1.5, (0,))
+        numpy = counts_for(ds, np.int64(2), (np.int32(0),))
+        assert numpy.dense().tolist() == counts_for(ds, 2, (0,)).dense().tolist()
+
+    def test_non_integer_arities_refused(self):
+        # a parent arity of 2.5 was kept and dense() then failed on it
+        with pytest.raises(ValueError, match="parent arity must be an integer"):
+            ContingencyCounts(2, (2.5,), np.array([[0]]), np.array([[1, 0]]))
+        with pytest.raises(ValueError, match="child arity must be an integer"):
+            ContingencyCounts(2.0, (2,), np.array([[0]]), np.array([[1, 0]]))
+        counts = ContingencyCounts(
+            np.int64(2), (np.int32(2),), np.array([[1]]), np.array([[1, 0]])
+        )
+        assert type(counts.child_arity) is int
+        assert all(type(r) is int for r in counts.parent_arities)
+        assert counts.dense().tolist() == [[0, 0], [1, 0]]
 
     def test_dense_table_cap(self):
         wide = (1 << 11, 1 << 11)
@@ -783,8 +815,9 @@ class TestDatasetContainer:
             (1, ("a",), DegenerateVariableError, "has arity 1; need at least 2"),
             (3, ("a", "b"), DataFormatError, "2 labels for arity 3"),
             (2, ("a", "a"), DataFormatError, "has duplicate labels"),
+            (2.0, ("a", "b"), DataFormatError, "arity must be an integer"),
         ],
-        ids=["arity", "label-count", "duplicate"],
+        ids=["arity", "label-count", "duplicate", "non-integer-arity"],
     )
     def test_variable_meta_checked(self, arity, labels, error, message):
         with pytest.raises(error, match=message):

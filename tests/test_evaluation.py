@@ -419,3 +419,8 @@ class TestCrossValidate:
         ds = dependent_pair(75, n=50)
         with pytest.raises(ValueError):
             cross_validate(ds, 0, SamplerConfig(iterations=100, burn_in=10))
+
+    def test_rejects_non_integer_repeats(self):
+        ds = dependent_pair(75, n=50)
+        with pytest.raises(ValueError, match="repeats must be an integer"):
+            cross_validate(ds, 2.0, SamplerConfig(iterations=100, burn_in=10))

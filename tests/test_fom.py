@@ -128,9 +128,20 @@ class TestFreeDimension:
             free_dimension(1, ())
         with pytest.raises(ValueError):
             free_dimension(2, (1,))
+        # 2.5 gave the dimension 3.0
+        with pytest.raises(ValueError, match="child arity must be an integer"):
+            free_dimension(2.5, (2,))
+        with pytest.raises(ValueError, match="parent arity must be an integer"):
+            free_dimension(2, (2.0,))
+        assert free_dimension(np.int64(3), (np.int32(2), 3)) == 8
 
 
 class TestProbability:
+    def test_non_integer_configuration_refused(self):
+        # int() would answer for configuration 1
+        with pytest.raises(ValueError, match="must be an integer"):
+            fom_probability(FomParams.zero(2, (2,)), 1.5)
+
     def test_uniform_at_zero(self):
         params = FomParams.zero(3, (2, 4))
         for cfg in range(8):

@@ -57,11 +57,22 @@ class TestDagStructure:
 
     def test_non_integer_parents_refused(self):
         # int() would read these as the parents (0,) and (1,)
-        with pytest.raises(TypeError):
+        with pytest.raises(ValueError, match="must be an integer"):
             DagStructure(3, ((), (0.9,), (1.5,)))
         numpy = DagStructure(3, ((), (np.int64(0),), (np.int32(1), np.int8(0))))
         assert numpy == DagStructure(3, ((), (0,), (0, 1)))
         assert all(type(u) is int for parents in numpy.parent_sets for u in parents)
+
+    def test_non_integer_sizes_and_arcs_refused(self):
+        with pytest.raises(ValueError, match="node count must be an integer"):
+            DagStructure(2.0, ((), ()))
+        with pytest.raises(ValueError, match="child must be an integer"):
+            DagStructure.from_arcs(3, [(0, 1.5)])
+        with pytest.raises(ValueError, match="parent must be an integer"):
+            DagStructure.from_arcs(3, [(0.5, 1)])
+        with pytest.raises(ValueError, match="node count must be an integer"):
+            DagStructure.empty(2.0)
+        assert DagStructure(np.int64(2), ((), (0,))).m == 2
 
     def test_bad_indices(self):
         with pytest.raises(ValueError):

@@ -25,6 +25,7 @@ from mmlbn import (
 )
 from mmlbn import scoring
 from mmlbn.errors import CycleError, NoArcError, ParentCapError
+from mmlbn.graph import remove_arc, structure_prior
 from helpers import collinear_problem, dags, make_dataset, sample_network
 
 
@@ -61,6 +62,12 @@ class TestConfigValidation:
             ("max_parents", -1),
             ("top_k", 0),
             ("seed", -1),
+            # run_sampler would fail on these with a bare TypeError
+            ("iterations", 20.0),
+            ("top_k", 2.5),
+            ("seed", 1.5),
+            ("max_parents", 1.5),
+            ("burn_in", 2.0),
         ],
     )
     def test_rejects_bad_values(self, field, value):
@@ -408,6 +415,63 @@ def _clean_by_the_rule(dag, scorer):
     return current
 
 
+def _clean_by_separate_exits(dag, scorer):
+    """clean_network as it stood before its tests climbed one ladder, kept
+    frozen as the reference for the work the ladder does: a keep test on the
+    floor, a removal on an infinite length or a gain below the window, a
+    keep test on the length, then the exact priors."""
+    prior = structure_prior(dag.m, scorer.p)
+
+    def kept_by_the_bounds(gain):
+        return gain - prior.odds - prior.log_m_factorial > prior.slack(gain)
+
+    current, current_prior = dag, None
+    for node in range(dag.m):
+        for parent in dag.parent_sets[node]:
+            candidate = remove_arc(current, parent, node)
+            reduced = candidate.parent_sets[node]
+            with_len = scorer.node_length_or_inf(node, current.parent_sets[node])
+            if kept_by_the_bounds(scorer.node_floor(node, reduced) - with_len):
+                continue
+            without_len = scorer.node_length_or_inf(node, reduced)
+            gain = without_len - with_len
+            if math.isinf(with_len) or math.isinf(without_len) or (
+                gain - prior.odds <= -prior.slack(gain)
+            ):
+                current, current_prior = candidate, None
+                continue
+            if kept_by_the_bounds(gain):
+                continue
+            if current_prior is None:
+                current_prior = scorer.structure_log_prior(current)
+            candidate_prior = scorer.structure_log_prior(candidate)
+            total_delta = gain - (candidate_prior - current_prior)
+            if total_delta <= 0:
+                current, current_prior = candidate, candidate_prior
+    return current
+
+
+class _CallLog:
+    """Passes each pricing call on to a scorer and logs it with its arguments."""
+
+    def __init__(self, scorer):
+        self.scorer = scorer
+        self.p = scorer.p
+        self.calls = []
+
+    def node_floor(self, node, parents):
+        self.calls.append(("node_floor", node, tuple(parents)))
+        return self.scorer.node_floor(node, parents)
+
+    def node_length_or_inf(self, node, parents):
+        self.calls.append(("node_length_or_inf", node, tuple(parents)))
+        return self.scorer.node_length_or_inf(node, parents)
+
+    def structure_log_prior(self, dag):
+        self.calls.append(("structure_log_prior", dag))
+        return self.scorer.structure_log_prior(dag)
+
+
 class TestCleaning:
     def test_keeps_a_paying_arc(self):
         ds = dependent_pair(7)
@@ -640,6 +704,18 @@ class TestNodeFloors:
         )
         dag = DagStructure.from_arcs(m, [arc for arc, k in zip(slots, keep) if k])
         assert clean_network(dag, floored) == _clean_by_the_rule(dag, exact)
+
+    @given(data=st.data())
+    def test_cleaning_does_the_work_of_separate_exits(self, data):
+        # the same decisions from the same pricing calls, in the same order
+        m, p, floored, _ = self._draw_problem(data)
+        dag = data.draw(dags(m, m), label="dag")
+        ladder = _CallLog(floored)
+        exits = _CallLog(
+            _FlooredScorer(floored.lengths, floored.gaps, p, floored.uncodable)
+        )
+        assert clean_network(dag, ladder) == _clean_by_separate_exits(dag, exits)
+        assert ladder.calls == exits.calls
 
     def test_a_floor_keeps_an_arc_without_scoring_the_candidate(self):
         # dropping 0 -> 1 would cost 30 nits by the floor alone

@@ -452,6 +452,13 @@ def floor_problems(draw):
 
 
 class TestNodeFloor:
+    def test_non_integer_parents_refused(self):
+        # int() would price the parents (0, 1)
+        ds = make_dataset([[0, 1, 1, 0], [1, 1, 0, 0], [0, 1, 0, 1]])
+        scorer = NetworkScorer(ds, ModelPolicy.DUAL)
+        with pytest.raises(ValueError, match="parent index must be an integer"):
+            scorer.node_floor(2, (0.5, 1.2))
+
     @given(floor_problems(), st.sampled_from([0.5, 3.0, 30.0]))
     def test_below_the_length(self, problem, sigma):
         ds, child, parents = problem
