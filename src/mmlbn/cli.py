@@ -13,7 +13,7 @@ from .evaluation import EvalSummary, cross_validate, evaluate_split
 from .graph import DagStructure
 from .sampler import PosteriorReport, SamplerConfig
 from .sampler import run_sampler
-from .scoring import ModelPolicy, NetworkScorer
+from .scoring import ModelPolicy, NetworkScorer, ScoreCache
 
 
 def _add_data_flags(parser):
@@ -223,8 +223,9 @@ def _run_score(args) -> dict:
         )
     lengths = {}
     errors = {}
+    cache = ScoreCache()  # the policies share each node's table and logit fit
     for policy in ModelPolicy:
-        scorer = NetworkScorer(ds, policy, args.arc_prior, args.sigma)
+        scorer = NetworkScorer(ds, policy, args.arc_prior, args.sigma, cache)
         try:
             length = scorer.total_length(dag)
             if math.isinf(length):

@@ -41,16 +41,20 @@ def fit_network(dag: DagStructure, scorer: NetworkScorer) -> FittedNetwork:
     """Fit each node, on the scorer's data, with the model its node score chose.
 
     Node scores, logit fits included, come from the scorer's cache, so a
-    sampler run's scorer (`PosteriorReport.scorer`) fits nothing again.
+    sampler run's scorer (`PosteriorReport.scorer`) fits nothing again; the
+    cache keeps each table node's log table from its first fit on.
     """
     scores = scorer.node_scores(dag)
     nodes = []
     for child, (parents, score) in enumerate(zip(dag.parent_sets, scores)):
         if score.chosen_model == "full":
-            counts = counts_for(scorer.ds, child, parents)
-            # Unseen configurations keep the uniform row full_cpt_predictive gives.
-            table = np.log(full_cpt_predictive(counts))
-            nodes.append(table.reshape(counts.parent_arities + (counts.child_arity,)))
+            entry = scorer.cache.entries[child, parents]
+            if "table" not in entry:
+                counts = counts_for(scorer.ds, child, parents)
+                # Unseen configurations keep the uniform row full_cpt_predictive gives.
+                table = np.log(full_cpt_predictive(counts))
+                entry["table"] = table.reshape(counts.parent_arities + (counts.child_arity,))
+            nodes.append(entry["table"])
         else:
             nodes.append(score.fom_params)
     chosen = tuple(score.chosen_model for score in scores)

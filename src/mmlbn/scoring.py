@@ -8,6 +8,8 @@ full table is used without a selection bit.
 
 A node can also be priced by a floor that needs no logit fit
 (`NetworkScorer.node_floor`), so that a test the floor settles fits nothing.
+Each node's table score, logit score, floor and policy scores share one
+`ScoreCache` entry, so scorers of all three policies fit no node twice.
 """
 
 from __future__ import annotations
@@ -16,9 +18,9 @@ import enum
 import math
 from dataclasses import dataclass, field
 
-from .cpt_full import FullCptScore, full_cpt_message_length
+from .cpt_full import full_cpt_message_length
 from .dataset import DiscreteDataset, counts_for
-from .errors import ConvergenceError, MmlbnError, ParameterCapError
+from .errors import ConvergenceError, MmlbnError, ParameterCapError, as_index
 from .fom import DEFAULT_SIGMA, FomParams, FomScore, check_sigma
 from .fom import fom_length_floor, fom_message_length
 from .graph import DEFAULT_ARC_PRIOR, DagStructure, check_arc_prior, structure_prior
@@ -30,6 +32,8 @@ class ModelPolicy(enum.Enum):
     TBN = "tbn"
     FON = "fon"
     DUAL = "dual"
+
+    __hash__ = object.__hash__  # members are singletons; Enum's hash is slow Python
 
 
 @dataclass(frozen=True)
@@ -47,76 +51,66 @@ class NodeScore:
 
 
 class ScoreCache:
-    """Shared map from (child, parents, policy) to node scores.
+    """One dict per node, keyed by (child, parents) as ints, for the scorers
+    of every policy on the data and sigma of the first one (`source`).
 
-    Scoring errors are cached too and re-raised on later lookups. `source`
-    is the (dataset, sigma) of the first NetworkScorer that used the cache:
-    the keys name neither, so a NetworkScorer on other data or another sigma
-    refuses the cache.
+    An entry holds, from first need on, the table score ("full"), logit score
+    ("fom"), `dual` floor ("floor"), each policy's NodeScore (keyed by the
+    policy), `fit_network`'s log table ("table") and, from the floor that
+    priced the node until a score reads it, the tally ("counts"). A failed
+    score is held as its MmlbnError. `hits` and `misses` count policy scores.
     """
 
     def __init__(self):
-        self._entries: dict = {}
+        self.entries: dict = {}
         self.source = None
         self.hits = 0
         self.misses = 0
 
-    def __contains__(self, key) -> bool:
-        return key in self._entries
 
-    def get_or_compute(self, key, compute):
-        entry = self._entries.get(key)
-        if entry is None:
-            self.misses += 1
-            try:
-                entry = compute()
-            except MmlbnError as err:
-                entry = err
-            self._entries[key] = entry
-        else:
-            self.hits += 1
-        if isinstance(entry, MmlbnError):
-            # a bare raise would append this call's frames to the stored
-            # traceback on every hit, and keep them alive
-            raise entry.with_traceback(None)
-        return entry
+def _held(entry: dict, slot, score, *args):
+    """entry[slot], worked out as score(*args) on first need. A held error is
+    raised afresh, so no reader's frames pile up on its traceback."""
+    if slot not in entry:
+        try:
+            entry[slot] = score(*args)
+        except MmlbnError as err:
+            entry[slot] = err
+    if isinstance(entry[slot], MmlbnError):
+        raise entry[slot].with_traceback(None)
+    return entry[slot]
 
 
 def node_length(
-    counts,
-    policy: ModelPolicy,
-    sigma: float = DEFAULT_SIGMA,
-    *,
-    full: FullCptScore | None = None,
+    counts, policy: ModelPolicy, sigma: float = DEFAULT_SIGMA, entry: dict | None = None
 ) -> NodeScore:
-    """Code length of one node's counts under a model policy; `full` is the
-    counts' full-table score under `dual` when already worked out."""
+    """Code length of one node's counts under a model policy. `entry` is the
+    node's ScoreCache entry: the table and logit scores it holds are read,
+    and those worked out here are put in it."""
+    entry = {} if entry is None else entry
     if policy is ModelPolicy.TBN or (
         policy is ModelPolicy.DUAL and counts.n_parents <= 1
     ):
-        score = full_cpt_message_length(counts)
+        score = _held(entry, "full", full_cpt_message_length, counts)
         return NodeScore(score.message_length, "full", score.free_params)
     if policy is ModelPolicy.FON:
-        score = fom_message_length(counts, sigma)
+        score = _held(entry, "fom", fom_message_length, counts, sigma)
         return NodeScore(score.message_length, "fom", score.free_dim, score)
     if policy is not ModelPolicy.DUAL:
         raise ValueError(f"unknown policy {policy!r}")
-    if full is None:
-        try:
-            full = full_cpt_message_length(counts)
-        except ParameterCapError:
-            pass
     try:
-        fom = fom_message_length(counts, sigma)
+        full = _held(entry, "full", full_cpt_message_length, counts)
+    except ParameterCapError:
+        full = None
+    try:
+        fom = _held(entry, "fom", fom_message_length, counts, sigma)
     except (ConvergenceError, ParameterCapError):
         if full is None:
             raise
         fom = None
     if full is not None and (fom is None or full.message_length <= fom.message_length):
         return NodeScore(full.message_length + MODEL_CHOICE_NITS, "full", full.free_params)
-    return NodeScore(
-        fom.message_length + MODEL_CHOICE_NITS, "fom", fom.free_dim, fom
-    )
+    return NodeScore(fom.message_length + MODEL_CHOICE_NITS, "fom", fom.free_dim, fom)
 
 
 class NetworkScorer:
@@ -143,49 +137,52 @@ class NetworkScorer:
             self.cache.source = (ds, sigma)
         elif self.cache.source[0] is not ds or self.cache.source[1] != sigma:
             raise ValueError("the score cache holds scores of another dataset or sigma")
-        # (child, parents) -> (floor, counts, full-table score or None) of
-        # each node priced by its floor and not yet scored
-        self._floored: dict = {}
 
-    def node_score(self, child: int, parents: tuple) -> NodeScore:
-        parents = tuple(parents)
-        key = (child, parents, self.policy)
-        return self.cache.get_or_compute(key, lambda: self._score(child, parents))
+    def _entry(self, child, parents) -> tuple:
+        """The node's key of ints and its entry, made only once it is tallied."""
+        child = as_index(child, "child index")
+        key = child, tuple(as_index(p, "parent index") for p in parents)
+        entry = self.cache.entries.get(key)
+        if entry is None:
+            entry = self.cache.entries[key] = {"counts": counts_for(self.ds, *key)}
+        return key, entry
 
-    def _score(self, child: int, parents: tuple) -> NodeScore:
-        _, counts, full = self._floored.pop((child, parents), (None, None, None))
-        if counts is None:
-            counts = counts_for(self.ds, child, parents)
-        return node_length(counts, self.policy, self.sigma, full=full)
+    def node_score(self, child: int, parents) -> NodeScore:
+        key, entry = self._entry(child, parents)
+        if self.policy in entry:
+            self.cache.hits += 1
+        else:
+            self.cache.misses += 1
+        return _held(entry, self.policy, self._score, key, entry)
 
-    def node_floor(self, child: int, parents: tuple) -> float:
+    def _score(self, key: tuple, entry: dict) -> NodeScore:
+        counts = _held(entry, "counts", counts_for, self.ds, *key)
+        del entry["counts"]  # held for a score, not after it
+        return node_length(counts, self.policy, self.sigma, entry)
+
+    def node_floor(self, child: int, parents) -> float:
         """A lower bound on `node_length_or_inf` that fits no logit model.
 
         It is that length unless the node is a `dual` node of two or more
-        parents not yet scored, whose floor is min(full table,
-        `fom_length_floor`) + log 2, or -inf when its table is over the cap;
-        so a finite floor belongs to a codable node. The node is tallied
-        once, and its tally and table are kept for `node_score`.
+        parents not yet scored under `dual`: then min(full table,
+        `fom_length_floor`) + log 2, or -inf when its table is over the cap,
+        so a finite floor belongs to a codable node.
         """
-        parents = tuple(parents)
-        if (
-            self.policy is not ModelPolicy.DUAL
-            or len(parents) <= 1
-            or (child, parents, self.policy) in self.cache
-        ):
+        if self.policy is not ModelPolicy.DUAL or len(parents) <= 1:
             return self.node_length_or_inf(child, parents)
-        floored = self._floored.get((child, parents))
-        if floored is None:
-            counts = counts_for(self.ds, child, parents)
+        key, entry = self._entry(child, parents)
+        if self.policy in entry:
+            return self.node_length_or_inf(*key)
+        if "floor" not in entry:
+            counts = _held(entry, "counts", counts_for, self.ds, *key)
             try:
-                full = full_cpt_message_length(counts)
+                full = _held(entry, "full", full_cpt_message_length, counts)
             except ParameterCapError:
-                floor, full = -math.inf, None
+                entry["floor"] = -math.inf
             else:
                 floor = min(full.message_length, fom_length_floor(counts))
-                floor += MODEL_CHOICE_NITS
-            floored = self._floored[child, parents] = (floor, counts, full)
-        return floored[0]
+                entry["floor"] = floor + MODEL_CHOICE_NITS
+        return entry["floor"]
 
     def node_length_or_inf(self, child: int, parents: tuple) -> float:
         try:

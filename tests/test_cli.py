@@ -313,6 +313,42 @@ class TestScore:
                 expected, rel=1e-12
             )
 
+    def test_policies_share_each_fit(self, tmp_path, monkeypatch):
+        # one logit fit per node across the three policies, and the report
+        # each policy's own scorer would give: node 0 is past the table cap
+        rng = np.random.default_rng(86)
+        rows = rng.integers(0, 2, size=(40, 18))
+        lines = [",".join(f"x{i}" for i in range(18))]
+        lines += [",".join(f"v{int(v)}" for v in row) for row in rows]
+        data = tmp_path / "wide.csv"
+        data.write_text("\n".join(lines) + "\n")
+        arcs = [(i, 0) for i in range(1, 18)] + [(1, 2), (3, 2), (4, 5)]
+        structure = tmp_path / "arcs.txt"
+        structure.write_text("".join(f"{u}->{v}\n" for u, v in arcs))
+        fits = []
+
+        def counted(counts, sigma):
+            fits.append(counts)
+            return fom_message_length(counts, sigma)
+
+        monkeypatch.setattr(mmlbn.scoring, "fom_message_length", counted)
+        report = run_json(
+            ["score", "--data", str(data), "--structure", str(structure)],
+            tmp_path / "score.json",
+        )
+        assert len(fits) == 18
+        monkeypatch.undo()
+        ds = load_csv(str(data))
+        dag = DagStructure.from_arcs(18, arcs)
+        with pytest.raises(ParameterCapError) as capped:
+            NetworkScorer(ds, ModelPolicy.TBN).node_scores(dag)
+        assert report["errors"] == {"tbn": str(capped.value)}
+        assert report["lengths"] == {
+            "tbn": None,
+            "fon": network_message_length(dag, ds, ModelPolicy.FON),
+            "dual": network_message_length(dag, ds, ModelPolicy.DUAL),
+        }
+
     def test_nodes_the_logit_model_cannot_code(self, tmp_path):
         # arity-40 columns: a logit node with one parent has 1560 free
         # parameters and one with two 3081, both past the logit cap; the

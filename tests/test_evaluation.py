@@ -242,6 +242,37 @@ class TestSamplerCacheReuse:
         assert nll == model_averaged_test_nll(fresh, test)
         assert fresh.scorer.cache.misses > 0
 
+    def test_each_table_node_is_tallied_once_per_report(self, monkeypatch):
+        train, test = split_train_test(self.three_variables(79), 0.2, 6)
+        dags = [
+            DagStructure.empty(3),
+            DagStructure(3, ((), (0,), ())),
+            DagStructure(3, ((), (0,), (0, 1))),
+            DagStructure(3, ((1,), (), (0, 1))),
+        ]
+        report = report_for(train, *dags)
+        tallied = []
+        tally = evaluation.counts_for
+
+        def counted(ds, child, parents):
+            tallied.append((child, parents))
+            return tally(ds, child, parents)
+
+        monkeypatch.setattr(evaluation, "counts_for", counted)
+        nll = model_averaged_test_nll(report, test)
+        # the 12 nodes are 6 distinct tables
+        table_nodes = [(0, ()), (1, ()), (2, ()), (1, (0,)), (0, (1,)), (2, (0, 1))]
+        assert report.scorer.node_score(2, (0, 1)).chosen_model == "full"
+        assert sorted(tallied) == sorted(table_nodes)
+        # identical nodes share one table, and nothing is tallied again
+        networks = [fit_network(dag, report.scorer) for dag in dags]
+        for a, b in itertools.combinations(networks, 2):
+            for child in range(3):
+                if a.dag.parent_sets[child] == b.dag.parent_sets[child]:
+                    assert a.nodes[child] is b.nodes[child]
+        assert model_averaged_test_nll(report, test) == nll
+        assert len(tallied) == len(table_nodes)
+
     def test_cache_of_other_data_is_not_read(self):
         ds = self.three_variables(78)
         train, test = split_train_test(ds, 0.2, 4)

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mmlbn import (
@@ -26,7 +26,7 @@ from mmlbn import (
     run_sampler,
 )
 from mmlbn import fom, scoring
-from mmlbn.errors import ConvergenceError, ParameterCapError
+from mmlbn.errors import ConvergenceError, MmlbnError, ParameterCapError
 from helpers import collinear_problem, make_dataset
 
 LOG2 = math.log(2.0)
@@ -243,37 +243,133 @@ class TestScoreCache:
                 cache=cache,
             )
 
-    def test_errors_cached_and_reraised(self):
+    def test_errors_cached_and_reraised(self, monkeypatch):
         calls = []
 
-        def compute():
+        def compute(counts):
             calls.append(None)
-            raise ParameterCapError("too many cells")
+            return full_cpt_message_length(counts)
 
-        cache = ScoreCache()
+        monkeypatch.setattr(scoring, "full_cpt_message_length", compute)
+        rng = np.random.default_rng(58)
+        scorer = NetworkScorer(random_dataset(rng, 25, (2,) * 17), ModelPolicy.TBN)
         for _ in range(2):
             with pytest.raises(ParameterCapError):
-                cache.get_or_compute(("k",), compute)
+                scorer.node_score(0, tuple(range(1, 17)))
         assert len(calls) == 1
 
     def test_a_cached_error_keeps_its_traceback_depth(self):
-        def compute():
-            raise ParameterCapError("too many cells")
-
         def depth(err):
             tb, frames = err.__traceback__, 0
             while tb is not None:
                 tb, frames = tb.tb_next, frames + 1
             return frames
 
-        cache = ScoreCache()
+        rng = np.random.default_rng(58)
+        scorer = NetworkScorer(random_dataset(rng, 25, (2,) * 17), ModelPolicy.TBN)
         depths = []
         for _ in range(20):
             with pytest.raises(ParameterCapError) as caught:
-                cache.get_or_compute(("k",), compute)
+                scorer.node_score(0, tuple(range(1, 17)))
             depths.append(depth(caught.value))
         # every lookup re-raises the stored error; its traceback must not grow
         assert len(set(depths)) == 1
+
+    def test_float_indices_never_hit(self):
+        # 1.0 hashes and compares equal to 1: a cache keyed on the raw
+        # indices would answer for it after scoring (2, (1,))
+        rng = np.random.default_rng(64)
+        ds = random_dataset(rng, 40, (2, 3, 2))
+        scorer = NetworkScorer(ds, ModelPolicy.DUAL)
+        scorer.node_score(2, (1,))
+        scorer.node_floor(2, (0, 1))
+        entries = dict(scorer.cache.entries)
+        for call in (
+            lambda: scorer.node_length_or_inf(2, (1.0,)),
+            lambda: scorer.node_length_or_inf(2.0, (1,)),
+            lambda: scorer.node_floor(2.0, (1,)),
+            lambda: scorer.node_floor(2, (0, 1.0)),
+            lambda: scorer.node_score(np.float64(2), (1,)),
+        ):
+            with pytest.raises(ValueError, match="index must be an integer"):
+                call()
+        assert scorer.cache.entries == entries
+        hits = scorer.cache.hits
+        score = scorer.node_score(np.int64(2), (np.int64(1),))
+        assert score is scorer.node_score(2, (1,))
+        assert scorer.cache.hits == hits + 2
+        assert scorer.cache.entries == entries
+
+    def test_a_tally_is_held_from_the_floor_to_the_score(self):
+        # a wide node's counts are large: only a floored, unscored node
+        # keeps them, for the score that follows
+        rng = np.random.default_rng(66)
+        ds = random_dataset(rng, 40, (2, 3, 2))
+        cache = ScoreCache()
+        dual = NetworkScorer(ds, ModelPolicy.DUAL, cache=cache)
+        dual.node_score(1, (0,))
+        dual.node_floor(2, (0, 1))
+        assert "counts" not in cache.entries[1, (0,)]
+        assert "counts" in cache.entries[2, (0, 1)]
+        NetworkScorer(ds, ModelPolicy.TBN, cache=cache).node_score(2, (0, 1))
+        assert "counts" not in cache.entries[2, (0, 1)]
+        assert dual.node_floor(2, (0, 1)) <= dual.node_length_or_inf(2, (0, 1))
+        assert all("counts" not in entry for entry in cache.entries.values())
+
+    def test_a_refused_node_leaves_no_entry(self):
+        rng = np.random.default_rng(65)
+        ds = random_dataset(rng, 40, (2, 3, 2))
+        for policy in ModelPolicy:
+            scorer = NetworkScorer(ds, policy)
+            for child, parents in ((2, (2,)), (3, ()), (0, (1, 1)), (1.5, ())):
+                for price in (scorer.node_floor, scorer.node_score):
+                    with pytest.raises(ValueError):
+                        price(child, parents)
+            assert scorer.cache.entries == {}
+
+    @settings(max_examples=40)
+    @given(st.data())
+    def test_shared_entries_answer_as_fresh_caches(self, data):
+        # one cache for the three policies, called in any order, gives each
+        # policy what its own cache would: floors, scores and errors
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        n = data.draw(st.integers(1, 30))
+        arities = data.draw(st.lists(st.integers(2, 3), min_size=4, max_size=4))
+        rng = np.random.default_rng(seed)
+        # node 16 with parents 0-15 is over the table cap
+        ds = random_dataset(rng, n, (*arities, *[2] * 13))
+        nodes = [(16, tuple(range(16)))]
+        for child in range(4):
+            others = [v for v in range(4) if v != child]
+            for size in range(4):
+                nodes.append((child, tuple(others[:size])))
+        calls = data.draw(
+            st.lists(
+                st.tuples(
+                    st.sampled_from(list(ModelPolicy)),
+                    st.booleans(),
+                    st.sampled_from(nodes),
+                ),
+                min_size=1,
+                max_size=20,
+            )
+        )
+        cache = ScoreCache()
+        shared = {policy: NetworkScorer(ds, policy, cache=cache) for policy in ModelPolicy}
+        alone = {policy: NetworkScorer(ds, policy) for policy in ModelPolicy}
+
+        def outcome(scorer, floor, node):
+            try:
+                if floor:
+                    return scorer.node_floor(*node)
+                score = scorer.node_score(*node)
+            except MmlbnError as err:
+                return type(err)
+            return score.length, score.chosen_model, score.parameter_count
+
+        for policy, floor, node in calls:
+            expected = outcome(alone[policy], floor, node)
+            assert outcome(shared[policy], floor, node) == expected
 
     def test_length_or_inf_on_capped_node(self):
         rng = np.random.default_rng(58)
