@@ -6,16 +6,16 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .cpt_full import full_cpt_predictive
-from .dataset import DiscreteDataset, counts_for, split_train_test
+from .dataset import DiscreteDataset, split_train_test
 from .errors import as_index
 from .fom import FomParams, _logsumexp, predictive_log_probs
 from .graph import DagStructure
 from .sampler import PosteriorReport, SamplerConfig, run_sampler
 from .scoring import NetworkScorer
 
-# Not called here: the benchmark's tracer (bench/spans.py) wraps these by
-# their name in this module, so they stay importable from it.
+# Not called here: the benchmark's tracer (bench/spans.py) wraps these three
+# by their name in this module, so they stay importable from it.
+from .dataset import counts_for  # noqa: F401
 from .fom import fit_fom_map  # noqa: F401
 from .scoring import node_length  # noqa: F401
 
@@ -40,26 +40,17 @@ class FittedNetwork:
 def fit_network(dag: DagStructure, scorer: NetworkScorer) -> FittedNetwork:
     """Fit each node, on the scorer's data, with the model its node score chose.
 
-    Node scores, logit fits included, come from the scorer's cache, so a
-    sampler run's scorer (`PosteriorReport.scorer`) fits nothing again; the
-    cache keeps each table node's log table from its first fit on.
+    Node scores, logit fits and log tables (`NetworkScorer.node_table`) come
+    from the scorer's cache, so a report's scorer fits no node twice.
     """
     scores = scorer.node_scores(dag)
-    nodes = []
-    for child, (parents, score) in enumerate(zip(dag.parent_sets, scores)):
-        if score.chosen_model == "full":
-            entry = scorer.cache.entries[child, parents]
-            if "table" not in entry:
-                counts = counts_for(scorer.ds, child, parents)
-                # Unseen configurations keep the uniform row full_cpt_predictive gives.
-                table = np.log(full_cpt_predictive(counts))
-                entry["table"] = table.reshape(counts.parent_arities + (counts.child_arity,))
-            nodes.append(entry["table"])
-        else:
-            nodes.append(score.fom_params)
+    nodes = tuple(
+        scorer.node_table(*node) if score.chosen_model == "full" else score.fom_params
+        for node, score in zip(enumerate(dag.parent_sets), scores)
+    )
     chosen = tuple(score.chosen_model for score in scores)
     parameters = sum(score.parameter_count for score in scores)
-    return FittedNetwork(dag, tuple(nodes), chosen, parameters)
+    return FittedNetwork(dag, nodes, chosen, parameters)
 
 
 def _log_probs(network: FittedNetwork, rows: np.ndarray) -> np.ndarray:

@@ -30,7 +30,8 @@ factor. Within a component a dynamic program walks the reachable prefix
 sets (node sets some topological order places first), one node per level,
 so it touches only sets an order can actually reach rather than all 2^k
 subsets. It only tests set membership, so each component keeps its nodes'
-own bits.
+own bits. `count_linear_extensions` memoises each DAG's count; it refuses
+more than `MAX_NODES` nodes with a `CapacityError` and caches nothing then.
 """
 
 from __future__ import annotations
@@ -201,7 +202,13 @@ def _extensions_in_component(nodes) -> int:
 
 
 @lru_cache(maxsize=1 << 16)
-def _count_extensions(dag: DagStructure) -> int:
+def count_linear_extensions(dag: DagStructure) -> int:
+    """Number of total orders consistent with every arc (exact integer)."""
+    if dag.m > MAX_NODES:
+        raise CapacityError(
+            f"the structure prior handles at most {MAX_NODES} variables; "
+            f"this network has {dag.m}"
+        )
     # Weakly connected components order independently; interleavings of the
     # component orders contribute a multinomial factor.
     pmasks = dag.parent_masks
@@ -219,16 +226,6 @@ def _count_extensions(dag: DagStructure) -> int:
         total *= math.comb(placed + k, k) * _extensions_in_component(nodes)
         placed += k
     return total
-
-
-def count_linear_extensions(dag: DagStructure) -> int:
-    """Number of total orders consistent with every arc (exact integer)."""
-    if dag.m > MAX_NODES:
-        raise CapacityError(
-            f"the structure prior handles at most {MAX_NODES} variables; "
-            f"this network has {dag.m}"
-        )
-    return _count_extensions(dag)
 
 
 DEFAULT_ARC_PRIOR = 0.5

@@ -8,8 +8,8 @@ full table is used without a selection bit.
 
 A node can also be priced by a floor that needs no logit fit
 (`NetworkScorer.node_floor`), so that a test the floor settles fits nothing.
-Each node's table score, logit score, floor and policy scores share one
-`ScoreCache` entry, so scorers of all three policies fit no node twice.
+Each node's scores, floor and log table share one `ScoreCache` entry,
+which only this module touches, so scorers of all policies fit no node twice.
 """
 
 from __future__ import annotations
@@ -18,7 +18,9 @@ import enum
 import math
 from dataclasses import dataclass, field
 
-from .cpt_full import full_cpt_message_length
+import numpy as np
+
+from .cpt_full import full_cpt_message_length, full_cpt_predictive
 from .dataset import DiscreteDataset, counts_for
 from .errors import ConvergenceError, MmlbnError, ParameterCapError, as_index
 from .fom import DEFAULT_SIGMA, FomParams, FomScore, check_sigma
@@ -56,7 +58,7 @@ class ScoreCache:
 
     An entry holds, from first need on, the table score ("full"), logit score
     ("fom"), `dual` floor ("floor"), each policy's NodeScore (keyed by the
-    policy), `fit_network`'s log table ("table") and, from the floor that
+    policy), `node_table`'s log table ("table") and, from the floor that
     priced the node until a score reads it, the tally ("counts"). A failed
     score is held as its MmlbnError. `hits` and `misses` count policy scores.
     """
@@ -115,8 +117,8 @@ def node_length(
 
 class NetworkScorer:
     """Scoring context binding a dataset, a policy and shared caches; the one
-    owner of a network's size check, node scores, node floors and total
-    length."""
+    owner of a network's size check, node scores, floors and log tables, and
+    total length."""
 
     def __init__(
         self,
@@ -183,6 +185,15 @@ class NetworkScorer:
                 floor = min(full.message_length, fom_length_floor(counts))
                 entry["floor"] = floor + MODEL_CHOICE_NITS
         return entry["floor"]
+
+    def node_table(self, child: int, parents) -> np.ndarray:
+        """Log of `full_cpt_predictive`, shaped (parent arities..., child arity)."""
+        key, entry = self._entry(child, parents)
+        if "table" not in entry:
+            counts = entry["counts"] if "counts" in entry else counts_for(self.ds, *key)
+            table = np.log(full_cpt_predictive(counts))
+            entry["table"] = table.reshape(counts.parent_arities + (counts.child_arity,))
+        return entry["table"]
 
     def node_length_or_inf(self, child: int, parents: tuple) -> float:
         try:

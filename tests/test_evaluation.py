@@ -251,14 +251,16 @@ class TestSamplerCacheReuse:
             DagStructure(3, ((1,), (), (0, 1))),
         ]
         report = report_for(train, *dags)
+        for dag in dags:  # the scores' tallies come first and are not counted
+            report.scorer.node_scores(dag)
         tallied = []
-        tally = evaluation.counts_for
+        tally = scoring.counts_for
 
         def counted(ds, child, parents):
             tallied.append((child, parents))
             return tally(ds, child, parents)
 
-        monkeypatch.setattr(evaluation, "counts_for", counted)
+        monkeypatch.setattr(scoring, "counts_for", counted)
         nll = model_averaged_test_nll(report, test)
         # the 12 nodes are 6 distinct tables
         table_nodes = [(0, ()), (1, ()), (2, ()), (1, (0,)), (0, (1,)), (2, (0, 1))]

@@ -421,6 +421,16 @@ class TestLinearExtensions:
         with pytest.raises(CapacityError, match=message):
             count_linear_extensions(DagStructure.empty(25))
 
+    def test_a_refused_network_is_not_cached(self):
+        # the cap is checked inside the memoised counter, and a raise leaves
+        # nothing in its memo
+        cached = count_linear_extensions.cache_info().currsize
+        message = "the structure prior handles at most 24 variables; this network has 25"
+        with pytest.raises(CapacityError, match=message):
+            count_linear_extensions(DagStructure.from_arcs(25, [(0, 1)]))
+        assert count_linear_extensions.cache_info().currsize == cached
+        assert count_linear_extensions(DagStructure.empty(24)) == math.factorial(24)
+
     @given(dags())
     def test_property_matches_brute_force(self, dag):
         assert count_linear_extensions(dag) == brute_force_extensions(dag)

@@ -20,6 +20,7 @@ from mmlbn import (
     fit_fom_map,
     fit_network,
     full_cpt_message_length,
+    full_cpt_predictive,
     fom_message_length,
     network_message_length,
     node_length,
@@ -326,6 +327,23 @@ class TestScoreCache:
                     with pytest.raises(ValueError):
                         price(child, parents)
             assert scorer.cache.entries == {}
+
+    def test_node_table_is_the_smoothed_log_table(self):
+        # 10 cases over 12 parent configurations leave some unseen
+        rng = np.random.default_rng(67)
+        ds = random_dataset(rng, 10, (3, 4, 2))
+        scorer = NetworkScorer(ds, ModelPolicy.DUAL)
+        for child, parents in ((2.0, (0, 1)), (2, (0, 1.0)), (np.float64(2), ())):
+            with pytest.raises(ValueError, match="index must be an integer"):
+                scorer.node_table(child, parents)
+        assert scorer.cache.entries == {}
+        counts = counts_for(ds, 2, (0, 1))
+        assert (counts.dense().sum(axis=1) == 0).any()
+        expected = np.log(full_cpt_predictive(counts)).reshape(3, 4, 2)
+        table = scorer.node_table(2, (0, 1))
+        np.testing.assert_array_equal(table, expected)
+        assert scorer.node_table(2, (0, 1)) is table
+        assert scorer.node_table(np.int64(2), (np.int64(0), 1)) is table
 
     @settings(max_examples=40)
     @given(st.data())
