@@ -472,20 +472,39 @@ class ContingencyCounts:
         return cls(child_arity, parent_arities, digits, table[observed])
 
 
+def config_keys(columns, arities, n: int):
+    """Each of n cases' parent-configuration key: (keys, radix, reranked).
+
+    `columns` holds one array of n codes per parent and `arities` their
+    arities. A key is the int64 mixed-radix index of the case's configuration,
+    first parent most significant, so ascending keys are the lexicographic
+    order of the configurations. Before the running radix would pass n, the
+    key so far is replaced by its rank among the distinct keys; ranks keep
+    the order, so keys lie in [0, radix) with radix at most n * (largest
+    arity), and wide arities stay exact. Without a re-rank (`reranked`
+    false) a key is its configuration's index.
+    """
+    key = np.zeros(n, dtype=np.int64)
+    radix = 1
+    reranked = False
+    for column, r in zip(columns, arities):
+        if radix * r > n:
+            distinct, key = np.unique(key, return_inverse=True)
+            radix, reranked = len(distinct), True
+        key = key * r + column
+        radix *= r
+    return key, radix, reranked
+
+
 def counts_for(ds: DiscreteDataset, child: int, parents) -> ContingencyCounts:
     """Tally child values against each observed parent configuration.
 
-    Each case gets one int64 key: its configuration's mixed-radix index with
-    the first parent most significant, so ascending keys are exactly the
+    Each case gets its `config_keys` key, so ascending keys are exactly the
     lexicographic row order ContingencyCounts requires. One bincount tallies
     the cases into the dense (radix, r_y) table of every possible key, and
-    the rows with cases are the observed configurations, in order. Before
-    the running radix would pass the number of cases, the key so far is
-    replaced by its rank among the distinct keys; ranks keep the order, so
-    the table never has more than n * (largest parent arity) rows and wide
-    arities stay exact. Without a re-rank a row is its configuration's index,
-    and its digits are read off the index; after one, from any case that has
-    the configuration.
+    the rows with cases are the observed configurations, in order. Without a
+    re-rank a row is its configuration's index, and its digits are read off
+    the index; after one, from any case that has the configuration.
     """
     child = as_index(child, "child index")
     parents = tuple(as_index(p, "parent index") for p in parents)
@@ -502,15 +521,7 @@ def counts_for(ds: DiscreteDataset, child: int, parents) -> ContingencyCounts:
     parent_arities = tuple(ds.arity(p) for p in parents)
     columns = ds.columns
     n = ds.n_cases
-    key = np.zeros(n, dtype=np.int64)
-    radix = 1  # keys lie in [0, radix)
-    reranked = False
-    for p, r in zip(parents, parent_arities):
-        if radix * r > n:
-            distinct, key = np.unique(key, return_inverse=True)
-            radix, reranked = len(distinct), True
-        key = key * r + columns[p]
-        radix *= r
+    key, radix, reranked = config_keys([columns[p] for p in parents], parent_arities, n)
     table = np.bincount(key * r_y + columns[child], minlength=radix * r_y)
     table = table.reshape(radix, r_y)
     observed = np.flatnonzero(table.any(axis=1))

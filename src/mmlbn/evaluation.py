@@ -1,4 +1,17 @@
-"""Fitting reported structures and measuring held-out predictive loss."""
+"""Fitting reported structures and measuring held-out predictive loss.
+
+Held-out cases are scored in blocks of at most `_BLOCK_ROWS` = 2^15 cases.
+In a block each distinct node of the report's networks (same child, parents
+and fitted model) is scored once and its per-case column is added into every
+network that holds it. A table node reads each case's entry directly; a
+logit node runs its softmax once per distinct parent configuration in the
+block (keyed by `config_keys`, the tally's rule), on one case holding it,
+and each case takes its configuration's row. So a block's working arrays
+stay bounded whatever the test set's size: the block's codes take 256 KiB
+per variable, the (networks x cases) float64 scores 256 KiB per network, a
+node's keys and column 256 KiB each, and its configuration arrays at most
+2^15 x (largest parent arity) entries of 8 bytes.
+"""
 
 from __future__ import annotations
 
@@ -6,7 +19,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .dataset import DiscreteDataset, split_train_test
+from .dataset import DiscreteDataset, config_keys, split_train_test
 from .errors import as_index
 from .fom import FomParams, _logsumexp, predictive_log_probs
 from .graph import DagStructure
@@ -19,7 +32,7 @@ from .dataset import counts_for  # noqa: F401
 from .fom import fit_fom_map  # noqa: F401
 from .scoring import node_length  # noqa: F401
 
-_BLOCK_ROWS = 2048
+_BLOCK_ROWS = 1 << 15
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,22 +66,51 @@ def fit_network(dag: DagStructure, scorer: NetworkScorer) -> FittedNetwork:
     return FittedNetwork(dag, nodes, chosen, parameters)
 
 
-def _log_probs(network: FittedNetwork, rows: np.ndarray) -> np.ndarray:
-    """Log joint probability of each complete case (row), in nits."""
-    total = np.zeros(rows.shape[0])
-    for child, parents in enumerate(network.dag.parent_sets):
-        node, values = network.nodes[child], rows[:, child]
-        if isinstance(node, FomParams):
-            log_probs = predictive_log_probs(node, rows[:, list(parents)])
-            total += log_probs[np.arange(len(rows)), values]
-        else:
-            total += node[tuple(rows[:, p] for p in parents) + (values,)]
-    return total
+def _node_log_probs(node, child: int, parents: tuple, columns) -> np.ndarray:
+    """Log probability of each case's child value under one fitted node, in
+    nits, from the cases' codes as one row per variable. A logit node runs
+    its softmax once per distinct parent configuration, on one case holding
+    it, and each case takes its configuration's row."""
+    values = columns[child]
+    if not isinstance(node, FomParams):
+        return node[tuple(columns[p] for p in parents) + (values,)]
+    n = len(values)
+    key, radix, _ = config_keys([columns[p] for p in parents], node.parent_arities, n)
+    case = np.full(radix, -1, dtype=np.intp)
+    case[key] = np.arange(n)
+    observed = np.flatnonzero(case >= 0)
+    slot = np.empty(radix, dtype=np.intp)
+    slot[observed] = np.arange(len(observed))
+    log_probs = predictive_log_probs(node, columns[list(parents)][:, case[observed]].T)
+    return log_probs[slot[key], values]
 
 
 def case_log_prob(network: FittedNetwork, case) -> float:
-    """Log joint probability of one complete case, in nits."""
-    return float(_log_probs(network, np.asarray(case)[None, :])[0])
+    """Log joint probability of one complete case, in nits.
+
+    The case holds one integer code per variable; a code outside its
+    variable's arity raises ValueError, as does a case of the wrong length.
+    """
+    case = np.asarray(case)
+    if case.shape != (network.dag.m,):
+        raise ValueError(
+            f"case of shape {case.shape} does not hold one code for each of "
+            f"{network.dag.m} variables"
+        )
+    if case.size and case.dtype.kind not in "biu":
+        raise ValueError(f"codes must be integers; got dtype {case.dtype}")
+    nodes = tuple(zip(network.dag.parent_sets, network.nodes))
+    for variable, (code, (_, node)) in enumerate(zip(case.tolist(), nodes)):
+        arity = node.child_arity if isinstance(node, FomParams) else node.shape[-1]
+        if not 0 <= code < arity:
+            raise ValueError(f"variable {variable}: code {code} outside [0, {arity})")
+    columns = case.astype(np.int64)[:, None]
+    return float(
+        sum(
+            _node_log_probs(node, child, parents, columns)[0]
+            for child, (parents, node) in enumerate(nodes)
+        )
+    )
 
 
 def _fit_classes(report: PosteriorReport):
@@ -95,12 +137,23 @@ def _check_test_variables(train: DiscreteDataset, test: DiscreteDataset) -> None
 
 
 def _mixture_nll(networks, weights, test: DiscreteDataset) -> float:
+    # Each distinct node, in child order, with the networks that hold it, so
+    # a network adds its nodes' columns in the order case_log_prob does.
+    holders: dict = {}
+    for child in range(networks[0].dag.m):
+        for k, network in enumerate(networks):
+            node, parents = network.nodes[child], network.dag.parent_sets[child]
+            holders.setdefault((child, parents, id(node)), (node, []))[1].append(k)
     log_weights = np.log(weights)[:, None]
     total = 0.0
-    # Blocks of rows bound the working arrays whatever the test set's size.
     for start in range(0, test.n_cases, _BLOCK_ROWS):
-        rows = test.rows[start : start + _BLOCK_ROWS]
-        scores = np.array([_log_probs(network, rows) for network in networks])
+        block = test.rows[start : start + _BLOCK_ROWS]
+        columns = np.ascontiguousarray(block.T, dtype=np.int64)
+        scores = np.zeros((len(networks), len(block)))
+        for (child, parents, _), (node, held_by) in holders.items():
+            column = _node_log_probs(node, child, parents, columns)
+            for k in held_by:
+                scores[k] += column
         total -= float(_logsumexp(scores + log_weights, 0).sum())
     return total
 

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 from mmlbn import (
@@ -32,6 +34,7 @@ from mmlbn import (
     split_train_test,
 )
 from mmlbn import evaluation, scoring
+from mmlbn.errors import MmlbnError
 from mmlbn.evaluation import _logsumexp
 from helpers import make_dataset
 
@@ -109,6 +112,35 @@ class TestFittedNetwork:
                 expected += math.log(fom_probability(params, config)[case[v]])
             assert case_log_prob(network, case) == pytest.approx(expected, abs=1e-10)
 
+    @pytest.mark.parametrize("policy", [ModelPolicy.TBN, ModelPolicy.FON])
+    def test_case_codes_are_checked(self, policy):
+        # a negative code must not read the variable's last state by numpy
+        # wraparound, nor a short case or a float code raise a bare IndexError
+        rng = np.random.default_rng(80)
+        arities = [2, 3, 2, 3]
+        train = make_dataset(
+            [rng.integers(0, r, size=120) for r in arities], arities=arities
+        )
+        dag = DagStructure(4, ((), (0,), (), (0, 1, 2)))
+        network = fit_network(dag, NetworkScorer(train, policy))
+        model = "full" if policy is ModelPolicy.TBN else "fom"
+        assert network.chosen_models == (model,) * 4
+        lp = case_log_prob(network, (1, 2, 1, 2))
+        assert case_log_prob(network, np.array([1, 2, 1, 2], dtype=np.uint8)) == lp
+        refused = [
+            ((-1, 0, 0, 0), "variable 0: code -1 outside"),
+            ((0, 0, 0, -1), "variable 3: code -1 outside"),
+            ((0, 3, 0, 0), "variable 1: code 3 outside"),
+            ((0, 0, 0, 3), "variable 3: code 3 outside"),
+            ((0, 0, 0), "one code for each of 4 variables"),
+            ((0, 0, 0, 0, 0), "one code for each of 4 variables"),
+            ([[0, 0, 0, 0]], "one code for each of 4 variables"),
+            ((0.0, 1.0, 0.0, 1.0), "codes must be integers"),
+        ]
+        for case, message in refused:
+            with pytest.raises(ValueError, match=message):
+                case_log_prob(network, case)
+
     def test_chosen_models_follow_policy(self):
         ds = dependent_pair(61)
         dag = DagStructure(2, ((), (0,)))
@@ -129,8 +161,9 @@ class TestFittedNetwork:
 class TestLogSumExp:
     @pytest.mark.parametrize("axis", [0, 1])
     def test_matches_scipy(self, axis):
-        # (rows x classes) blocks as _log_probs (axis 1) and _mixture_nll
-        # (axis 0) reduce them, with spreads wide enough to overflow exp
+        # (rows x states) and (classes x rows) blocks as predictive_log_probs
+        # (axis 1) and _mixture_nll (axis 0) reduce them, with spreads wide
+        # enough to overflow exp
         rng = np.random.default_rng(88)
         for _ in range(60):
             shape = (int(rng.integers(1, 2049)), int(rng.integers(1, 9)))
@@ -216,6 +249,116 @@ class TestMixture:
         )
         with pytest.raises(ValueError, match="no scorer"):
             model_averaged_test_nll(report, train)
+
+
+@st.composite
+def mixture_problems(draw):
+    """A report of several classes that share nodes, a test set and a block
+    size. Training never holds variable 0's last code, so test cases can
+    hold parent configurations training lacks; on blocks of a few cases the
+    keys of most nodes with two or more parents are re-ranked."""
+    m = draw(st.integers(3, 4))
+    arities = draw(st.lists(st.integers(2, 4), min_size=m, max_size=m))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_train = draw(st.integers(30, 80))
+    train = make_dataset(
+        [rng.integers(0, r - (v == 0), n_train) for v, r in enumerate(arities)],
+        arities=arities,
+    )
+    n_test = draw(st.integers(1, 30))
+    test = make_dataset([rng.integers(0, r, n_test) for r in arities], arities=arities)
+    # two candidate parent sets per node, from the nodes before it
+    pools = [
+        draw(
+            st.lists(
+                st.sets(st.integers(0, v - 1), max_size=3) if v else st.just(set()),
+                min_size=2,
+                max_size=2,
+            )
+        )
+        for v in range(m)
+    ]
+    dags = [
+        DagStructure(m, tuple(tuple(pool[draw(st.integers(0, 1))]) for pool in pools))
+        for _ in range(draw(st.integers(2, 4)))
+    ]
+    visits = draw(st.lists(st.integers(1, 50), min_size=len(dags), max_size=len(dags)))
+    policy = draw(st.sampled_from(ModelPolicy))
+    block = draw(st.sampled_from([1, 2, 3, 5, 8, 1 << 15]))
+    return train, test, dags, visits, policy, block
+
+
+class TestHeldOutScoring:
+    """The mixture scores each distinct node once per block, and a logit node
+    once per distinct parent configuration, with case_log_prob's values."""
+
+    @settings(max_examples=60)
+    @given(mixture_problems())
+    def test_mixture_is_the_weighted_mixture_of_case_log_probs(self, problem):
+        train, test, dags, visits, policy, block = problem
+        scorer = NetworkScorer(train, policy)
+        try:
+            networks = [fit_network(dag, scorer) for dag in dags]
+        except MmlbnError:  # a void logit node under fon
+            assume(False)
+        classes = tuple(
+            ClassRecord(cpdag_key(dag), v, dag, 0.0) for dag, v in zip(dags, visits)
+        )
+        report = PosteriorReport(classes, sum(visits), scorer)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(evaluation, "_BLOCK_ROWS", block)
+            nll = model_averaged_test_nll(report, test)
+        log_weights = np.log(np.array(visits) / sum(visits))
+        expected = -sum(
+            logsumexp([case_log_prob(nw, case) for nw in networks] + log_weights)
+            for case in test.rows
+        )
+        assert nll == pytest.approx(expected, rel=1e-12, abs=0)
+
+    def test_each_logit_node_runs_once_per_block_and_configuration(self, monkeypatch):
+        rng = np.random.default_rng(81)
+        arities = [3, 4, 3, 2]
+        train, test = (
+            make_dataset([rng.integers(0, r, size=n) for r in arities], arities=arities)
+            for n in (200, 50)
+        )
+        dags = [
+            DagStructure(4, ((), (0,), (0, 1), (1, 2))),
+            DagStructure(4, ((), (), (0, 1), (0, 1, 2))),
+            DagStructure(4, ((), (0,), (0, 1), (0, 1, 2))),
+        ]
+        report = dataclasses.replace(
+            report_for(train, *dags), scorer=NetworkScorer(train, ModelPolicy.FON)
+        )
+        # the 12 logit nodes are 6 distinct ones, each one fitted model
+        logit = {}
+        for dag in dags:
+            network = fit_network(dag, report.scorer)
+            for child, parents in enumerate(dag.parent_sets):
+                params = logit.setdefault((child, parents), network.nodes[child])
+                assert network.nodes[child] is params
+        assert len(logit) == 6
+        calls = []
+        predict = evaluation.predictive_log_probs
+
+        def counted(params, parent_values):
+            calls.append((params, len(parent_values)))
+            return predict(params, parent_values)
+
+        monkeypatch.setattr(evaluation, "predictive_log_probs", counted)
+        for block in (1 << 15, 16):  # one block, then 16 + 16 + 16 + 2 cases
+            monkeypatch.setattr(evaluation, "_BLOCK_ROWS", block)
+            calls.clear()
+            model_averaged_test_nll(report, test)
+            starts = range(0, test.n_cases, block)
+            assert len(calls) == len(starts) * len(logit)
+            for b, start in enumerate(starts):
+                rows = test.rows[start : start + block].tolist()
+                made = calls[b * len(logit) : (b + 1) * len(logit)]
+                for (child, parents), params in logit.items():
+                    sizes = [size for p, size in made if p is params]
+                    configs = {tuple(row[p] for p in parents) for row in rows}
+                    assert sizes == [len(configs)]
 
 
 class TestSamplerCacheReuse:
