@@ -133,11 +133,15 @@ def load_csv_with_labels(path, variables: tuple[VariableMeta, ...]) -> DiscreteD
 
 # Characters of whole lines read per chunk after the header.
 _CHUNK_CHARS = 1 << 16
-# The fixed-width keys of a chunk may take at most this many bytes per byte
-# of the chunk; a chunk with a token too wide for that goes to csv.
+# The keys of a chunk may take at most this many bytes per byte of the chunk,
+# counted in 8-byte words; a chunk of mostly empty fields goes to csv.
 _KEY_BYTES_PER_BYTE = 4
 # The ASCII characters str.strip removes.
 _ASCII_SPACE = np.array([chr(c).isspace() for c in range(128)])
+# _MASKS[k] keeps the low k bytes of a little-endian word.
+_MASKS = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
+# Even, so that each word of a wide token is multiplied by an odd number.
+_FOLD = np.uint64(0x9E3779B97F4A7C16)
 
 
 def _read_csv(
@@ -154,7 +158,9 @@ def _read_csv(
 
     After the header the file is read in chunks of whole lines, and each
     chunk that `_code_plain_chunk` can code is coded by numpy, with the codes
-    the record loop would give. From the first chunk it refuses, the record
+    the record loop would give: its tokens are keyed by integers and looked
+    up in each column's `_LabelKeys`, which holds the dict's labels and grows
+    with it, a chunk at a time. From the first chunk it refuses, the record
     loop reads the rest of the file; it alone raises the errors. Chunks are
     decoded ahead of the record loop, so text that is not UTF-8 reruns the
     record loop alone on the whole file: it names a bad record that comes
@@ -182,11 +188,12 @@ def _read_csv(
                             f"{path}: column {k} is named {name!r}, expected {v.name!r}"
                         )
                 codes = [dict(zip(v.labels, range(v.arity))) for v in variables]
+            known = [_LabelKeys().plus(list(table)) for table in codes]
             blocks = []  # (records, m) codes of the chunks numpy coded
             lines = fh.readlines(_CHUNK_CHARS) if plain_chunks else []
             while lines:
                 block = _code_plain_chunk(
-                    "".join(lines), m, codes, variables is None, reject_missing
+                    "".join(lines), m, codes, known, variables is None, reject_missing
                 )
                 if block is None:
                     break
@@ -240,7 +247,7 @@ def _read_csv(
     return DiscreteDataset(variables, rows)
 
 
-def _code_plain_chunk(text, m, codes, grow, reject_missing):
+def _code_plain_chunk(text, m, codes, known, grow, reject_missing):
     """The (records, m) int32 codes of a chunk of whole lines, or None.
 
     A chunk is plain when it is ASCII with no quote or NUL, each carriage
@@ -248,10 +255,17 @@ def _code_plain_chunk(text, m, codes, grow, reject_missing):
     fields (so none is blank), no field passes csv's size limit and the keys
     stay small. Then each line is one record, and its fields are the runs
     between commas, stripped as str.strip does.
-    Each column's stripped tokens are keyed as fixed-width bytes, and their
-    first appearances extend `codes` as the record loop would. A chunk that
-    is not plain, holds "?" under `reject_missing`, or without `grow` holds
-    a token outside `codes`, is refused before `codes` changes.
+    A field's words are its bytes as little-endian 8-byte words, zeroed
+    past its width; a token holds no NUL, so tokens with the same words are
+    the same. Every field's first word is read at once, through one
+    unaligned view of the chunk, and is its key; a field wider than 8 bytes
+    is keyed by all its words (`_fold`). Each column looks its fields' keys
+    up in its `known` labels and checks each field's width, and a wider
+    field's words, against its label's. Keys that miss are new labels:
+    their first appearances extend `codes` and `known` as the record loop
+    would. A chunk that is not plain, holds "?" under `reject_missing`,
+    holds a field unlike its key's label, or without `grow` holds a token
+    outside `codes`, is refused before `codes` or `known` changes.
     """
     if not text.isascii() or '"' in text or "\0" in text:
         return None
@@ -259,7 +273,8 @@ def _code_plain_chunk(text, m, codes, grow, reject_missing):
     # "\r": csv ends a record there as it does at "\r\n".
     if not text.endswith("\n"):
         text += "\n"
-    buf = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    data = text.encode("ascii") + bytes(8)  # a word read at the last byte
+    buf = np.frombuffer(data, dtype=np.uint8, count=len(text))
     returns = np.flatnonzero(buf == ord("\r"))
     if (buf[returns + 1] != ord("\n")).any():
         return None
@@ -268,10 +283,8 @@ def _code_plain_chunk(text, m, codes, grow, reject_missing):
     n = np.count_nonzero(line_ends)
     if len(ends) != n * m or not line_ends.reshape(n, m)[:, -1].all():
         return None
+    starts = np.concatenate(([0], ends[:-1] + 1)).reshape(n, m)
     ends = ends.reshape(n, m)
-    starts = np.empty_like(ends)
-    starts.flat[0] = 0
-    starts.flat[1:] = ends.flat[:-1] + 1
     if len(returns):  # a CRLF line's last field ends before its "\r"
         ends[:, -1] -= buf[ends[:, -1] - 1] == ord("\r")
     widths = ends - starts
@@ -283,29 +296,129 @@ def _code_plain_chunk(text, m, codes, grow, reject_missing):
         starts = np.minimum(solid[np.searchsorted(solid, starts)], ends)
         ends = np.maximum(solid[np.searchsorted(solid, ends) - 1] + 1, starts)
         widths = ends - starts
-    key_widths = np.maximum(widths.max(axis=0), 1)
-    if n * int(key_widths.sum()) > _KEY_BYTES_PER_BYTE * len(buf):
+    del ends  # (records, m) index arrays are the chunk's largest: keep few
+    starts = starts.T.copy()  # column after column
+    widths = widths.T.copy()
+    # Every field's first word, read at once; a key of 63 is the token "?".
+    view = np.ndarray(len(buf), dtype="<u8", buffer=data, strides=(1,))
+    keys = view.take(starts)
+    keys &= _MASKS[np.minimum(widths, 8)]
+    if reject_missing and (keys == ord(MISSING_TOKEN)).any():
         return None
-    columns = []
-    for c, width in enumerate(key_widths.tolist()):
-        offsets = np.arange(width)
-        chars = np.take(buf, starts[:, c, None] + offsets, mode="clip")
-        chars[offsets >= widths[:, c, None]] = 0
-        keys = chars.view(f"S{width}").ravel()
-        unique, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-        tokens = [key.decode("ascii") for key in unique.tolist()]
-        if reject_missing and MISSING_TOKEN in tokens:
+    # A wider field's key folds all its words.
+    wide = np.flatnonzero(widths > 8)
+    cols, rows = np.divmod(wide, n)
+    wide_widths = widths[cols, rows]
+    counts = (wide_widths + 7) // 8
+    if 8 * (keys.size + int(counts.sum()) - len(wide)) > _KEY_BYTES_PER_BYTE * len(buf):
+        return None
+    words, first, index = _words(view, starts[cols, rows], wide_widths)
+    keys[cols, rows] = _fold(words, first, index)
+    row = np.repeat(rows, counts)  # each word's record
+    bounds = np.append(first, len(words))[np.searchsorted(wide, np.arange(m + 1) * n)]
+    bounds = bounds.tolist()  # where each column's words begin
+    block = np.empty((m, n), dtype=np.int32)
+    grown = []
+    for c, labels in enumerate(known):
+        code, hit = labels.find(keys[c])
+        tokens = []
+        if not hit.all():
+            if not grow:
+                return None
+            miss = np.flatnonzero(~hit)
+            _, at, inverse = np.unique(
+                keys[c, miss], return_index=True, return_inverse=True
+            )
+            order = np.argsort(at)  # new labels in order of first appearance
+            rank = np.empty_like(order)
+            rank[order] = np.arange(len(order))
+            code[miss] = len(codes[c]) + rank[inverse]
+            at = miss[at[order]]
+            spans = zip(starts[c, at].tolist(), widths[c, at].tolist())
+            tokens = [text[i : i + w] for i, w in spans]
+            labels = labels.plus(tokens)
+        # Keys may be shared: each field must have its label's width, and a
+        # wider field its label's words.
+        part = slice(bounds[c], bounds[c + 1])
+        if not (labels.width[code] == widths[c]).all() or not (
+            labels.words[labels.first[code[row[part]]] + index[part]] == words[part]
+        ).all():
             return None
-        if not grow and not codes[c].keys() >= set(tokens):
-            return None
-        columns.append((tokens, first, inverse))
-    block = np.empty((n, m), dtype=np.int32)
-    for c, (tokens, first, inverse) in enumerate(columns):
-        table = codes[c]
-        for k in np.argsort(first).tolist():  # in order of first appearance
-            table.setdefault(tokens[k], len(table))
-        block[:, c] = np.array([table[t] for t in tokens], dtype=np.int32)[inverse]
-    return block
+        block[c] = code
+        grown.append((labels, tokens))
+    for c, (labels, tokens) in enumerate(grown):
+        known[c] = labels
+        codes[c].update(zip(tokens, range(len(codes[c]), len(codes[c]) + len(tokens))))
+    return block.T
+
+
+def _words(view, starts, widths):
+    """(words, first, index) of tokens widths[k] bytes long from starts[k].
+
+    view[i] is the little-endian word at byte i of a zero-padded buffer. A
+    token's words, at least one, are zeroed past its width; first[k] is its
+    first word and index[j] word j's place in its token.
+    """
+    counts = np.maximum(-(-widths // 8), 1)
+    first = np.cumsum(counts) - counts
+    index = np.arange(counts.sum()) - np.repeat(first, counts)
+    words = view.take(np.repeat(starts, counts) + 8 * index)
+    words &= _MASKS[np.minimum(np.repeat(widths, counts) - 8 * index, 8)]
+    return words, first, index
+
+
+def _fold(words, first, index):
+    """One uint64 lookup key per token from its words: the XOR of word i
+    times 1 + i * _FOLD, so a token of one word is its own key. Wider tokens
+    may share a key, so a lookup is checked against the label's words."""
+    if not len(first):  # no token: nothing for reduceat to index
+        return words
+    return np.bitwise_xor.reduceat(words * (index.astype(np.uint64) * _FOLD + 1), first)
+
+
+class _LabelKeys:
+    """One column's known labels, as a plain chunk looks its tokens up.
+
+    `keys` holds the sorted keys (`_fold`) of the labels a plain token can
+    be, ASCII without NUL, and `codes` the code of each. Code c's label is
+    width[c] bytes long, -1 for one no plain token can be, and its words
+    (`_words`) begin at words[first[c]].
+    """
+
+    def __init__(self):
+        self.keys = np.empty(0, dtype=np.uint64)
+        self.codes = np.empty(0, dtype=np.intp)
+        self.width = np.empty(0, dtype=np.intp)
+        self.words = np.empty(0, dtype=np.uint64)
+        self.first = np.empty(0, dtype=np.intp)
+
+    def plus(self, labels) -> "_LabelKeys":
+        """A copy that also holds `labels`, as the next codes in order."""
+        plain = [label.isascii() and "\0" not in label for label in labels]
+        text = [label.encode("ascii") for label, p in zip(labels, plain) if p]
+        widths = np.array([len(t) for t in text], dtype=np.intp)
+        data = b"".join(text) + bytes(8)
+        view = np.ndarray(len(data) - 7, dtype="<u8", buffer=data, strides=(1,))
+        words, first, index = _words(view, np.cumsum(widths) - widths, widths)
+        codes = len(self.width) + np.flatnonzero(plain)
+        new = _LabelKeys()
+        keys = np.concatenate([self.keys, _fold(words, first, index)])
+        order = np.argsort(keys)
+        new.keys = keys[order]
+        new.codes = np.concatenate([self.codes, codes])[order]
+        new.width = np.concatenate([self.width, np.full(len(labels), -1, dtype=np.intp)])
+        new.width[codes] = widths
+        new.first = np.concatenate([self.first, np.zeros(len(labels), dtype=np.intp)])
+        new.first[codes] = len(self.words) + first
+        new.words = np.concatenate([self.words, words])
+        return new
+
+    def find(self, keys):
+        """(codes, hit): each key's label code, and whether it has one."""
+        if not len(self.keys):
+            return np.zeros(len(keys), dtype=np.intp), np.zeros(len(keys), dtype=bool)
+        at = np.minimum(np.searchsorted(self.keys, keys), len(self.keys) - 1)
+        return self.codes[at], self.keys[at] == keys
 
 
 def split_train_test(ds: DiscreteDataset, test_fraction: float, seed: int):

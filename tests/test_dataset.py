@@ -286,6 +286,20 @@ def record_loop_outcome(read, *args):
         return read_outcome(read, *args)
 
 
+def spy_on_chunks(monkeypatch):
+    """A list that records, chunk by chunk, whether numpy coded it."""
+    coded = []
+    code_plain_chunk = dataset._code_plain_chunk
+
+    def spy(*chunk):
+        block = code_plain_chunk(*chunk)
+        coded.append(block is not None)
+        return block
+
+    monkeypatch.setattr(dataset, "_code_plain_chunk", spy)
+    return coded
+
+
 # Tokens numpy codes as they stand or stripped, and pieces that send a chunk
 # to the record loop: quotes, NUL, non-ASCII text and, as line ends, a lone
 # "\r" and blank lines; an empty end runs two lines together.
@@ -307,6 +321,32 @@ def raw_files(draw):
         lines[:0] = [(["x"] * m, draw(end)), (["y"] * m, draw(end))]
     header = ",".join(f"c{i}" for i in range(m)) + draw(end)
     return m, header + "".join(",".join(f) + e for f, e in lines)
+
+
+# Tokens of one to three 8-byte words: Nursery labels, and tokens that share
+# their first 8 or 16 bytes.
+WIDE_TOKENS = ["?", "s0", "usual", "critical", "very_crit", "slightly_prob",
+               "recommend", "recommended", "abcdefgh", "abcdefghX", "abcdefghY",
+               "abcdefghijklmnop", "abcdefghijklmnopX", "abcdefghijklmnopY",
+               "abcdefghijklmnopqrstuvwx"]
+TOKEN_CHARS = "abcdefghijklmnopqrstuvwxyz_0123456789"
+
+
+@st.composite
+def wide_files(draw):
+    """(m, text, labels): a plain file of 1-24 byte tokens, some padded, and
+    labels for a labelled read that may miss one of its tokens."""
+    m = draw(st.integers(1, 3))
+    token = st.sampled_from(WIDE_TOKENS) | st.text(TOKEN_CHARS, min_size=1, max_size=24)
+    tokens = draw(st.lists(token, min_size=3, max_size=8, unique=True))
+    pad = st.sampled_from(["", " ", "\t", "  "])
+    field = st.tuples(pad, st.sampled_from(tokens), pad).map("".join)
+    lines = draw(st.lists(st.lists(field, min_size=m, max_size=m), min_size=1, max_size=40))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    text = ",".join(f"c{i}" for i in range(m)) + end
+    text += "".join(",".join(line) + end for line in lines)
+    labels = draw(st.permutations(tokens))
+    return m, text, tuple(labels[: len(labels) - draw(st.integers(0, 1))])
 
 
 class TestPlainChunks:
@@ -391,6 +431,90 @@ class TestPlainChunks:
         assert ds.variables[0].labels == ("x", "y", wide)
         assert ds.rows.tolist() == [[0, 0], [1, 1]] * 300 + [[2, 0], [0, 1]]
         assert peak < 4 << 20
+
+    @settings(max_examples=200)
+    @given(wide_files(), st.sampled_from([7, 32, 1 << 16]))
+    def test_wide_tokens_match_the_record_loop(self, file, chunk_chars):
+        m, text, labels = file
+        variables = tuple(VariableMeta(f"c{i}", len(labels), labels) for i in range(m))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "data.csv")
+            with open(path, "w", newline="", encoding="utf-8") as fh:
+                fh.write(text)
+            reads = [
+                (load_csv, path, "extra-category"),
+                (load_csv, path, "reject"),
+                (load_csv_with_labels, path, variables),
+            ]
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(dataset, "_CHUNK_CHARS", chunk_chars)
+                got = [read_outcome(*read) for read in reads]
+                expected = [record_loop_outcome(*read) for read in reads]
+        assert got == expected
+
+    @pytest.mark.parametrize(
+        "first,second",
+        [
+            ("abcdefghX", "abcdefghY"),
+            ("abcdefghijklmnopX", "abcdefghijklmnopY"),
+            ("abcdefgh", "abcdefghX"),
+            ("abcdefghijklmnop", "abcdefghijklmnopX"),
+        ],
+        ids=["words-8", "words-16", "width-8", "width-16"],
+    )
+    def test_a_shared_key_sends_its_chunk_to_csv(
+        self, tmp_path, monkeypatch, first, second
+    ):
+        # keyed by their first word alone, tokens that share their first 8
+        # bytes share a key: the check of each field's width and words
+        # against its label's must refuse their chunks
+        train = write(tmp_path, f"a,b\n{first},1\n{second},2\n{first},2\n", "train.csv")
+        test = write(tmp_path, f"a,b\n{second},1\n{first},2\n", "test.csv")
+        coded = spy_on_chunks(monkeypatch)
+        plain = [read_outcome(load_csv, train)]
+        labels = plain[0][0][0][1]
+        variables = (VariableMeta("a", 2, labels), VariableMeta("b", 2, ("1", "2")))
+        plain.append(read_outcome(load_csv_with_labels, test, variables))
+        assert coded == [True, True]
+        monkeypatch.setattr(dataset, "_fold", lambda words, starts, index: words[starts])
+        coded.clear()
+        folded = [read_outcome(load_csv, train)]
+        folded.append(read_outcome(load_csv_with_labels, test, variables))
+        # the checks refuse each chunk, and the record loop reads it
+        assert coded == [False, False]
+        assert labels == (first, second)
+        assert folded == plain == [
+            record_loop_outcome(load_csv, train),
+            record_loop_outcome(load_csv_with_labels, test, variables),
+        ]
+
+    def test_many_labels_over_many_chunks(self, tmp_path, monkeypatch):
+        # 20 000 distinct tokens, half of them wider than 8 bytes, in 20 000
+        # shuffled records over about a hundred chunks
+        rng = np.random.default_rng(5)
+        tokens = [f"t{i}" if i % 2 else f"token_{i:06d}" for i in range(20_000)]
+        order = rng.permutation(len(tokens))
+        lines = [f"{tokens[i]},{'xy'[i % 2]}\n" for i in order]
+        path = write(tmp_path, "a,b\n" + "".join(lines))
+        monkeypatch.setattr(dataset, "_CHUNK_CHARS", 2048)
+        coded = spy_on_chunks(monkeypatch)
+        ds = load_csv(path)
+        assert coded.count(True) >= 50 and all(coded)
+        assert read_outcome(load_csv, path) == record_loop_outcome(load_csv, path)
+        assert ds.variables[0].labels == tuple(tokens[i] for i in order)
+        test = write(tmp_path, "a,b\n" + "".join(reversed(lines)), "test.csv")
+        expected = record_loop_outcome(load_csv_with_labels, test, ds.variables)
+        assert read_outcome(load_csv_with_labels, test, ds.variables) == expected
+        assert expected[1] == ds.rows[::-1].tolist()
+        # an unknown token in the last chunk
+        coded.clear()
+        bad = write(tmp_path, "a,b\n" + "".join(lines) + "token_xx,y\n", "bad.csv")
+        error = read_outcome(load_csv_with_labels, bad, ds.variables)
+        assert error == (
+            DataFormatError, f"{bad}:20002: unknown value 'token_xx' in column 'a'"
+        )
+        assert error == record_loop_outcome(load_csv_with_labels, bad, ds.variables)
+        assert coded.count(True) >= 50 and coded[-1] is False
 
 
 class TestSplit:
