@@ -10,8 +10,10 @@ is lost by not materialising the full table.
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import math
+import re
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -131,7 +133,7 @@ def load_csv_with_labels(path, variables: tuple[VariableMeta, ...]) -> DiscreteD
     return _read_csv(path, variables, False)
 
 
-# Characters of whole lines read per chunk after the header.
+# Bytes read per chunk after the header; a chunk ends after its last newline.
 _CHUNK_CHARS = 1 << 16
 # The keys of a chunk may take at most this many bytes per byte of the chunk,
 # counted in 8-byte words; a chunk of mostly empty fields goes to csv.
@@ -142,6 +144,17 @@ _ASCII_SPACE = np.array([chr(c).isspace() for c in range(128)])
 _MASKS = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
 # Even, so that each word of a wide token is multiplied by an odd number.
 _FOLD = np.uint64(0x9E3779B97F4A7C16)
+# Odd multipliers of the label table's hash and of its column salts. numpy
+# 1.23 takes a Python int mixed with uint64 to float64: constants are uint64.
+_MIX = np.uint64(0xBF58476D1CE4E5B9)
+_SALT = np.uint64(0x94D049BB133111EB)
+# A label lies fewer slots than this past its home slot in the label table.
+_MAX_PROBES = 32
+# A chunk's first misses name most of its new labels: the table takes this
+# many, then four times as many of those left after a new lookup, and so on.
+_FIRST_MISSES = 4096
+# A line as open(..., newline="") reads it: up to "\r\n", "\r" or "\n".
+_LINE = re.compile(r"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+")
 
 
 def _read_csv(
@@ -156,20 +169,32 @@ def _read_csv(
     numbers in errors count them: they count CSV records from 1. A record
     csv cannot read, or a file that is not UTF-8, raises DataFormatError too.
 
-    After the header the file is read in chunks of whole lines, and each
-    chunk that `_code_plain_chunk` can code is coded by numpy, with the codes
-    the record loop would give: its tokens are keyed by integers and looked
-    up in each column's `_LabelKeys`, which holds the dict's labels and grows
-    with it, a chunk at a time. From the first chunk it refuses, the record
-    loop reads the rest of the file; it alone raises the errors. Chunks are
-    decoded ahead of the record loop, so text that is not UTF-8 reruns the
-    record loop alone on the whole file: it names a bad record that comes
-    before the bad text.
+    The file is read as bytes. Lines up to the header are decoded one at a
+    time, a UTF-8 BOM dropped, and split as open(..., newline="") splits
+    them, for csv. After the header the file is read `_CHUNK_CHARS` bytes at
+    a time, each chunk cut after its last newline, and each chunk that
+    `_code_plain_chunk` can code is coded by numpy, with the codes the
+    record loop would give, through one `_LabelTable` of every column's
+    labels that grows with the dicts. From the first chunk it refuses, the
+    record loop reads the rest of the file: that chunk's lines and the rest
+    of its last line, decoded whole, then the file decoded a block at a
+    time. It alone raises the errors. Since a refused chunk is decoded ahead
+    of the record loop, text that is not UTF-8 reruns the record loop alone
+    on the whole file: it names a bad record that comes before the bad text.
     """
     lineno = 0  # the last record read
     try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            records = enumerate(csv.reader(fh), start=1)
+        with open(path, "rb") as fh:
+            lines: list[str] = []  # lines decoded but not yet read by csv
+
+            def header_lines():
+                for k, line in enumerate(iter(fh.readline, b"")):
+                    line = line.decode("utf-8-sig" if k == 0 else "utf-8")
+                    lines.extend(_LINE.findall(line))
+                    while lines:
+                        yield lines.pop(0)
+
+            records = enumerate(csv.reader(header_lines()), start=1)
             for lineno, header in records:
                 if header:
                     break
@@ -177,6 +202,7 @@ def _read_csv(
                 raise DataFormatError(f"{path}: empty file")
             names = [h.strip() for h in header]
             m = len(names)
+            table = _LabelTable(m)
             if variables is None:
                 codes: list[dict[str, int]] = [{} for _ in range(m)]
             elif m != len(variables):
@@ -188,42 +214,52 @@ def _read_csv(
                             f"{path}: column {k} is named {name!r}, expected {v.name!r}"
                         )
                 codes = [dict(zip(v.labels, range(v.arity))) for v in variables]
-            known = [_LabelKeys().plus(list(table)) for table in codes]
+                plain_chunks = plain_chunks and table.add_labels(codes)
             blocks = []  # (records, m) codes of the chunks numpy coded
-            lines = fh.readlines(_CHUNK_CHARS) if plain_chunks else []
-            while lines:
+            rest = "".join(lines).encode("utf-8")  # the header's line after it
+            while plain_chunks:
+                more = fh.read(max(_CHUNK_CHARS, len(rest)))
+                chunk = rest + more
+                if not chunk:
+                    break
+                cut = chunk.rfind(b"\n") + 1 if more else len(chunk)
+                chunk, rest = chunk[:cut], chunk[cut:]
+                if not chunk:
+                    continue
                 block = _code_plain_chunk(
-                    "".join(lines), m, codes, known, variables is None, reject_missing
+                    chunk, m, codes, table, variables is None, reject_missing
                 )
-                if block is None:
+                if block is None:  # csv reads it from its first line on
+                    rest = chunk + rest + fh.readline()
                     break
                 blocks.append(block)
                 lineno += len(block)
-                lines = fh.readlines(_CHUNK_CHARS)
+            lines = _LINE.findall(rest.decode("utf-8"))
             data: list[int] = []  # every later code, record after record
-            records = enumerate(csv.reader(itertools.chain(lines, fh)), lineno + 1)
-            for lineno, row in records:
-                if not row:
-                    continue
-                if len(row) != m:
-                    raise DataFormatError(
-                        f"{path}:{lineno}: expected {m} fields, found {len(row)}"
-                    )
-                for i, token in enumerate(row):
-                    token = token.strip()
-                    if reject_missing and token == MISSING_TOKEN:
-                        raise MissingValueError(
-                            f"{path}:{lineno}: missing value in column {names[i]!r}"
+            with io.TextIOWrapper(fh, encoding="utf-8", newline="") as text:
+                records = enumerate(csv.reader(itertools.chain(lines, text)), lineno + 1)
+                for lineno, row in records:
+                    if not row:
+                        continue
+                    if len(row) != m:
+                        raise DataFormatError(
+                            f"{path}:{lineno}: expected {m} fields, found {len(row)}"
                         )
-                    try:
-                        data.append(codes[i][token])
-                    except KeyError:
-                        if variables is not None:
-                            raise DataFormatError(
-                                f"{path}:{lineno}: unknown value {token!r} in column "
-                                f"{names[i]!r}"
-                            ) from None
-                        data.append(codes[i].setdefault(token, len(codes[i])))
+                    for i, token in enumerate(row):
+                        token = token.strip()
+                        if reject_missing and token == MISSING_TOKEN:
+                            raise MissingValueError(
+                                f"{path}:{lineno}: missing value in column {names[i]!r}"
+                            )
+                        try:
+                            data.append(codes[i][token])
+                        except KeyError:
+                            if variables is not None:
+                                raise DataFormatError(
+                                    f"{path}:{lineno}: unknown value {token!r} in column "
+                                    f"{names[i]!r}"
+                                ) from None
+                            data.append(codes[i].setdefault(token, len(codes[i])))
     except csv.Error as err:  # a field over csv's size limit, say
         raise DataFormatError(f"{path}:{lineno + 1}: {err}") from None
     except UnicodeDecodeError as err:  # decoded in blocks: no record to name
@@ -247,109 +283,110 @@ def _read_csv(
     return DiscreteDataset(variables, rows)
 
 
-def _code_plain_chunk(text, m, codes, known, grow, reject_missing):
+def _code_plain_chunk(data, m, codes, table, grow, reject_missing):
     """The (records, m) int32 codes of a chunk of whole lines, or None.
 
-    A chunk is plain when it is ASCII with no quote or NUL, each carriage
-    return is followed by a newline or ends the chunk, every line holds m
-    fields (so none is blank), no field passes csv's size limit and the keys
-    stay small. Then each line is one record, and its fields are the runs
-    between commas, stripped as str.strip does.
+    `data` holds the chunk's bytes. A chunk is plain when it is ASCII with
+    no quote or NUL, each carriage return is followed by a newline or ends
+    the chunk, every line holds m fields (so none is blank), no field passes
+    csv's size limit and the keys stay small. Then each line is one record,
+    and its fields are the runs between commas, stripped as str.strip does;
+    the carriage-return and strip passes run only on bytes that need them.
     A field's words are its bytes as little-endian 8-byte words, zeroed
     past its width; a token holds no NUL, so tokens with the same words are
     the same. Every field's first word is read at once, through one
     unaligned view of the chunk, and is its key; a field wider than 8 bytes
-    is keyed by all its words (`_fold`). Each column looks its fields' keys
-    up in its `known` labels and checks each field's width, and a wider
-    field's words, against its label's. Keys that miss are new labels:
-    their first appearances extend `codes` and `known` as the record loop
-    would. A chunk that is not plain, holds "?" under `reject_missing`,
-    holds a field unlike its key's label, or without `grow` holds a token
-    outside `codes`, is refused before `codes` or `known` changes.
+    is keyed by all its words (`_fold`). The keys of all m columns are
+    looked up in `table` at once. Keys that miss are new labels: the table
+    takes the first `_FIRST_MISSES` misses in one go, and those still
+    missing after a new lookup in rounds four times larger, and their first
+    appearances extend `codes` column by column as the record loop would.
+    One check then compares every field's width with its label's, and one
+    every wider field's words. A
+    chunk that is not plain, holds "?" under `reject_missing`, holds a field
+    unlike its key's label, or without `grow` holds a token outside `codes`,
+    is refused before `codes` changes; the table is read no more.
     """
-    if not text.isascii() or '"' in text or "\0" in text:
+    if not data.isascii() or b'"' in data or b"\0" in data:
         return None
-    # The file's last line may have no end, and the chunk's may end in a lone
-    # "\r": csv ends a record there as it does at "\r\n".
-    if not text.endswith("\n"):
-        text += "\n"
-    data = text.encode("ascii") + bytes(8)  # a word read at the last byte
-    buf = np.frombuffer(data, dtype=np.uint8, count=len(text))
-    returns = np.flatnonzero(buf == ord("\r"))
-    if (buf[returns + 1] != ord("\n")).any():
-        return None
+    # The file's last line may have no end, or end in a lone "\r": csv ends a
+    # record there as it does at "\r\n".
+    if not data.endswith(b"\n"):
+        data += b"\n"
+    size = len(data)
+    data += bytes(8)  # a word read at the last byte
+    buf = np.frombuffer(data, dtype=np.uint8, count=size)
     ends = np.flatnonzero((buf == ord(",")) | (buf == ord("\n")))
     line_ends = buf[ends] == ord("\n")
     n = np.count_nonzero(line_ends)
     if len(ends) != n * m or not line_ends.reshape(n, m)[:, -1].all():
         return None
-    starts = np.concatenate(([0], ends[:-1] + 1)).reshape(n, m)
-    ends = ends.reshape(n, m)
-    if len(returns):  # a CRLF line's last field ends before its "\r"
-        ends[:, -1] -= buf[ends[:, -1] - 1] == ord("\r")
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    returns = np.count_nonzero(buf == ord("\r")) if b"\r" in data else 0
+    if returns:  # each must end a line's last field, before its "\n"
+        last = ends[m - 1 :: m]
+        crlf = buf[last - 1] == ord("\r")
+        if np.count_nonzero(crlf) != returns:
+            return None
+        last -= crlf
     widths = ends - starts
     if widths.max() > csv.field_size_limit() or (m == 1 and not widths.all()):
         return None
-    if np.count_nonzero(buf <= ord(" ")) > n + len(returns):  # a token to strip
+    if np.count_nonzero(buf <= ord(" ")) > n + returns:  # a token to strip
         solid = np.flatnonzero(~_ASCII_SPACE[buf])
         solid = np.concatenate(([-1], solid, [len(buf)]))
         starts = np.minimum(solid[np.searchsorted(solid, starts)], ends)
         ends = np.maximum(solid[np.searchsorted(solid, ends) - 1] + 1, starts)
         widths = ends - starts
-    del ends  # (records, m) index arrays are the chunk's largest: keep few
-    starts = starts.T.copy()  # column after column
-    widths = widths.T.copy()
+    del ends  # records x m index arrays are the chunk's largest: keep few
     # Every field's first word, read at once; a key of 63 is the token "?".
-    view = np.ndarray(len(buf), dtype="<u8", buffer=data, strides=(1,))
+    view = np.ndarray(size + 1, dtype="<u8", buffer=data, strides=(1,))
     keys = view.take(starts)
     keys &= _MASKS[np.minimum(widths, 8)]
     if reject_missing and (keys == ord(MISSING_TOKEN)).any():
         return None
     # A wider field's key folds all its words.
     wide = np.flatnonzero(widths > 8)
-    cols, rows = np.divmod(wide, n)
-    wide_widths = widths[cols, rows]
-    counts = (wide_widths + 7) // 8
-    if 8 * (keys.size + int(counts.sum()) - len(wide)) > _KEY_BYTES_PER_BYTE * len(buf):
+    counts = (widths[wide] + 7) // 8
+    if 8 * (keys.size + int(counts.sum()) - len(wide)) > _KEY_BYTES_PER_BYTE * size:
         return None
-    words, first, index = _words(view, starts[cols, rows], wide_widths)
-    keys[cols, rows] = _fold(words, first, index)
-    row = np.repeat(rows, counts)  # each word's record
-    bounds = np.append(first, len(words))[np.searchsorted(wide, np.arange(m + 1) * n)]
-    bounds = bounds.tolist()  # where each column's words begin
-    block = np.empty((m, n), dtype=np.int32)
-    grown = []
-    for c, labels in enumerate(known):
-        code, hit = labels.find(keys[c])
-        tokens = []
-        if not hit.all():
-            if not grow:
-                return None
-            miss = np.flatnonzero(~hit)
-            _, at, inverse = np.unique(
-                keys[c, miss], return_index=True, return_inverse=True
-            )
-            order = np.argsort(at)  # new labels in order of first appearance
-            rank = np.empty_like(order)
-            rank[order] = np.arange(len(order))
-            code[miss] = len(codes[c]) + rank[inverse]
-            at = miss[at[order]]
-            spans = zip(starts[c, at].tolist(), widths[c, at].tolist())
-            tokens = [text[i : i + w] for i, w in spans]
-            labels = labels.plus(tokens)
-        # Keys may be shared: each field must have its label's width, and a
-        # wider field its label's words.
-        part = slice(bounds[c], bounds[c + 1])
-        if not (labels.width[code] == widths[c]).all() or not (
-            labels.words[labels.first[code[row[part]]] + index[part]] == words[part]
-        ).all():
+    if len(wide):
+        words, first, index = _words(view, starts[wide], widths[wide])
+        keys[wide] = _fold(words, first, index)
+    keys = keys.reshape(n, m)
+    slots = table.find(keys)
+    new = []  # (column, token) of each new label, in order of first appearance
+    next_code = [len(column) for column in codes]
+    part = _FIRST_MISSES
+    while len(miss := np.flatnonzero(slots < 0)):
+        if not grow:
             return None
-        block[c] = code
-        grown.append((labels, tokens))
-    for c, (labels, tokens) in enumerate(grown):
-        known[c] = labels
-        codes[c].update(zip(tokens, range(len(codes[c]), len(codes[c]) + len(tokens))))
-    return block.T
+        bits, some = table.bits, miss[:part]
+        placed = table.add(some % m, keys.ravel()[some], widths[some], view, starts[some])
+        if placed is None:
+            return None
+        at = some[placed[1]]
+        labels = placed[0][placed[1]], at, starts[at], widths[at]
+        for slot, f, i, w in zip(*(a.tolist() for a in labels)):
+            new.append((f % m, data[i : i + w].decode("ascii")))
+            table.code[slot] = next_code[f % m]
+            next_code[f % m] += 1
+        if len(miss) <= part and table.bits == bits:
+            slots[miss] = placed[0]
+        else:  # misses are left, or the table grew and moved its labels
+            slots = table.find(keys)
+        part *= 4
+    # Keys may be shared: each field must have its label's width, and a
+    # wider field its label's words.
+    if not (table.width[slots] == widths).all():
+        return None
+    if len(wide):
+        label_words = np.repeat(table.first[slots[wide]], counts) + index
+        if not (table.words[label_words] == words).all():
+            return None
+    for c, token in new:
+        codes[c][token] = len(codes[c])
+    return table.code[slots].reshape(n, m).astype(np.int32)
 
 
 def _words(view, starts, widths):
@@ -376,49 +413,163 @@ def _fold(words, first, index):
     return np.bitwise_xor.reduceat(words * (index.astype(np.uint64) * _FOLD + 1), first)
 
 
-class _LabelKeys:
-    """One column's known labels, as a plain chunk looks its tokens up.
+def _hash(keys):
+    """The uint64 hashes of salted keys; a home slot is a hash's top bits."""
+    return keys * _MIX
 
-    `keys` holds the sorted keys (`_fold`) of the labels a plain token can
-    be, ASCII without NUL, and `codes` the code of each. Code c's label is
-    width[c] bytes long, -1 for one no plain token can be, and its words
-    (`_words`) begin at words[first[c]].
+
+class _LabelTable:
+    """Every column's known labels, as plain chunks look their tokens up.
+
+    An open-addressing hash table with linear probing, keyed by (column,
+    key), with keys as `_code_plain_chunk` makes them. A pair's home slot
+    is the top bits of the `_hash` of its key XOR its column's salt. A slot
+    holds its label's column (-1 when free), key, code, width in bytes and,
+    for a label wider than 8 bytes, where its words (`_words`) begin in
+    `words`. The table is at most half full, doubling as it fills, and no
+    label lies `_MAX_PROBES` or more slots past its home: `add` fails
+    instead. It holds only labels a plain token can be, ASCII without NUL.
     """
 
-    def __init__(self):
-        self.keys = np.empty(0, dtype=np.uint64)
-        self.codes = np.empty(0, dtype=np.intp)
-        self.width = np.empty(0, dtype=np.intp)
+    def __init__(self, m):
+        self.salt = (np.arange(m, dtype=np.uint64) + np.uint64(1)) * _SALT
+        self.columns = np.arange(m)
         self.words = np.empty(0, dtype=np.uint64)
-        self.first = np.empty(0, dtype=np.intp)
+        self.n_words = 0
+        self._empty(bits=10)
 
-    def plus(self, labels) -> "_LabelKeys":
-        """A copy that also holds `labels`, as the next codes in order."""
-        plain = [label.isascii() and "\0" not in label for label in labels]
-        text = [label.encode("ascii") for label, p in zip(labels, plain) if p]
+    def _empty(self, bits):
+        self.bits = bits
+        self.shift = np.uint64(64 - bits)
+        self.col = np.full(1 << bits, -1, dtype=np.int32)
+        self.key = np.zeros(1 << bits, dtype=np.uint64)
+        self.code = np.zeros(1 << bits, dtype=np.intp)
+        self.width = np.zeros(1 << bits, dtype=np.int32)
+        self.first = np.zeros(1 << bits, dtype=np.intp)
+        self.count = 0
+        self.reach = 0  # the farthest any label lies past its home slot
+
+    def _home(self, keys):
+        """The home slots of keys already XORed with their columns' salts."""
+        return (_hash(keys) >> self.shift).view(np.int64)  # below 2**bits
+
+    def find(self, keys):
+        """The slot of each of (records, m) keys, column c's in keys[:, c],
+        flattened record by record; -1 where its column lacks the key."""
+        at = self._home(keys ^ self.salt)
+        col = self.col[at]
+        hit = (col == self.columns) & (self.key[at] == keys)
+        slots = np.where(hit, at, -1).ravel()
+        todo = np.flatnonzero(~hit)
+        todo = todo[col.ravel()[todo] >= 0]  # a free slot ends a probe
+        at = at.ravel()[todo]
+        keys = keys.ravel()
+        for _ in range(self.reach):
+            if not len(todo):
+                break
+            at = (at + 1) & (len(self.col) - 1)
+            col = self.col[at]
+            hit = (col == todo % len(self.salt)) & (self.key[at] == keys[todo])
+            slots[todo[hit]] = at[hit]
+            go = ~hit & (col >= 0)
+            todo, at = todo[go], at[go]
+        return slots
+
+    def add(self, cols, keys, widths, view, starts):
+        """Place the labels of tokens: token k lies widths[k] bytes from
+        view's byte starts[k], in column cols[k], keyed keys[k]. Returns
+        (slots, firsts): each token's slot, and in order the tokens that
+        first name a label the table lacked. Such a label takes its first
+        token's width and words; the caller sets its code. None if the table
+        cannot place them.
+        """
+        salted = keys ^ self.salt[cols]
+        while (slots := self._place(cols, keys, self._home(salted))) is None:
+            if 2 * self.count <= len(self.col) or not self._grow():
+                return None
+        # A new label's code is -1; set it to the least index of its tokens.
+        fresh = np.flatnonzero(self.code[slots] < 0)
+        at = slots[fresh]
+        self.code[at] = len(slots)
+        np.minimum.at(self.code, at, fresh)
+        firsts = fresh[self.code[at] == fresh]
+        self.width[slots[firsts]] = widths[firsts]
+        wide = firsts[widths[firsts] > 8]
+        if len(wide):
+            words, first, _ = _words(view, starts[wide], widths[wide])
+            self.first[slots[wide]] = self.n_words + first
+            end = self.n_words + len(words)
+            if end > len(self.words):  # doubled, so that appends stay cheap
+                self.words = np.resize(self.words, 2 * end)
+            self.words[self.n_words : end] = words
+            self.n_words = end
+        return slots, firsts
+
+    def add_labels(self, codes) -> bool:
+        """Add the labels of `codes`, one dict of label to code per column;
+        False if the table cannot place them."""
+        labels = [
+            (c, label.encode("ascii"), code)
+            for c, table in enumerate(codes)
+            for label, code in table.items()
+            if label.isascii() and "\0" not in label
+        ]
+        if not labels:
+            return True
+        cols, text, label_codes = zip(*labels)
         widths = np.array([len(t) for t in text], dtype=np.intp)
         data = b"".join(text) + bytes(8)
         view = np.ndarray(len(data) - 7, dtype="<u8", buffer=data, strides=(1,))
-        words, first, index = _words(view, np.cumsum(widths) - widths, widths)
-        codes = len(self.width) + np.flatnonzero(plain)
-        new = _LabelKeys()
-        keys = np.concatenate([self.keys, _fold(words, first, index)])
-        order = np.argsort(keys)
-        new.keys = keys[order]
-        new.codes = np.concatenate([self.codes, codes])[order]
-        new.width = np.concatenate([self.width, np.full(len(labels), -1, dtype=np.intp)])
-        new.width[codes] = widths
-        new.first = np.concatenate([self.first, np.zeros(len(labels), dtype=np.intp)])
-        new.first[codes] = len(self.words) + first
-        new.words = np.concatenate([self.words, words])
-        return new
+        starts = np.cumsum(widths) - widths
+        keys = _fold(*_words(view, starts, widths))
+        placed = self.add(np.array(cols), keys, widths, view, starts)
+        if placed is None:
+            return False
+        slots, firsts = placed
+        self.code[slots[firsts]] = np.array(label_codes)[firsts]
+        return True
 
-    def find(self, keys):
-        """(codes, hit): each key's label code, and whether it has one."""
-        if not len(self.keys):
-            return np.zeros(len(keys), dtype=np.intp), np.zeros(len(keys), dtype=bool)
-        at = np.minimum(np.searchsorted(self.keys, keys), len(self.keys) - 1)
-        return self.codes[at], self.keys[at] == keys
+    def _place(self, cols, keys, at):
+        """The slot of each (cols[k], keys[k]) pair, probing from its home
+        slot at[k]; a pair the table lacks takes the first free slot, with
+        code -1. None once the table passes half full, or if a pair would
+        lie `_MAX_PROBES` slots past its home."""
+        slots = np.empty(len(keys), dtype=np.intp)
+        todo = np.arange(len(keys))
+        for probe in range(_MAX_PROBES):
+            free = np.flatnonzero(self.col[at] < 0)
+            if len(free):
+                self.code[at[free]] = free  # one claim on each free slot wins
+                won = free[self.code[at[free]] == free]
+                self.col[at[won]] = cols[won]
+                self.key[at[won]] = keys[won]
+                self.code[at[won]] = -1
+                self.count += len(won)
+                self.reach = max(self.reach, probe)
+                if 2 * self.count > len(self.col):
+                    return None
+            same = (self.col[at] == cols) & (self.key[at] == keys)
+            slots[todo[same]] = at[same]
+            go = np.flatnonzero(~same)
+            if not len(go):
+                return slots
+            todo, cols, keys = todo[go], cols[go], keys[go]
+            at = (at[go] + 1) & (len(self.col) - 1)
+        return None
+
+    def _grow(self):
+        """Double the table and place its labels again; False if they do not
+        fit."""
+        full = np.flatnonzero(self.col >= 0)
+        col, key, code, width, first = (
+            a[full] for a in (self.col, self.key, self.code, self.width, self.first)
+        )
+        self._empty(self.bits + 1)
+        slots = self._place(col, key, self._home(key ^ self.salt[col]))
+        if slots is None:
+            return False
+        self.code[slots], self.width[slots], self.first[slots] = code, width, first
+        return True
 
 
 def split_train_test(ds: DiscreteDataset, test_fraction: float, seed: int):

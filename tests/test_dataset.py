@@ -517,6 +517,222 @@ class TestPlainChunks:
         assert coded.count(True) >= 50 and coded[-1] is False
 
 
+# Tokens of plain chunks, and the non-ASCII labels a late record brings.
+BYTE_TOKENS = ["x", "y", "s0", "?", " y", "x\x0b"]
+LATE_TOKENS = ["é", "naïve"]
+
+
+@st.composite
+def byte_files(draw):
+    """(m, text): a file that may open with a UTF-8 BOM, mixes LF and CRLF
+    line ends, may hold one lone "\\r" line end and may lack a final line
+    end; a non-ASCII label first appears in its second half."""
+    m = draw(st.integers(1, 3))
+    fields = st.lists(st.sampled_from(BYTE_TOKENS), min_size=m, max_size=m)
+    rows = draw(st.lists(fields, min_size=2, max_size=30))
+    late = draw(fields)
+    late[draw(st.integers(0, m - 1))] = draw(st.sampled_from(LATE_TOKENS))
+    rows.insert(draw(st.integers(len(rows) // 2, len(rows))), late)
+    end = st.sampled_from(["\n", "\r\n"])
+    ends = draw(st.lists(end, min_size=len(rows), max_size=len(rows)))
+    if draw(st.booleans()):
+        ends[draw(st.integers(0, len(rows) - 1))] = "\r"
+    if draw(st.booleans()):
+        ends[-1] = ""
+    text = "\ufeff" if draw(st.booleans()) else ""
+    text += ",".join(f"c{i}" for i in range(m)) + draw(end)
+    return m, text + "".join(",".join(row) + end for row, end in zip(rows, ends))
+
+
+def csv_module_outcome(path):
+    """read_outcome of an extra-category load_csv, found by csv.reader on
+    the file opened as text, or None where that read fails."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        records = [[t.strip() for t in row] for row in csv.reader(fh) if row]
+    names, rows = records[0], records[1:]
+    if not rows or any(len(row) != len(names) for row in rows):
+        return None
+    labels = [list(dict.fromkeys(column)) for column in zip(*rows)]
+    if min(map(len, labels)) < 2:
+        return None
+    codes = [[f.index(t) for f, t in zip(labels, row)] for row in rows]
+    return [(name, tuple(f)) for name, f in zip(names, labels)], codes
+
+
+def folded_keys(tokens):
+    """The lookup key of each ASCII token, as a plain chunk makes it."""
+    text = [t.encode("ascii") for t in tokens]
+    widths = np.array([len(t) for t in text])
+    data = b"".join(text) + bytes(8)
+    view = np.ndarray(len(data) - 7, dtype="<u8", buffer=data, strides=(1,))
+    return dataset._fold(*dataset._words(view, np.cumsum(widths) - widths, widths))
+
+
+def spy_on_tables(monkeypatch):
+    """A list of the label table handed to each chunk."""
+    tables = []
+    code_plain_chunk = dataset._code_plain_chunk
+
+    def spy(*chunk):
+        tables.append(chunk[3])
+        return code_plain_chunk(*chunk)
+
+    monkeypatch.setattr(dataset, "_code_plain_chunk", spy)
+    return tables
+
+
+class TestByteChunks:
+    """Chunks read as bytes and coded through one hashed label table give
+    the record loop's rows, labels and errors."""
+
+    @settings(max_examples=300)
+    @given(byte_files(), st.sampled_from([7, 32, 1 << 16]))
+    def test_same_outcome_as_the_record_loop(self, file, chunk_chars):
+        m, text = file
+        labels = ("x", "y", "s0", "?", *LATE_TOKENS)
+        variables = tuple(VariableMeta(f"c{i}", len(labels), labels) for i in range(m))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "data.csv")
+            with open(path, "w", newline="", encoding="utf-8") as fh:
+                fh.write(text)
+            reads = [
+                (load_csv, path, "extra-category"),
+                (load_csv, path, "reject"),
+                (load_csv_with_labels, path, variables),
+            ]
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(dataset, "_CHUNK_CHARS", chunk_chars)
+                got = [read_outcome(*read) for read in reads]
+                expected = [record_loop_outcome(*read) for read in reads]
+            oracle = csv_module_outcome(path)
+        assert got == expected
+        assert oracle is None or got[0] == oracle
+
+    def test_a_bom_and_crlf_file_is_coded_by_numpy(self, tmp_path, monkeypatch):
+        text = "\ufeffa,b\r\n" + "x,1\r\ny,2\n" * 40 + "z,1"
+        path = write(tmp_path, text)
+        monkeypatch.setattr(dataset, "_CHUNK_CHARS", 64)
+        coded = spy_on_chunks(monkeypatch)
+        ds = load_csv(path)
+        assert len(coded) > 2 and all(coded)
+        assert [v.name for v in ds.variables] == ["a", "b"]
+        assert ds.variables[0].labels == ("x", "y", "z")
+        assert ds.rows.tolist() == [[0, 0], [1, 1]] * 40 + [[2, 0]]
+
+    @pytest.mark.parametrize("distinct", [4, 3000], ids=["few", "growing"])
+    def test_labels_first_seen_past_the_first_misses(
+        self, tmp_path, monkeypatch, distinct
+    ):
+        # one chunk whose new labels keep appearing past the misses the table
+        # takes first, so that it takes them over several rounds, growing as
+        # it goes when they are many
+        rng = np.random.default_rng(7)
+        a = [f"t{i % distinct}" if i < 2000 else f"late{i % 3}" for i in range(3000)]
+        b = [f"u{k}" for k in rng.integers(0, 3 + (np.arange(3000) > 2500))]
+        text = "a,b\n" + "".join(f"{x},{y}\n" for x, y in zip(a, b))
+        path = write(tmp_path, text)
+        rows = reversed(text.splitlines(True)[1:])
+        test = write(tmp_path, "a,b\n" + "".join(rows), "test.csv")
+        monkeypatch.setattr(dataset, "_FIRST_MISSES", 64)
+        coded = spy_on_chunks(monkeypatch)
+        ds = load_csv(path)
+        assert coded == [True]
+        assert read_outcome(load_csv, path) == record_loop_outcome(load_csv, path)
+        got = read_outcome(load_csv_with_labels, test, ds.variables)
+        assert got == record_loop_outcome(load_csv_with_labels, test, ds.variables)
+
+    @pytest.mark.parametrize(
+        "first,second",
+        [("abcdefghX", "abcdefghY"), ("abcdefgh", "abcdefghX"), ("x", "y")],
+        ids=["words-8", "width-8", "narrow"],
+    )
+    def test_one_home_slot_for_every_key(self, tmp_path, monkeypatch, first, second):
+        # every key hashes to slot 0, so probing alone tells labels apart, and
+        # the two columns hold the same labels in the other order
+        monkeypatch.setattr(dataset, "_hash", np.zeros_like)
+        rows = f"{first},{second}\n{second},{first}\n{first},{first}\n"
+        train = write(tmp_path, "a,b\n" + rows, "train.csv")
+        test = write(tmp_path, f"a,b\n{second},{second}\n{first},{first}\n", "test.csv")
+        coded = spy_on_chunks(monkeypatch)
+        plain = [read_outcome(load_csv, train)]
+        variables = (
+            VariableMeta("a", 2, (first, second)), VariableMeta("b", 2, (second, first))
+        )
+        assert plain[0][1] == [[0, 0], [1, 1], [0, 1]]
+        plain.append(read_outcome(load_csv_with_labels, test, variables))
+        assert coded == [True, True]
+        assert plain == [
+            record_loop_outcome(load_csv, train),
+            record_loop_outcome(load_csv_with_labels, test, variables),
+        ]
+
+    def test_a_table_one_slot_cannot_hold_refuses_to_csv(self, tmp_path, monkeypatch):
+        # test_many_labels_over_many_chunks' files with every key hashed to
+        # slot 0: more labels than a probe may pass refuse their chunk
+        rng = np.random.default_rng(5)
+        tokens = [f"t{i}" if i % 2 else f"token_{i:06d}" for i in range(20_000)]
+        order = rng.permutation(len(tokens))
+        lines = [f"{tokens[i]},{'xy'[i % 2]}\n" for i in order]
+        path = write(tmp_path, "a,b\n" + "".join(lines))
+        test = write(tmp_path, "a,b\n" + "".join(reversed(lines)), "test.csv")
+        monkeypatch.setattr(dataset, "_CHUNK_CHARS", 2048)
+        expected = record_loop_outcome(load_csv, path)
+        monkeypatch.setattr(dataset, "_hash", np.zeros_like)
+        coded = spy_on_chunks(monkeypatch)
+        assert read_outcome(load_csv, path) == expected
+        assert coded == [False]
+        ds = load_csv(path)
+        coded.clear()
+        expected = record_loop_outcome(load_csv_with_labels, test, ds.variables)
+        assert read_outcome(load_csv_with_labels, test, ds.variables) == expected
+        assert coded == []  # the table cannot take the labels: csv reads it all
+
+    @pytest.mark.parametrize("one_slot", [False, True], ids=["hashed", "one-slot"])
+    def test_keys_with_the_top_bit_set_stay_uint64(
+        self, tmp_path, monkeypatch, one_slot
+    ):
+        tokens = [f"wide_label_{i:02d}" for i in range(12)]
+        keys = folded_keys(tokens)
+        assert keys.dtype == np.uint64 and (keys >= np.uint64(1 << 63)).any()
+        rows = [f"{tokens[i % 12]},{tokens[i * 5 % 12]}\n" for i in range(60)]
+        train = write(tmp_path, "a,b\n" + "".join(rows), "train.csv")
+        test = write(tmp_path, "a,b\n" + "".join(reversed(rows)), "test.csv")
+        if one_slot:
+            monkeypatch.setattr(dataset, "_hash", np.zeros_like)
+        tables = spy_on_tables(monkeypatch)
+        coded = spy_on_chunks(monkeypatch)
+        ds = load_csv(train)
+        got = read_outcome(load_csv_with_labels, test, ds.variables)
+        assert coded == [True, True]
+        for table in tables:
+            assert table.key.dtype == table.words.dtype == np.uint64
+            assert set(keys.tolist()) <= set(table.key[table.col >= 0].tolist())
+        assert read_outcome(load_csv, train) == record_loop_outcome(load_csv, train)
+        assert got == record_loop_outcome(load_csv_with_labels, test, ds.variables)
+
+    def test_a_large_file_is_read_a_chunk_at_a_time(self, tmp_path):
+        # 4 MB of plain records: a read that held the whole file would pass
+        # the bound
+        labels = [f"category_{k}_of_a_fairly_long_label_name" for k in range(8)]
+        rng = np.random.default_rng(3)
+        codes = rng.integers(0, len(labels), size=(28_000, 4))
+        lines = (",".join(labels[k] for k in row) + "\n" for row in codes)
+        text = "a,b,c,d\n" + "".join(lines)
+        path = write(tmp_path, text)
+        del text
+        assert path.stat().st_size >= 4 << 20
+        tracemalloc.start()
+        try:
+            ds = load_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 << 20
+        first = [list(dict.fromkeys(column)) for column in codes.T]
+        expected = [[f.index(k) for f, k in zip(first, row)] for row in codes]
+        assert ds.rows.tolist() == expected
+
+
 class TestSplit:
     def test_sizes_91_10(self):
         rng = np.random.default_rng(3)
