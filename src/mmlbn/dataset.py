@@ -9,11 +9,11 @@ is lost by not materialising the full table.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 import itertools
 import math
-import re
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -153,13 +153,9 @@ _MAX_PROBES = 32
 # A chunk's first misses name most of its new labels: the table takes this
 # many, then four times as many of those left after a new lookup, and so on.
 _FIRST_MISSES = 4096
-# A line as open(..., newline="") reads it: up to "\r\n", "\r" or "\n".
-_LINE = re.compile(r"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+")
 
 
-def _read_csv(
-    path, variables, reject_missing: bool, *, plain_chunks=True
-) -> DiscreteDataset:
+def _read_csv(path, variables, reject_missing: bool) -> DiscreteDataset:
     """Code a CSV file through one dict per column.
 
     Without `variables` a new token gets the next code of its column; with
@@ -169,33 +165,32 @@ def _read_csv(
     numbers in errors count them: they count CSV records from 1. A record
     csv cannot read, or a file that is not UTF-8, raises DataFormatError too.
 
-    The file is read as bytes. Lines up to the header are decoded one at a
-    time, a UTF-8 BOM dropped, and split as open(..., newline="") splits
-    them, for csv. After the header the file is read `_CHUNK_CHARS` bytes at
-    a time, each chunk cut after its last newline, and each chunk that
-    `_code_plain_chunk` can code is coded by numpy, with the codes the
+    The file is read as bytes. Lines up to the header are read one at a
+    time, a UTF-8 BOM dropped, and split into text lines by `_text_lines`
+    for csv. The rest of the file is one stream of `_chunks`, and each chunk
+    that `_code_plain_chunk` can code is coded by numpy, with the codes the
     record loop would give, through one `_LabelTable` of every column's
     labels that grows with the dicts. From the first chunk it refuses, the
-    record loop reads the rest of the file: that chunk's lines and the rest
-    of its last line, decoded whole, then the file decoded a block at a
-    time. It alone raises the errors. Since a refused chunk is decoded ahead
-    of the record loop, text that is not UTF-8 reruns the record loop alone
-    on the whole file: it names a bad record that comes before the bad text.
+    record loop reads that chunk and the rest of the stream through
+    `_text_lines`, and alone raises the errors. Text that is not UTF-8 is
+    met when the record loop reaches its line, after any fault of an earlier
+    record; the error names the file only.
     """
     lineno = 0  # the last record read
     try:
         with open(path, "rb") as fh:
-            lines: list[str] = []  # lines decoded but not yet read by csv
+            head, used = b"", 0  # the line the header ends on, and its bytes csv read
 
             def header_lines():
-                for k, line in enumerate(iter(fh.readline, b"")):
-                    line = line.decode("utf-8-sig" if k == 0 else "utf-8")
-                    lines.extend(_LINE.findall(line))
-                    while lines:
-                        yield lines.pop(0)
+                nonlocal head, used
+                for k, head in enumerate(iter(fh.readline, b"")):
+                    head = head.removeprefix(codecs.BOM_UTF8) if k == 0 else head
+                    used = 0
+                    for text in _text_lines([head]):
+                        used += len(text.encode("utf-8"))
+                        yield text
 
-            records = enumerate(csv.reader(header_lines()), start=1)
-            for lineno, header in records:
+            for lineno, header in enumerate(csv.reader(header_lines()), start=1):
                 if header:
                     break
             else:
@@ -214,57 +209,44 @@ def _read_csv(
                             f"{path}: column {k} is named {name!r}, expected {v.name!r}"
                         )
                 codes = [dict(zip(v.labels, range(v.arity))) for v in variables]
-                plain_chunks = plain_chunks and table.add_labels(codes)
             blocks = []  # (records, m) codes of the chunks numpy coded
-            rest = "".join(lines).encode("utf-8")  # the header's line after it
-            while plain_chunks:
-                more = fh.read(max(_CHUNK_CHARS, len(rest)))
-                chunk = rest + more
-                if not chunk:
-                    break
-                cut = chunk.rfind(b"\n") + 1 if more else len(chunk)
-                chunk, rest = chunk[:cut], chunk[cut:]
-                if not chunk:
-                    continue
-                block = _code_plain_chunk(
-                    chunk, m, codes, table, variables is None, reject_missing
-                )
-                if block is None:  # csv reads it from its first line on
-                    rest = chunk + rest + fh.readline()
-                    break
-                blocks.append(block)
-                lineno += len(block)
-            lines = _LINE.findall(rest.decode("utf-8"))
+            chunks = _chunks(fh, head[used:])
+            if variables is None or table.add_labels(codes):
+                for chunk in chunks:
+                    block = _code_plain_chunk(
+                        chunk, m, codes, table, variables is None, reject_missing
+                    )
+                    if block is None:  # csv reads it from its first line on
+                        chunks = itertools.chain([chunk], chunks)
+                        break
+                    blocks.append(block)
+                    lineno += len(block)
             data: list[int] = []  # every later code, record after record
-            with io.TextIOWrapper(fh, encoding="utf-8", newline="") as text:
-                records = enumerate(csv.reader(itertools.chain(lines, text)), lineno + 1)
-                for lineno, row in records:
-                    if not row:
-                        continue
-                    if len(row) != m:
-                        raise DataFormatError(
-                            f"{path}:{lineno}: expected {m} fields, found {len(row)}"
+            for lineno, row in enumerate(csv.reader(_text_lines(chunks)), lineno + 1):
+                if not row:
+                    continue
+                if len(row) != m:
+                    raise DataFormatError(
+                        f"{path}:{lineno}: expected {m} fields, found {len(row)}"
+                    )
+                for i, token in enumerate(row):
+                    token = token.strip()
+                    if reject_missing and token == MISSING_TOKEN:
+                        raise MissingValueError(
+                            f"{path}:{lineno}: missing value in column {names[i]!r}"
                         )
-                    for i, token in enumerate(row):
-                        token = token.strip()
-                        if reject_missing and token == MISSING_TOKEN:
-                            raise MissingValueError(
-                                f"{path}:{lineno}: missing value in column {names[i]!r}"
-                            )
-                        try:
-                            data.append(codes[i][token])
-                        except KeyError:
-                            if variables is not None:
-                                raise DataFormatError(
-                                    f"{path}:{lineno}: unknown value {token!r} in column "
-                                    f"{names[i]!r}"
-                                ) from None
-                            data.append(codes[i].setdefault(token, len(codes[i])))
+                    try:
+                        data.append(codes[i][token])
+                    except KeyError:
+                        if variables is not None:
+                            raise DataFormatError(
+                                f"{path}:{lineno}: unknown value {token!r} in column "
+                                f"{names[i]!r}"
+                            ) from None
+                        data.append(codes[i].setdefault(token, len(codes[i])))
     except csv.Error as err:  # a field over csv's size limit, say
         raise DataFormatError(f"{path}:{lineno + 1}: {err}") from None
-    except UnicodeDecodeError as err:  # decoded in blocks: no record to name
-        if plain_chunks:
-            return _read_csv(path, variables, reject_missing, plain_chunks=False)
+    except UnicodeDecodeError as err:
         raise DataFormatError(f"{path}: not UTF-8 text ({err.reason})") from None
     blocks.append(np.array(data, dtype=np.int32).reshape(-1, m))
     rows = np.concatenate(blocks)
@@ -281,6 +263,37 @@ def _read_csv(
             for name, table in zip(names, codes)
         )
     return DiscreteDataset(variables, rows)
+
+
+def _chunks(fh, rest):
+    """`rest`, then the rest of binary file `fh`, in chunks that end after
+    their last newline or where the file ends. A read takes `_CHUNK_CHARS`
+    bytes, or as many as the line left over from the last, if longer."""
+    while True:
+        more = fh.read(max(_CHUNK_CHARS, len(rest)))
+        chunk = rest + more
+        if not chunk:
+            return
+        cut = chunk.rfind(b"\n") + 1 if more else len(chunk)
+        chunk, rest = chunk[:cut], chunk[cut:]
+        if chunk:
+            yield chunk
+
+
+def _text_lines(chunks):
+    """The text lines of chunks of whole lines of UTF-8, split as
+    open(..., newline="") splits them: at "\r\n", "\r" or "\n". A chunk
+    is decoded whole; at text that is not UTF-8, the lines before its line
+    come first, then the UnicodeDecodeError."""
+    for chunk in chunks:
+        try:
+            text = chunk.decode("utf-8")
+        except UnicodeDecodeError as err:
+            good = chunk[: err.start]
+            good = good[: max(good.rfind(b"\n"), good.rfind(b"\r")) + 1]
+            yield from io.StringIO(good.decode("utf-8"), newline="")
+            raise
+        yield from io.StringIO(text, newline="")
 
 
 def _code_plain_chunk(data, m, codes, table, grow, reject_missing):

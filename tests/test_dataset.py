@@ -4,6 +4,7 @@ import csv
 import math
 import os
 import tempfile
+import threading
 import tracemalloc
 from collections import Counter
 
@@ -416,18 +417,22 @@ class TestPlainChunks:
         )
         assert read_outcome(load_csv, path) == record_loop_outcome(load_csv, path)
 
-    def test_a_wide_token_sends_its_chunk_to_csv(self, tmp_path):
-        # keys for this chunk would be (records x 100 000) bytes, and their
-        # gather index eight times that
+    def test_a_wide_token_is_coded_by_numpy_in_bounded_memory(
+        self, tmp_path, monkeypatch
+    ):
+        # a field is keyed by its own words, so a 100 000-byte token costs
+        # its chunk 12 500 words, not a key of that width for every record
         wide = "w" * 100_000
         assert len(wide) < csv.field_size_limit()
         path = write(tmp_path, "a,b\n" + "x,1\ny,2\n" * 300 + f"{wide},1\nx,2\n")
+        coded = spy_on_chunks(monkeypatch)
         tracemalloc.start()
         try:
             ds = load_csv(path)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert len(coded) == 2 and all(coded)
         assert ds.variables[0].labels == ("x", "y", wide)
         assert ds.rows.tolist() == [[0, 0], [1, 1]] * 300 + [[2, 0], [0, 1]]
         assert peak < 4 << 20
@@ -731,6 +736,126 @@ class TestByteChunks:
         first = [list(dict.fromkeys(column)) for column in codes.T]
         expected = [[f.index(k) for f, k in zip(first, row)] for row in codes]
         assert ds.rows.tolist() == expected
+
+
+def read_through_a_pipe(path, data, read, *args):
+    """read_outcome of a read of `data` through a named pipe at `path`, fed
+    by one writer thread. A read that opens the pipe a second time would
+    wait for a writer for ever: after 20 s one opens and closes it, so that
+    the read finds it empty."""
+    os.mkfifo(path)
+
+    def feed():
+        try:
+            with open(path, "wb") as fh:
+                fh.write(data)
+        except BrokenPipeError:  # the read stopped at an error
+            pass
+
+    def release():
+        try:
+            os.close(os.open(path, os.O_WRONLY | os.O_NONBLOCK))
+        except OSError:  # no reader waits
+            pass
+
+    writer = threading.Thread(target=feed, daemon=True)
+    watchdog = threading.Timer(20, release)
+    writer.start()
+    watchdog.start()
+    try:
+        return read_outcome(read, path, *args)
+    finally:
+        watchdog.cancel()
+        writer.join(timeout=20)
+        assert not writer.is_alive()
+
+
+# A line that faults a read, the read, and its error. The labelled read
+# knows the labels of the plain lines around the faults.
+AB_VARIABLES = (VariableMeta("a", 2, ("x", "y")), VariableMeta("b", 2, ("1", "2")))
+RECORD_FAULTS = {
+    "ragged": (b"y\n", (load_csv,), "expected 2 fields, found 1"),
+    "unknown": (b"q,1\n", (load_csv_with_labels, AB_VARIABLES),
+                "unknown value 'q' in column 'a'"),
+    "missing": (b"?,1\n", (load_csv, "reject"), "missing value in column 'a'"),
+}
+
+
+class TestOneChunkStream:
+    """numpy and csv read one stream of chunks, so a pipe reads as a file
+    does and the fault on the earliest line is the one reported."""
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            b"x,1\ny,2\nz,1\n" * 20_000,
+            b"x,1\ny,2\nz,1\n" * 12_000 + b'"x",2\n' + b"y,1\n" * 5000,
+            b"x,1\ny,2\n" * 20_000 + b"\xff,1\n" + b"y,1\n" * 50,
+        ],
+        ids=["plain", "quoted-third-chunk", "not-utf8-late"],
+    )
+    def test_a_pipe_reads_as_a_file(self, tmp_path, monkeypatch, body):
+        data = b"a,b\n" + body
+        path = tmp_path / "data.csv"
+        path.write_bytes(data)
+        coded = spy_on_chunks(monkeypatch)
+        expected = read_outcome(load_csv, path)
+        file_coded = coded.copy()
+        assert len(file_coded) >= 3 and file_coded[:2] == [True, True]
+        path.unlink()
+        coded.clear()
+        assert read_through_a_pipe(path, data, load_csv) == expected
+        assert coded == file_coded
+        if b"\xff" in body:
+            assert expected[1] == f"{path}: not UTF-8 text (invalid start byte)"
+
+    def test_a_record_fault_before_a_line_that_is_not_utf8(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_bytes(b"a,b\nx,1\ny\n\xff,2\n")
+        assert read_outcome(load_csv, path) == (
+            DataFormatError, f"{path}:3: expected 2 fields, found 1"
+        )
+
+    def test_records_after_a_lone_cr_on_the_header_line(self, tmp_path):
+        # the header is read up to a "\n": what follows its lone "\r" on that
+        # line is read first, faults in file order
+        path = tmp_path / "data.csv"
+        path.write_bytes(b"a,b\rx,1\ny,2\n")
+        assert read_outcome(load_csv, path) == (
+            [("a", ("x", "y")), ("b", ("1", "2"))], [[0, 0], [1, 1]]
+        )
+        path.write_bytes(b"a,b\ry\r\xff\n")
+        assert read_outcome(load_csv, path) == (
+            DataFormatError, f"{path}:2: expected 2 fields, found 1"
+        )
+
+    @pytest.mark.parametrize("chunk_chars", [7, 32, 1 << 16])
+    @pytest.mark.parametrize("apart", [False, True], ids=["same-chunk", "other-chunks"])
+    @pytest.mark.parametrize("record_first", [True, False], ids=["record", "utf8"])
+    @pytest.mark.parametrize("fault", sorted(RECORD_FAULTS))
+    def test_the_earlier_fault_is_reported(
+        self, tmp_path, monkeypatch, fault, record_first, apart, chunk_chars
+    ):
+        # faults on neighbouring lines, or with more than a chunk of plain
+        # lines between them, after a few plain lines; the bad byte follows a
+        # valid one on its line
+        line, (read, *args), message = RECORD_FAULTS[fault]
+        gap = [b"x,1\n"] * (chunk_chars // 4 + 2 if apart else 0)
+        faults = [line, b"x\xff,2\n"]
+        if not record_first:
+            faults.reverse()
+        lines = [b"a,b\n"] + [b"x,1\n", b"y,2\n"] * 3 + faults[:1] + gap + faults[1:]
+        lines.append(b"y,1\n")
+        path = tmp_path / "data.csv"
+        path.write_bytes(b"".join(lines))
+        monkeypatch.setattr(dataset, "_CHUNK_CHARS", chunk_chars)
+        got = read_outcome(read, path, *args)
+        if record_first:
+            where = lines.index(line) + 1
+            assert got[1] == f"{path}:{where}: {message}"
+        else:
+            assert got[1] == f"{path}: not UTF-8 text (invalid start byte)"
+        assert got == record_loop_outcome(read, path, *args)
 
 
 class TestSplit:
