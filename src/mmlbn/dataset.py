@@ -133,11 +133,8 @@ def load_csv_with_labels(path, variables: tuple[VariableMeta, ...]) -> DiscreteD
     return _read_csv(path, variables, False)
 
 
-# Bytes read per chunk after the header; a chunk ends after its last newline.
+# Bytes read per chunk of the file; a chunk ends after its last line end.
 _CHUNK_CHARS = 1 << 16
-# The keys of a chunk may take at most this many bytes per byte of the chunk,
-# counted in 8-byte words; a chunk of mostly empty fields goes to csv.
-_KEY_BYTES_PER_BYTE = 4
 # The ASCII characters str.strip removes.
 _ASCII_SPACE = np.array([chr(c).isspace() for c in range(128)])
 # _MASKS[k] keeps the low k bytes of a little-endian word.
@@ -165,10 +162,11 @@ def _read_csv(path, variables, reject_missing: bool) -> DiscreteDataset:
     numbers in errors count them: they count CSV records from 1. A record
     csv cannot read, or a file that is not UTF-8, raises DataFormatError too.
 
-    The file is read as bytes. Lines up to the header are read one at a
-    time, a UTF-8 BOM dropped, and split into text lines by `_text_lines`
-    for csv. The rest of the file is one stream of `_chunks`, and each chunk
-    that `_code_plain_chunk` can code is coded by numpy, with the codes the
+    The file is read as bytes, from its first byte, as one stream of
+    `_chunks`. csv reads the header from the stream's first chunks, split
+    into text lines by `_text_lines`. The lines of the header's chunk past
+    the header come next, then the rest of the stream, and each chunk that
+    `_code_plain_chunk` can code is coded by numpy, with the codes the
     record loop would give, through one `_LabelTable` of every column's
     labels that grows with the dicts. From the first chunk it refuses, the
     record loop reads that chunk and the rest of the stream through
@@ -179,12 +177,12 @@ def _read_csv(path, variables, reject_missing: bool) -> DiscreteDataset:
     lineno = 0  # the last record read
     try:
         with open(path, "rb") as fh:
-            head, used = b"", 0  # the line the header ends on, and its bytes csv read
+            chunks = _chunks(fh)
+            head, used = b"", 0  # the chunk the header ends in, and its bytes csv read
 
             def header_lines():
                 nonlocal head, used
-                for k, head in enumerate(iter(fh.readline, b"")):
-                    head = head.removeprefix(codecs.BOM_UTF8) if k == 0 else head
+                for head in chunks:
                     used = 0
                     for text in _text_lines([head]):
                         used += len(text.encode("utf-8"))
@@ -210,7 +208,8 @@ def _read_csv(path, variables, reject_missing: bool) -> DiscreteDataset:
                         )
                 codes = [dict(zip(v.labels, range(v.arity))) for v in variables]
             blocks = []  # (records, m) codes of the chunks numpy coded
-            chunks = _chunks(fh, head[used:])
+            # numpy would refuse an empty chunk, and hand csv the whole file
+            chunks = itertools.chain(filter(None, [head[used:]]), chunks)
             if variables is None or table.add_labels(codes):
                 for chunk in chunks:
                     block = _code_plain_chunk(
@@ -265,16 +264,19 @@ def _read_csv(path, variables, reject_missing: bool) -> DiscreteDataset:
     return DiscreteDataset(variables, rows)
 
 
-def _chunks(fh, rest):
-    """`rest`, then the rest of binary file `fh`, in chunks that end after
-    their last newline or where the file ends. A read takes `_CHUNK_CHARS`
-    bytes, or as many as the line left over from the last, if longer."""
+def _chunks(fh):
+    """Binary file `fh` from its first byte, a UTF-8 BOM dropped, in chunks
+    that end after their last "\n" or lone "\r" (never between "\r" and
+    "\n") or where the file ends. A read takes `_CHUNK_CHARS` bytes, or as
+    many as the line left over from the last, if longer."""
+    rest = fh.read(len(codecs.BOM_UTF8)).removeprefix(codecs.BOM_UTF8)
     while True:
         more = fh.read(max(_CHUNK_CHARS, len(rest)))
         chunk = rest + more
         if not chunk:
             return
-        cut = chunk.rfind(b"\n") + 1 if more else len(chunk)
+        end = max(chunk.rfind(b"\n"), chunk.rfind(b"\r", 0, -1))
+        cut = end + 1 if more else len(chunk)
         chunk, rest = chunk[:cut], chunk[cut:]
         if chunk:
             yield chunk
@@ -301,9 +303,9 @@ def _code_plain_chunk(data, m, codes, table, grow, reject_missing):
 
     `data` holds the chunk's bytes. A chunk is plain when it is ASCII with
     no quote or NUL, each carriage return is followed by a newline or ends
-    the chunk, every line holds m fields (so none is blank), no field passes
-    csv's size limit and the keys stay small. Then each line is one record,
-    and its fields are the runs between commas, stripped as str.strip does;
+    the chunk, every line holds m fields (so none is blank) and no field
+    passes csv's size limit. Then each line is one record, and its fields
+    are the runs between commas, stripped as str.strip does;
     the carriage-return and strip passes run only on bytes that need them.
     A field's words are its bytes as little-endian 8-byte words, zeroed
     past its width; a token holds no NUL, so tokens with the same words are
@@ -322,8 +324,8 @@ def _code_plain_chunk(data, m, codes, table, grow, reject_missing):
     """
     if not data.isascii() or b'"' in data or b"\0" in data:
         return None
-    # The file's last line may have no end, or end in a lone "\r": csv ends a
-    # record there as it does at "\r\n".
+    # The file's last line may have no end, and a chunk's last line may end
+    # in a lone "\r": csv ends a record there as it does at "\r\n".
     if not data.endswith(b"\n"):
         data += b"\n"
     size = len(data)
@@ -361,8 +363,6 @@ def _code_plain_chunk(data, m, codes, table, grow, reject_missing):
     # A wider field's key folds all its words.
     wide = np.flatnonzero(widths > 8)
     counts = (widths[wide] + 7) // 8
-    if 8 * (keys.size + int(counts.sum()) - len(wide)) > _KEY_BYTES_PER_BYTE * size:
-        return None
     if len(wide):
         words, first, index = _words(view, starts[wide], widths[wide])
         keys[wide] = _fold(words, first, index)
@@ -421,8 +421,6 @@ def _fold(words, first, index):
     """One uint64 lookup key per token from its words: the XOR of word i
     times 1 + i * _FOLD, so a token of one word is its own key. Wider tokens
     may share a key, so a lookup is checked against the label's words."""
-    if not len(first):  # no token: nothing for reduceat to index
-        return words
     return np.bitwise_xor.reduceat(words * (index.astype(np.uint64) * _FOLD + 1), first)
 
 

@@ -10,7 +10,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mmlbn import (
@@ -302,8 +302,9 @@ def spy_on_chunks(monkeypatch):
 
 
 # Tokens numpy codes as they stand or stripped, and pieces that send a chunk
-# to the record loop: quotes, NUL, non-ASCII text and, as line ends, a lone
-# "\r" and blank lines; an empty end runs two lines together.
+# to the record loop: quotes, NUL, non-ASCII text and, as line ends, blank
+# lines and a lone "\r" inside the chunk (one that ends it does not); an
+# empty end runs two lines together.
 PLAIN_TOKENS = ["x", "y", "s0"]
 ODD_TOKENS = [" x", "x\t", "\x0bx ", "\x1cy", " ", "", "?", " ? ", "z", "é",
               '"a,b"', '"q\nr"', '"', "x\0"]
@@ -529,9 +530,11 @@ LATE_TOKENS = ["é", "naïve"]
 
 @st.composite
 def byte_files(draw):
-    """(m, text): a file that may open with a UTF-8 BOM, mixes LF and CRLF
-    line ends, may hold one lone "\\r" line end and may lack a final line
-    end; a non-ASCII label first appears in its second half."""
+    """(m, text): a file that may open with a UTF-8 BOM, then blank lines or
+    a header whose quoted first field holds line ends; its header may end in
+    a lone "\\r", its records mix LF and CRLF line ends, may hold one lone
+    "\\r" line end and may lack a final line end; a non-ASCII label first
+    appears in its second half."""
     m = draw(st.integers(1, 3))
     fields = st.lists(st.sampled_from(BYTE_TOKENS), min_size=m, max_size=m)
     rows = draw(st.lists(fields, min_size=2, max_size=30))
@@ -545,8 +548,18 @@ def byte_files(draw):
     if draw(st.booleans()):
         ends[-1] = ""
     text = "\ufeff" if draw(st.booleans()) else ""
-    text += ",".join(f"c{i}" for i in range(m)) + draw(end)
+    lead = draw(end | st.just("\r")) * draw(st.sampled_from([0, 1, 40]))
+    names = [f"c{i}" for i in range(m)]
+    if draw(st.booleans()):
+        text += lead
+    else:  # csv keeps the line ends in the field, and strip drops them
+        names[0] = f'"{lead}c0"'
+    text += ",".join(names) + draw(end | st.just("\r"))
     return m, text + "".join(",".join(row) + end for row, end in zip(rows, ends))
+
+
+# More than a 64 KiB chunk of line ends before the end of the header.
+LONG_LEAD = "\r\n" * (1 << 15) + "\r"
 
 
 def csv_module_outcome(path):
@@ -592,6 +605,8 @@ class TestByteChunks:
 
     @settings(max_examples=300)
     @given(byte_files(), st.sampled_from([7, 32, 1 << 16]))
+    @example((2, LONG_LEAD + "c0,c1\r" + "x,y\r\ny,x\n" * 3), 1 << 16)
+    @example((2, f'"{LONG_LEAD}c0",c1\n' + "x,y\ry,x\n" * 3), 1 << 16)
     def test_same_outcome_as_the_record_loop(self, file, chunk_chars):
         m, text = file
         labels = ("x", "y", "s0", "?", *LATE_TOKENS)
@@ -613,10 +628,15 @@ class TestByteChunks:
         assert got == expected
         assert oracle is None or got[0] == oracle
 
-    def test_a_bom_and_crlf_file_is_coded_by_numpy(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("chunk_chars", [7, 64])
+    def test_a_bom_and_crlf_file_is_coded_by_numpy(
+        self, tmp_path, monkeypatch, chunk_chars
+    ):
+        # at 7 bytes, the header's chunk holds the header alone, and a read
+        # ends between a "\r" and its "\n"
         text = "\ufeffa,b\r\n" + "x,1\r\ny,2\n" * 40 + "z,1"
         path = write(tmp_path, text)
-        monkeypatch.setattr(dataset, "_CHUNK_CHARS", 64)
+        monkeypatch.setattr(dataset, "_CHUNK_CHARS", chunk_chars)
         coded = spy_on_chunks(monkeypatch)
         ds = load_csv(path)
         assert len(coded) > 2 and all(coded)
@@ -715,14 +735,15 @@ class TestByteChunks:
         assert read_outcome(load_csv, train) == record_loop_outcome(load_csv, train)
         assert got == record_loop_outcome(load_csv_with_labels, test, ds.variables)
 
-    def test_a_large_file_is_read_a_chunk_at_a_time(self, tmp_path):
+    @pytest.mark.parametrize("end", ["\n", "\r"], ids=["lf", "lone-cr"])
+    def test_a_large_file_is_read_a_chunk_at_a_time(self, tmp_path, end):
         # 4 MB of plain records: a read that held the whole file would pass
-        # the bound
+        # the bound; a lone "\r" ends a chunk as "\n" does
         labels = [f"category_{k}_of_a_fairly_long_label_name" for k in range(8)]
         rng = np.random.default_rng(3)
         codes = rng.integers(0, len(labels), size=(28_000, 4))
-        lines = (",".join(labels[k] for k in row) + "\n" for row in codes)
-        text = "a,b,c,d\n" + "".join(lines)
+        lines = (",".join(labels[k] for k in row) + end for row in codes)
+        text = "a,b,c,d" + end + "".join(lines)
         path = write(tmp_path, text)
         del text
         assert path.stat().st_size >= 4 << 20
@@ -734,8 +755,30 @@ class TestByteChunks:
             tracemalloc.stop()
         assert peak < 3 << 20
         first = [list(dict.fromkeys(column)) for column in codes.T]
+        assert [v.labels for v in ds.variables] == [
+            tuple(labels[k] for k in f) for f in first
+        ]
         expected = [[f.index(k) for f, k in zip(first, row)] for row in codes]
         assert ds.rows.tolist() == expected
+
+    def test_mostly_empty_fields_are_coded_by_numpy(self, tmp_path, monkeypatch):
+        # fields of under a byte on average, over several chunks: a chunk
+        # holds fewer bytes than its 8-byte keys
+        rng = np.random.default_rng(11)
+        rows = np.array(["", "x", "y"])[rng.integers(0, 3, size=(20_000, 8))]
+        text = "a,b,c,d,e,f,g,h\n" + "".join(",".join(row) + "\n" for row in rows)
+        path = write(tmp_path, text)
+        variables = tuple(VariableMeta(name, 3, ("", "x", "y")) for name in "abcdefgh")
+        reads = [
+            (load_csv, path, "extra-category"),
+            (load_csv, path, "reject"),
+            (load_csv_with_labels, path, variables),
+        ]
+        coded = spy_on_chunks(monkeypatch)
+        got = [read_outcome(*read) for read in reads]
+        assert len(coded) >= 3 * 4 and all(coded)
+        assert got == [record_loop_outcome(*read) for read in reads]
+        assert got[2][1] == [[("", "x", "y").index(t) for t in row] for row in rows]
 
 
 def read_through_a_pipe(path, data, read, *args):
@@ -817,8 +860,8 @@ class TestOneChunkStream:
         )
 
     def test_records_after_a_lone_cr_on_the_header_line(self, tmp_path):
-        # the header is read up to a "\n": what follows its lone "\r" on that
-        # line is read first, faults in file order
+        # the records that follow a header ending in a lone "\r" are read
+        # from the header's chunk, faults in file order
         path = tmp_path / "data.csv"
         path.write_bytes(b"a,b\rx,1\ny,2\n")
         assert read_outcome(load_csv, path) == (
