@@ -14,6 +14,7 @@ import csv
 import io
 import itertools
 import math
+import re
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -147,8 +148,9 @@ _MIX = np.uint64(0xBF58476D1CE4E5B9)
 _SALT = np.uint64(0x94D049BB133111EB)
 # A label lies fewer slots than this past its home slot in the label table.
 _MAX_PROBES = 32
-# A chunk's first misses name most of its new labels: the table takes this
-# many, then four times as many of those left after a new lookup, and so on.
+# A chunk's first misses name most of the labels the table lacks, in either
+# read: the table takes this many, then four times as many of those left
+# after a new lookup, and so on.
 _FIRST_MISSES = 4096
 
 
@@ -164,15 +166,17 @@ def _read_csv(path, variables, reject_missing: bool) -> DiscreteDataset:
 
     The file is read as bytes, from its first byte, as one stream of
     `_chunks`. csv reads the header from the stream's first chunks, split
-    into text lines by `_text_lines`. The lines of the header's chunk past
-    the header come next, then the rest of the stream, and each chunk that
+    into lines by `_lines`. The lines of the header's chunk past the header
+    come next, then the rest of the stream, and each chunk that
     `_code_plain_chunk` can code is coded by numpy, with the codes the
-    record loop would give, through one `_LabelTable` of every column's
-    labels that grows with the dicts. From the first chunk it refuses, the
-    record loop reads that chunk and the rest of the stream through
-    `_text_lines`, and alone raises the errors. Text that is not UTF-8 is
-    met when the record loop reaches its line, after any fault of an earlier
-    record; the error names the file only.
+    record loop would give, through one `_LabelTable` that caches the dicts.
+    Both reads add a label to the table on its first miss, with the code
+    from its column's dict; in a labelled read a token outside the dicts
+    refuses its chunk, and the record loop names it. From the first chunk
+    numpy refuses, the record loop reads that chunk and the rest of the
+    stream through `_text_lines`, and alone raises the errors. Text that is
+    not UTF-8 is met when the record loop reaches its line, after any fault
+    of an earlier record; the error names the file only.
     """
     lineno = 0  # the last record read
     try:
@@ -184,9 +188,9 @@ def _read_csv(path, variables, reject_missing: bool) -> DiscreteDataset:
                 nonlocal head, used
                 for head in chunks:
                     used = 0
-                    for text in _text_lines([head]):
-                        used += len(text.encode("utf-8"))
-                        yield text
+                    for line in _lines(head):
+                        used += len(line)
+                        yield line.decode("utf-8")
 
             for lineno, header in enumerate(csv.reader(header_lines()), start=1):
                 if header:
@@ -210,16 +214,15 @@ def _read_csv(path, variables, reject_missing: bool) -> DiscreteDataset:
             blocks = []  # (records, m) codes of the chunks numpy coded
             # numpy would refuse an empty chunk, and hand csv the whole file
             chunks = itertools.chain(filter(None, [head[used:]]), chunks)
-            if variables is None or table.add_labels(codes):
-                for chunk in chunks:
-                    block = _code_plain_chunk(
-                        chunk, m, codes, table, variables is None, reject_missing
-                    )
-                    if block is None:  # csv reads it from its first line on
-                        chunks = itertools.chain([chunk], chunks)
-                        break
-                    blocks.append(block)
-                    lineno += len(block)
+            for chunk in chunks:
+                block = _code_plain_chunk(
+                    chunk, m, codes, table, variables is None, reject_missing
+                )
+                if block is None:  # csv reads it from its first line on
+                    chunks = itertools.chain([chunk], chunks)
+                    break
+                blocks.append(block)
+                lineno += len(block)
             data: list[int] = []  # every later code, record after record
             for lineno, row in enumerate(csv.reader(_text_lines(chunks)), lineno + 1):
                 if not row:
@@ -285,17 +288,23 @@ def _chunks(fh):
 def _text_lines(chunks):
     """The text lines of chunks of whole lines of UTF-8, split as
     open(..., newline="") splits them: at "\r\n", "\r" or "\n". A chunk
-    is decoded whole; at text that is not UTF-8, the lines before its line
-    come first, then the UnicodeDecodeError."""
+    is decoded whole; one that is not UTF-8 is decoded a line at a time
+    (`_lines`), so the lines before its bad line come first, then the
+    UnicodeDecodeError."""
     for chunk in chunks:
         try:
             text = chunk.decode("utf-8")
-        except UnicodeDecodeError as err:
-            good = chunk[: err.start]
-            good = good[: max(good.rfind(b"\n"), good.rfind(b"\r")) + 1]
-            yield from io.StringIO(good.decode("utf-8"), newline="")
-            raise
-        yield from io.StringIO(text, newline="")
+        except UnicodeDecodeError:  # raised again at the line that holds it
+            yield from (line.decode("utf-8") for line in _lines(chunk))
+        else:
+            yield from io.StringIO(text, newline="")
+
+
+def _lines(chunk):
+    """The lines of bytes `chunk`, line ends kept, split as
+    open(..., newline="") splits text: at "\r\n", a lone "\r" or "\n"."""
+    for line in re.finditer(rb"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+", chunk):
+        yield line[0]
 
 
 def _code_plain_chunk(data, m, codes, table, grow, reject_missing):
@@ -312,15 +321,17 @@ def _code_plain_chunk(data, m, codes, table, grow, reject_missing):
     the same. Every field's first word is read at once, through one
     unaligned view of the chunk, and is its key; a field wider than 8 bytes
     is keyed by all its words (`_fold`). The keys of all m columns are
-    looked up in `table` at once. Keys that miss are new labels: the table
-    takes the first `_FIRST_MISSES` misses in one go, and those still
-    missing after a new lookup in rounds four times larger, and their first
-    appearances extend `codes` column by column as the record loop would.
-    One check then compares every field's width with its label's, and one
-    every wider field's words. A
-    chunk that is not plain, holds "?" under `reject_missing`, holds a field
-    unlike its key's label, or without `grow` holds a token outside `codes`,
-    is refused before `codes` changes; the table is read no more.
+    looked up in `table` at once. Keys that miss are labels the table
+    lacks: it takes the first `_FIRST_MISSES` misses in one go, and those
+    still missing after a new lookup in rounds four times larger. A label
+    it takes gets its code from its column's dict in `codes`; a token the
+    dict lacks is new, and with `grow` its first appearances extend `codes`
+    column by column as the record loop would. One check then compares
+    every field's width with its label's, and one every wider field's
+    words. A chunk that is not plain, holds "?" under `reject_missing`,
+    holds a field unlike its key's label, or without `grow` holds a token
+    outside `codes`, is refused before `codes` changes; the table is read
+    no more.
     """
     if not data.isascii() or b'"' in data or b"\0" in data:
         return None
@@ -372,8 +383,6 @@ def _code_plain_chunk(data, m, codes, table, grow, reject_missing):
     next_code = [len(column) for column in codes]
     part = _FIRST_MISSES
     while len(miss := np.flatnonzero(slots < 0)):
-        if not grow:
-            return None
         bits, some = table.bits, miss[:part]
         placed = table.add(some % m, keys.ravel()[some], widths[some], view, starts[some])
         if placed is None:
@@ -381,9 +390,15 @@ def _code_plain_chunk(data, m, codes, table, grow, reject_missing):
         at = some[placed[1]]
         labels = placed[0][placed[1]], at, starts[at], widths[at]
         for slot, f, i, w in zip(*(a.tolist() for a in labels)):
-            new.append((f % m, data[i : i + w].decode("ascii")))
-            table.code[slot] = next_code[f % m]
-            next_code[f % m] += 1
+            c, token = f % m, data[i : i + w].decode("ascii")
+            code = codes[c].get(token)
+            if code is None:
+                if not grow:
+                    return None
+                code = next_code[c]
+                next_code[c] += 1
+                new.append((c, token))
+            table.code[slot] = code
         if len(miss) <= part and table.bits == bits:
             slots[miss] = placed[0]
         else:  # misses are left, or the table grew and moved its labels
@@ -430,7 +445,8 @@ def _hash(keys):
 
 
 class _LabelTable:
-    """Every column's known labels, as plain chunks look their tokens up.
+    """A cache of the labels of every column's dict, as plain chunks look
+    their tokens up. A label enters on its first miss, in either read.
 
     An open-addressing hash table with linear probing, keyed by (column,
     key), with keys as `_code_plain_chunk` makes them. A pair's home slot
@@ -516,30 +532,6 @@ class _LabelTable:
             self.n_words = end
         return slots, firsts
 
-    def add_labels(self, codes) -> bool:
-        """Add the labels of `codes`, one dict of label to code per column;
-        False if the table cannot place them."""
-        labels = [
-            (c, label.encode("ascii"), code)
-            for c, table in enumerate(codes)
-            for label, code in table.items()
-            if label.isascii() and "\0" not in label
-        ]
-        if not labels:
-            return True
-        cols, text, label_codes = zip(*labels)
-        widths = np.array([len(t) for t in text], dtype=np.intp)
-        data = b"".join(text) + bytes(8)
-        view = np.ndarray(len(data) - 7, dtype="<u8", buffer=data, strides=(1,))
-        starts = np.cumsum(widths) - widths
-        keys = _fold(*_words(view, starts, widths))
-        placed = self.add(np.array(cols), keys, widths, view, starts)
-        if placed is None:
-            return False
-        slots, firsts = placed
-        self.code[slots[firsts]] = np.array(label_codes)[firsts]
-        return True
-
     def _place(self, cols, keys, at):
         """The slot of each (cols[k], keys[k]) pair, probing from its home
         slot at[k]; a pair the table lacks takes the first free slot, with
@@ -584,9 +576,12 @@ class _LabelTable:
 
 
 def split_train_test(ds: DiscreteDataset, test_fraction: float, seed: int):
-    """Random split into (train, test); test size is round(N * test_fraction).
+    """Random split into (train, test) of N cases.
 
-    Halves are rounded up. Both parts must end up non-empty.
+    The test part takes N * test_fraction cases, rounded to the nearest with
+    halves rounded up. The split is refused when N * test_fraction is below
+    one whole case (so N = 5 at 0.1 is refused, though it rounds to one) or
+    when no training case is left.
     """
     if not 0.0 < test_fraction < 1.0:
         raise ValueError("test_fraction must lie strictly between 0 and 1")

@@ -1,6 +1,7 @@
 """Loading, splitting and counting."""
 
 import csv
+import io
 import math
 import os
 import tempfile
@@ -156,7 +157,8 @@ class TestLoadCsv:
         ids=["header", "far-down"],
     )
     def test_a_file_that_is_not_utf8_is_a_format_error(self, tmp_path, head, tail):
-        # text is decoded a block at a time, so no record can be named
+        # a chunk that is not UTF-8 is decoded a line at a time up to its bad
+        # line, but the error names the file only
         path = tmp_path / "data.csv"
         path.write_bytes(head + b"\xff" + tail)
         with pytest.raises(DataFormatError) as err:
@@ -710,7 +712,40 @@ class TestByteChunks:
         coded.clear()
         expected = record_loop_outcome(load_csv_with_labels, test, ds.variables)
         assert read_outcome(load_csv_with_labels, test, ds.variables) == expected
-        assert coded == []  # the table cannot take the labels: csv reads it all
+        # the first chunk's labels do not fit either: csv reads it and the rest
+        assert coded == [False]
+
+    @pytest.mark.parametrize("chunk_chars", [64, 1 << 16])
+    def test_a_label_first_seen_after_the_first_chunk(
+        self, tmp_path, monkeypatch, chunk_chars
+    ):
+        # a labelled read adds a training label to the table on its first
+        # miss, in whichever chunk that falls
+        variables = (
+            VariableMeta("a", 3, ("x", "y", "a_label_of_three_words")),
+            VariableMeta("b", 2, ("1", "2")),
+        )
+        lines = ["x,1\n", "y,2\n"] * 10_000 + ["a_label_of_three_words,2\n", "x,1\n"]
+        path = write(tmp_path, "a,b\n" + "".join(lines))
+        monkeypatch.setattr(dataset, "_CHUNK_CHARS", chunk_chars)
+        coded = spy_on_chunks(monkeypatch)
+        got = read_outcome(load_csv_with_labels, path, variables)
+        assert len(coded) >= 2 and all(coded)
+        assert got[1][-3:] == [[1, 1], [2, 1], [0, 0]]
+        assert got == record_loop_outcome(load_csv_with_labels, path, variables)
+
+    @pytest.mark.parametrize("chunk_chars", [64, 1 << 16])
+    def test_an_unknown_token_after_the_first_chunk(
+        self, tmp_path, monkeypatch, chunk_chars
+    ):
+        lines = ["x,1\n", "y,2\n"] * 10_000 + ["x,1\n", "q,2\n", "y,1\n"]
+        path = write(tmp_path, "a,b\n" + "".join(lines))
+        monkeypatch.setattr(dataset, "_CHUNK_CHARS", chunk_chars)
+        coded = spy_on_chunks(monkeypatch)
+        got = read_outcome(load_csv_with_labels, path, AB_VARIABLES)
+        assert got == (DataFormatError, f"{path}:20003: unknown value 'q' in column 'a'")
+        assert coded[0] is True and coded[-1] is False
+        assert got == record_loop_outcome(load_csv_with_labels, path, AB_VARIABLES)
 
     @pytest.mark.parametrize("one_slot", [False, True], ids=["hashed", "one-slot"])
     def test_keys_with_the_top_bit_set_stay_uint64(
@@ -824,6 +859,23 @@ RECORD_FAULTS = {
 }
 
 
+# Pieces of a chunk: ASCII text, a two-byte character and line ends.
+LINE_PIECES = st.sampled_from(["é", "\r", "\n", "\r\n"]) | st.text(
+    st.characters(max_codepoint=127), max_size=4
+)
+
+
+class TestLines:
+    @settings(max_examples=300)
+    @given(st.lists(LINE_PIECES), st.sampled_from(["", "\r", "\n", "\r\n"]))
+    def test_split_as_text_read_with_newline_empty(self, pieces, end):
+        chunk = ("".join(pieces) + end).encode("utf-8")
+        lines = list(dataset._lines(chunk))
+        assert b"".join(lines) == chunk
+        text = io.StringIO(chunk.decode("utf-8"), newline="")
+        assert [line.decode("utf-8") for line in lines] == list(text)
+
+
 class TestOneChunkStream:
     """numpy and csv read one stream of chunks, so a pipe reads as a file
     does and the fault on the earliest line is the one reported."""
@@ -870,6 +922,14 @@ class TestOneChunkStream:
         path.write_bytes(b"a,b\ry\r\xff\n")
         assert read_outcome(load_csv, path) == (
             DataFormatError, f"{path}:2: expected 2 fields, found 1"
+        )
+
+    def test_records_after_a_header_that_is_not_ascii(self, tmp_path):
+        # numpy reads the header's chunk from the header's last byte on
+        path = tmp_path / "data.csv"
+        path.write_bytes("é,naïve\nx,1\ny,2\n".encode("utf-8"))
+        assert read_outcome(load_csv, path) == (
+            [("é", ("x", "y")), ("naïve", ("1", "2"))], [[0, 0], [1, 1]]
         )
 
     @pytest.mark.parametrize("chunk_chars", [7, 32, 1 << 16])
