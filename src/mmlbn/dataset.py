@@ -140,12 +140,13 @@ _CHUNK_CHARS = 1 << 16
 _ASCII_SPACE = np.array([chr(c).isspace() for c in range(128)])
 # _MASKS[k] keeps the low k bytes of a little-endian word.
 _MASKS = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
-# Even, so that each word of a wide token is multiplied by an odd number.
-_FOLD = np.uint64(0x9E3779B97F4A7C16)
 # Odd multipliers of the label table's hash and of its column salts. numpy
 # 1.23 takes a Python int mixed with uint64 to float64: constants are uint64.
 _MIX = np.uint64(0xBF58476D1CE4E5B9)
 _SALT = np.uint64(0x94D049BB133111EB)
+# The label table has 2**_TABLE_BITS slots, and holds at most half as many
+# labels.
+_TABLE_BITS = 12
 # A label lies fewer slots than this past its home slot in the label table.
 _MAX_PROBES = 32
 # A chunk's first misses name most of the labels the table lacks, in either
@@ -170,11 +171,14 @@ def _read_csv(path, variables, reject_missing: bool) -> DiscreteDataset:
     come next, then the rest of the stream, and each chunk that
     `_code_plain_chunk` can code is coded by numpy, with the codes the
     record loop would give, through one `_LabelTable` that caches the dicts.
-    Both reads add a label to the table on its first miss, with the code
-    from its column's dict; in a labelled read a token outside the dicts
-    refuses its chunk, and the record loop names it. From the first chunk
-    numpy refuses, the record loop reads that chunk and the rest of the
-    stream through `_text_lines`, and alone raises the errors. Text that is
+    numpy codes a chunk of plain records whose fields are each at most 8
+    bytes once stripped, while the table has room for their labels. Both
+    reads add a label to the table on its first miss, with the code from
+    its column's dict; in a labelled read a token outside the dicts refuses
+    its chunk, and the record loop names it. From the first chunk numpy
+    refuses (a quote or a wider field, say), the record loop reads that
+    chunk and the rest of the stream through `_text_lines`, with the same
+    codes, and alone raises the errors. Text that is
     not UTF-8 is met when the record loop reaches its line, after any fault
     of an earlier record; the error names the file only.
     """
@@ -312,26 +316,23 @@ def _code_plain_chunk(data, m, codes, table, grow, reject_missing):
 
     `data` holds the chunk's bytes. A chunk is plain when it is ASCII with
     no quote or NUL, each carriage return is followed by a newline or ends
-    the chunk, every line holds m fields (so none is blank) and no field
-    passes csv's size limit. Then each line is one record, and its fields
-    are the runs between commas, stripped as str.strip does;
-    the carriage-return and strip passes run only on bytes that need them.
-    A field's words are its bytes as little-endian 8-byte words, zeroed
-    past its width; a token holds no NUL, so tokens with the same words are
-    the same. Every field's first word is read at once, through one
-    unaligned view of the chunk, and is its key; a field wider than 8 bytes
-    is keyed by all its words (`_fold`). The keys of all m columns are
-    looked up in `table` at once. Keys that miss are labels the table
-    lacks: it takes the first `_FIRST_MISSES` misses in one go, and those
-    still missing after a new lookup in rounds four times larger. A label
-    it takes gets its code from its column's dict in `codes`; a token the
-    dict lacks is new, and with `grow` its first appearances extend `codes`
-    column by column as the record loop would. One check then compares
-    every field's width with its label's, and one every wider field's
-    words. A chunk that is not plain, holds "?" under `reject_missing`,
-    holds a field unlike its key's label, or without `grow` holds a token
-    outside `codes`, is refused before `codes` changes; the table is read
-    no more.
+    the chunk, every line holds m fields (so none is blank), no field
+    passes csv's size limit, and every field is at most 8 bytes once
+    stripped. Then each line is one record, and its fields are the runs
+    between commas, stripped as str.strip does; the carriage-return and
+    strip passes run only on bytes that need them. A field's key is its
+    bytes as one little-endian 8-byte word, zeroed past its width; a token
+    holds no NUL, so the key is the token itself. Every field's key is read
+    at once, through one unaligned view of the chunk, and the keys of all m
+    columns are looked up in `table` at once. Keys that miss are labels the
+    table lacks: it takes the first `_FIRST_MISSES` misses in one go, and
+    those still missing after a new lookup in rounds four times larger. A
+    label it takes gets its code from its column's dict in `codes`; a token
+    the dict lacks is new, and with `grow` its first appearances extend
+    `codes` column by column as the record loop would. A chunk that is not
+    plain, holds "?" under `reject_missing`, has labels the table cannot
+    take, or without `grow` holds a token outside `codes`, is refused before
+    `codes` changes; the table is read no more.
     """
     if not data.isascii() or b'"' in data or b"\0" in data:
         return None
@@ -365,26 +366,22 @@ def _code_plain_chunk(data, m, codes, table, grow, reject_missing):
         ends = np.maximum(solid[np.searchsorted(solid, ends) - 1] + 1, starts)
         widths = ends - starts
     del ends  # records x m index arrays are the chunk's largest: keep few
-    # Every field's first word, read at once; a key of 63 is the token "?".
+    if widths.max() > 8:
+        return None
+    # Every field's key, read at once; a key of 63 is the token "?".
     view = np.ndarray(size + 1, dtype="<u8", buffer=data, strides=(1,))
     keys = view.take(starts)
-    keys &= _MASKS[np.minimum(widths, 8)]
+    keys &= _MASKS[widths]
     if reject_missing and (keys == ord(MISSING_TOKEN)).any():
         return None
-    # A wider field's key folds all its words.
-    wide = np.flatnonzero(widths > 8)
-    counts = (widths[wide] + 7) // 8
-    if len(wide):
-        words, first, index = _words(view, starts[wide], widths[wide])
-        keys[wide] = _fold(words, first, index)
     keys = keys.reshape(n, m)
     slots = table.find(keys)
     new = []  # (column, token) of each new label, in order of first appearance
     next_code = [len(column) for column in codes]
     part = _FIRST_MISSES
     while len(miss := np.flatnonzero(slots < 0)):
-        bits, some = table.bits, miss[:part]
-        placed = table.add(some % m, keys.ravel()[some], widths[some], view, starts[some])
+        some = miss[:part]
+        placed = table.add(some % m, keys.ravel()[some])
         if placed is None:
             return None
         at = some[placed[1]]
@@ -399,44 +396,14 @@ def _code_plain_chunk(data, m, codes, table, grow, reject_missing):
                 next_code[c] += 1
                 new.append((c, token))
             table.code[slot] = code
-        if len(miss) <= part and table.bits == bits:
+        if len(miss) <= part:
             slots[miss] = placed[0]
-        else:  # misses are left, or the table grew and moved its labels
+        else:  # misses are left
             slots = table.find(keys)
         part *= 4
-    # Keys may be shared: each field must have its label's width, and a
-    # wider field its label's words.
-    if not (table.width[slots] == widths).all():
-        return None
-    if len(wide):
-        label_words = np.repeat(table.first[slots[wide]], counts) + index
-        if not (table.words[label_words] == words).all():
-            return None
     for c, token in new:
         codes[c][token] = len(codes[c])
     return table.code[slots].reshape(n, m).astype(np.int32)
-
-
-def _words(view, starts, widths):
-    """(words, first, index) of tokens widths[k] bytes long from starts[k].
-
-    view[i] is the little-endian word at byte i of a zero-padded buffer. A
-    token's words, at least one, are zeroed past its width; first[k] is its
-    first word and index[j] word j's place in its token.
-    """
-    counts = np.maximum(-(-widths // 8), 1)
-    first = np.cumsum(counts) - counts
-    index = np.arange(counts.sum()) - np.repeat(first, counts)
-    words = view.take(np.repeat(starts, counts) + 8 * index)
-    words &= _MASKS[np.minimum(np.repeat(widths, counts) - 8 * index, 8)]
-    return words, first, index
-
-
-def _fold(words, first, index):
-    """One uint64 lookup key per token from its words: the XOR of word i
-    times 1 + i * _FOLD, so a token of one word is its own key. Wider tokens
-    may share a key, so a lookup is checked against the label's words."""
-    return np.bitwise_xor.reduceat(words * (index.astype(np.uint64) * _FOLD + 1), first)
 
 
 def _hash(keys):
@@ -448,37 +415,29 @@ class _LabelTable:
     """A cache of the labels of every column's dict, as plain chunks look
     their tokens up. A label enters on its first miss, in either read.
 
-    An open-addressing hash table with linear probing, keyed by (column,
-    key), with keys as `_code_plain_chunk` makes them. A pair's home slot
-    is the top bits of the `_hash` of its key XOR its column's salt. A slot
-    holds its label's column (-1 when free), key, code, width in bytes and,
-    for a label wider than 8 bytes, where its words (`_words`) begin in
-    `words`. The table is at most half full, doubling as it fills, and no
-    label lies `_MAX_PROBES` or more slots past its home: `add` fails
-    instead. It holds only labels a plain token can be, ASCII without NUL.
+    An open-addressing hash table of 2**`_TABLE_BITS` slots with linear
+    probing, keyed by (column, key), with keys as `_code_plain_chunk` makes
+    them. A pair's home slot is the top bits of the `_hash` of its key XOR
+    its column's salt. A slot holds its label's column (-1 when free), key
+    and code. The table is at most half full, and no label lies
+    `_MAX_PROBES` or more slots past its home: `add` fails instead. It
+    holds only labels a plain token can be, ASCII of at most 8 bytes
+    without NUL.
     """
 
     def __init__(self, m):
         self.salt = (np.arange(m, dtype=np.uint64) + np.uint64(1)) * _SALT
         self.columns = np.arange(m)
-        self.words = np.empty(0, dtype=np.uint64)
-        self.n_words = 0
-        self._empty(bits=10)
-
-    def _empty(self, bits):
-        self.bits = bits
-        self.shift = np.uint64(64 - bits)
-        self.col = np.full(1 << bits, -1, dtype=np.int32)
-        self.key = np.zeros(1 << bits, dtype=np.uint64)
-        self.code = np.zeros(1 << bits, dtype=np.intp)
-        self.width = np.zeros(1 << bits, dtype=np.int32)
-        self.first = np.zeros(1 << bits, dtype=np.intp)
+        self.shift = np.uint64(64 - _TABLE_BITS)
+        self.col = np.full(1 << _TABLE_BITS, -1, dtype=np.int32)
+        self.key = np.zeros(1 << _TABLE_BITS, dtype=np.uint64)
+        self.code = np.zeros(1 << _TABLE_BITS, dtype=np.intp)
         self.count = 0
         self.reach = 0  # the farthest any label lies past its home slot
 
     def _home(self, keys):
         """The home slots of keys already XORed with their columns' salts."""
-        return (_hash(keys) >> self.shift).view(np.int64)  # below 2**bits
+        return (_hash(keys) >> self.shift).view(np.int64)  # below 2**_TABLE_BITS
 
     def find(self, keys):
         """The slot of each of (records, m) keys, column c's in keys[:, c],
@@ -502,41 +461,16 @@ class _LabelTable:
             todo, at = todo[go], at[go]
         return slots
 
-    def add(self, cols, keys, widths, view, starts):
-        """Place the labels of tokens: token k lies widths[k] bytes from
-        view's byte starts[k], in column cols[k], keyed keys[k]. Returns
-        (slots, firsts): each token's slot, and in order the tokens that
-        first name a label the table lacked. Such a label takes its first
-        token's width and words; the caller sets its code. None if the table
-        cannot place them.
+    def add(self, cols, keys):
+        """Place the labels of tokens: token k lies in column cols[k] and is
+        keyed keys[k]. Each pair probes from its home slot, and one the
+        table lacks takes the first free slot. Returns (slots, firsts): each
+        token's slot, and in order the tokens that first name a label the
+        table lacked; the caller sets such a label's code. None once the
+        table passes half full, or if a pair would lie `_MAX_PROBES` slots
+        past its home.
         """
-        salted = keys ^ self.salt[cols]
-        while (slots := self._place(cols, keys, self._home(salted))) is None:
-            if 2 * self.count <= len(self.col) or not self._grow():
-                return None
-        # A new label's code is -1; set it to the least index of its tokens.
-        fresh = np.flatnonzero(self.code[slots] < 0)
-        at = slots[fresh]
-        self.code[at] = len(slots)
-        np.minimum.at(self.code, at, fresh)
-        firsts = fresh[self.code[at] == fresh]
-        self.width[slots[firsts]] = widths[firsts]
-        wide = firsts[widths[firsts] > 8]
-        if len(wide):
-            words, first, _ = _words(view, starts[wide], widths[wide])
-            self.first[slots[wide]] = self.n_words + first
-            end = self.n_words + len(words)
-            if end > len(self.words):  # doubled, so that appends stay cheap
-                self.words = np.resize(self.words, 2 * end)
-            self.words[self.n_words : end] = words
-            self.n_words = end
-        return slots, firsts
-
-    def _place(self, cols, keys, at):
-        """The slot of each (cols[k], keys[k]) pair, probing from its home
-        slot at[k]; a pair the table lacks takes the first free slot, with
-        code -1. None once the table passes half full, or if a pair would
-        lie `_MAX_PROBES` slots past its home."""
+        at = self._home(keys ^ self.salt[cols])
         slots = np.empty(len(keys), dtype=np.intp)
         todo = np.arange(len(keys))
         for probe in range(_MAX_PROBES):
@@ -555,24 +489,17 @@ class _LabelTable:
             slots[todo[same]] = at[same]
             go = np.flatnonzero(~same)
             if not len(go):
-                return slots
+                break
             todo, cols, keys = todo[go], cols[go], keys[go]
             at = (at[go] + 1) & (len(self.col) - 1)
-        return None
-
-    def _grow(self):
-        """Double the table and place its labels again; False if they do not
-        fit."""
-        full = np.flatnonzero(self.col >= 0)
-        col, key, code, width, first = (
-            a[full] for a in (self.col, self.key, self.code, self.width, self.first)
-        )
-        self._empty(self.bits + 1)
-        slots = self._place(col, key, self._home(key ^ self.salt[col]))
-        if slots is None:
-            return False
-        self.code[slots], self.width[slots], self.first[slots] = code, width, first
-        return True
+        else:
+            return None
+        # A new label's code is -1; set it to the least index of its tokens.
+        fresh = np.flatnonzero(self.code[slots] < 0)
+        at = slots[fresh]
+        self.code[at] = len(slots)
+        np.minimum.at(self.code, at, fresh)
+        return slots, fresh[self.code[at] == fresh]
 
 
 def split_train_test(ds: DiscreteDataset, test_fraction: float, seed: int):

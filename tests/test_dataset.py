@@ -420,11 +420,12 @@ class TestPlainChunks:
         )
         assert read_outcome(load_csv, path) == record_loop_outcome(load_csv, path)
 
-    def test_a_wide_token_is_coded_by_numpy_in_bounded_memory(
+    def test_a_wide_token_is_read_by_csv_in_bounded_memory(
         self, tmp_path, monkeypatch
     ):
-        # a field is keyed by its own words, so a 100 000-byte token costs
-        # its chunk 12 500 words, not a key of that width for every record
+        # numpy codes the plain chunk before a 100 000-byte token; the
+        # token's chunk goes to csv, which keeps no key of that width for
+        # every record
         wide = "w" * 100_000
         assert len(wide) < csv.field_size_limit()
         path = write(tmp_path, "a,b\n" + "x,1\ny,2\n" * 300 + f"{wide},1\nx,2\n")
@@ -435,7 +436,7 @@ class TestPlainChunks:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(coded) == 2 and all(coded)
+        assert coded == [True, False]
         assert ds.variables[0].labels == ("x", "y", wide)
         assert ds.rows.tolist() == [[0, 0], [1, 1]] * 300 + [[2, 0], [0, 1]]
         assert peak < 4 << 20
@@ -460,54 +461,16 @@ class TestPlainChunks:
                 expected = [record_loop_outcome(*read) for read in reads]
         assert got == expected
 
-    @pytest.mark.parametrize(
-        "first,second",
-        [
-            ("abcdefghX", "abcdefghY"),
-            ("abcdefghijklmnopX", "abcdefghijklmnopY"),
-            ("abcdefgh", "abcdefghX"),
-            ("abcdefghijklmnop", "abcdefghijklmnopX"),
-        ],
-        ids=["words-8", "words-16", "width-8", "width-16"],
-    )
-    def test_a_shared_key_sends_its_chunk_to_csv(
-        self, tmp_path, monkeypatch, first, second
-    ):
-        # keyed by their first word alone, tokens that share their first 8
-        # bytes share a key: the check of each field's width and words
-        # against its label's must refuse their chunks
-        train = write(tmp_path, f"a,b\n{first},1\n{second},2\n{first},2\n", "train.csv")
-        test = write(tmp_path, f"a,b\n{second},1\n{first},2\n", "test.csv")
-        coded = spy_on_chunks(monkeypatch)
-        plain = [read_outcome(load_csv, train)]
-        labels = plain[0][0][0][1]
-        variables = (VariableMeta("a", 2, labels), VariableMeta("b", 2, ("1", "2")))
-        plain.append(read_outcome(load_csv_with_labels, test, variables))
-        assert coded == [True, True]
-        monkeypatch.setattr(dataset, "_fold", lambda words, starts, index: words[starts])
-        coded.clear()
-        folded = [read_outcome(load_csv, train)]
-        folded.append(read_outcome(load_csv_with_labels, test, variables))
-        # the checks refuse each chunk, and the record loop reads it
-        assert coded == [False, False]
-        assert labels == (first, second)
-        assert folded == plain == [
-            record_loop_outcome(load_csv, train),
-            record_loop_outcome(load_csv_with_labels, test, variables),
-        ]
-
     def test_many_labels_over_many_chunks(self, tmp_path, monkeypatch):
-        # 20 000 distinct tokens, half of them wider than 8 bytes, in 20 000
-        # shuffled records over about a hundred chunks
-        rng = np.random.default_rng(5)
-        tokens = [f"t{i}" if i % 2 else f"token_{i:06d}" for i in range(20_000)]
-        order = rng.permutation(len(tokens))
-        lines = [f"{tokens[i]},{'xy'[i % 2]}\n" for i in order]
+        # 20 000 distinct one-word tokens in 20 000 shuffled records over
+        # about a hundred chunks: numpy codes chunks until the label table
+        # fills, and csv reads the rest
+        tokens, order, lines = many_label_lines()
         path = write(tmp_path, "a,b\n" + "".join(lines))
         monkeypatch.setattr(dataset, "_CHUNK_CHARS", 2048)
         coded = spy_on_chunks(monkeypatch)
         ds = load_csv(path)
-        assert coded.count(True) >= 50 and all(coded)
+        assert len(coded) > 5 and coded == [True] * (len(coded) - 1) + [False]
         assert read_outcome(load_csv, path) == record_loop_outcome(load_csv, path)
         assert ds.variables[0].labels == tuple(tokens[i] for i in order)
         test = write(tmp_path, "a,b\n" + "".join(reversed(lines)), "test.csv")
@@ -522,7 +485,7 @@ class TestPlainChunks:
             DataFormatError, f"{bad}:20002: unknown value 'token_xx' in column 'a'"
         )
         assert error == record_loop_outcome(load_csv_with_labels, bad, ds.variables)
-        assert coded.count(True) >= 50 and coded[-1] is False
+        assert coded.count(True) >= 5 and coded[-1] is False
 
 
 # Tokens of plain chunks, and the non-ASCII labels a late record brings.
@@ -579,13 +542,13 @@ def csv_module_outcome(path):
     return [(name, tuple(f)) for name, f in zip(names, labels)], codes
 
 
-def folded_keys(tokens):
-    """The lookup key of each ASCII token, as a plain chunk makes it."""
-    text = [t.encode("ascii") for t in tokens]
-    widths = np.array([len(t) for t in text])
-    data = b"".join(text) + bytes(8)
-    view = np.ndarray(len(data) - 7, dtype="<u8", buffer=data, strides=(1,))
-    return dataset._fold(*dataset._words(view, np.cumsum(widths) - widths, widths))
+def many_label_lines():
+    """(tokens, order, lines): 20 000 distinct one-word tokens, and 20 000
+    records of two fields that hold them in a shuffled order."""
+    rng = np.random.default_rng(5)
+    tokens = [f"t{i}" if i % 2 else f"k_{i:05d}" for i in range(20_000)]
+    order = rng.permutation(len(tokens))
+    return tokens, order, [f"{tokens[i]},{'xy'[i % 2]}\n" for i in order]
 
 
 def spy_on_tables(monkeypatch):
@@ -646,13 +609,13 @@ class TestByteChunks:
         assert ds.variables[0].labels == ("x", "y", "z")
         assert ds.rows.tolist() == [[0, 0], [1, 1]] * 40 + [[2, 0]]
 
-    @pytest.mark.parametrize("distinct", [4, 3000], ids=["few", "growing"])
+    @pytest.mark.parametrize("distinct", [4, 3000], ids=["few", "many"])
     def test_labels_first_seen_past_the_first_misses(
         self, tmp_path, monkeypatch, distinct
     ):
         # one chunk whose new labels keep appearing past the misses the table
-        # takes first, so that it takes them over several rounds, growing as
-        # it goes when they are many
+        # takes first, so that it takes them over several rounds; when they
+        # are many, over 2000 of them in all
         rng = np.random.default_rng(7)
         a = [f"t{i % distinct}" if i < 2000 else f"late{i % 3}" for i in range(3000)]
         b = [f"u{k}" for k in rng.integers(0, 3 + (np.arange(3000) > 2500))]
@@ -670,7 +633,7 @@ class TestByteChunks:
 
     @pytest.mark.parametrize(
         "first,second",
-        [("abcdefghX", "abcdefghY"), ("abcdefgh", "abcdefghX"), ("x", "y")],
+        [("abcdefgX", "abcdefgY"), ("abcdefg", "abcdefgh"), ("x", "y")],
         ids=["words-8", "width-8", "narrow"],
     )
     def test_one_home_slot_for_every_key(self, tmp_path, monkeypatch, first, second):
@@ -696,10 +659,7 @@ class TestByteChunks:
     def test_a_table_one_slot_cannot_hold_refuses_to_csv(self, tmp_path, monkeypatch):
         # test_many_labels_over_many_chunks' files with every key hashed to
         # slot 0: more labels than a probe may pass refuse their chunk
-        rng = np.random.default_rng(5)
-        tokens = [f"t{i}" if i % 2 else f"token_{i:06d}" for i in range(20_000)]
-        order = rng.permutation(len(tokens))
-        lines = [f"{tokens[i]},{'xy'[i % 2]}\n" for i in order]
+        lines = many_label_lines()[2]
         path = write(tmp_path, "a,b\n" + "".join(lines))
         test = write(tmp_path, "a,b\n" + "".join(reversed(lines)), "test.csv")
         monkeypatch.setattr(dataset, "_CHUNK_CHARS", 2048)
@@ -722,10 +682,10 @@ class TestByteChunks:
         # a labelled read adds a training label to the table on its first
         # miss, in whichever chunk that falls
         variables = (
-            VariableMeta("a", 3, ("x", "y", "a_label_of_three_words")),
+            VariableMeta("a", 3, ("x", "y", "late_lbl")),
             VariableMeta("b", 2, ("1", "2")),
         )
-        lines = ["x,1\n", "y,2\n"] * 10_000 + ["a_label_of_three_words,2\n", "x,1\n"]
+        lines = ["x,1\n", "y,2\n"] * 10_000 + ["late_lbl,2\n", "x,1\n"]
         path = write(tmp_path, "a,b\n" + "".join(lines))
         monkeypatch.setattr(dataset, "_CHUNK_CHARS", chunk_chars)
         coded = spy_on_chunks(monkeypatch)
@@ -733,6 +693,71 @@ class TestByteChunks:
         assert len(coded) >= 2 and all(coded)
         assert got[1][-3:] == [[1, 1], [2, 1], [0, 0]]
         assert got == record_loop_outcome(load_csv_with_labels, path, variables)
+
+    @pytest.mark.parametrize(
+        "field,by_numpy",
+        [(" abcdefgh\t", True), ("abcdefghi", False), (" abcdefghi ", False)],
+        ids=["8-padded", "9", "9-padded"],
+    )
+    def test_fields_of_at_most_8_bytes_are_coded_by_numpy(
+        self, tmp_path, monkeypatch, field, by_numpy
+    ):
+        # a field is measured once stripped; a wider one refuses its chunk
+        path = write(tmp_path, f"a,b\nx,1\n{field},2\ny,1\n")
+        coded = spy_on_chunks(monkeypatch)
+        got = read_outcome(load_csv, path)
+        assert coded == [by_numpy]
+        assert got[0][0][1] == ("x", field.strip(), "y")
+        assert got == record_loop_outcome(load_csv, path)
+
+    @pytest.mark.parametrize("unknown", [False, True], ids=["rows", "error"])
+    def test_a_wide_label_first_seen_after_the_first_chunk(
+        self, tmp_path, monkeypatch, unknown
+    ):
+        # a 9-byte training label refuses the chunk it first appears in, and
+        # csv reads that chunk on from its first record
+        variables = (
+            VariableMeta("a", 3, ("x", "y", "nine_byte")),
+            VariableMeta("b", 2, ("1", "2")),
+        )
+        lines = ["x,1\n", "y,2\n"] * 10_000 + ["nine_byte,2\n", "x,1\n"]
+        path = write(tmp_path, "a,b\n" + "".join(lines) + "q,2\n" * unknown)
+        coded = spy_on_chunks(monkeypatch)
+        got = read_outcome(load_csv_with_labels, path, variables)
+        assert coded[0] is True and coded[-1] is False
+        if unknown:
+            assert got == (DataFormatError, f"{path}:20004: unknown value 'q' in column 'a'")
+        else:
+            assert got[1][-3:] == [[1, 1], [2, 1], [0, 0]]
+        assert got == record_loop_outcome(load_csv_with_labels, path, variables)
+
+    def test_the_chunk_that_fills_the_table_goes_to_csv(self, tmp_path, monkeypatch):
+        # 3000 one-word labels, each new in its record, over chunks of 2 KiB:
+        # the table holds at most 2048, so csv reads the chunk whose labels
+        # would pass that, and the rest
+        lines = [f"v{i},{'xy'[i % 2]}\n" for i in range(3000)]
+        path = write(tmp_path, "a,b\n" + "".join(lines))
+        monkeypatch.setattr(dataset, "_CHUNK_CHARS", 2048)
+        chunks = []  # (records, coded) of each chunk
+        code_plain_chunk = dataset._code_plain_chunk
+
+        def spy(data, *rest):
+            block = code_plain_chunk(data, *rest)
+            chunks.append((data.count(b"\n"), block is not None))
+            return block
+
+        monkeypatch.setattr(dataset, "_code_plain_chunk", spy)
+        expected = record_loop_outcome(load_csv, path)
+        assert read_outcome(load_csv, path) == expected
+        records, coded = zip(*chunks)
+        assert len(coded) > 5 and coded == (True,) * (len(coded) - 1) + (False,)
+        labels = 2 + sum(records[:-1])  # column b's two, and one a record
+        assert labels <= 1 << (dataset._TABLE_BITS - 1) < labels + records[-1]
+        variables = tuple(VariableMeta(n, len(f), f) for n, f in expected[0])
+        chunks.clear()
+        got = read_outcome(load_csv_with_labels, path, variables)
+        assert got == record_loop_outcome(load_csv_with_labels, path, variables)
+        assert tuple(coded for _, coded in chunks) == coded
 
     @pytest.mark.parametrize("chunk_chars", [64, 1 << 16])
     def test_an_unknown_token_after_the_first_chunk(
@@ -751,9 +776,12 @@ class TestByteChunks:
     def test_keys_with_the_top_bit_set_stay_uint64(
         self, tmp_path, monkeypatch, one_slot
     ):
-        tokens = [f"wide_label_{i:02d}" for i in range(12)]
-        keys = folded_keys(tokens)
-        assert keys.dtype == np.uint64 and (keys >= np.uint64(1 << 63)).any()
+        # an ASCII key lies below 2**63, but XORed with column 0's salt its
+        # top bit is set
+        tokens = [f"label_{i:02d}" for i in range(12)]
+        keys = np.array([int.from_bytes(t.encode(), "little") for t in tokens], np.uint64)
+        assert (keys < np.uint64(1 << 63)).all()
+        assert ((keys ^ dataset._SALT) >= np.uint64(1 << 63)).all()
         rows = [f"{tokens[i % 12]},{tokens[i * 5 % 12]}\n" for i in range(60)]
         train = write(tmp_path, "a,b\n" + "".join(rows), "train.csv")
         test = write(tmp_path, "a,b\n" + "".join(reversed(rows)), "test.csv")
@@ -765,7 +793,7 @@ class TestByteChunks:
         got = read_outcome(load_csv_with_labels, test, ds.variables)
         assert coded == [True, True]
         for table in tables:
-            assert table.key.dtype == table.words.dtype == np.uint64
+            assert table.key.dtype == np.uint64
             assert set(keys.tolist()) <= set(table.key[table.col >= 0].tolist())
         assert read_outcome(load_csv, train) == record_loop_outcome(load_csv, train)
         assert got == record_loop_outcome(load_csv_with_labels, test, ds.variables)
@@ -814,6 +842,61 @@ class TestByteChunks:
         assert len(coded) >= 3 * 4 and all(coded)
         assert got == [record_loop_outcome(*read) for read in reads]
         assert got[2][1] == [[("", "x", "y").index(t) for t in row] for row in rows]
+
+
+@st.composite
+def label_batches(draw):
+    """(m, batches): batches of (columns, keys) of tokens for a label table
+    of m columns, from a few labels met often to more than it holds."""
+    m = draw(st.integers(1, 4))
+    batches = []
+    for _ in range(draw(st.integers(1, 6))):
+        size = draw(st.sampled_from([1, 5, 100, 1500]))
+        span = draw(st.sampled_from([4, 300, 1 << 20, 1 << 63]))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        keys = rng.integers(0, span, size, dtype=np.uint64)
+        batches.append((rng.integers(0, m, size), keys))
+    return m, batches
+
+
+class TestLabelTable:
+    @settings(max_examples=100, deadline=None)
+    @given(label_batches(), st.booleans())
+    def test_add_places_each_label_once_and_find_finds_it(self, problem, one_slot):
+        # with `_hash` patched to zeros every key has home slot 0, so that a
+        # probe past _MAX_PROBES labels refuses a batch
+        m, batches = problem
+        with pytest.MonkeyPatch.context() as patch:
+            if one_slot:
+                patch.setattr(dataset, "_hash", np.zeros_like)
+            table = dataset._LabelTable(m)
+            size = len(table.col)
+            labels = {}  # (column, key) -> slot
+            for cols, keys in batches:
+                pairs = list(zip(cols.tolist(), keys.tolist()))
+                first = {}  # each new label's first token
+                for k, pair in enumerate(pairs):
+                    if pair not in labels:
+                        first.setdefault(pair, k)
+                placed = table.add(cols, keys)
+                held = len(labels) + len(first)
+                if placed is None:  # the table is read no more
+                    assert held > (dataset._MAX_PROBES if one_slot else size // 2)
+                    break
+                assert held <= (dataset._MAX_PROBES if one_slot else size // 2)
+                slots, firsts = placed
+                assert firsts.tolist() == list(first.values())
+                table.code[slots[firsts]] = np.arange(len(labels), held)
+                for pair, slot in zip(pairs, slots.tolist()):
+                    assert labels.setdefault(pair, slot) == slot
+                assert len(set(labels.values())) == table.count == held
+                grid = np.zeros((len(keys), m), dtype=np.uint64)
+                grid[np.arange(len(keys)), cols] = keys
+                found = table.find(grid).reshape(-1, m)[np.arange(len(keys)), cols]
+                assert found.tolist() == slots.tolist()
+                full = np.flatnonzero(table.col >= 0)
+                home = table._home(table.key[full] ^ table.salt[table.col[full]])
+                assert ((full - home) % size < dataset._MAX_PROBES).all()
 
 
 def read_through_a_pipe(path, data, read, *args):
