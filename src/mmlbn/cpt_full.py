@@ -65,7 +65,13 @@ def full_cpt_message_length(counts: ContingencyCounts) -> FullCptScore:
 def full_cpt_predictive(counts: ContingencyCounts) -> np.ndarray:
     """Posterior-mean table: (count + 1) / (total + arity), rows sum to 1.
 
-    Unseen configurations get the uniform distribution.
+    Unseen configurations get the uniform distribution. The (n_configs,
+    child arity) result is the transpose of a child-major array, so the
+    totals sum across rows rather than along the short child axis.
     """
-    table = counts.dense().astype(float)
-    return (table + 1.0) / (table.sum(axis=1, keepdims=True) + counts.child_arity)
+    table = counts.dense().T.astype(float, order="C")
+    totals = table.sum(axis=0)
+    totals += counts.child_arity
+    table += 1.0
+    table /= totals
+    return table.T

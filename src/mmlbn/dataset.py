@@ -631,9 +631,14 @@ class ContingencyCounts:
         """Total number of parent configurations (exact integer)."""
         return math.prod(self.parent_arities)
 
-    @property
+    @cached_property
     def config_totals(self) -> np.ndarray:
-        return self.counts.sum(axis=1)
+        """Cases per observed configuration: summed once per tally, since
+        the full-table length, the logit floor and the logit fit each read
+        it, and read-only, as the counts are."""
+        totals = self.counts.sum(axis=1)
+        totals.flags.writeable = False
+        return totals
 
     @property
     def n_cases(self) -> int:

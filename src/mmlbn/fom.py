@@ -28,7 +28,14 @@ x_ci x_cj of each design row for i <= j, T = D (D + 1) / 2 columns, and w
 holding every pair k <= l's weights side by side, one product P^T w gives
 the upper triangles of the Gram matrices of all pairs at once as a
 (T, pairs) stack, and one gather through an index layout kept per (D, r_y)
-places the stack in the matrix. The product is summed over blocks of at most
+places the stack in the matrix. Every per-configuration array of the fit
+is held child-major, (r_y, n) or (pairs, n): the probabilities, the counts
+and the weights w (used as a transposed view in P^T w), so the softmax's
+max and sum over the child values and each pair's product of two
+projected probabilities run across rows of n configurations. numpy
+reduces along an axis of 2 to 5 elements several times slower. The design
+is held once, as (n, D) rows, and read through its transpose; P stays
+(block, T) rows. The product is summed over blocks of at most
 ``INFORMATION_BLOCK_ROWS`` configurations, so its temporaries stay the same
 size however many configurations a node has. P does not depend on the
 probabilities, so the objective keeps the leading blocks of P that fit in
@@ -161,16 +168,16 @@ def constraint_basis(child_arity: int, parent_arities: tuple) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def _child_constants(child_arity: int):
-    """Q_y, its transpose, the child contrast pairs k <= l, and the products
-    of their columns, so that p_c @ products gives (Q_y^T diag p_c Q_y)[k, l]
-    for every pair."""
+    """Q_y^T, the child contrast pairs k <= l, and the products of Q_y's
+    columns as (pairs, r_y) rows, so that products @ p_c gives
+    (Q_y^T diag p_c Q_y)[k, l] for every pair."""
     q_y = contrast_matrix(child_arity)
     k, l = np.triu_indices(child_arity - 1)
-    products = q_y[:, k] * q_y[:, l]
+    products = np.ascontiguousarray((q_y[:, k] * q_y[:, l]).T)
     q_y_t = np.ascontiguousarray(q_y.T)
     for array in (k, l, products, q_y_t):
         array.flags.writeable = False
-    return q_y, q_y_t, k, l, products
+    return q_y_t, k, l, products
 
 
 @lru_cache(maxsize=64)
@@ -189,7 +196,7 @@ def _information_layout(d: int, child_arity: int) -> np.ndarray:
     (i (r_y - 1) + k, j (r_y - 1) + l) reads Gram matrix pair(k, l) at
     (min(i, j), max(i, j))."""
     r = child_arity - 1
-    k, l = _child_constants(child_arity)[2:4]
+    k, l = _child_constants(child_arity)[1:3]
     pair = np.empty((r, r), dtype=np.intp)
     pair[k, l] = pair[l, k] = np.arange(k.size)
     i, j = _upper_triangle(d)
@@ -288,11 +295,14 @@ def _logsumexp(values: np.ndarray, axis: int) -> np.ndarray:
 
 def predictive_log_probs(params: FomParams, parent_values: np.ndarray) -> np.ndarray:
     """Log child distributions, shape (n, r_y), at the rows of an (n, q)
-    integer array of parent values."""
-    logits = np.tile(params.a, (parent_values.shape[0], 1))
+    integer array of parent values: the transpose of a child-major (r_y, n)
+    array, whose log-sum-exp over child values runs across rows."""
+    logits = np.empty((params.child_arity, parent_values.shape[0]))
+    logits[:] = params.a[:, None]
     for block, values in zip(params.blocks, parent_values.T):
-        logits += block[:, values].T
-    return logits - _logsumexp(logits, 1)[:, None]
+        logits += block[:, values]
+    logits -= _logsumexp(logits, 0)
+    return logits.T
 
 
 def fom_probability(params: FomParams, parent_config: int) -> np.ndarray:
@@ -358,8 +368,9 @@ class FomObjective:
             raise ParameterCapError(
                 f"logit model needs {self.dim} free parameters (cap {PARAMETER_CAP})"
             )
-        self._counts = counts.counts.astype(float)
-        self._totals = self._counts.sum(axis=1)
+        # the counts child-major, (r_y, n), as the probabilities are read
+        self._counts = counts.counts.T.astype(float, order="C")
+        self._totals = counts.config_totals.astype(float)
         digits = counts.config_digits
         self._design = np.empty((digits.shape[0], self.dim // (self.r_y - 1)))
         self._design[:, 0] = 1.0
@@ -370,25 +381,33 @@ class FomObjective:
             columns = self._design[:, start : start + r_i - 1]
             contrast_matrix(r_i).take(digits[:, i], axis=0, out=columns, mode="clip")
             start += r_i - 1
-        self._q_y, self._q_y_t, k, l, self._pair_products = _child_constants(self.r_y)
+        self._q_y_t, k, l, self._pair_products = _child_constants(self.r_y)
         self._pairs = k, l
-        self._counts_q = self._counts @ self._q_y
+        self._counts_q = self._q_y_t @ self._counts
         # the leading blocks' design products, kept by information_free
         self._products = []
 
     def probabilities(self, u: np.ndarray) -> np.ndarray:
-        """Softmax child distributions at each observed configuration."""
-        logits = self._design @ (u.reshape(-1, self.r_y - 1) @ self._q_y_t)
-        logits -= logits.max(axis=1, keepdims=True)
+        """Softmax child distributions at each observed configuration, as the
+        (n, r_y) transpose of a child-major (r_y, n) array.
+
+        The logits are (theta Q_y^T)^T X^T, formed through the transposed
+        view of the design, so the max and the sum over the r_y child values
+        run across n-long rows rather than along r_y-long ones, which numpy
+        reduces slowly.
+        """
+        logits = (u.reshape(-1, self.r_y - 1) @ self._q_y_t).T @ self._design.T
+        logits -= logits.max(axis=0)
         np.exp(logits, out=logits)
-        logits /= logits.sum(axis=1, keepdims=True)
-        return logits
+        logits /= logits.sum(axis=0)
+        return logits.T
 
     def _gradient(self, u: np.ndarray, probs: np.ndarray) -> np.ndarray:
         """The objective's gradient at u, given the probabilities at u."""
-        residual = self._totals[:, None] * (probs @ self._q_y)
+        residual = self._q_y_t @ probs.T
+        residual *= self._totals
         residual -= self._counts_q
-        return (self._design.T @ residual).ravel() + self._ridge * u
+        return (residual @ self._design).T.ravel() + self._ridge * u
 
     def information_free(self, probs: np.ndarray) -> np.ndarray:
         """Ridged expected information in free coordinates.
@@ -403,6 +422,12 @@ class FomObjective:
         The first call keeps the products of the leading blocks, up to
         ``KEPT_PRODUCT_FLOATS`` floats, and later calls read them; the
         products of any later block are formed at each call.
+
+        The probabilities are read child-major, as the (r_y, n) transpose of
+        probs, and the weights formed as (pairs, block) rows, so each pair's
+        weight is a product of two rows of the projected probabilities
+        rather than of two columns; the products stay (block, T) rows and
+        the weights enter the product as a transposed view.
         """
         k, l = self._pairs
         design, kept = self._design, self._products
@@ -419,11 +444,11 @@ class FomObjective:
                 products *= block[:, j]
                 if (start + len(block)) * i.size <= KEPT_PRODUCT_FLOATS:
                     kept.append(products)
-            p = probs[start:stop]
-            projected = p @ self._q_y
-            weights = p @ self._pair_products - projected[:, k] * projected[:, l]
-            weights *= self._totals[start:stop, None]
-            stack += products.T @ weights
+            p = probs[start:stop].T
+            projected = self._q_y_t @ p
+            weights = self._pair_products @ p - projected[k] * projected[l]
+            weights *= self._totals[start:stop]
+            stack += products.T @ weights.T
         matrix = np.take(stack, _information_layout(d, self.r_y))
         matrix.ravel()[:: self.dim + 1] += self._ridge
         return matrix
@@ -434,7 +459,7 @@ class FomObjective:
 
     def _value(self, u: np.ndarray, probs: np.ndarray) -> float:
         """NLL + |u|^2 / (2 sigma^2) at u, given the probabilities at u."""
-        nll = -float((self._counts * np.log(probs)).sum())
+        nll = -float((self._counts * np.log(probs.T)).sum())
         return nll + 0.5 * self._ridge * float(u @ u)
 
     def value(self, u: np.ndarray) -> float:
@@ -459,12 +484,12 @@ class FomObjective:
         the ConvergenceError a Newton step raises for the same condition.
         """
         logs = np.log(self._counts + 0.5)
-        targets = (logs - logs[:, :1]) @ self._q_y
+        targets = self._q_y_t @ (logs - logs[:1])
         weighted = self._design * self._totals[:, None]
         system = weighted.T @ self._design
         system.flat[:: system.shape[0] + 1] += self._ridge
         try:
-            return np.linalg.solve(system, weighted.T @ targets).ravel()
+            return np.linalg.solve(system, weighted.T @ targets.T).ravel()
         except np.linalg.LinAlgError:
             raise ConvergenceError(
                 "information matrix is not positive definite"

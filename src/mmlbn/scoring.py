@@ -187,12 +187,14 @@ class NetworkScorer:
         return entry["floor"]
 
     def node_table(self, child: int, parents) -> np.ndarray:
-        """Log of `full_cpt_predictive`, shaped (parent arities..., child arity)."""
+        """Log of `full_cpt_predictive`, shaped (parent arities..., child arity):
+        a view of the child-major log table, so no reshape copies it."""
         key, entry = self._entry(child, parents)
         if "table" not in entry:
             counts = entry["counts"] if "counts" in entry else counts_for(self.ds, *key)
-            table = np.log(full_cpt_predictive(counts))
-            entry["table"] = table.reshape(counts.parent_arities + (counts.child_arity,))
+            table = np.log(full_cpt_predictive(counts).T)
+            table = table.reshape((counts.child_arity,) + counts.parent_arities)
+            entry["table"] = np.moveaxis(table, 0, -1)
         return entry["table"]
 
     def node_length_or_inf(self, child: int, parents: tuple) -> float:

@@ -173,6 +173,75 @@ def dense_information_matrix(params, counts):
     return info
 
 
+# -- row-major logit references --------------------------------------------
+#
+# The logit objective's quantities with every per-configuration array laid
+# out (configurations, child values) and each reduction over child values
+# taken along that short axis, one configuration per row.
+
+
+def helmert(arity):
+    """(arity, arity - 1) Helmert contrasts: column j weighs the first j + 1
+    levels equally against level j + 1, scaled to unit length."""
+    q = np.zeros((arity, arity - 1))
+    for j in range(arity - 1):
+        q[: j + 1, j] = 1.0
+        q[j + 1, j] = -(j + 1.0)
+        q[:, j] /= math.sqrt((j + 1) * (j + 2))
+    return q
+
+
+def logit_design(parent_arities, digits):
+    """(n, D) design rows [1, Q_{r_1}[w_1], ..., Q_{r_q}[w_q]] of an (n, q)
+    array of parent values."""
+    pieces = [np.ones((digits.shape[0], 1))]
+    pieces += [helmert(r)[digits[:, i]] for i, r in enumerate(parent_arities)]
+    return np.hstack(pieces)
+
+
+def row_major_probabilities(design, u, child_arity):
+    """(n, r_y) softmax of the logits X theta Q_y^T, normalised row by row."""
+    q_y = helmert(child_arity)
+    logits = design @ (u.reshape(-1, child_arity - 1) @ q_y.T)
+    logits -= logits.max(axis=1, keepdims=True)
+    probs = np.exp(logits)
+    return probs / probs.sum(axis=1, keepdims=True)
+
+
+def row_major_gradient(design, counts, probs, u, sigma):
+    """X^T (n_c (p_c - counts_c / n_c) Q_y) read row by row, plus u / sigma^2."""
+    q_y = helmert(counts.shape[1])
+    totals = counts.sum(axis=1)
+    residual = totals[:, None] * (probs @ q_y) - counts @ q_y
+    return (design.T @ residual).ravel() + u / sigma**2
+
+
+def row_major_information(design, totals, probs, sigma):
+    """sum_c n_c (x_c x_c^T) kron W_c + I / sigma^2, with
+    W_c = Q_y^T (diag p_c - p_c p_c^T) Q_y: one full Gram matrix of the
+    design per child-contrast slot (k, l)."""
+    r = probs.shape[1] - 1
+    q_y = helmert(probs.shape[1])
+    projected = probs @ q_y
+    d = design.shape[1]
+    info = np.zeros((d, r, d, r))
+    for k in range(r):
+        for l in range(r):
+            weight = probs @ (q_y[:, k] * q_y[:, l]) - projected[:, k] * projected[:, l]
+            info[:, k, :, l] = design.T @ (design * (totals * weight)[:, None])
+    info = info.reshape(d * r, d * r)
+    return info + np.eye(d * r) / sigma**2
+
+
+def row_major_log_probs(params, parent_values):
+    """(n, r_y) log softmax of a + sum_i b_i[:, w_i], row by row."""
+    logits = np.tile(params.a, (parent_values.shape[0], 1))
+    for block, values in zip(params.blocks, parent_values.T):
+        logits += block[:, values].T
+    peak = logits.max(axis=1, keepdims=True)
+    return logits - (np.log(np.exp(logits - peak).sum(axis=1, keepdims=True)) + peak)
+
+
 # -- graph oracles ---------------------------------------------------------
 
 

@@ -1131,6 +1131,24 @@ class TestCounts:
         assert counts.config_totals.tolist() == [2, 2]
         assert counts.n_cases == 4
 
+    @pytest.mark.parametrize("trusted", [False, True], ids=["checked", "tallied"])
+    def test_config_totals_are_summed_once_and_read_only(self, trusted):
+        rng = np.random.default_rng(41)
+        if trusted:
+            ds = make_dataset(rng.integers(0, 3, size=(3, 400)), arities=[3, 3, 3])
+            counts = counts_for(ds, 0, (1, 2))
+        else:
+            table = rng.integers(0, 9, size=(3240, 5))
+            table[::7] = 0  # unobserved configurations
+            counts = ContingencyCounts.from_dense(5, (3, 5, 4, 3, 3, 2, 3), table)
+        totals = counts.config_totals
+        assert np.array_equal(totals, counts.counts.sum(axis=1))
+        assert totals.dtype == np.int64
+        assert not totals.flags.writeable
+        with pytest.raises(ValueError):
+            totals[0] = 0
+        assert counts.config_totals is totals
+
     def test_marginal_histogram(self):
         ds = make_dataset([[0, 1, 2, 1, 1], [0, 1, 0, 1, 0]], arities=[3, 2])
         counts = counts_for(ds, 0, ())

@@ -31,7 +31,12 @@ from helpers import (
     constraint_matrix,
     constraint_rank_dimension,
     dense_information_matrix,
+    logit_design,
     make_dataset,
+    row_major_gradient,
+    row_major_information,
+    row_major_log_probs,
+    row_major_probabilities,
 )
 
 SIGMA = 3.0
@@ -643,6 +648,75 @@ class TestInformationAssembly:
         digits = counts.config_digits
         pieces = [contrast_matrix(r)[digits[:, i]] for i, r in enumerate(arities)]
         assert np.array_equal(design, np.hstack([np.ones((len(table), 1))] + pieces))
+
+
+def assert_close_to(actual, expected):
+    """rtol 1e-14 of each entry, with entries that cancel to rounding noise
+    measured against the largest entry."""
+    np.testing.assert_allclose(
+        actual, expected, rtol=1e-14, atol=1e-14 * np.abs(expected).max(initial=0.0)
+    )
+
+
+class TestChildMajorLayout:
+    """The objective and held-out scoring hold their per-configuration arrays
+    child-major, (r_y, n); each quantity equals its row-major reference,
+    whatever the node's size, its blocks of configurations and the share of
+    design products an objective keeps."""
+
+    @given(
+        st.integers(2, 5),
+        st.lists(st.integers(2, 5), max_size=4),
+        st.sampled_from([None, 16]),
+        st.sampled_from(["kept", "first block kept", "formed"]),
+        st.integers(0, 2**32 - 1),
+    )
+    # 625 configurations: one block of 512 and a partial one
+    @example(3, [5, 5, 5, 5], None, "kept", 1)
+    @example(5, [5, 5, 5, 5], None, "first block kept", 2)
+    @example(2, [5, 5, 5, 5], None, "formed", 3)
+    @example(4, [], None, "kept", 4)
+    def test_equals_the_row_major_reference(self, r_y, arities, rows, cap, seed):
+        rng = np.random.default_rng(seed)
+        table = rng.integers(0, 6, size=(math.prod(arities), r_y))
+        counts = ContingencyCounts.from_dense(r_y, tuple(arities), table)
+        objective = FomObjective(counts, SIGMA)
+        design = logit_design(arities, counts.config_digits)
+        products = design.shape[1] * (design.shape[1] + 1) // 2
+        rows = rows or fom.INFORMATION_BLOCK_ROWS
+        kept_floats = {
+            "kept": fom.KEPT_PRODUCT_FLOATS,
+            "first block kept": rows * products,
+            "formed": 0,
+        }[cap]
+        u = rng.normal(0.0, 0.8, objective.dim)
+        expected = row_major_probabilities(design, u, r_y)
+        probs = objective.probabilities(u)
+        assert probs.shape == (counts.n_observed, r_y)
+        assert_close_to(probs, expected)
+        assert np.abs(probs.sum(axis=1) - 1.0).max(initial=0.0) <= 1e-15
+        assert_close_to(
+            objective.gradient(u),
+            row_major_gradient(design, counts.counts, expected, u, SIGMA),
+        )
+        totals = counts.counts.sum(axis=1)
+        with (
+            mock.patch.object(fom, "INFORMATION_BLOCK_ROWS", rows),
+            mock.patch.object(fom, "KEPT_PRODUCT_FLOATS", kept_floats),
+        ):
+            # the objective's own child-major view, then a row-major array
+            # read through any kept products
+            for p in (probs, random_probs(rng, counts.n_observed, r_y)):
+                assert_close_to(
+                    objective.information_free(p),
+                    row_major_information(design, totals, p, SIGMA),
+                )
+        params = objective.params(u)
+        high = np.array(arities, dtype=np.int64)
+        values = rng.integers(0, high, size=(700, len(arities)))
+        log_probs = fom.predictive_log_probs(params, values)
+        assert log_probs.shape == (700, r_y)
+        assert_close_to(log_probs, row_major_log_probs(params, values))
 
 
 class TestConstraintBasis:
