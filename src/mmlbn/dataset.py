@@ -540,15 +540,24 @@ def config_index(digits, parent_arities) -> int:
 
 def config_digits(index, parent_arities) -> tuple[int, ...]:
     """Inverse of config_index."""
-    arities = tuple(parent_arities)
+    arities = tuple(as_index(r, "parent arity") for r in parent_arities)
+    if any(r < 1 for r in arities):
+        raise ValueError(f"parent arities must be at least 1; got {arities}")
     index = as_index(index, "configuration index")
-    total = math.prod(arities)
-    if not 0 <= index < max(total, 1):
+    if not 0 <= index < math.prod(arities):
         raise ValueError(f"configuration index {index} out of range")
     digits = [0] * len(arities)
     for i in range(len(arities) - 1, -1, -1):
         index, digits[i] = divmod(index, arities[i])
     return tuple(digits)
+
+
+def _index_digits(index: np.ndarray, parent_arities) -> np.ndarray:
+    """config_digits of each of an array of indexes, as int32 rows."""
+    digits = np.empty((len(index), len(parent_arities)), dtype=np.int32)
+    for i in range(len(parent_arities) - 1, -1, -1):
+        index, digits[:, i] = np.divmod(index, parent_arities[i])
+    return digits
 
 
 def _rows_strictly_increase(digits: np.ndarray) -> bool:
@@ -668,9 +677,7 @@ class ContingencyCounts:
                 f"({n_configs}, {child_arity})"
             )
         observed = np.flatnonzero(table.any(axis=1))
-        digits = np.array(
-            [config_digits(i, parent_arities) for i in observed], dtype=np.int32
-        ).reshape(len(observed), len(parent_arities))
+        digits = _index_digits(observed, parent_arities)
         return cls(child_arity, parent_arities, digits, table[observed])
 
 
@@ -732,8 +739,5 @@ def counts_for(ds: DiscreteDataset, child: int, parents) -> ContingencyCounts:
         case[key] = np.arange(n)
         digits = ds.rows[case[observed]][:, list(parents)]
     else:
-        digits = np.empty((len(observed), len(parents)), dtype=np.int32)
-        index = observed
-        for i in range(len(parents) - 1, -1, -1):
-            index, digits[:, i] = np.divmod(index, parent_arities[i])
+        digits = _index_digits(observed, parent_arities)
     return ContingencyCounts._trusted(r_y, parent_arities, digits, table[observed])

@@ -27,27 +27,31 @@ whose entry (i, j) is sum_c x_ci x_cj n_c W_c[k, l]. With P the products
 x_ci x_cj of each design row for i <= j, T = D (D + 1) / 2 columns, and w
 holding every pair k <= l's weights side by side, one product P^T w gives
 the upper triangles of the Gram matrices of all pairs at once as a
-(T, pairs) stack, and one gather through an index layout kept per (D, r_y)
-places the stack in the matrix. Every per-configuration array of the fit
-is held child-major, (r_y, n) or (pairs, n): the probabilities, the counts
-and the weights w (used as a transposed view in P^T w), so the softmax's
-max and sum over the child values and each pair's product of two
-projected probabilities run across rows of n configurations. numpy
-reduces along an axis of 2 to 5 elements several times slower. The design
-is held once, as (n, D) rows, and read through its transpose; P stays
-(block, T) rows. The product is summed over blocks of at most
-``INFORMATION_BLOCK_ROWS`` configurations, so its temporaries stay the same
-size however many configurations a node has. P does not depend on the
-probabilities, so the objective keeps the leading blocks of P that fit in
-``KEPT_PRODUCT_FLOATS`` floats, formed by its first evaluation and read by
-every later one (each Newton step and the log determinant at the optimum);
-a block past that cap is formed again at each evaluation. Against the full
-(D, D, pairs) Gram stack, the upper triangles halve the product's flops.
-The ridge makes the matrix positive definite. A Newton step factors it
-once, in a numpy solve; as grad @ step = -grad^T I^-1 grad < 0 for a
-positive definite I, a failed solve or a step that does not descend is a
-ConvergenceError. The log determinant the code length needs comes from a
-Cholesky factor at the optimum, whose failure is a ConvergenceError too.
+(T, pairs) stack, and one gather places the stack in the matrix. The gather
+index, Q_y^T, the pairs k <= l and i <= j and the products of Q_y's columns
+depend only on the node's shape (D, r_y): ``_shape_layout`` forms them once
+per shape, and the objective fetches them once. Every per-configuration
+array of the fit is held child-major, (r_y, n) or (pairs, n): the
+probabilities, the counts and the weights w (used as a transposed view in
+P^T w), so the softmax's max and sum over the child values and each pair's
+product of two projected probabilities run across rows of n configurations.
+numpy reduces along an axis of 2 to 5 elements several times slower. The
+design is held once, as (n, D) rows, and read through its transpose; P
+stays (block, T) rows. The product is summed over blocks of at most
+``INFORMATION_BLOCK_ROWS`` configurations, and of fewer for a wide design,
+so that a block's P stays within ``KEPT_PRODUCT_FLOATS`` floats: its
+temporaries stay bounded however many configurations and design columns a
+node has. P does not depend on the probabilities, so the objective keeps
+the leading blocks of P that fit in ``KEPT_PRODUCT_FLOATS`` floats, formed
+by its first evaluation and read by every later one (each Newton step and
+the log determinant at the optimum); a block past that cap is formed again
+at each evaluation. Against the full (D, D, pairs) Gram stack, the upper
+triangles halve the product's flops. The ridge makes the matrix positive
+definite. A Newton step factors it once, in a numpy solve; as
+grad @ step = -grad^T I^-1 grad < 0 for a positive definite I, a failed
+solve or a step that does not descend is a ConvergenceError. The log
+determinant the code length needs comes from a Cholesky factor at the
+optimum, whose failure is a ConvergenceError too.
 
 Starting point. Newton's method starts from the ridge least-squares fit of
 the smoothed empirical log-odds (``FomObjective.start``): each observed
@@ -85,15 +89,19 @@ from .dataset import ContingencyCounts, config_digits
 from .errors import ConvergenceError, ParameterCapError, as_index
 
 DEFAULT_SIGMA = 3.0
-# Free dimensions at which a logit model is refused. On 3000 random rows a
-# 990-dimension fit took 0.48 s and a 61 MB traced peak, a 1953-dimension
-# one 2.55 s and 279 MB.
+# Free dimensions at which a logit model is refused. On 3000 random rows (2-core
+# x86), a 23-state child of two 23-state parents (990 dimensions, D = 45) took
+# 0.20 s and a 28.5 MB traced peak, a binary child of one 999-state parent
+# (999, D = 999) 28.6 s, forming its design products one configuration at a
+# time, and 55.6 MB, mostly (dimensions)^2 matrices.
 PARAMETER_CAP = 1000
 GRADIENT_TOL = 1e-8
 MAX_NEWTON_ITERS = 200
-# Configurations per product in information_free: its temporaries take
-# about INFORMATION_BLOCK_ROWS * (D (D + 1) / 2 + pairs) floats, whatever the
-# node's size.
+# Configurations per product in information_free while T = D (D + 1) / 2 <=
+# 512 (D <= 31); a wider design takes KEPT_PRODUCT_FLOATS // T (at least 1),
+# so a block's temporaries, about rows * (T + pairs) floats, stay bounded. A
+# binary child of one 300-state parent (D = 300) on 3000 rows peaked at
+# 8.7 MB for the whole fit, against 220 MB with 512-row blocks.
 INFORMATION_BLOCK_ROWS = 512
 # Floats of design products (2 MiB) an objective keeps across its information
 # evaluations; the blocks past them are formed at each evaluation.
@@ -166,46 +174,31 @@ def constraint_basis(child_arity: int, parent_arities: tuple) -> np.ndarray:
     return basis
 
 
-@lru_cache(maxsize=64)
-def _child_constants(child_arity: int):
-    """Q_y^T, the child contrast pairs k <= l, and the products of Q_y's
-    columns as (pairs, r_y) rows, so that products @ p_c gives
-    (Q_y^T diag p_c Q_y)[k, l] for every pair."""
-    q_y = contrast_matrix(child_arity)
-    k, l = np.triu_indices(child_arity - 1)
-    products = np.ascontiguousarray((q_y[:, k] * q_y[:, l]).T)
-    q_y_t = np.ascontiguousarray(q_y.T)
-    for array in (k, l, products, q_y_t):
-        array.flags.writeable = False
-    return q_y_t, k, l, products
-
-
-@lru_cache(maxsize=64)
-def _upper_triangle(d: int):
-    """Row and column indices i <= j of a d x d matrix, row by row."""
-    upper = np.triu_indices(d)
-    for array in upper:
-        array.flags.writeable = False
-    return upper
-
-
 @lru_cache(maxsize=256)
-def _information_layout(d: int, child_arity: int) -> np.ndarray:
-    """Where each entry of the (d (r_y - 1))^2 information sits in the
-    flattened (d (d + 1) / 2, pairs) stack of Gram upper triangles: entry
-    (i (r_y - 1) + k, j (r_y - 1) + l) reads Gram matrix pair(k, l) at
+def _shape_layout(d: int, child_arity: int):
+    """The read-only arrays of a logit fit with d design columns and child
+    arity r_y: Q_y^T; the child contrast pairs k <= l; the products of Q_y's
+    columns as (pairs, r_y) rows, so that products @ p_c gives
+    (Q_y^T diag p_c Q_y)[k, l] for every pair; the design column pairs
+    i <= j, row by row; and the index gathering the (d (d + 1) / 2, pairs)
+    stack of Gram upper triangles into the information, whose entry
+    (i (r_y - 1) + k, j (r_y - 1) + l) reads pair(k, l) at
     (min(i, j), max(i, j))."""
+    q_y = contrast_matrix(child_arity)
     r = child_arity - 1
-    k, l = _child_constants(child_arity)[1:3]
+    k, l = np.triu_indices(r)
+    products = np.ascontiguousarray((q_y[:, k] * q_y[:, l]).T)
+    i, j = np.triu_indices(d)
     pair = np.empty((r, r), dtype=np.intp)
     pair[k, l] = pair[l, k] = np.arange(k.size)
-    i, j = _upper_triangle(d)
     entry = np.empty((d, d), dtype=np.intp)
     entry[i, j] = entry[j, i] = np.arange(i.size)
-    layout = entry[:, None, :, None] * k.size + pair[:, None, :]
-    layout = layout.reshape(d * r, d * r)
-    layout.flags.writeable = False
-    return layout
+    gather = entry[:, None, :, None] * k.size + pair[:, None, :]
+    gather = gather.reshape(d * r, d * r)
+    q_y_t = np.ascontiguousarray(q_y.T)
+    for array in (q_y_t, k, l, products, i, j, gather):
+        array.flags.writeable = False
+    return q_y_t, (k, l), products, (i, j), gather
 
 
 @dataclass(frozen=True, eq=False)
@@ -333,14 +326,13 @@ def _prior_log_normaliser(child_arity: int, parent_arities: tuple) -> float:
 
 
 def _logit_length(
-    counts: ContingencyCounts, sigma: float, objective: float, log_det: float
+    d: int, norm: float, sigma: float, objective: float, log_det: float
 ) -> float:
     """The logit code length in nits: -log prior peak + objective
     + (1/2) log det I_sigma + (d/2)(1 - log 12), with objective the fit's
     NLL + |u|^2 / (2 sigma^2), I_sigma the ridged information, d the free
-    dimension and the prior's log peak norm - d ((1/2) log 2 pi + log sigma)."""
-    d = free_dimension(counts.child_arity, counts.parent_arities)
-    norm = _prior_log_normaliser(counts.child_arity, counts.parent_arities)
+    dimension and the prior's log peak norm - d ((1/2) log 2 pi + log sigma),
+    norm being ``_prior_log_normaliser`` of the node's arities."""
     neg_log_peak = d * (0.5 * _LOG_2PI + math.log(sigma)) - norm
     return neg_log_peak + objective + 0.5 * log_det + 0.5 * d * (1.0 - _LOG_12)
 
@@ -372,7 +364,8 @@ class FomObjective:
         self._counts = counts.counts.T.astype(float, order="C")
         self._totals = counts.config_totals.astype(float)
         digits = counts.config_digits
-        self._design = np.empty((digits.shape[0], self.dim // (self.r_y - 1)))
+        d = self.dim // (self.r_y - 1)
+        self._design = np.empty((digits.shape[0], d))
         self._design[:, 0] = 1.0
         # each parent's contrast rows go straight into its columns; "clip"
         # alters no digit (all are in range) and, unlike "raise", buffers no copy
@@ -381,8 +374,8 @@ class FomObjective:
             columns = self._design[:, start : start + r_i - 1]
             contrast_matrix(r_i).take(digits[:, i], axis=0, out=columns, mode="clip")
             start += r_i - 1
-        self._q_y_t, k, l, self._pair_products = _child_constants(self.r_y)
-        self._pairs = k, l
+        # Q_y^T, which every evaluation reads, and what information_free reads
+        self._q_y_t, *self._layout = _shape_layout(d, self.r_y)
         self._counts_q = self._q_y_t @ self._counts
         # the leading blocks' design products, kept by information_free
         self._products = []
@@ -429,13 +422,12 @@ class FomObjective:
         rather than of two columns; the products stay (block, T) rows and
         the weights enter the product as a transposed view.
         """
-        k, l = self._pairs
+        (k, l), pair_products, (i, j), gather = self._layout
         design, kept = self._design, self._products
-        n, d = design.shape
-        i, j = _upper_triangle(d)
+        rows = max(1, min(INFORMATION_BLOCK_ROWS, KEPT_PRODUCT_FLOATS // i.size))
         stack = np.zeros((i.size, k.size))
-        for index, start in enumerate(range(0, n, INFORMATION_BLOCK_ROWS)):
-            stop = start + INFORMATION_BLOCK_ROWS
+        for index, start in enumerate(range(0, design.shape[0], rows)):
+            stop = start + rows
             if index < len(kept):
                 products = kept[index]
             else:
@@ -446,10 +438,10 @@ class FomObjective:
                     kept.append(products)
             p = probs[start:stop].T
             projected = self._q_y_t @ p
-            weights = self._pair_products @ p - projected[k] * projected[l]
+            weights = pair_products @ p - projected[k] * projected[l]
             weights *= self._totals[start:stop]
             stack += products.T @ weights.T
-        matrix = np.take(stack, _information_layout(d, self.r_y))
+        matrix = np.take(stack, gather)
         matrix.ravel()[:: self.dim + 1] += self._ridge
         return matrix
 
@@ -563,7 +555,9 @@ def fom_message_length(
     objective = FomObjective(counts, sigma)
     u, probs = objective.fit()
     log_det = _log_det(objective.information_free(probs))
-    length = _logit_length(counts, sigma, objective._value(u, probs), log_det)
+    norm = _prior_log_normaliser(objective.r_y, objective.arities)
+    value = objective._value(u, probs)
+    length = _logit_length(objective.dim, norm, sigma, value, log_det)
     u.flags.writeable = False
     return FomScore(length, objective.dim, objective.r_y, objective.arities, u)
 
@@ -600,5 +594,5 @@ def fom_length_floor(counts: ContingencyCounts) -> float:
     norm = _prior_log_normaliser(counts.child_arity, counts.parent_arities)
     scale = _sum_x_log_x(counts.config_totals)  # the largest of the NLL terms
     saturated = scale - _sum_x_log_x(counts.counts)
-    floor = _logit_length(counts, 1.0, saturated, 0.0)
+    floor = _logit_length(d, norm, 1.0, saturated, 0.0)
     return floor - 1e-9 * (1.0 + scale + norm + d)

@@ -1120,6 +1120,17 @@ class TestMixedRadix:
         assert config_index((np.int64(1), np.int8(2)), (2, 3)) == 5
         assert config_digits(np.int32(5), (2, 3)) == (1, 2)
 
+    def test_digits_check_their_arities(self):
+        # an arity of 0 once divided by zero, and -2 and 2.0 gave digits
+        for arities in ((0,), (-2,)):
+            with pytest.raises(ValueError, match="at least 1"):
+                config_digits(0, arities)
+            with pytest.raises(ValueError):
+                config_index((0,), arities)
+        with pytest.raises(ValueError, match="parent arity must be an integer"):
+            config_digits(3, (2.0, 2))
+        assert config_digits(0, (1, np.int8(2))) == (0, 0)
+
 
 class TestCounts:
     def test_direct_tally(self):
@@ -1334,6 +1345,21 @@ def tally(ds, child, parents):
 
 
 class TestCountsProperties:
+    @given(
+        st.integers(2, 3),
+        st.lists(st.integers(1, 5), max_size=4),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_dense_digits_are_config_digits(self, r_y, arities, seed):
+        rng = np.random.default_rng(seed)
+        table = rng.integers(0, 2, size=(math.prod(arities), r_y))
+        counts = ContingencyCounts.from_dense(r_y, arities, table)
+        observed = np.flatnonzero(table.any(axis=1))
+        assert counts.config_digits.dtype == np.int32
+        assert counts.config_digits.shape == (len(observed), len(arities))
+        rows = [config_digits(int(i), arities) for i in observed]
+        assert list(map(tuple, counts.config_digits.tolist())) == rows
+
     @given(count_problems())
     def test_matches_case_by_case_tally(self, problem):
         ds, child, parents = problem

@@ -649,6 +649,32 @@ class TestInformationAssembly:
         pieces = [contrast_matrix(r)[digits[:, i]] for i, r in enumerate(arities)]
         assert np.array_equal(design, np.hstack([np.ones((len(table), 1))] + pieces))
 
+    def test_memory_stays_flat_on_a_wide_design(self):
+        # A binary child of one 200-state parent on 3000 rows: 200 design
+        # columns, 20100 products a configuration. One 512-row block takes
+        # all 200 configurations, 32 MB of products, and the fit peaks at
+        # 66 MB; blocks of KEPT_PRODUCT_FLOATS // 20100 = 13 keep it under
+        # 8 MB. The blocks sum in another order, so the length may move in
+        # its last bits, no more.
+        rng = np.random.default_rng(65)
+        parent, child = rng.integers(0, 200, 3000), rng.integers(0, 2, 3000)
+        table = np.zeros((200, 2), dtype=int)
+        np.add.at(table, (parent, child), 1)
+        counts = ContingencyCounts.from_dense(2, (200,), table)
+        tracemalloc.start()
+        try:
+            score = fom_message_length(counts, SIGMA)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert score.free_dim == 200 and counts.n_observed == 200
+        assert peak < 16 * 2**20
+        with mock.patch.object(fom, "KEPT_PRODUCT_FLOATS", 512 * 20100):
+            whole_blocks = fom_message_length(counts, SIGMA)
+        assert score.message_length == pytest.approx(
+            whole_blocks.message_length, rel=1e-13, abs=0
+        )
+
 
 def assert_close_to(actual, expected):
     """rtol 1e-14 of each entry, with entries that cancel to rounding noise
@@ -676,6 +702,9 @@ class TestChildMajorLayout:
     @example(5, [5, 5, 5, 5], None, "first block kept", 2)
     @example(2, [5, 5, 5, 5], None, "formed", 3)
     @example(4, [], None, "kept", 4)
+    # 48 design columns: blocks of KEPT_PRODUCT_FLOATS // 1176 = 222 of the
+    # 360 configurations, the first kept
+    @example(3, [40, 9], None, "kept", 5)
     def test_equals_the_row_major_reference(self, r_y, arities, rows, cap, seed):
         rng = np.random.default_rng(seed)
         table = rng.integers(0, 6, size=(math.prod(arities), r_y))
@@ -1003,6 +1032,20 @@ class TestLengthFloor:
             counts = ContingencyCounts.from_dense(r_y, arities, table)
             gap = zero_case_length(r_y, arities, sigma) - fom.fom_length_floor(counts)
             assert 0.0 < gap < 1e-6
+
+    def test_one_dimension_check_per_fit_and_per_floor(self, monkeypatch):
+        calls = []
+
+        def counted(child_arity, parent_arities):
+            calls.append((child_arity, parent_arities))
+            return free_dimension(child_arity, parent_arities)
+
+        monkeypatch.setattr(fom, "free_dimension", counted)
+        counts = random_counts(np.random.default_rng(66), 3, (2, 4))
+        fom_message_length(counts, SIGMA)
+        assert calls == [(3, (2, 4))]
+        fom.fom_length_floor(counts)
+        assert calls == [(3, (2, 4))] * 2
 
     def test_saturated_likelihood_and_normaliser(self):
         # one parent of arity 2 over a binary child: d = 2 and the
