@@ -463,43 +463,50 @@ class _LabelTable:
 
     def add(self, cols, keys):
         """Place the labels of tokens: token k lies in column cols[k] and is
-        keyed keys[k]. Each pair probes from its home slot, and one the
-        table lacks takes the first free slot. Returns (slots, firsts): each
-        token's slot, and in order the tokens that first name a label the
-        table lacked; the caller sets such a label's code. None once the
-        table passes half full, or if a pair would lie `_MAX_PROBES` slots
-        past its home.
+        keyed keys[k]. A label the table holds keeps its slot. Those it lacks
+        are placed one at a time, in order of their home slots, each in the
+        first free slot from its home on. Then no label is passed over by
+        one placed after it with a nearer home (short of a run that wraps
+        past the last slot), so no order of placement probes less far.
+        Returns (slots, firsts): each token's slot, and in order the tokens
+        that first name a label the table lacked; the caller sets such a
+        label's code. None once the table passes half full, or if a label
+        would lie `_MAX_PROBES` slots past its home.
         """
-        at = self._home(keys ^ self.salt[cols])
-        slots = np.empty(len(keys), dtype=np.intp)
-        todo = np.arange(len(keys))
-        for probe in range(_MAX_PROBES):
-            free = np.flatnonzero(self.col[at] < 0)
-            if len(free):
-                self.code[at[free]] = free  # one claim on each free slot wins
-                won = free[self.code[at[free]] == free]
-                self.col[at[won]] = cols[won]
-                self.key[at[won]] = keys[won]
-                self.code[at[won]] = -1
-                self.count += len(won)
-                self.reach = max(self.reach, probe)
-                if 2 * self.count > len(self.col):
-                    return None
-            same = (self.col[at] == cols) & (self.key[at] == keys)
-            slots[todo[same]] = at[same]
-            go = np.flatnonzero(~same)
-            if not len(go):
-                break
-            todo, cols, keys = todo[go], cols[go], keys[go]
-            at = (at[go] + 1) & (len(self.col) - 1)
-        else:
-            return None
-        # A new label's code is -1; set it to the least index of its tokens.
-        fresh = np.flatnonzero(self.code[slots] < 0)
-        at = slots[fresh]
-        self.code[at] = len(slots)
-        np.minimum.at(self.code, at, fresh)
-        return slots, fresh[self.code[at] == fresh]
+        homes = self._home(keys ^ self.salt[cols])
+        # the tokens grouped by label, each group in token order (a stable
+        # sort): first holds each label's first token, label each token's label
+        order = np.lexsort((keys, cols))
+        starts = np.ones(len(order), dtype=bool)
+        starts[1:] = np.diff(cols[order]) != 0
+        starts[1:] |= keys[order][1:] != keys[order][:-1]
+        first = order[starts]
+        label = np.empty(len(order), dtype=np.intp)
+        label[order] = np.cumsum(starts) - 1
+        slots = np.empty(len(first), dtype=np.intp)
+        fresh = []
+        last = len(self.col) - 1
+        for n in np.argsort(homes[first], kind="stable").tolist():
+            k = first[n]
+            # the key stays a uint64: numpy 1.23 compares a large Python int
+            # with a uint64 as float64
+            col, key, at = int(cols[k]), keys[k], int(homes[k])
+            for probe in range(_MAX_PROBES):
+                if self.col[at] < 0:
+                    self.col[at], self.key[at] = col, key
+                    self.count += 1
+                    self.reach = max(self.reach, probe)
+                    if 2 * self.count > len(self.col):
+                        return None
+                    fresh.append(k)
+                    break
+                if self.col[at] == col and self.key[at] == key:
+                    break
+                at = (at + 1) & last
+            else:
+                return None
+            slots[n] = at
+        return slots[label], np.sort(np.array(fresh, dtype=np.intp))
 
 
 def split_train_test(ds: DiscreteDataset, test_fraction: float, seed: int):
@@ -526,7 +533,7 @@ def split_train_test(ds: DiscreteDataset, test_fraction: float, seed: int):
 
 def config_index(digits, parent_arities) -> int:
     """Mixed-radix index of one parent configuration (exact integer)."""
-    arities = tuple(parent_arities)
+    arities = _checked_arities(parent_arities)
     if len(digits) != len(arities):
         raise ValueError("digit count does not match parent count")
     index = 0
@@ -540,9 +547,7 @@ def config_index(digits, parent_arities) -> int:
 
 def config_digits(index, parent_arities) -> tuple[int, ...]:
     """Inverse of config_index."""
-    arities = tuple(as_index(r, "parent arity") for r in parent_arities)
-    if any(r < 1 for r in arities):
-        raise ValueError(f"parent arities must be at least 1; got {arities}")
+    arities = _checked_arities(parent_arities)
     index = as_index(index, "configuration index")
     if not 0 <= index < math.prod(arities):
         raise ValueError(f"configuration index {index} out of range")
@@ -550,6 +555,14 @@ def config_digits(index, parent_arities) -> tuple[int, ...]:
     for i in range(len(arities) - 1, -1, -1):
         index, digits[i] = divmod(index, arities[i])
     return tuple(digits)
+
+
+def _checked_arities(parent_arities) -> tuple[int, ...]:
+    """Parent arities as ints, each at least 1, or a ValueError."""
+    arities = tuple(as_index(r, "parent arity") for r in parent_arities)
+    if any(r < 1 for r in arities):
+        raise ValueError(f"parent arities must be at least 1; got {arities}")
+    return arities
 
 
 def _index_digits(index: np.ndarray, parent_arities) -> np.ndarray:

@@ -30,7 +30,12 @@ the upper triangles of the Gram matrices of all pairs at once as a
 (T, pairs) stack, and one gather places the stack in the matrix. The gather
 index, Q_y^T, the pairs k <= l and i <= j and the products of Q_y's columns
 depend only on the node's shape (D, r_y): ``_shape_layout`` forms them once
-per shape, and the objective fetches them once. Every per-configuration
+per shape, and the objective fetches them once. Each iterate's
+probabilities are projected once, Q_y^T p_c, for its gradient and its
+information both. The totals n_c are folded into the design the gradient
+reads (N X, kept by the objective) and into P when it is formed, so w
+carries none, and the gradient's constant term (Q_y^T C) X is formed once
+per objective. Every per-configuration
 array of the fit is held child-major, (r_y, n) or (pairs, n): the
 probabilities, the counts and the weights w (used as a transposed view in
 P^T w), so the softmax's max and sum over the child values and each pair's
@@ -374,11 +379,27 @@ class FomObjective:
             columns = self._design[:, start : start + r_i - 1]
             contrast_matrix(r_i).take(digits[:, i], axis=0, out=columns, mode="clip")
             start += r_i - 1
+        # the design with each row times its configuration's total, N X, which
+        # the start and the gradient read
+        self._weighted = self._design * self._totals[:, None]
         # Q_y^T, which every evaluation reads, and what information_free reads
         self._q_y_t, *self._layout = _shape_layout(d, self.r_y)
-        self._counts_q = self._q_y_t @ self._counts
+        # the gradient's constant term, (Q_y^T C) X
+        self._counts_design = self._q_y_t @ (self._counts @ self._design)
+        # the last probabilities given and their projection Q_y^T p_c
+        self._projection = None, None
         # the leading blocks' design products, kept by information_free
         self._products = []
+
+    def _project(self, probs: np.ndarray) -> np.ndarray:
+        """Q_y^T p_c at each configuration, child-major (r_y - 1, n). The
+        projection of the last probabilities given is kept, so that the
+        gradient and the information at one iterate project it once."""
+        held, projected = self._projection
+        if held is not probs:
+            projected = self._q_y_t @ probs.T
+            self._projection = probs, projected
+        return projected
 
     def probabilities(self, u: np.ndarray) -> np.ndarray:
         """Softmax child distributions at each observed configuration, as the
@@ -396,11 +417,11 @@ class FomObjective:
         return logits.T
 
     def _gradient(self, u: np.ndarray, probs: np.ndarray) -> np.ndarray:
-        """The objective's gradient at u, given the probabilities at u."""
-        residual = self._q_y_t @ probs.T
-        residual *= self._totals
-        residual -= self._counts_q
-        return (residual @ self._design).T.ravel() + self._ridge * u
+        """The objective's gradient at u, given the probabilities at u:
+        (Q_y^T P N - Q_y^T C) X, with P and C child-major, read row by row."""
+        residual = self._project(probs) @ self._weighted
+        residual -= self._counts_design
+        return residual.T.ravel() + self._ridge * u
 
     def information_free(self, probs: np.ndarray) -> np.ndarray:
         """Ridged expected information in free coordinates.
@@ -412,18 +433,22 @@ class FomObjective:
         rows and w the weights of all pairs k <= l side by side, adds to the
         upper triangles of all of them; the (D (D + 1) / 2, pairs) stack
         then fills the (k, l) and (l, k) child-contrast slots in one gather.
-        The first call keeps the products of the leading blocks, up to
+        The products carry each configuration's total, n_c x_ci x_cj. The
+        first call keeps the products of the leading blocks, up to
         ``KEPT_PRODUCT_FLOATS`` floats, and later calls read them; the
         products of any later block are formed at each call.
 
         The probabilities are read child-major, as the (r_y, n) transpose of
-        probs, and the weights formed as (pairs, block) rows, so each pair's
-        weight is a product of two rows of the projected probabilities
-        rather than of two columns; the products stay (block, T) rows and
-        the weights enter the product as a transposed view.
+        probs, with their projection Q_y^T p_c (the gradient's, when it has
+        just read the same probabilities), and the weights formed as
+        (pairs, block) rows, so each pair's weight is a product of two rows
+        of the projected probabilities rather than of two columns; the
+        products stay (block, T) rows and the weights enter the product as a
+        transposed view.
         """
         (k, l), pair_products, (i, j), gather = self._layout
         design, kept = self._design, self._products
+        projected = self._project(probs)
         rows = max(1, min(INFORMATION_BLOCK_ROWS, KEPT_PRODUCT_FLOATS // i.size))
         stack = np.zeros((i.size, k.size))
         for index, start in enumerate(range(0, design.shape[0], rows)):
@@ -432,14 +457,13 @@ class FomObjective:
                 products = kept[index]
             else:
                 block = design[start:stop]
-                products = block[:, i]
+                products = (block * self._totals[start:stop, None])[:, i]
                 products *= block[:, j]
                 if (start + len(block)) * i.size <= KEPT_PRODUCT_FLOATS:
                     kept.append(products)
-            p = probs[start:stop].T
-            projected = self._q_y_t @ p
-            weights = pair_products @ p - projected[k] * projected[l]
-            weights *= self._totals[start:stop]
+            block_projected = projected[:, start:stop]
+            weights = pair_products @ probs[start:stop].T
+            weights -= block_projected.take(k, axis=0) * block_projected.take(l, axis=0)
             stack += products.T @ weights.T
         matrix = np.take(stack, gather)
         matrix.ravel()[:: self.dim + 1] += self._ridge
@@ -477,11 +501,10 @@ class FomObjective:
         """
         logs = np.log(self._counts + 0.5)
         targets = self._q_y_t @ (logs - logs[:1])
-        weighted = self._design * self._totals[:, None]
-        system = weighted.T @ self._design
+        system = self._weighted.T @ self._design
         system.flat[:: system.shape[0] + 1] += self._ridge
         try:
-            return np.linalg.solve(system, weighted.T @ targets.T).ravel()
+            return np.linalg.solve(system, self._weighted.T @ targets.T).ravel()
         except np.linalg.LinAlgError:
             raise ConvergenceError(
                 "information matrix is not positive definite"

@@ -30,7 +30,10 @@ factor. Within a component a dynamic program walks the reachable prefix
 sets (node sets some topological order places first), one node per level,
 so it touches only sets an order can actually reach rather than all 2^k
 subsets. It only tests set membership, so each component keeps its nodes'
-own bits. `count_linear_extensions` memoises each DAG's count; it refuses
+own bits. The count depends only on the poset, the transitive closure of
+the arcs: `count_linear_extensions` memoises each DAG's count, and
+`_poset_extensions` each poset's, keyed by every node's ancestor mask, so
+DAGs of one closure are counted once. `count_linear_extensions` refuses
 more than `MAX_NODES` nodes with a `CapacityError` and caches nothing then.
 """
 
@@ -184,7 +187,7 @@ def _closure(links, start_mask: int) -> int:
 def _extensions_in_component(nodes) -> int:
     """Count topological orders of one component over its prefix sets.
 
-    nodes holds a (bit, parent mask) pair per node. ways maps each reachable
+    nodes holds a (bit, ancestor mask) pair per node. ways maps each reachable
     prefix set (bit mask) to the number of orders that place exactly those
     nodes first; level t holds the sets of size t.
     """
@@ -209,19 +212,28 @@ def count_linear_extensions(dag: DagStructure) -> int:
             f"the structure prior handles at most {MAX_NODES} variables; "
             f"this network has {dag.m}"
         )
+    pmasks = dag.parent_masks
+    return _poset_extensions(tuple(_closure(pmasks, mask) for mask in pmasks))
+
+
+@lru_cache(maxsize=1 << 16)
+def _poset_extensions(ancestors: tuple[int, ...]) -> int:
+    """Linear extensions of the poset whose node v lies above the nodes of
+    ancestors[v], a bit mask."""
     # Weakly connected components order independently; interleavings of the
     # component orders contribute a multinomial factor.
-    pmasks = dag.parent_masks
-    neighbours = list(pmasks)
-    for v, parents in enumerate(dag.parent_sets):
-        for u in parents:
-            neighbours[u] |= 1 << v
+    neighbours = list(ancestors)
+    for v, below in enumerate(ancestors):
+        while below:
+            low = below & -below
+            below ^= low
+            neighbours[low.bit_length() - 1] |= 1 << v
     total, placed = 1, 0
-    left = (1 << len(pmasks)) - 1
+    left = (1 << len(ancestors)) - 1
     while left:
         comp = _closure(neighbours, left & -left)
         left &= ~comp
-        nodes = [(1 << v, need) for v, need in enumerate(pmasks) if comp >> v & 1]
+        nodes = [(1 << v, need) for v, need in enumerate(ancestors) if comp >> v & 1]
         k = len(nodes)
         total *= math.comb(placed + k, k) * _extensions_in_component(nodes)
         placed += k

@@ -7,7 +7,10 @@ is proportional to exp(-length). The raw, uncleaned network is what the
 chain carries forward, and the chain only counts post-burn-in visits per
 network. After it ends, each distinct visited network is cleaned once of
 arcs that do not pay for themselves and its visits are binned by the Markov
-equivalence class of the cleaned network.
+equivalence class of the cleaned network. Across those networks each (node,
+parents) is cleaned once: what a node keeps is worked out by its tests the
+first time and read from the scorer's memo after, unless a test of it
+reaches the exact prior, which depends on the rest of the network.
 
 The structure prior is an exact count of linear extensions, and a logit
 node's length needs a fit: the two costliest terms of a test. So both tests
@@ -100,7 +103,7 @@ class PosteriorReport:
 
 def initial_state(scorer: NetworkScorer) -> ChainState:
     dag = DagStructure.empty(scorer.ds.n_variables)
-    lengths = tuple(scorer.node_length_or_inf(v, ()) for v in range(dag.m))
+    lengths = tuple(scorer._length(v, ()) for v in range(dag.m))
     log_prior = scorer.structure_log_prior(dag)
     return ChainState(dag, lengths, log_prior, -log_prior + sum(lengths))
 
@@ -143,7 +146,7 @@ def metropolis_step(
         ceiling = prior.ceiling(new_dag.arc_count)
     slack = prior.slack(state.total)
     log_u = None
-    for price in (ctx.scorer.node_floor, ctx.scorer.node_length_or_inf):
+    for price in (ctx.scorer._floor, ctx.scorer._length):
         for v in affected:
             lengths[v] = price(v, new_dag.parent_sets[v])
         node_sum = sum(lengths)
@@ -184,15 +187,28 @@ def clean_network(dag: DagStructure, scorer: NetworkScorer) -> DagStructure:
     is computed when a test first needs it, at most once, and carried
     forward with each removal it makes. The window's rounding guard grows
     with the gain, so no infinite gain keeps an arc, as by the rule.
+
+    A node's tests read only its own lengths, unless one reaches the exact
+    priors. So the parents a node keeps when none does are kept in the
+    scorer's memo under (node, original parents), and a later network with
+    that node cleans it from the memo, with no test.
     """
     prior = structure_prior(dag.m, scorer.p)
+    memo = scorer._cleanings
     current, current_prior = dag, None
-    for node in range(dag.m):
-        for parent in dag.parent_sets[node]:
+    for node, parents in enumerate(dag.parent_sets):
+        kept = memo.get((node, parents))
+        if kept is not None:
+            for parent in parents:
+                if parent not in kept:
+                    current, current_prior = remove_arc(current, parent, node), None
+            continue
+        by_the_bounds = True
+        for parent in parents:
             candidate = remove_arc(current, parent, node)
             reduced = candidate.parent_sets[node]
-            with_len = scorer.node_length_or_inf(node, current.parent_sets[node])
-            for price in (scorer.node_floor, scorer.node_length_or_inf):
+            with_len = scorer._length(node, current.parent_sets[node])
+            for price in (scorer._floor, scorer._length):
                 gain = price(node, reduced) - with_len
                 if gain - prior.odds - prior.log_m_factorial > prior.slack(gain):
                     break
@@ -200,11 +216,14 @@ def clean_network(dag: DagStructure, scorer: NetworkScorer) -> DagStructure:
                 if not math.isfinite(gain) or gain - prior.odds <= -prior.slack(gain):
                     current, current_prior = candidate, None
                     continue
+                by_the_bounds = False
                 if current_prior is None:
                     current_prior = scorer.structure_log_prior(current)
                 candidate_prior = scorer.structure_log_prior(candidate)
                 if gain <= candidate_prior - current_prior:
                     current, current_prior = candidate, candidate_prior
+        if by_the_bounds:
+            memo[node, parents] = current.parent_sets[node]
     return current
 
 

@@ -115,10 +115,24 @@ def node_length(
     return NodeScore(fom.message_length + MODEL_CHOICE_NITS, "fom", fom.free_dim, fom)
 
 
+def _checked_key(child, parents) -> tuple:
+    """A node's (child, parents) as ints, each index checked: a float would
+    hash as the int it equals and read that int's entry."""
+    parents = tuple(as_index(p, "parent index") for p in parents)
+    return as_index(child, "child index"), parents
+
+
 class NetworkScorer:
     """Scoring context binding a dataset, a policy and shared caches; the one
     owner of a network's size check, node scores, floors and log tables, and
-    total length."""
+    total length.
+
+    The public lookups check each index of a node. The chain's (`_floor`,
+    `_length`) take a `DagStructure`'s own node and parent tuple, which it
+    has checked, as they are. `_cleanings` is `clean_network`'s memo of the
+    parents each cleaned (node, parents) keeps: it depends on the policy, p,
+    sigma and data, so it is the scorer's, not the shared cache's.
+    """
 
     def __init__(
         self,
@@ -139,18 +153,20 @@ class NetworkScorer:
             self.cache.source = (ds, sigma)
         elif self.cache.source[0] is not ds or self.cache.source[1] != sigma:
             raise ValueError("the score cache holds scores of another dataset or sigma")
+        self._cleanings: dict = {}
 
-    def _entry(self, child, parents) -> tuple:
-        """The node's key of ints and its entry, made only once it is tallied."""
-        child = as_index(child, "child index")
-        key = child, tuple(as_index(p, "parent index") for p in parents)
+    def _entry(self, key: tuple) -> dict:
+        """The entry of a node's key of ints, made only once it is tallied."""
         entry = self.cache.entries.get(key)
         if entry is None:
             entry = self.cache.entries[key] = {"counts": counts_for(self.ds, *key)}
-        return key, entry
+        return entry
 
     def node_score(self, child: int, parents) -> NodeScore:
-        key, entry = self._entry(child, parents)
+        return self._node_score(_checked_key(child, parents))
+
+    def _node_score(self, key: tuple) -> NodeScore:
+        entry = self._entry(key)
         if self.policy in entry:
             self.cache.hits += 1
         else:
@@ -170,11 +186,17 @@ class NetworkScorer:
         `fom_length_floor`) + log 2, or -inf when its table is over the cap,
         so a finite floor belongs to a codable node.
         """
+        return self._floor(*_checked_key(child, parents))
+
+    def _floor(self, child: int, parents: tuple) -> float:
+        """`node_floor` of a key of ints, such as a `DagStructure`'s node and
+        parent tuple, used as it is."""
         if self.policy is not ModelPolicy.DUAL or len(parents) <= 1:
-            return self.node_length_or_inf(child, parents)
-        key, entry = self._entry(child, parents)
+            return self._length(child, parents)
+        key = child, parents
+        entry = self._entry(key)
         if self.policy in entry:
-            return self.node_length_or_inf(*key)
+            return self._length(child, parents)
         if "floor" not in entry:
             counts = _held(entry, "counts", counts_for, self.ds, *key)
             try:
@@ -189,7 +211,8 @@ class NetworkScorer:
     def node_table(self, child: int, parents) -> np.ndarray:
         """Log of `full_cpt_predictive`, shaped (parent arities..., child arity):
         a view of the child-major log table, so no reshape copies it."""
-        key, entry = self._entry(child, parents)
+        key = _checked_key(child, parents)
+        entry = self._entry(key)
         if "table" not in entry:
             counts = entry["counts"] if "counts" in entry else counts_for(self.ds, *key)
             table = np.log(full_cpt_predictive(counts).T)
@@ -197,9 +220,13 @@ class NetworkScorer:
             entry["table"] = np.moveaxis(table, 0, -1)
         return entry["table"]
 
-    def node_length_or_inf(self, child: int, parents: tuple) -> float:
+    def node_length_or_inf(self, child: int, parents) -> float:
+        return self._length(*_checked_key(child, parents))
+
+    def _length(self, child: int, parents: tuple) -> float:
+        """`node_length_or_inf` of a key of ints, used as it is."""
         try:
-            return self.node_score(child, parents).length
+            return self._node_score((child, parents)).length
         except MmlbnError:
             return math.inf
 
@@ -225,7 +252,7 @@ class NetworkScorer:
         """
         log_prior = self.structure_log_prior(dag)
         nodes = enumerate(dag.parent_sets)
-        return -log_prior + sum(self.node_length_or_inf(*node) for node in nodes)
+        return -log_prior + sum(self._length(*node) for node in nodes)
 
 
 def network_message_length(

@@ -1131,6 +1131,18 @@ class TestMixedRadix:
             config_digits(3, (2.0, 2))
         assert config_digits(0, (1, np.int8(2))) == (0, 0)
 
+    def test_index_checks_its_arities(self):
+        # a float arity once gave a float index: (2.0,) gave 1.0 and
+        # (2.5, 3) gave 4.0
+        for digits, arities in (((1,), (2.0,)), ((1, 1), (2.5, 3))):
+            with pytest.raises(ValueError, match="parent arity must be an integer"):
+                config_index(digits, arities)
+        for arities in ((0,), (-2,), (2, 0)):
+            with pytest.raises(ValueError, match="at least 1"):
+                config_index((0,) * len(arities), arities)
+        index = config_index((np.int64(1), 2), (np.int8(2), 3))
+        assert index == 5 and type(index) is int
+
 
 class TestCounts:
     def test_direct_tally(self):

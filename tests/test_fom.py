@@ -600,9 +600,10 @@ class TestInformationAssembly:
         first, second = random_probs(rng, n, 5), random_probs(rng, n, 5)
         # The trace covers the construction, so products made there count,
         # and two evaluations, the first keeping products and the second
-        # reading them. The objective holds n (d + 2 * 5) floats for its
-        # configurations (the design, the counts, their totals and their
-        # child contrasts) and at most KEPT_PRODUCT_FLOATS of kept products.
+        # reading them. The objective holds n (2 d + 2 * 5) floats for its
+        # configurations (the design and its copy weighted by the totals, the
+        # counts, their totals and the child contrasts of the probabilities)
+        # and at most KEPT_PRODUCT_FLOATS of kept products.
         # Besides, at most two blocks' temporaries are alive at once: per
         # block of 512 configurations, the weights (pairs + 3 floats a
         # configuration) and the products (d (d + 1) / 2 floats); then the
@@ -610,7 +611,7 @@ class TestInformationAssembly:
         # Keeping the products of all 12960 configurations needs 21.8 MB.
         rows = 512
         floats = rows * (products + pairs + 3) + products * pairs + 80**2
-        held = 8 * n * (d + 2 * 5) + 8 * fom.KEPT_PRODUCT_FLOATS
+        held = 8 * n * (2 * d + 2 * 5) + 8 * fom.KEPT_PRODUCT_FLOATS
         bound = held + 2 * 8 * floats + 2**18
         tracemalloc.start()
         try:
@@ -626,9 +627,10 @@ class TestInformationAssembly:
     def test_construction_fills_the_design_in_place(self):
         # the Nursery grid again: the contrast rows of each parent go straight
         # into the design's columns, so construction allocates the arrays the
-        # objective keeps (the design, the counts, their totals and their
-        # child contrasts) and little besides. A stack of per-parent pieces
-        # holds them and the design at once: 1.66 MB over the kept 3.11 MB.
+        # objective keeps (the design and its copy weighted by the totals,
+        # the counts, their totals and the gradient's constant term) and
+        # little besides. A stack of per-parent pieces holds them and the
+        # design at once: 1.66 MB over the kept 4.77 MB.
         rng = np.random.default_rng(63)
         arities = (3, 5, 4, 4, 3, 2, 3, 3)
         table = np.zeros((math.prod(arities), 5), dtype=int)
@@ -641,7 +643,8 @@ class TestInformationAssembly:
         finally:
             tracemalloc.stop()
         design = objective._design
-        kept = (design, objective._counts, objective._totals, objective._counts_q)
+        kept = (design, objective._weighted, objective._counts, objective._totals)
+        kept += (objective._counts_design,)
         held = sum(array.nbytes for array in kept)
         assert design.shape == (12960, 20)
         assert peak < held + design.nbytes // 4

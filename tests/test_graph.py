@@ -18,6 +18,7 @@ from mmlbn import (
     cpdag_key,
     structure_log_prior,
 )
+from mmlbn import graph
 from mmlbn.errors import CapacityError, CycleError, NoArcError, ParentCapError
 from mmlbn.graph import StructurePrior, remove_arc, structure_prior
 from helpers import (
@@ -430,6 +431,39 @@ class TestLinearExtensions:
             count_linear_extensions(DagStructure.from_arcs(25, [(0, 1)]))
         assert count_linear_extensions.cache_info().currsize == cached
         assert count_linear_extensions(DagStructure.empty(24)) == math.factorial(24)
+
+    @given(dags(), st.data())
+    def test_property_one_count_per_poset(self, dag, data):
+        # Every arc set between the transitive reduction and the closure
+        # has one poset. Two such DAGs get one count, brute force's, and the
+        # memo runs the component counter for the first of them only.
+        m = dag.m
+        above = [set() for _ in range(m)]  # each node's ancestors
+        for v in topological_order(dag.parent_sets):
+            for u in dag.parent_sets[v]:
+                above[v] |= above[u] | {u}
+        closure = [(u, v) for v in range(m) for u in sorted(above[v])]
+        implied = [(u, v) for u, v in closure if any(u in above[w] for w in above[v])]
+        flags = st.lists(st.booleans(), min_size=len(implied), max_size=len(implied))
+        dropped = {arc for arc, keep in zip(implied, data.draw(flags)) if not keep}
+        other = DagStructure.from_arcs(m, [a for a in closure if a not in dropped])
+        calls = []
+        counter = graph._extensions_in_component
+
+        def counted(nodes):
+            calls.append(len(nodes))
+            return counter(nodes)
+
+        count_linear_extensions.cache_clear()
+        graph._poset_extensions.cache_clear()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(graph, "_extensions_in_component", counted)
+            first = count_linear_extensions(dag)
+            components = len(calls)
+            assert count_linear_extensions(other) == first
+        assert first == brute_force_extensions(dag)
+        assert sum(calls) == m and len(calls) == components
+        assert graph._poset_extensions.cache_info().currsize == 1
 
     @given(dags())
     def test_property_matches_brute_force(self, dag):

@@ -1,6 +1,7 @@
 """Structure search: proposals, cleaning, class aggregation, determinism."""
 
 import math
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from mmlbn import (
     NetworkScorer,
     SamplerConfig,
     SamplerContext,
+    ScoreCache,
     apply_move,
     clean_network,
     cpdag_key,
@@ -139,10 +141,10 @@ class _PartlyUncodable(NetworkScorer):
         self.uncodable = uncodable
         self.priced = 0
 
-    def node_length_or_inf(self, child, parents):
+    def _length(self, child, parents):
         if (child, tuple(parents)) in self.uncodable:
             return math.inf
-        return super().node_length_or_inf(child, parents)
+        return super()._length(child, parents)
 
     def structure_log_prior(self, dag):
         self.priced += 1
@@ -302,7 +304,23 @@ class TestChainMechanics:
         assert first.classes[0].best_length == second.classes[0].best_length
 
 
-class _FakeScorer:
+class _Lookups:
+    """NetworkScorer's private lookups, which the chain and cleaning make,
+    passed on to a scripted scorer's public ones; and a cleaning memo of its
+    own."""
+
+    def _floor(self, node, parents):
+        return self.node_floor(node, parents)
+
+    def _length(self, node, parents):
+        return self.node_length_or_inf(node, parents)
+
+    @cached_property
+    def _cleanings(self):
+        return {}
+
+
+class _FakeScorer(_Lookups):
     """Table-driven stand-in for one node's lengths; flat structure prior.
 
     A flat prior keeps within the bounds cleaning assumes at p = 0.5: a
@@ -328,7 +346,7 @@ class _FakeScorer:
         return 0.0
 
 
-class _PricedScorer:
+class _PricedScorer(_Lookups):
     """Node lengths from lengths(node, parents), with the real structure
     prior at p; records every network it prices."""
 
@@ -451,7 +469,7 @@ def _clean_by_separate_exits(dag, scorer):
     return current
 
 
-class _CallLog:
+class _CallLog(_Lookups):
     """Passes each pricing call on to a scorer and logs it with its arguments."""
 
     def __init__(self, scorer):
@@ -631,6 +649,46 @@ class TestCleaning:
         dag = DagStructure(2, ((), (0,)))
         assert clean_network(dag, scorer) == DagStructure.empty(2)
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_the_cleaning_memo_is_the_rule(self, seed):
+        # Every network a seeded chain visits, cleaned in shuffled order by a
+        # tbn and a dual scorer that share one cache, is cleaned as by the
+        # rule; each scorer's memo holds what a node keeps when no test
+        # reached the exact prior, and nothing for a node whose test did.
+        rng = np.random.default_rng(seed)
+        n = 80
+        a = rng.integers(0, 3, size=n)
+        b = np.where(rng.random(n) < 0.4, rng.integers(0, 3, size=n), a)
+        c = np.where(rng.random(n) < 0.4, rng.integers(0, 2, size=n), (a + b) % 2)
+        d = np.where(rng.random(n) < 0.5, rng.integers(0, 2, size=n), c)
+        e = rng.integers(0, 2, size=n)
+        ds = make_dataset([a, b, c, d, e], arities=[3, 3, 2, 2, 2])
+        chain = NetworkScorer(ds, ModelPolicy.DUAL)
+        ctx, state = SamplerContext(chain, 3), initial_state(chain)
+        visited = {state.dag: None}
+        for _ in range(1500):
+            state = metropolis_step(state, rng, ctx)
+            visited[state.dag] = None
+        cache = ScoreCache()
+        policies = (ModelPolicy.TBN, ModelPolicy.DUAL)
+        scorers = {p: NetworkScorer(ds, p, cache=cache) for p in policies}
+        rules = {policy: NetworkScorer(ds, policy) for policy in policies}
+        networks = list(visited)
+        for k in rng.permutation(len(networks)).tolist():
+            for policy in policies:
+                dag = networks[k]
+                expected = _clean_by_the_rule(dag, rules[policy])
+                assert clean_network(dag, scorers[policy]) == expected
+        assert len(networks) > 50
+        nodes = {node for dag in networks for node in enumerate(dag.parent_sets)}
+        for scorer in scorers.values():
+            memo = scorer._cleanings
+            assert memo and len(memo) < len(nodes)
+            for (node, parents), kept in memo.items():
+                sets = tuple(parents if v == node else () for v in range(5))
+                alone = _clean_by_the_rule(DagStructure(5, sets), rules[scorer.policy])
+                assert alone.parent_sets[node] == kept
+
 
 class TestNodeFloors:
     """Tests priced by floors first are the tests of the exact lengths."""
@@ -786,9 +844,7 @@ class TestNodeFloors:
         with_floors = len(fits)
 
         # every node priced exactly: the same report from more fits
-        monkeypatch.setattr(
-            NetworkScorer, "node_floor", NetworkScorer.node_length_or_inf
-        )
+        monkeypatch.setattr(NetworkScorer, "_floor", NetworkScorer._length)
         tallied.clear()
         fits.clear()
         assert run_sampler(ds, config) == report
