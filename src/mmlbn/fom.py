@@ -48,15 +48,15 @@ so that a block's P stays within ``KEPT_PRODUCT_FLOATS`` floats: its
 temporaries stay bounded however many configurations and design columns a
 node has. P does not depend on the probabilities, so the objective keeps
 the leading blocks of P that fit in ``KEPT_PRODUCT_FLOATS`` floats, formed
-by its first evaluation and read by every later one (each Newton step and
-the log determinant at the optimum); a block past that cap is formed again
+by its first evaluation and read by every later one (one per Newton
+iterate, the optimum's too); a block past that cap is formed again
 at each evaluation. Against the full (D, D, pairs) Gram stack, the upper
 triangles halve the product's flops. The ridge makes the matrix positive
 definite. A Newton step factors it once, in a numpy solve; as
 grad @ step = -grad^T I^-1 grad < 0 for a positive definite I, a failed
 solve or a step that does not descend is a ConvergenceError. The log
-determinant the code length needs comes from a Cholesky factor at the
-optimum, whose failure is a ConvergenceError too.
+determinant the code length needs comes from a Cholesky factor of the
+information the fit returns at the optimum, and its failure is one too.
 
 Starting point. Newton's method starts from the ridge least-squares fit of
 the smoothed empirical log-odds (``FomObjective.start``): each observed
@@ -95,10 +95,10 @@ from .errors import ConvergenceError, ParameterCapError, as_index
 
 DEFAULT_SIGMA = 3.0
 # Free dimensions at which a logit model is refused. On 3000 random rows (2-core
-# x86), a 23-state child of two 23-state parents (990 dimensions, D = 45) took
-# 0.20 s and a 28.5 MB traced peak, a binary child of one 999-state parent
-# (999, D = 999) 28.6 s, forming its design products one configuration at a
-# time, and 55.6 MB, mostly (dimensions)^2 matrices.
+# x86, tracemalloc on, layout not yet cached), a 23-state child of two 23-state
+# parents (990 dimensions, D = 45) took 0.25 s and a 28.7 MB peak, a binary
+# child of one 999-state parent (999, D = 999) 27.7 s, forming its design
+# products one configuration at a time, and 63.2 MB, mostly dim^2 matrices.
 PARAMETER_CAP = 1000
 GRADIENT_TOL = 1e-8
 MAX_NEWTON_ITERS = 200
@@ -230,9 +230,7 @@ class FomParams:
                 )
             block.flags.writeable = False
             blocks.append(block)
-        if not np.isfinite(a).all() or any(
-            not np.isfinite(b).all() for b in blocks
-        ):
+        if not all(np.isfinite(x).all() for x in (a, *blocks)):
             raise ValueError("parameters must be finite")
         a.flags.writeable = False
         object.__setattr__(self, "a", a)
@@ -262,8 +260,7 @@ class FomParams:
         return cls(child_arity, arities, a, tuple(blocks))
 
     def flatten(self) -> np.ndarray:
-        parts = [self.a] + [b.ravel() for b in self.blocks]
-        return np.concatenate(parts) if parts else np.zeros(0)
+        return np.concatenate([self.a] + [b.ravel() for b in self.blocks])
 
 
 def _params_from_free(
@@ -512,24 +509,27 @@ class FomObjective:
 
     def fit(self):
         """Newton iteration from ``start``, each step backtracked until the
-        objective does not rise; returns (u, probabilities at u)."""
+        objective does not rise; returns u with the value and information at u."""
         u = self.start()
         probs = self.probabilities(u)
         value = self._value(u, probs)
         for iteration in range(MAX_NEWTON_ITERS + 1):
             grad = self._gradient(u, probs)
-            if math.sqrt(float(grad @ grad)) <= GRADIENT_TOL:
-                return u, probs
-            if iteration == MAX_NEWTON_ITERS:
+            converged = math.sqrt(float(grad @ grad)) <= GRADIENT_TOL
+            if not converged and iteration == MAX_NEWTON_ITERS:
                 raise ConvergenceError(
                     f"no convergence after {MAX_NEWTON_ITERS} Newton iterations"
                 )
+            information = self.information_free(probs)
+            if converged:
+                return u, value, information
             # A positive definite information gives a strict descent step, so
             # a failed solve or any other step (NaN included) shows it is not.
             try:
-                step = np.linalg.solve(self.information_free(probs), -grad)
+                step = np.linalg.solve(information, -grad)
             except np.linalg.LinAlgError:
                 step = None
+            del information  # one (dim x dim) information held at a time
             if step is None or not float(grad @ step) < 0.0:
                 raise ConvergenceError("information matrix is not positive definite")
             # Slack at the rounding noise floor: near the optimum the true
@@ -576,11 +576,9 @@ def fom_message_length(
 ) -> FomScore:
     """Code length in nits of stating fitted effects and the data under them."""
     objective = FomObjective(counts, sigma)
-    u, probs = objective.fit()
-    log_det = _log_det(objective.information_free(probs))
+    u, value, information = objective.fit()
     norm = _prior_log_normaliser(objective.r_y, objective.arities)
-    value = objective._value(u, probs)
-    length = _logit_length(objective.dim, norm, sigma, value, log_det)
+    length = _logit_length(objective.dim, norm, sigma, value, _log_det(information))
     u.flags.writeable = False
     return FomScore(length, objective.dim, objective.r_y, objective.arities, u)
 

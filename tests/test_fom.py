@@ -306,8 +306,40 @@ class TestObjectiveAndFit:
         rng = np.random.default_rng(37)
         counts = random_counts(rng, 3, (2, 3), max_count=30)
         objective = FomObjective(counts, SIGMA)
-        u, _ = objective.fit()
+        u, _, _ = objective.fit()
         assert np.linalg.norm(objective.gradient(u)) <= 1e-8
+
+    def test_length_prices_the_fits_last_evaluation(self, monkeypatch):
+        # every probability evaluation of a length gets one value, the line
+        # search's: the length re-evaluates neither the value nor the
+        # information at the optimum, and the ones the fit returns are exact
+        rng = np.random.default_rng(46)
+        value, probabilities = FomObjective._value, FomObjective.probabilities
+        for _ in range(10):
+            counts = random_counts(rng, 3, (2, 3), max_count=20)
+            calls = {"value": 0, "probabilities": 0}
+
+            def counted(name, method):
+                def wrapped(*args):
+                    calls[name] += 1
+                    return method(*args)
+
+                return wrapped
+
+            with monkeypatch.context() as patch:
+                patch.setattr(FomObjective, "_value", counted("value", value))
+                patch.setattr(
+                    FomObjective,
+                    "probabilities",
+                    counted("probabilities", probabilities),
+                )
+                fom_message_length(counts, SIGMA)
+            assert calls["value"] == calls["probabilities"] > 0
+            objective = FomObjective(counts, SIGMA)
+            u, fitted, information = objective.fit()
+            probs = objective.probabilities(u)
+            assert fitted == objective._value(u, probs)
+            assert np.array_equal(information, objective.information_free(probs))
 
     def test_fit_handles_perfect_separation(self):
         counts = ContingencyCounts.from_dense(2, (2,), np.array([[40, 0], [0, 40]]))
@@ -374,7 +406,7 @@ class TestStart:
         lengths = {}
         for name, start in (("warm", FomObjective.start), ("cold", zero_start)):
             with mock.patch.object(FomObjective, "start", start):
-                u, _ = objective.fit()
+                u, _, _ = objective.fit()
                 assert np.linalg.norm(objective.gradient(u)) <= GRADIENT_TOL
                 lengths[name] = fom_message_length(counts, SIGMA).message_length
                 with mock.patch.object(fom, "GRADIENT_TOL", 1e-12):
@@ -399,7 +431,7 @@ class TestStart:
     def test_zero_for_no_cases_and_balanced_tables(self, table):
         objective = FomObjective(ContingencyCounts.from_dense(2, (3,), table), SIGMA)
         assert not objective.start().any()
-        u, _ = objective.fit()
+        u, _, _ = objective.fit()
         assert not u.any()
 
     def test_lengths_do_not_depend_on_the_scoring_order(self):
@@ -842,7 +874,7 @@ class TestFisherLogDet:
             3, (2,), 2 * counts.dense()
         )
         objective = FomObjective(counts, SIGMA)
-        u, _ = objective.fit()
+        u, _, _ = objective.fit()
         gap = log_det_at(FomObjective(doubled, SIGMA), u) - log_det_at(objective, u)
         d = free_dimension(3, (2,))
         assert gap == pytest.approx(d * math.log(2), abs=1e-3)
