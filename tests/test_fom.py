@@ -310,31 +310,29 @@ class TestObjectiveAndFit:
         assert np.linalg.norm(objective.gradient(u)) <= 1e-8
 
     def test_length_prices_the_fits_last_evaluation(self, monkeypatch):
-        # every probability evaluation of a length gets one value, the line
-        # search's: the length re-evaluates neither the value nor the
-        # information at the optimum, and the ones the fit returns are exact
+        # a length evaluates the value once per probability evaluation, the
+        # line search's, and neither the value nor the information again at
+        # the optimum; the ones fit returns are those at its u, exactly
+        names = ("_value", "probabilities")
+
+        def counted(name, calls):
+            method = getattr(FomObjective, name)
+
+            def wrapped(*args):
+                calls[name] += 1
+                return method(*args)
+
+            return wrapped
+
         rng = np.random.default_rng(46)
-        value, probabilities = FomObjective._value, FomObjective.probabilities
         for _ in range(10):
             counts = random_counts(rng, 3, (2, 3), max_count=20)
-            calls = {"value": 0, "probabilities": 0}
-
-            def counted(name, method):
-                def wrapped(*args):
-                    calls[name] += 1
-                    return method(*args)
-
-                return wrapped
-
+            calls = dict.fromkeys(names, 0)
             with monkeypatch.context() as patch:
-                patch.setattr(FomObjective, "_value", counted("value", value))
-                patch.setattr(
-                    FomObjective,
-                    "probabilities",
-                    counted("probabilities", probabilities),
-                )
+                for name in names:
+                    patch.setattr(FomObjective, name, counted(name, calls))
                 fom_message_length(counts, SIGMA)
-            assert calls["value"] == calls["probabilities"] > 0
+            assert calls["_value"] == calls["probabilities"] > 0
             objective = FomObjective(counts, SIGMA)
             u, fitted, information = objective.fit()
             probs = objective.probabilities(u)
