@@ -8,7 +8,8 @@ contribute nothing, so only observed configurations need to be touched.
 
 Every log-gamma argument of that likelihood is a positive integer, so each
 is a lookup in one table of log k! (``math.lgamma(k + 1)``) that grows to
-the largest argument seen so far.
+the largest argument seen so far. The logit floor keeps a sibling table of
+k log k in ``fom`` (``_sum_x_log_x``), grown the same way.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ def _log_factorials(top: int) -> np.ndarray:
     global _log_factorial_table
     table = _log_factorial_table
     if top >= len(table):
-        grown = [math.lgamma(k + 1) for k in range(len(table), top + 1)]
+        grown = np.fromiter(map(math.lgamma, range(len(table) + 1, top + 2)), float)
         table = _log_factorial_table = np.concatenate([table, grown])
     return table
 
@@ -58,7 +59,9 @@ def full_cpt_message_length(counts: ContingencyCounts) -> FullCptScore:
     length = free * _PENALTY_PER_PARAM
     length += float(table[shifted].sum())
     length -= counts.n_observed * math.lgamma(r_y)
-    length -= float(table[counts.counts].sum())
+    # take lays the terms out row by row, (n_observed, r_y), though the counts
+    # are held child-major: the sum adds them configuration by configuration
+    length -= float(table.take(counts.counts).sum())
     return FullCptScore(length, int(free))
 
 

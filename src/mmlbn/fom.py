@@ -179,6 +179,16 @@ def constraint_basis(child_arity: int, parent_arities: tuple) -> np.ndarray:
     return basis
 
 
+@lru_cache(maxsize=64)
+def _upper_pairs(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """np.triu_indices(size), read-only: the index pairs i <= j of a size x
+    size matrix, row by row. Shapes share their sizes, so each is formed once."""
+    pairs = np.triu_indices(size)
+    for array in pairs:
+        array.flags.writeable = False
+    return pairs
+
+
 @lru_cache(maxsize=256)
 def _shape_layout(d: int, child_arity: int):
     """The read-only arrays of a logit fit with d design columns and child
@@ -191,9 +201,9 @@ def _shape_layout(d: int, child_arity: int):
     (min(i, j), max(i, j))."""
     q_y = contrast_matrix(child_arity)
     r = child_arity - 1
-    k, l = np.triu_indices(r)
+    k, l = _upper_pairs(r)
     products = np.ascontiguousarray((q_y[:, k] * q_y[:, l]).T)
-    i, j = np.triu_indices(d)
+    i, j = _upper_pairs(d)
     pair = np.empty((r, r), dtype=np.intp)
     pair[k, l] = pair[l, k] = np.arange(k.size)
     entry = np.empty((d, d), dtype=np.intp)
@@ -201,7 +211,7 @@ def _shape_layout(d: int, child_arity: int):
     gather = entry[:, None, :, None] * k.size + pair[:, None, :]
     gather = gather.reshape(d * r, d * r)
     q_y_t = np.ascontiguousarray(q_y.T)
-    for array in (q_y_t, k, l, products, i, j, gather):
+    for array in (q_y_t, products, gather):
         array.flags.writeable = False
     return q_y_t, (k, l), products, (i, j), gather
 
@@ -362,8 +372,9 @@ class FomObjective:
             raise ParameterCapError(
                 f"logit model needs {self.dim} free parameters (cap {PARAMETER_CAP})"
             )
-        # the counts child-major, (r_y, n), as the probabilities are read
-        self._counts = counts.counts.T.astype(float, order="C")
+        # the counts child-major, (r_y, n), as the tally holds them and the
+        # probabilities are read
+        self._counts = counts.counts.T.astype(float)
         self._totals = counts.config_totals.astype(float)
         digits = counts.config_digits
         d = self.dim // (self.r_y - 1)
@@ -589,10 +600,21 @@ def fit_fom_map(counts: ContingencyCounts, sigma: float = DEFAULT_SIGMA) -> FomP
     return fom_message_length(counts, sigma).map_params
 
 
+_x_log_x_table = np.zeros(1)  # k log k at index k, 0 log 0 read as 0
+
+
 def _sum_x_log_x(values: np.ndarray) -> float:
-    """Sum of x log x over an integer array, 0 log 0 read as 0."""
-    positive = values[values > 0].astype(float)
-    return float((positive * np.log(positive)).sum())
+    """Sum of x log x over an array of non-negative integers, 0 log 0 read
+    as 0: one lookup per entry in a table of k log k that grows to the
+    largest entry seen so far."""
+    global _x_log_x_table
+    table = _x_log_x_table
+    top = int(values.max(initial=0))
+    if top >= len(table):
+        grown = np.arange(len(table), top + 1, dtype=float)
+        grown *= np.log(grown)
+        table = _x_log_x_table = np.concatenate([table, grown])
+    return float(table[values].sum())
 
 
 def fom_length_floor(counts: ContingencyCounts) -> float:
@@ -610,6 +632,11 @@ def fom_length_floor(counts: ContingencyCounts) -> float:
     The bound is tight without cases, where the optimum is zero and the
     information is the ridge alone, so a rounding guard is subtracted: 1e-9
     of the terms compared, far above their float error.
+
+    Both x log x sums read the tally's own arrays, the totals and the
+    child-major counts, through ``_sum_x_log_x``'s table of k log k, one
+    process-wide table grown to the largest count seen, as cpt_full's table
+    of log k! is.
     """
     d = free_dimension(counts.child_arity, counts.parent_arities)
     norm = _prior_log_normaliser(counts.child_arity, counts.parent_arities)

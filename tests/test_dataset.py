@@ -1373,6 +1373,16 @@ class TestCountsProperties:
         assert list(map(tuple, counts.config_digits.tolist())) == rows
 
     @given(count_problems())
+    # no cases: the key is re-ranked before any parent's codes are read
+    @example((make_dataset([[], [], []], arities=[2, 3, 4]), 0, (1, 2)))
+    # 16 configurations of two 4-state parents outnumber the 5 cases
+    @example(
+        (
+            make_dataset([[0, 1, 1, 0, 1], [0, 3, 2, 3, 0], [1, 2, 2, 0, 3]], arities=[2, 4, 4]),
+            0,
+            (2, 1),
+        )
+    )
     def test_matches_case_by_case_tally(self, problem):
         ds, child, parents = problem
         for tested in (parents, ()):
@@ -1390,10 +1400,18 @@ class TestCountsProperties:
             assert np.array_equal(checked.config_digits, counts.config_digits)
             assert np.array_equal(checked.counts, counts.counts)
             assert counts.parent_arities == checked.parent_arities
-            assert counts.config_digits.dtype == np.int32
-            assert counts.counts.dtype == np.int64
-            assert not counts.config_digits.flags.writeable
-            assert not counts.counts.flags.writeable
+            for built in (counts, checked):
+                assert built.config_digits.dtype == np.int32
+                assert built.counts.dtype == np.int64
+                assert not built.config_digits.flags.writeable
+                assert not built.counts.flags.writeable
+                # child-major: the counts are the view of a C-contiguous
+                # (r_y, n_observed) array, and the totals its sums across rows
+                assert built.counts.T.flags.c_contiguous
+                totals = built.config_totals
+                assert np.array_equal(totals, built.counts.sum(axis=1))
+                assert totals.dtype == np.int64
+                assert not totals.flags.writeable
 
     @given(st.data())
     def test_row_permutation_invariant(self, data):
@@ -1481,6 +1499,46 @@ class TestCountsProperties:
         assert columns.dtype == np.int64 and columns.flags.c_contiguous
         assert not columns.flags.writeable
         assert np.array_equal(columns, ds.rows.T)
+
+
+def reference_config_keys(columns, arities, n):
+    """config_keys written as one fresh array per parent."""
+    key = np.zeros(n, dtype=np.int64)
+    radix = 1
+    reranked = False
+    for column, r in zip(columns, arities):
+        if radix * r > n:
+            distinct, key = np.unique(key, return_inverse=True)
+            radix, reranked = len(distinct), True
+        key = key * r + column
+        radix *= r
+    return key, radix, reranked
+
+
+class TestConfigKeys:
+    @given(
+        st.lists(st.integers(2, 9), max_size=5),
+        st.integers(0, 30),
+        st.integers(0, 2**32 - 1),
+    )
+    # no cases: the key is re-ranked before any parent's codes are read
+    @example([4, 3], 0, 0)
+    def test_matches_the_reference_and_leaves_the_columns_alone(self, arities, n, seed):
+        # up to five parents of arity up to 9 on at most 30 cases: most keys
+        # of two or more parents are re-ranked
+        rng = np.random.default_rng(seed)
+        columns = [rng.integers(0, r, n) for r in arities]
+        before = [column.copy() for column in columns]
+        key, radix, reranked = dataset.config_keys(columns, arities, n)
+        expected, expected_radix, expected_reranked = reference_config_keys(
+            before, arities, n
+        )
+        assert key.dtype == np.int64
+        assert np.array_equal(key, expected)
+        assert (radix, reranked) == (expected_radix, expected_reranked)
+        for column, copy in zip(columns, before):
+            assert np.array_equal(column, copy)
+            assert not np.shares_memory(key, column)
 
 
 class TestDatasetContainer:

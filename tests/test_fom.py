@@ -1090,3 +1090,55 @@ class TestLengthFloor:
         expected = saturated - norm + math.log(math.pi * math.e / 6)
         assert fom.fom_length_floor(counts) == pytest.approx(expected, abs=1e-7)
         assert fom.fom_length_floor(counts) < expected
+
+    @given(
+        st.lists(
+            st.lists(st.integers(0, 400), min_size=1, max_size=30), min_size=1, max_size=5
+        )
+    )
+    @example([[0, 0], [0, 1, 0, 3], [250, 0, 7]])
+    def test_x_log_x_table_grows_and_sums_each_entry(self, arrays):
+        # Each example starts from a short table, so that later calls reach
+        # past its end and grow it; zeros read 0 log 0 as 0.
+        saved = fom._x_log_x_table
+        fom._x_log_x_table = np.zeros(1)
+        try:
+            for values in arrays:
+                values = np.array(values, dtype=np.int64)
+                expected = math.fsum(x * math.log(x) for x in values.tolist() if x > 0)
+                got = fom._sum_x_log_x(values)
+                assert got == pytest.approx(expected, rel=1e-13, abs=0)
+                assert len(fom._x_log_x_table) > values.max()
+        finally:
+            fom._x_log_x_table = saved
+
+
+def reference_shape_layout(d, child_arity):
+    """_shape_layout's arrays, with every index pair from np.triu_indices."""
+    q_y = contrast_matrix(child_arity)
+    r = child_arity - 1
+    k, l = np.triu_indices(r)
+    products = (q_y[:, k] * q_y[:, l]).T
+    i, j = np.triu_indices(d)
+    pair = np.empty((r, r), dtype=np.intp)
+    pair[k, l] = pair[l, k] = np.arange(k.size)
+    entry = np.empty((d, d), dtype=np.intp)
+    entry[i, j] = entry[j, i] = np.arange(i.size)
+    gather = (entry[:, None, :, None] * k.size + pair[:, None, :]).reshape(d * r, d * r)
+    return q_y.T, (k, l), products, (i, j), gather
+
+
+class TestShapeLayout:
+    @pytest.mark.parametrize("child_arity", [2, 3, 4, 5, 9])
+    @pytest.mark.parametrize("d", [1, 2, 3, 7, 20])
+    def test_matches_the_triu_reference(self, d, child_arity):
+        layout = fom._shape_layout(d, child_arity)
+        expected = reference_shape_layout(d, child_arity)
+        q_y_t, (k, l), products, (i, j), gather = layout
+        flat = [q_y_t, k, l, products, i, j, gather]
+        q_y_t, (k, l), products, (i, j), gather = expected
+        for got, want in zip(flat, [q_y_t, k, l, products, i, j, gather]):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+            assert not got.flags.writeable
+        assert flat[0].flags.c_contiguous and flat[3].flags.c_contiguous
