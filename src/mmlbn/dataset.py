@@ -136,8 +136,6 @@ def load_csv_with_labels(path, variables: tuple[VariableMeta, ...]) -> DiscreteD
 
 # Bytes read per chunk of the file; a chunk ends after its last line end.
 _CHUNK_CHARS = 1 << 16
-# The ASCII characters str.strip removes.
-_ASCII_SPACE = np.array([chr(c).isspace() for c in range(128)])
 # _MASKS[k] keeps the low k bytes of a little-endian word.
 _MASKS = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
 # Odd multipliers of the label table's hash and of its column salts. numpy
@@ -171,16 +169,16 @@ def _read_csv(path, variables, reject_missing: bool) -> DiscreteDataset:
     come next, then the rest of the stream, and each chunk that
     `_code_plain_chunk` can code is coded by numpy, with the codes the
     record loop would give, through one `_LabelTable` that caches the dicts.
-    numpy codes a chunk of plain records whose fields are each at most 8
-    bytes once stripped, while the table has room for their labels. Both
-    reads add a label to the table on its first miss, with the code from
-    its column's dict; in a labelled read a token outside the dicts refuses
-    its chunk, and the record loop names it. From the first chunk numpy
-    refuses (a quote or a wider field, say), the record loop reads that
-    chunk and the rest of the stream through `_text_lines`, with the same
-    codes, and alone raises the errors. Text that is
-    not UTF-8 is met when the record loop reaches its line, after any fault
-    of an earlier record; the error names the file only.
+    numpy codes a chunk of plain records whose fields are each bare (not
+    padded) and at most 8 bytes, while the table has room for their labels.
+    Both reads add a label to the table on its first miss, with the code
+    from its column's dict; in a labelled read a token outside the dicts
+    refuses its chunk, and the record loop names it. From the first chunk
+    numpy refuses (a quote, a padded field or a wider one, say), the record
+    loop reads that chunk and the rest of the stream through `_text_lines`,
+    with the same codes, stripping each field, and alone raises the errors.
+    Text that is not UTF-8 is met when the record loop reaches its line,
+    after any fault of an earlier record; the error names the file only.
     """
     lineno = 0  # the last record read
     try:
@@ -315,26 +313,27 @@ def _code_plain_chunk(data, m, codes, table, grow, reject_missing):
     """The (records, m) int32 codes of a chunk of whole lines, or None.
 
     `data` holds the chunk's bytes. A chunk is plain when it is ASCII with
-    no quote or NUL, each carriage return is followed by a newline or ends
-    the chunk, every line holds m fields (so none is blank), no field
-    passes csv's size limit, and every field is at most 8 bytes once
-    stripped. Then each line is one record, and its fields are the runs
-    between commas, stripped as str.strip does; the carriage-return and
-    strip passes run only on bytes that need them. A field's key is its
-    bytes as one little-endian 8-byte word, zeroed past its width; a token
-    holds no NUL, so the key is the token itself. Every field's key is read
-    at once, through one unaligned view of the chunk, and the keys of all m
-    columns are looked up in `table` at once. Keys that miss are labels the
-    table lacks: it takes the first `_FIRST_MISSES` misses in one go, and
-    those still missing after a new lookup in rounds four times larger. A
-    label it takes gets its code from its column's dict in `codes`; a token
-    the dict lacks is new, and with `grow` its first appearances extend
-    `codes` column by column as the record loop would. A chunk that is not
-    plain, holds "?" under `reject_missing`, has labels the table cannot
-    take, or without `grow` holds a token outside `codes`, is refused before
-    `codes` changes; the table is read no more.
+    no quote, each carriage return is followed by a newline or ends the
+    chunk, every line holds m fields (so none is blank), no byte but a line
+    end is whitespace or a control byte (so no field is padded or holds a
+    NUL), and every field is at most 8 bytes and within csv's size limit.
+    Then each line is one record, and its fields are the runs between
+    commas; the carriage-return pass runs only on chunks that hold one. A
+    field's key is its bytes as one little-endian 8-byte word, zeroed past
+    its width; a token holds no NUL, so the key is the token itself. Every
+    field's key is read at once, through one unaligned view of the chunk,
+    and the keys of all m columns are looked up in `table` at once. Keys
+    that miss are labels the table lacks: it takes the first
+    `_FIRST_MISSES` misses in one go, and those still missing after a new
+    lookup in rounds four times larger. A label it takes gets its code from
+    its column's dict in `codes`; a token the dict lacks is new, and with
+    `grow` its first appearances extend `codes` column by column as the
+    record loop would. A chunk that is not plain, holds "?" under
+    `reject_missing`, has labels the table cannot take, or without `grow`
+    holds a token outside `codes`, is refused before `codes` changes; the
+    table is read no more.
     """
-    if not data.isascii() or b'"' in data or b"\0" in data:
+    if not data.isascii() or b'"' in data:
         return None
     # The file's last line may have no end, and a chunk's last line may end
     # in a lone "\r": csv ends a record there as it does at "\r\n".
@@ -356,17 +355,11 @@ def _code_plain_chunk(data, m, codes, table, grow, reject_missing):
         if np.count_nonzero(crlf) != returns:
             return None
         last -= crlf
-    widths = ends - starts
-    if widths.max() > csv.field_size_limit() or (m == 1 and not widths.all()):
+    if np.count_nonzero(buf <= ord(" ")) > n + returns:  # padding or a control byte
         return None
-    if np.count_nonzero(buf <= ord(" ")) > n + returns:  # a token to strip
-        solid = np.flatnonzero(~_ASCII_SPACE[buf])
-        solid = np.concatenate(([-1], solid, [len(buf)]))
-        starts = np.minimum(solid[np.searchsorted(solid, starts)], ends)
-        ends = np.maximum(solid[np.searchsorted(solid, ends) - 1] + 1, starts)
-        widths = ends - starts
+    widths = ends - starts
     del ends  # records x m index arrays are the chunk's largest: keep few
-    if widths.max() > 8:
+    if widths.max() > min(8, csv.field_size_limit()) or (m == 1 and not widths.all()):
         return None
     # Every field's key, read at once; a key of 63 is the token "?".
     view = np.ndarray(size + 1, dtype="<u8", buffer=data, strides=(1,))

@@ -36,7 +36,11 @@ class CapacityError(MmlbnError):
 
 
 class ParameterCapError(MmlbnError):
-    """A full conditional table would need too many free parameters."""
+    """A node's model would need too many free parameters: a full
+    conditional table at `cpt_full.PARAMETER_CAP` (65000) or more, or a
+    first-order logit model at `fom.PARAMETER_CAP` (1000) or more.
+    Under the dual policy `scoring.node_length` catches it from either
+    model and prices the node by the other."""
 
 
 class ConvergenceError(MmlbnError):

@@ -134,9 +134,9 @@ def apply_move(
     """
     if kind not in ("toggle", "reverse"):
         raise ValueError(f"unknown move kind {kind!r}")
+    i, j = as_index(i, "move endpoint"), as_index(j, "move endpoint")
     if i == j:
         raise ValueError("move endpoints must differ")
-    i, j = as_index(i, "move endpoint"), as_index(j, "move endpoint")
     if not (0 <= i < dag.m and 0 <= j < dag.m):
         raise ValueError("move endpoints out of range")
     if kind == "reverse":

@@ -303,10 +303,10 @@ def spy_on_chunks(monkeypatch):
     return coded
 
 
-# Tokens numpy codes as they stand or stripped, and pieces that send a chunk
-# to the record loop: quotes, NUL, non-ASCII text and, as line ends, blank
-# lines and a lone "\r" inside the chunk (one that ends it does not); an
-# empty end runs two lines together.
+# Tokens numpy codes, and pieces that send a chunk to the record loop:
+# padding, quotes, NUL, non-ASCII text and, as line ends, blank lines and a
+# lone "\r" inside the chunk (one that ends it does not); an empty end runs
+# two lines together.
 PLAIN_TOKENS = ["x", "y", "s0"]
 ODD_TOKENS = [" x", "x\t", "\x0bx ", "\x1cy", " ", "", "?", " ? ", "z", "é",
               '"a,b"', '"q\nr"', '"', "x\0"]
@@ -338,8 +338,9 @@ TOKEN_CHARS = "abcdefghijklmnopqrstuvwxyz_0123456789"
 
 @st.composite
 def wide_files(draw):
-    """(m, text, labels): a plain file of 1-24 byte tokens, some padded, and
-    labels for a labelled read that may miss one of its tokens."""
+    """(m, text, labels): an unquoted file of 1-24 byte tokens, some padded
+    (csv reads those), and labels for a labelled read that may miss one of
+    its tokens."""
     m = draw(st.integers(1, 3))
     token = st.sampled_from(WIDE_TOKENS) | st.text(TOKEN_CHARS, min_size=1, max_size=24)
     tokens = draw(st.lists(token, min_size=3, max_size=8, unique=True))
@@ -696,13 +697,19 @@ class TestByteChunks:
 
     @pytest.mark.parametrize(
         "field,by_numpy",
-        [(" abcdefgh\t", True), ("abcdefghi", False), (" abcdefghi ", False)],
-        ids=["8-padded", "9", "9-padded"],
+        [
+            ("abcdefgh", True),
+            (" abcdefgh\t", False),
+            ("abcdefghi", False),
+            (" abcdefghi ", False),
+        ],
+        ids=["8", "8-padded", "9", "9-padded"],
     )
     def test_fields_of_at_most_8_bytes_are_coded_by_numpy(
         self, tmp_path, monkeypatch, field, by_numpy
     ):
-        # a field is measured once stripped; a wider one refuses its chunk
+        # only a bare field of at most 8 bytes is coded by numpy: a padded or
+        # a wider one refuses its chunk, and csv strips what it reads
         path = write(tmp_path, f"a,b\nx,1\n{field},2\ny,1\n")
         coded = spy_on_chunks(monkeypatch)
         got = read_outcome(load_csv, path)

@@ -187,6 +187,12 @@ class TestApplyMove:
             apply_move(dag, "toggle", 1, 1, max_parents=10)
         with pytest.raises(ValueError, match="move endpoints out of range"):
             apply_move(dag, "toggle", 0, 5, max_parents=10)
+        # endpoints are checked as integers before they are compared
+        for i, j in [(1.0, 1), (1, 1.0)]:
+            with pytest.raises(
+                ValueError, match=r"move endpoint must be an integer; got 1\.0"
+            ):
+                apply_move(DagStructure.empty(3), "toggle", i, j, max_parents=10)
 
     def test_toggle_involution_random(self):
         rng = np.random.default_rng(0)
